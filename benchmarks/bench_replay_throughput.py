@@ -1,7 +1,7 @@
 """Replay-engine throughput: events/second through the layered engine.
 
-The screened batch kernel (``CacheSystem._replay_kernel``: generational
-fixpoint screening + grouped residual batching + a residual loop with
+The screened batch kernel (``CacheSystem._replay_kernel``: one
+vectorized guaranteed-hit screen + a batch-order residual loop with
 local counters) replaced the per-event cache stage. This bench measures
 replay throughput on the paper's headline workload (PageRank on the lj
 stand-in) for the baseline and OMEGA backends and compares against two
@@ -11,9 +11,9 @@ references:
   this workload (events decoded, classified, and routed one at a
   time), read from the first entry of the ``BENCH_replay_throughput``
   trajectory (the built-in constants only seed a fresh ledger), and
-- the engine's own scalar cache oracle (``force_scalar_cache``, the
-  ``REPRO_SCALAR_CACHE=1`` path), which still pays per-event cache
-  simulation but benefits from the vectorized pre-pass/routing — an
+- the engine's own scalar cache oracle (a backend's ``scalar_cache``
+  flag, the ``REPRO_SCALAR_CACHE=1`` path), which still pays per-event
+  cache simulation but benefits from the vectorized pre-pass/routing — an
   in-process lower bound on the kernel's win.
 
 Host normalization: raw events/second swings double-digit percentages
@@ -87,7 +87,7 @@ def _best_seconds(make_hierarchy, trace, rounds=ROUNDS, scalar=False):
     for _ in range(rounds):
         hierarchy = make_hierarchy()
         if scalar:
-            hierarchy.force_scalar_cache = True
+            hierarchy.scalar_cache = True
         start = time.perf_counter()
         hierarchy.replay(trace)
         best = min(best, time.perf_counter() - start)

@@ -673,13 +673,9 @@ def _kernel_lines(kern):
     yield (f"  mode: {kern.get('mode', '?')}"
            f"  batches: {kern.get('batches', 0)}"
            f"  events: {kern.get('events', 0)}")
-    gens = kern.get("screened_per_generation") or []
     yield (f"  screened: {kern.get('screened', 0)}"
-           f" ({100.0 * kern.get('screened_fraction', 0.0):.1f}%)"
-           f" over {len(gens)} generation(s): {gens}")
-    yield (f"  residual: grouped {kern.get('grouped_events', 0)}"
-           f" / serialized {kern.get('serialized_events', 0)}"
-           f" in {kern.get('groups', 0)} group(s)")
+           f" ({100.0 * kern.get('screened_fraction', 0.0):.1f}%)")
+    yield f"  residual: serialized {kern.get('serialized_events', 0)}"
 
 
 def _cmd_history(args) -> int:

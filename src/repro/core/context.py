@@ -18,9 +18,9 @@ This module makes the configuration a value instead of an ambient:
 - :meth:`RunContext.from_env` is the **only** place in ``src/repro``
   allowed to read ``REPRO_*`` environment variables (machine-enforced
   by the ENV001 lint rule). The legacy ambient accessors —
-  ``repro.store.get_store``, ``repro.obs.ledger.resolve_ledger_path``,
-  ``repro.memsim.cachestate.scalar_cache_forced`` — survive as thin
-  deprecated veneers that delegate to the ``*_from_env`` helpers here.
+  ``repro.store.get_store`` and ``repro.obs.ledger.resolve_ledger_path``
+  — survive as thin deprecated veneers that delegate to the
+  ``*_from_env`` helpers here.
 - :class:`RunRequest` absorbs :func:`repro.core.system.run_system`'s
   sprawling per-run keyword arguments into one serializable value, so
   a sweep worker or a ``repro serve`` job can carry the complete run

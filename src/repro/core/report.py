@@ -26,11 +26,12 @@ __all__ = ["SimReport", "Comparison", "MANIFEST_SCHEMA"]
 #: ``replay.peak_rss_bytes`` (host RSS high-water mark). v5 added the
 #: ``attribution`` block (per graph-entity/degree-class counter
 #: breakdown; ``None`` when attribution was not requested). v6 added
-#: ``replay.kernel`` (batch-kernel screening telemetry: screened /
-#: grouped / serialized event counts, per-generation screening, and
-#: the execution mode; ``None`` when the run predates the kernel
-#: block).
-MANIFEST_SCHEMA = "omega-repro/run-manifest/v6"
+#: ``replay.kernel`` (batch-kernel screening telemetry; ``None`` when
+#: the run predates the kernel block). v7 trimmed ``replay.kernel`` to
+#: ``{mode, batches, events, screened, screened_fraction,
+#: serialized_events}`` — the per-generation and residual-grouping
+#: counters went with the mechanisms they measured.
+MANIFEST_SCHEMA = "omega-repro/run-manifest/v7"
 
 
 @dataclass

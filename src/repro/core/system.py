@@ -596,7 +596,7 @@ def _replay_bundle(
     sampler: Optional[ReplaySampler],
     tracer,
     attribution_acc: Optional[AttributionAccumulator] = None,
-    scalar_cache: Optional[bool] = None,
+    scalar_cache: bool = False,
 ) -> SimReport:
     """Replay a prepared trace through one backend and build the report."""
     with tracer.span("prepare_backend", cat="run", backend=backend_name):
@@ -606,8 +606,7 @@ def _replay_bundle(
         )
     # Thread the context's scalar-cache flag onto the backend instance
     # so the replay driver never consults ambient state on the hot
-    # path (None = no context; the cache system then falls back to
-    # the deprecated env veneer).
+    # path.
     hierarchy.scalar_cache = scalar_cache
 
     replay_start = time.perf_counter()
@@ -1026,7 +1025,6 @@ def estimate_system(
             bundle, algorithm, config, backend_name, backend_cls,
             chunk_size, sp_chunk_size, pim,
         )
-        hierarchy.scalar_cache = context.scalar_cache
         with tracer.span("estimate", cat="run", backend=backend_name,
                          events=bundle.num_events):
             return estimate_replay(hierarchy, bundle.trace)

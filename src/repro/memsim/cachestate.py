@@ -8,14 +8,15 @@ pre-routed event batches over it. Two execution paths produce
 
 - the **scalar oracle** (:meth:`CacheSystem.access`, driven by
   :meth:`CacheSystem._replay_generic`): one event per Python
-  iteration, the seed semantics. Forced with ``REPRO_SCALAR_CACHE=1``
-  in the environment or ``HierarchyBackend.force_scalar_cache``.
+  iteration, the seed semantics. Selected by ``scalar_cache=True`` on
+  :class:`CacheSystem` (threaded from the backend's ``scalar_cache``
+  flag, which ``run_system`` copies from its run context).
 - the **batch kernel** (:meth:`CacheSystem._replay_kernel`): a
   vectorized screening pass resolves every *guaranteed hit* in one
   numpy sweep (latency, counters, and LRU effect all known without
   touching state), and only the residual events — those that can
   conflict on a cache set, miss, or carry coherence side effects —
-  serialize through the inlined loop.
+  serialize, in batch order, through the inlined loop.
 
 The batch-segmentation invariant the kernel relies on
 (:func:`screen_guaranteed_hits`): an event whose nearest *same-core*
@@ -30,31 +31,9 @@ same-line event to be a same-core write, so the dirty bit and the
 directory's exclusive-owner entry are already established and the
 directory transition is idempotent. Such events never enter the
 serialized loop; their latency is prefilled and their hit counts fall
-out of the per-core complement (events minus misses).
-
-Screening runs to a *generational fixpoint*
-(:func:`screen_fixpoint`): a screened event is a total no-op, so
-deleting it yields a state-equivalent batch — re-screening the
-compacted residual can qualify events whose predecessor chain was
-previously interrupted by a now-removed no-op (e.g. the write in a
-same-core W,R,W chain only screens once the interleaved read is
-gone). Each generation is the same O(n log n) sort machinery over a
-shrinking residual, and soundness follows by induction: every
-generation's conditions are valid from an *arbitrary* start state, so
-they remain valid on the compacted sequence.
-
-The residual is then partitioned into independent conflict groups
-(:meth:`CacheSystem._residual_spans`): cores are merged when their
-residual events share a line (coherence), share a (bank, L2-set)
-slot (LRU interaction), can invalidate a pre-batch sharer's L1, or
-can evict a resident occupant another group touches. Groups that
-survive the merge provably cannot interact, so the residual replays
-group-major — each group a contiguous sub-batch — with per-event
-latencies scattered back to original positions, which keeps the
-``np.add.at`` per-core float fold bit-identical to batch order. Only
-genuinely coupled events (and every batch under an open/hybrid DRAM
-page policy, whose row machine serializes globally) stay in one
-serialized span.
+out of the per-core complement (events minus misses). The residual
+latencies scatter back to their batch positions, so the per-core
+``np.add.at`` float fold runs in batch order exactly as the oracle's.
 
 Unlike the pre-refactor fast path, the kernel covers **every**
 interconnect topology and DRAM page policy: mesh hop latencies are
@@ -65,7 +44,7 @@ vectorized up front.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -82,32 +61,10 @@ __all__ = [
     "CacheRecord",
     "CacheSystem",
     "KernelTelemetry",
-    "SCALAR_CACHE_ENV",
     "iter_set_bits",
-    "scalar_cache_forced",
-    "screen_fixpoint",
     "screen_guaranteed_hits",
     "set_bit_positions",
 ]
-
-#: Environment variable forcing the scalar reference oracle.
-SCALAR_CACHE_ENV = "REPRO_SCALAR_CACHE"
-
-
-def scalar_cache_forced() -> bool:
-    """Whether ``REPRO_SCALAR_CACHE=1`` selects the scalar oracle.
-
-    Deprecated ambient veneer: the environment read delegates to
-    :func:`repro.core.context.scalar_cache_from_env`. Runs driven
-    through ``run_system`` resolve the flag once on their
-    :class:`repro.core.context.RunContext` and pass it explicitly, so
-    this is only consulted when :class:`CacheSystem` is constructed
-    without an explicit ``scalar_cache`` argument.
-    """
-    from repro.core.context import scalar_cache_from_env
-
-    return scalar_cache_from_env()
-
 
 class CacheRecord:
     """Per-event outcome columns of one cache batch (attribution).
@@ -202,9 +159,23 @@ def screen_guaranteed_hits(
     replay changes nothing: the kernel resolves it entirely in this
     vectorized pass and drops it from the serialized loop. Every
     condition is trace-structural — valid from an *arbitrary* start
-    state, dependent only on the batch's event order — which is both
-    what makes screening a numpy sweep and what makes iterating it
-    sound (:func:`screen_fixpoint`).
+    state, dependent only on the batch's event order — which is what
+    makes screening a numpy sweep.
+
+    The slot-major formulation makes both rules two-view: a same-core
+    same-line predecessor *is* the slot-predecessor when it is
+    slot-adjacent (same core + same line implies same slot). Both
+    rules then reduce to comparisons in line-major coordinates — the
+    line order groups each line's events contiguously (batch-ordered
+    within the group), so for a slot-adjacent same-line pair ``(prev,
+    cur)``:
+
+    - *read rule*: no write to the line intervenes iff the cumulative
+      write count (one global cumsum over the line order — no group
+      reset needed, since positions between two same-line events are
+      all same-line) is equal at both positions;
+    - *write rule*: nothing at all intervenes on the line iff their
+      line positions are adjacent, tightened by "both are writes".
     """
     n = len(lines)
     out = np.zeros(n, dtype=bool)
@@ -216,10 +187,24 @@ def screen_guaranteed_hits(
     slot = cores * num_sets + lines % num_sets
     so = _slot_argsort(slot)
     lo = _line_argsort(lines)
+    # Line-major pass: per-event line position and running write count.
+    cw = np.cumsum(writes[lo], dtype=np.int32)
     linepos = np.empty(n, dtype=np.int32)
-    cwg = np.empty(n, dtype=np.int32)
-    hit = _screen_pass(lines, writes, slot, so, lo, linepos, cwg)
-    out[hit] = True
+    linepos[lo] = np.arange(n, dtype=np.int32)
+    # Slot-major pass: test each event against its slot predecessor.
+    ss = slot[so]
+    sl = lines[so]
+    sw = writes[so]
+    p = linepos[so]
+    pprev = p[:-1]
+    pcur = p[1:]
+    base = (ss[1:] == ss[:-1]) & (sl[1:] == sl[:-1])
+    ok = base & np.where(
+        sw[1:],
+        sw[:-1] & (pcur == pprev + 1),
+        cw[pcur] == cw[pprev],
+    )
+    out[so[1:][ok]] = True
     return out
 
 
@@ -253,118 +238,8 @@ def _line_argsort(lines: np.ndarray) -> np.ndarray:
     return np.argsort(lines, kind="stable")
 
 
-def _screen_pass(lines, writes, slot, so, lo, linepos, cwg):
-    """One screening generation over sorted views; the shared core of
-    :func:`screen_guaranteed_hits` and :func:`screen_fixpoint`.
-
-    ``so``/``lo`` are the residual's batch indices in slot-major and
-    line-major stable order; ``linepos``/``cwg`` are caller-provided
-    batch-size scratch arrays (stale entries at screened-out positions
-    are never read). Returns the batch indices newly screened.
-
-    The slot-major formulation makes both rules two-view: a same-core
-    same-line predecessor *is* the slot-predecessor when it is
-    slot-adjacent (same core + same line implies same slot). Both
-    rules then reduce to comparisons in line-major coordinates — the
-    line order groups each line's events contiguously (batch-ordered
-    within the group), so for a slot-adjacent same-line pair ``(prev,
-    cur)``:
-
-    - *read rule*: no write to the line intervenes iff the cumulative
-      write count (one global cumsum over the line order — no group
-      reset needed, since positions between two same-line events are
-      all same-line) is equal at both positions;
-    - *write rule*: nothing at all intervenes on the line iff their
-      line positions are adjacent, tightened by "both are writes".
-    """
-    r = len(so)
-    # Line-major pass: per-event line position and running write count.
-    cw = cwg[:r]
-    np.cumsum(writes[lo], dtype=np.int32, out=cw)
-    linepos[lo] = np.arange(r, dtype=np.int32)
-    # Slot-major pass: test each event against its slot predecessor.
-    ss = slot[so]
-    sl = lines[so]
-    sw = writes[so]
-    p = linepos[so]
-    pprev = p[:-1]
-    pcur = p[1:]
-    base = (ss[1:] == ss[:-1]) & (sl[1:] == sl[:-1])
-    ok = base & np.where(
-        sw[1:],
-        sw[:-1] & (pcur == pprev + 1),
-        cw[pcur] == cw[pprev],
-    )
-    return so[1:][ok]
-
-
-def screen_fixpoint(
-    cores: np.ndarray,
-    lines: np.ndarray,
-    writes: np.ndarray,
-    num_sets: int,
-) -> "tuple[np.ndarray, List[int], np.ndarray]":
-    """Iterate :func:`screen_guaranteed_hits` to a generational fixpoint.
-
-    A screened event is a total no-op, so deleting it leaves a batch
-    whose replay is state-equivalent at every remaining event — and
-    the screen's conditions hold from an arbitrary start state, so
-    re-screening the compacted residual is sound by induction. Each
-    generation rescreens the shrinking residual
-    and can qualify events whose predecessor chain was previously
-    interrupted by a now-removed no-op (a same-core W,R,W chain
-    screens its read in generation 1 and its second write only in
-    generation 2, once the read is gone).
-
-    Returns ``(skip, generations, line_order)``: the combined boolean
-    mask over the batch, the per-generation screened counts, and the
-    surviving residual's batch indices in line-major stable order — a
-    byproduct of the incremental iteration that
-    :meth:`CacheSystem._residual_spans` reuses to find coherence
-    pairs without re-sorting. The batch is
-    sorted once; later generations filter the slot-major and
-    line-major index arrays in place of re-sorting (removing elements
-    preserves sortedness), so each extra generation costs O(residual)
-    rather than another sort. Iteration stops at the true fixpoint (a
-    generation that screens nothing) or at a diminishing-returns
-    cutoff — when a generation resolves less than 1/32 of the residual
-    it screened from, the next pass costs more than the loop events it
-    would save. The cutoff is deterministic, so replay results are
-    still reproducible bit-for-bit; it only leaves some provable
-    no-ops to the serialized loop, which handles them correctly
-    anyway.
-    """
-    n = len(lines)
-    skip = np.zeros(n, dtype=bool)
-    generations: List[int] = []
-    if n < 2:
-        return skip, generations, np.arange(n, dtype=np.int64)
-    cores = np.asarray(cores, dtype=np.int64)
-    lines = np.asarray(lines, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    slot = cores * num_sets + lines % num_sets
-    so = _slot_argsort(slot)
-    lo = _line_argsort(lines)
-    linepos = np.empty(n, dtype=np.int32)
-    cwg = np.empty(n, dtype=np.int32)
-    while len(so) >= 2:
-        before = len(so)
-        hit = _screen_pass(lines, writes, slot, so, lo, linepos, cwg)
-        c = len(hit)
-        if c == 0:
-            break
-        skip[hit] = True
-        generations.append(c)
-        keep = ~skip
-        so = so[keep[so]]
-        lo = lo[keep[lo]]
-        if c * 32 < before:
-            break
-    return skip, generations, lo
-
-
 class KernelTelemetry:
-    """Aggregate screening/grouping counters across a system's batches.
+    """Aggregate screening counters across a system's kernel batches.
 
     One instance lives on each :class:`CacheSystem` and accumulates
     over every kernel batch the system replays (all segments and
@@ -375,36 +250,20 @@ class KernelTelemetry:
     ``batches`` stays 0 and the replay block reports mode "scalar".
     """
 
-    __slots__ = ("batches", "events", "screened_per_generation",
-                 "grouped_events", "serialized_events", "groups")
+    __slots__ = ("batches", "events", "screened", "serialized_events")
 
     def __init__(self) -> None:
         self.batches = 0
         self.events = 0
-        self.screened_per_generation: List[int] = []
-        self.grouped_events = 0
+        self.screened = 0
         self.serialized_events = 0
-        self.groups = 0
 
-    def observe(self, events: int, generations: List[int],
-                grouped: int, serialized: int, groups: int) -> None:
+    def observe(self, events: int, screened: int) -> None:
         """Fold one kernel batch's screening outcome into the totals."""
         self.batches += 1
         self.events += events
-        spg = self.screened_per_generation
-        for g, count in enumerate(generations):
-            if g < len(spg):
-                spg[g] += count
-            else:
-                spg.append(count)
-        self.grouped_events += grouped
-        self.serialized_events += serialized
-        self.groups += groups
-
-    @property
-    def screened(self) -> int:
-        """Events resolved by screening alone, across all generations."""
-        return sum(self.screened_per_generation)
+        self.screened += screened
+        self.serialized_events += events - screened
 
     @property
     def screened_fraction(self) -> float:
@@ -418,11 +277,7 @@ class KernelTelemetry:
             "events": self.events,
             "screened": self.screened,
             "screened_fraction": round(self.screened_fraction, 6),
-            "screened_per_generation": list(self.screened_per_generation),
-            "generations": len(self.screened_per_generation),
-            "grouped_events": self.grouped_events,
             "serialized_events": self.serialized_events,
-            "groups": self.groups,
         }
 
 
@@ -433,13 +288,13 @@ class CacheSystem:
     reference oracle) and :meth:`replay_cache_path`, which screens the
     batch for guaranteed hits and serializes only the residual events
     through a fully inlined loop. ``fast_path_ok`` selects the kernel;
-    it starts ``False`` only when ``REPRO_SCALAR_CACHE=1`` is set, and
-    backends flip it off for ``force_scalar_cache``.
+    it is ``False`` only when the system is built with
+    ``scalar_cache=True``.
     """
 
     def __init__(self, config: SimConfig, stats: MemStats,
                  dram: DramModel, crossbar: Crossbar,
-                 scalar_cache: Optional[bool] = None) -> None:
+                 scalar_cache: bool = False) -> None:
         ncores = config.core.num_cores
         self.config = config
         self.stats = stats
@@ -468,15 +323,10 @@ class CacheSystem:
         # (traffic, cache fills) still happens.
         self.prefetcher = StreamDetector(ncores)
         #: Whether replay_cache_path may use the batch kernel. The
-        #: kernel covers every topology and page policy; only the
-        #: escape hatches disable it. ``scalar_cache`` is threaded
-        #: from the run's :class:`repro.core.context.RunContext`;
-        #: ``None`` (direct construction) falls back to the deprecated
-        #: ambient :func:`scalar_cache_forced` veneer.
-        if scalar_cache is None:
-            scalar_cache = scalar_cache_forced()
+        #: kernel covers every topology and page policy; only
+        #: ``scalar_cache`` (the reference-oracle selector) disables it.
         self.fast_path_ok = not scalar_cache
-        #: Screening/grouping counters accumulated over every kernel
+        #: Screening counters accumulated over every kernel
         #: batch this system replays (see :class:`KernelTelemetry`).
         self.kernel_telemetry = KernelTelemetry()
 
@@ -725,16 +575,12 @@ class CacheSystem:
         num_heads = pref.num_heads
 
         n = len(cores)
-        # The vectorized pass: set indices are state-independent, and
-        # the generational screen resolves every guaranteed hit
-        # without state.
-        s1i = cores * l1_nsets + lines % l1_nsets
-        l2i = banks * l2_nsets + bank_keys % l2_nsets
-        skip, generations, lo_res = screen_fixpoint(
-            cores, lines, writes, l1_nsets
+        # The vectorized pass: the screen resolves every guaranteed
+        # hit without state.
+        keep = np.flatnonzero(
+            ~screen_guaranteed_hits(cores, lines, writes, l1_nsets)
         )
-        keep = np.flatnonzero(~skip)
-        nkeep = len(keep)
+        self.kernel_telemetry.observe(events=n, screened=n - len(keep))
 
         # Interconnect latencies are per-(core, bank) constants under
         # both topologies; precompute the table the miss path indexes.
@@ -758,9 +604,8 @@ class CacheSystem:
         # front; victim write-backs compute theirs in-loop).
         dram = self.dram
         dcfg = config.dram
-        closed_page = dcfg.page_policy == "closed"
         dram_lat = dcfg.latency_cycles
-        if closed_page:
+        if dcfg.page_policy == "closed":
             track_rows = False
             chan_l = row_l = rand_l = None
             channels = row_bytes = row_hit_cyc = row_miss_cyc = 0
@@ -792,59 +637,20 @@ class CacheSystem:
         rowh = 0
         rowm = 0
 
-        # Residual columns. Under a closed DRAM page (the only policy
-        # without a globally serializing row machine) the residual is
-        # partitioned into independent conflict groups and replayed
-        # group-major: the permutation concatenates each group's
-        # events in batch order, which is exactly "replay the groups
-        # as independent sub-batches". Latencies scatter back through
-        # ``keep`` to original positions, so the np.add.at per-core
-        # float fold is bit-identical to batch order.
+        # Residual columns, in batch order; set indices are
+        # state-independent, so they are computed vectorized here.
         kc = cores[keep]
         kl = lines[keep]
-        kw = writes[keep]
-        ks1 = s1i[keep]
         kb = banks[keep]
         kk = bank_keys[keep]
-        kl2 = l2i[keep]
-        spans = None
-        if closed_page and nkeep > 1 and ncores > 1:
-            # Map the fixpoint's surviving line-major order (batch
-            # indices) to residual positions, so the span search never
-            # re-sorts the lines.
-            rpos = np.empty(n, dtype=np.int64)
-            rpos[keep] = np.arange(nkeep, dtype=np.int64)
-            spans = self._residual_spans(
-                kc, kl, kw, kl2, ks1, flat_l1, rpos[lo_res]
-            )
-        if spans is not None:
-            perm = np.concatenate(spans)
-            kc = kc[perm]
-            kl = kl[perm]
-            kw = kw[perm]
-            ks1 = ks1[perm]
-            kb = kb[perm]
-            kk = kk[perm]
-            kl2 = kl2[perm]
-            keep_res = keep[perm]
-        else:
-            keep_res = keep
-        self.kernel_telemetry.observe(
-            events=n,
-            generations=generations,
-            grouped=nkeep if spans is not None else 0,
-            serialized=0 if spans is not None else nkeep,
-            groups=(len(spans) if spans is not None
-                    else (1 if nkeep else 0)),
-        )
         cores_l = kc.tolist()
         lines_l = kl.tolist()
-        writes_l = kw.tolist()
-        s1i_l = ks1.tolist()
+        writes_l = writes[keep].tolist()
+        s1i_l = (kc * l1_nsets + kl % l1_nsets).tolist()
         banks_l = kb.tolist()
         keys_l = kk.tolist()
-        l2i_l = kl2.tolist()
-        keep_l = keep_res.tolist()
+        l2i_l = (kb * l2_nsets + kk % l2_nsets).tolist()
+        keep_l = keep.tolist()
 
         l1_lat = float(self.l1_lat)
         pref_lat = float(self.l1_lat + 1)
@@ -903,7 +709,7 @@ class CacheSystem:
 
         # Guaranteed hits cost exactly the L1 latency; residual
         # latencies collect in loop order and scatter back through
-        # ``keep_res`` once at the end (appending to a list beats
+        # ``keep`` once at the end (appending to a list beats
         # per-event ndarray stores, and the prefilled array spares the
         # final list->array conversion the accounting fold would pay).
         lats = np.full(n, l1_lat)
@@ -1152,7 +958,7 @@ class CacheSystem:
         # loop only tallies misses, hits (screened or residual) are the
         # complement.
         if rl:
-            lats[keep_res] = rl
+            lats[keep] = rl
 
         ev_counts = np.bincount(cores, minlength=ncores)
         for c in range(ncores):
@@ -1195,143 +1001,3 @@ class CacheSystem:
             dram.row_misses += rowm
             dram._open_rows[:] = open_rows
         return lats
-
-    def _residual_spans(self, kc, kl, kw, kl2, ks1, flat_l1, llo):
-        """Partition the residual into independent conflict groups.
-
-        Cores are the union-find nodes — every residual event of a
-        core shares that core's L1 sets and prefetcher state, so a
-        partition of cores induces a partition of events. Two cores
-        are merged whenever their residual events could interact:
-
-        - they touch the **same line** (coherence: invalidations,
-          owner write-backs, sharer-mask order all matter);
-        - they touch the **same (bank, L2-set) slot** (the L2 set's
-          LRU order depends on the interleaving of insertions);
-        - one **writes a line whose pre-batch directory entry** names
-          the other as sharer or owner (the write's invalidation
-          deletes the line from that core's L1 set, changing its
-          occupancy and future victim choice);
-        - one's touched L1 sets hold a **resident occupant line** the
-          other accesses, or whose L2 slot the other touches (evicting
-          the occupant clears its sharer bit / owner and writes a
-          dirty victim into that L2 set — order matters to both).
-
-        Anything not merged provably cannot interact: all remaining
-        effects (counter sums, per-event latencies, disjoint dict
-        keys, own-bit directory clears on shared entries) commute
-        across groups. Returns a list of >= 2 position arrays into the
-        residual (each ascending, so batch order is kept within a
-        group), or ``None`` when the residual is one coupled group.
-        Only called under the closed DRAM page policy — the open and
-        hybrid row machines serialize every group through shared
-        per-channel row state.
-
-        ``llo`` is the residual's line-major stable order (positions),
-        handed down from the screening fixpoint so no re-sort is
-        needed here. Sharing pairs come from *adjacent* elements of a
-        sorted run — unioning every adjacent pair connects the same
-        component as unioning every distinct pair — and the pair ids
-        live in an ncores^2 flag plane, so no ``np.unique`` either.
-        """
-        ncores = self.ncores
-        parent = list(range(ncores))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        def merged() -> bool:
-            reps = {find(int(c)) for c in present}
-            return len(reps) < 2
-
-        present = np.flatnonzero(np.bincount(kc, minlength=ncores))
-        if len(present) < 2:
-            return None
-
-        pair_flags = np.zeros(ncores * ncores, dtype=bool)
-        # (1) cores sharing a line: adjacent cores within each
-        # line-major run.
-        gl = kl[llo]
-        lc = kc[llo]
-        same = gl[1:] == gl[:-1]
-        pair_flags[lc[:-1][same] * ncores + lc[1:][same]] = True
-        # (2) cores sharing a (bank, L2-set) slot: same trick over the
-        # slot-major order (small-range keys, radix argsort).
-        s2o = _slot_argsort(kl2)
-        g2 = kl2[s2o]
-        c2 = kc[s2o]
-        same2 = g2[1:] == g2[:-1]
-        pair_flags[c2[:-1][same2] * ncores + c2[1:][same2]] = True
-        for k in np.flatnonzero(pair_flags).tolist():
-            a, b = divmod(k, ncores)
-            if a != b:
-                union(a, b)
-        if merged():
-            return None
-
-        # (3) pre-batch sharers/owners of written lines: the write's
-        # invalidation reaches into their L1 sets. Any writer of the
-        # line is a valid representative — step (1) already connected
-        # every core touching it.
-        dir_lines = self.directory._lines
-        gw = kw[llo]
-        if np.any(gw):
-            wl = gl[gw]
-            wc = lc[gw]
-            firstw = np.empty(len(wl), dtype=bool)
-            firstw[0] = True
-            np.not_equal(wl[1:], wl[:-1], out=firstw[1:])
-            for line, c in zip(wl[firstw].tolist(), wc[firstw].tolist()):
-                entry = dir_lines.get(line)
-                if entry is None:
-                    continue
-                m = entry[0]
-                while m:
-                    b = m & -m
-                    union(c, b.bit_length() - 1)
-                    m ^= b
-                if entry[1] >= 0:
-                    union(c, entry[1])
-            if merged():
-                return None
-
-        # (4) occupant closure: resident lines of every touched L1 set
-        # can be evicted mid-batch.
-        l1_nsets = self.l1s[0]._num_sets
-        l2_nsets = self.l2_banks[0]._num_sets
-        bank_mask = self.bank_mask
-        bank_bits = self.bank_bits
-        first_l = np.concatenate(([True], gl[1:] != gl[:-1]))
-        line_core = dict(zip(gl[first_l].tolist(), lc[first_l].tolist()))
-        first_s = np.concatenate(([True], g2[1:] != g2[:-1]))
-        slot_core = dict(zip(g2[first_s].tolist(), c2[first_s].tolist()))
-        for si in np.flatnonzero(
-            np.bincount(ks1, minlength=ncores * l1_nsets)
-        ).tolist():
-            c = si // l1_nsets
-            for occ in flat_l1[si]:
-                oc = line_core.get(occ)
-                if oc is not None and oc != c:
-                    union(c, oc)
-                osl = ((occ & bank_mask) * l2_nsets
-                       + ((occ >> bank_bits) % l2_nsets))
-                ol = slot_core.get(osl)
-                if ol is not None and ol != c:
-                    union(c, ol)
-        if merged():
-            return None
-
-        reps = np.asarray([find(c) for c in range(ncores)], dtype=np.int64)
-        g = reps[kc]
-        order = np.argsort(g, kind="stable")
-        gs = g[order]
-        cuts = np.flatnonzero(np.concatenate(([True], gs[1:] != gs[:-1])))
-        return np.split(order, cuts[1:])

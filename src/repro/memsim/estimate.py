@@ -207,13 +207,7 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     dram = DramModel(config.dram)
     dram.set_random_ranges(backend.dram_random_ranges)
     crossbar = Crossbar(config.interconnect, ncores)
-    system = CacheSystem(
-        config, stats, dram, crossbar,
-        scalar_cache=(
-            True if backend.force_scalar_cache
-            else getattr(backend, "scalar_cache", None)
-        ),
-    )
+    system = CacheSystem(config, stats, dram, crossbar)
     ctx = ReplayContext(
         config=config, stats=stats, dram=dram, crossbar=crossbar,
         system=system, ncores=ncores, ledger=LatencyLedger(ncores),

@@ -175,10 +175,7 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
         crossbar = Crossbar(config.interconnect, ncores)
         system = CacheSystem(
             config, stats, dram, crossbar,
-            scalar_cache=(
-                True if backend.force_scalar_cache
-                else getattr(backend, "scalar_cache", None)
-            ),
+            scalar_cache=backend.scalar_cache,
         )
         ledger = LatencyLedger(ncores)
         ctx = ReplayContext(
@@ -289,7 +286,6 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
                 "kernel.screening",
                 {
                     "screened": kt.screened,
-                    "grouped": kt.grouped_events,
                     "serialized": kt.serialized_events,
                 },
             )

@@ -58,7 +58,7 @@ class TestManifest:
         report.save_manifest(path)
         loaded = json.loads(path.read_text())
         assert self.REQUIRED_KEYS <= set(loaded)
-        assert loaded["schema"] == "omega-repro/run-manifest/v6"
+        assert loaded["schema"] == "omega-repro/run-manifest/v7"
         assert loaded == report.manifest()
 
     def test_manifest_is_loadable_by_diff_tool(self, report, tmp_path):

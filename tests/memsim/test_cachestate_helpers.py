@@ -6,7 +6,6 @@ import pytest
 from repro.memsim.cachestate import (
     _line_argsort,
     iter_set_bits,
-    screen_fixpoint,
     screen_guaranteed_hits,
 )
 
@@ -43,9 +42,34 @@ def screen(cores, lines, writes, num_sets=4):
     ).tolist()
 
 
+def naive_screen(cores, lines, writes, num_sets):
+    """The screening rules restated event by event, O(n^2)."""
+    out = []
+    for i in range(len(lines)):
+        slot = (cores[i], lines[i] % num_sets)
+        prev = next(
+            (j for j in range(i - 1, -1, -1)
+             if (cores[j], lines[j] % num_sets) == slot),
+            None,
+        )
+        if prev is None or lines[prev] != lines[i]:
+            out.append(False)
+            continue
+        between = [j for j in range(prev + 1, i) if lines[j] == lines[i]]
+        if writes[i]:
+            out.append(bool(writes[prev]) and not between)
+        else:
+            out.append(not any(writes[j] for j in between))
+    return out
+
+
 class TestScreenGuaranteedHits:
     def test_empty_batch(self):
         assert screen([], [], []) == []
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_batches_screen_nothing(self, n):
+        assert screen([0] * n, [10] * n, [False] * n) == [False] * n
 
     def test_first_touch_never_screened(self):
         assert screen([0], [10], [False]) == [False]
@@ -115,13 +139,50 @@ class TestScreenGuaranteedHits:
         assert out == [False, False, False]
 
     def test_all_write_chain_screens_in_one_pass(self):
-        # A same-core run of writes collapses in a single generation:
-        # every adjacent pair satisfies the write rule simultaneously
-        # (the screen evaluates against the pre-pass residual, not the
-        # shrinking one).
+        # A same-core run of writes collapses in a single pass: every
+        # adjacent pair satisfies the write rule simultaneously.
         assert screen(
             [0] * 5, [7] * 5, [True] * 5
         ) == [False, True, True, True, True]
+
+    def test_write_chains_per_core_one_pass(self):
+        # Two cores' write chains on distinct lines, interleaved: the
+        # other core's events never touch this core's line, so each
+        # chain still collapses to its first write in the one pass.
+        assert screen(
+            [0, 1] * 6, [7, 9] * 6, [True] * 12
+        ) == [False, False] + [True] * 10
+
+    def test_write_after_interleaved_read_not_screened(self):
+        # Same-core W,R,W: the read screens, but the second write's
+        # slot predecessor is that read, so the write rule fails and
+        # the write replays through the serialized loop (where it is
+        # an ordinary L1 write hit).
+        assert screen(
+            [0, 0, 0], [10, 10, 10], [True, False, True]
+        ) == [False, True, False]
+
+    @pytest.mark.parametrize("num_sets", [1, 4])
+    def test_num_sets_one_merges_all_sets(self, num_sets):
+        # With one set per core, every line conflicts: the re-touch of
+        # line 2 cannot screen. With four sets, lines 2 and 3 map to
+        # different sets and it screens — the contrast pins the slot
+        # computation.
+        assert screen(
+            [0, 0, 0], [2, 3, 2], [False] * 3, num_sets
+        ) == [False, False, num_sets > 1]
+
+    @pytest.mark.parametrize("num_sets", [1, 4])
+    def test_matches_naive_rules_on_random_batches(self, num_sets):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            n = int(rng.integers(2, 120))
+            cores = rng.integers(0, 4, n)
+            lines = rng.integers(0, 24, n)
+            writes = rng.random(n) < 0.4
+            assert screen(cores, lines, writes, num_sets) == naive_screen(
+                cores.tolist(), lines.tolist(), writes.tolist(), num_sets
+            )
 
     def test_wide_line_window_falls_back(self):
         # Line ids spanning more than 2**16 exercise _line_argsort's
@@ -132,109 +193,6 @@ class TestScreenGuaranteedHits:
         assert screen(
             [0, 0], [1 << 40, 1 << 40], [False, False]
         ) == [False, True]
-
-
-def fixpoint_reference(cores, lines, writes, num_sets):
-    """Re-derive the fixpoint by literally re-screening the compacted
-    residual with :func:`screen_guaranteed_hits`, including the same
-    1/32 diminishing-returns cutoff."""
-    cores = np.asarray(cores, dtype=np.int64)
-    lines = np.asarray(lines, dtype=np.int64)
-    writes = np.asarray(writes, dtype=bool)
-    skip = np.zeros(len(lines), dtype=bool)
-    gens = []
-    while True:
-        idx = np.flatnonzero(~skip)
-        if len(idx) < 2:
-            break
-        hit = screen_guaranteed_hits(
-            cores[idx], lines[idx], writes[idx], num_sets
-        )
-        c = int(hit.sum())
-        if c == 0:
-            break
-        skip[idx[hit]] = True
-        gens.append(c)
-        if c * 32 < len(idx):
-            break
-    return skip, gens
-
-
-class TestScreenFixpoint:
-    def fixpoint(self, cores, lines, writes, num_sets=4):
-        return screen_fixpoint(
-            np.asarray(cores, dtype=np.int64),
-            np.asarray(lines, dtype=np.int64),
-            np.asarray(writes, dtype=bool),
-            num_sets,
-        )
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_tiny_batches_return_trivial_triple(self, n):
-        skip, gens, lo = self.fixpoint([0] * n, [10] * n, [False] * n)
-        assert skip.tolist() == [False] * n
-        assert gens == []
-        assert lo.tolist() == list(range(n))
-
-    def test_returns_three_tuple_with_residual_line_order(self):
-        skip, gens, lo = self.fixpoint(
-            [0, 1, 0, 1], [9, 5, 9, 5], [False] * 4
-        )
-        # Events 2 and 3 screen in generation 1; the surviving
-        # residual [0, 1] comes back line-major (line 5 before 9).
-        assert skip.tolist() == [False, False, True, True]
-        assert gens == [2]
-        assert lo.tolist() == [1, 0]
-
-    def test_second_generation_convergence(self):
-        # Same-core W,R,W: generation 1 screens only the read (the
-        # second write's slot predecessor is the read, which fails the
-        # write rule); once the read is compacted away, the two writes
-        # become adjacent and generation 2 screens the second one.
-        skip, gens, _ = self.fixpoint(
-            [0, 0, 0], [10, 10, 10], [True, False, True]
-        )
-        assert skip.tolist() == [False, True, True]
-        assert gens == [1, 1]
-
-    def test_all_write_chain_single_generation(self):
-        skip, gens, _ = self.fixpoint([0] * 6, [7] * 6, [True] * 6)
-        assert skip.tolist() == [False] + [True] * 5
-        assert gens == [5]
-
-    def test_num_sets_one_merges_all_sets(self):
-        # With one set per core, every line conflicts: the re-touch of
-        # line 2 cannot screen. With four sets, lines 2 and 3 map to
-        # different sets and it screens — the contrast pins the slot
-        # computation.
-        skip1, _, _ = self.fixpoint(
-            [0, 0, 0], [2, 3, 2], [False] * 3, num_sets=1
-        )
-        assert skip1.tolist() == [False, False, False]
-        skip4, _, _ = self.fixpoint(
-            [0, 0, 0], [2, 3, 2], [False] * 3, num_sets=4
-        )
-        assert skip4.tolist() == [False, False, True]
-
-    @pytest.mark.parametrize("num_sets", [1, 4])
-    def test_matches_iterated_screen_on_random_batches(self, num_sets):
-        rng = np.random.default_rng(42)
-        for _ in range(25):
-            n = int(rng.integers(2, 300))
-            cores = rng.integers(0, 4, n)
-            lines = rng.integers(0, 24, n)
-            writes = rng.random(n) < 0.4
-            skip, gens, lo = self.fixpoint(cores, lines, writes, num_sets)
-            ref_skip, ref_gens = fixpoint_reference(
-                cores, lines, writes, num_sets
-            )
-            assert skip.tolist() == ref_skip.tolist()
-            assert gens == ref_gens
-            # The third element is the residual in line-major stable
-            # (line, batch-position) order.
-            surv = np.flatnonzero(~skip)
-            ref_lo = surv[np.argsort(lines[surv], kind="stable")]
-            assert lo.tolist() == ref_lo.tolist()
 
 
 class TestLineArgsort:

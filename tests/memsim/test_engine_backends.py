@@ -157,7 +157,7 @@ class TestScalarFastEquivalence:
 
         fast = make().replay(result.trace)
         slow_backend = make()
-        slow_backend.force_scalar_cache = True
+        slow_backend.scalar_cache = True
         slow = slow_backend.replay(result.trace)
 
         fast_stats = fast.stats.as_dict()
@@ -197,7 +197,7 @@ class TestManifest:
             manifest_path=path,
         )
         data = json.loads(path.read_text())
-        assert data["schema"] == "omega-repro/run-manifest/v6"
+        assert data["schema"] == "omega-repro/run-manifest/v7"
         assert data["backend"] == "omega"
         assert data["dataset"] == "rmat7"
         assert data["config"]["hash"] == config.config_hash()

@@ -116,13 +116,13 @@ class TestRandomizedConservation:
     @settings(max_examples=10, deadline=None)
     @given(events=EVENTS)
     def test_scalar_oracle_conserves(self, events):
-        """The REPRO_SCALAR_CACHE reference path fills the record too."""
+        """The scalar reference oracle fills the record too."""
         trace = events_to_trace(events)
         cfg = baseline_config()
 
         def make():
             backend = BaselineBackend(cfg)
-            backend.force_scalar_cache = True
+            backend.scalar_cache = True
             return backend
 
         acc_o = attributed_incore(make, trace)

@@ -2,8 +2,9 @@
 
 The batch-vectorized cache kernel
 (:meth:`repro.memsim.cachestate.CacheSystem._replay_kernel`) must
-reproduce the scalar per-event oracle (``REPRO_SCALAR_CACHE=1`` /
-``force_scalar_cache``) *exactly* — every integer counter, every
+reproduce the scalar per-event oracle (a backend's ``scalar_cache``
+flag, which ``REPRO_SCALAR_CACHE=1`` sets through the run context)
+*exactly* — every integer counter, every
 per-core float latency sum, and the full final cache/directory/DRAM
 state — across all five hierarchy backends, every interconnect
 topology, and every DRAM page policy. No tolerances anywhere in this
@@ -29,10 +30,8 @@ from repro.ligra.trace import (
     AccessClass,
     Trace,
 )
-from repro.memsim.cachestate import SCALAR_CACHE_ENV, CacheSystem
-from repro.memsim.dram import DramModel
-from repro.memsim.interconnect import Crossbar
-from repro.memsim.stats import MemStats
+from repro.core.context import RunContext, RunRequest
+from repro.core.system import run_system
 from repro.memsim.engine import (
     BaselineBackend,
     DynamicScratchpadBackend,
@@ -93,7 +92,7 @@ def assert_parity(make_backend, trace, sampler=False):
         trace, sampler=ReplaySampler(64) if sampler else None
     )
     oracle = make_backend()
-    oracle.force_scalar_cache = True
+    oracle.scalar_cache = True
     out_o = oracle.replay(
         trace, sampler=ReplaySampler(64) if sampler else None
     )
@@ -265,7 +264,7 @@ class TestAllBackendsParity:
         s_k = ReplaySampler(4096)
         kernel.replay(workload[0], sampler=s_k)
         oracle = factories[name]()
-        oracle.force_scalar_cache = True
+        oracle.scalar_cache = True
         s_o = ReplaySampler(4096)
         oracle.replay(workload[0], sampler=s_o)
         cols_k = dict(s_k.timeline().columns)
@@ -282,34 +281,42 @@ class TestAllBackendsParity:
         )
 
 
+def run_from_env(graph, monkeypatch, env_value):
+    """One PageRank run whose context comes from the environment."""
+    if env_value is None:
+        monkeypatch.delenv("REPRO_SCALAR_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SCALAR_CACHE", env_value)
+    context = RunContext.from_env(cache=False)
+    request = RunRequest(algorithm="pagerank", backend="baseline",
+                         num_cores=NCORES)
+    return context, run_system(graph, request=request, context=context)
+
+
 class TestScalarEscapeHatches:
+    """``REPRO_SCALAR_CACHE`` is read once, by ``RunContext.from_env``."""
+
     def test_env_var_forces_oracle(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_CACHE_ENV, "1")
-        cfg = baseline_config()
-        system = CacheSystem(
-            cfg,
-            MemStats(num_cores=NCORES),
-            DramModel(cfg.dram),
-            Crossbar(cfg.interconnect, NCORES),
-        )
-        assert system.fast_path_ok is False
+        graph = rmat_graph(7, edge_factor=6, seed=11)
+        context, report = run_from_env(graph, monkeypatch, "1")
+        assert context.scalar_cache is True
+        kernel = report.manifest()["replay"]["kernel"]
+        assert kernel["mode"] == "scalar"
+        assert kernel["batches"] == 0
 
     def test_env_var_replay_matches_kernel(self, monkeypatch):
-        trace = make_trace(
-            [0, 1, 0, 1, 2, 3] * 20,
-            [0x100000 + 64 * (i % 7) for i in range(120)],
-            [FLAG_WRITE if i % 3 == 0 else 0 for i in range(120)],
-        )
-        cfg = baseline_config()
-        out_k = BaselineBackend(cfg).replay(trace)
-        monkeypatch.setenv(SCALAR_CACHE_ENV, "1")
-        out_o = BaselineBackend(cfg).replay(trace)
-        assert snapshot(out_k) == snapshot(out_o)
+        graph = rmat_graph(7, edge_factor=6, seed=11)
+        _, scalar = run_from_env(graph, monkeypatch, "1")
+        _, kernel = run_from_env(graph, monkeypatch, None)
+        assert scalar.replay.kernel["mode"] == "scalar"
+        assert kernel.replay.kernel["mode"] == "kernel"
+        assert scalar.stats.as_dict() == kernel.stats.as_dict()
+        assert scalar.cycles == kernel.cycles
 
     def test_force_scalar_attribute_respected(self):
         cfg = baseline_config()
         backend = BaselineBackend(cfg)
-        backend.force_scalar_cache = True
+        backend.scalar_cache = True
         trace = make_trace([0], [0x100000], [0])
         out = backend.replay(trace)
         assert out.stats.l1_misses == 1
