@@ -143,21 +143,30 @@ def span_lockstep_perm(core: np.ndarray) -> np.ndarray:
     """Permutation putting one barrier span into lockstep core order.
 
     Event ``i`` of every core precedes event ``i+1`` of any core;
-    per-core order is preserved. Factored out of
-    :meth:`Trace.interleaved` so the streaming spool
-    (:mod:`repro.ligra.segments`) can apply the identical reorder one
-    span at a time — spans compose independently, so per-span
-    application reproduces the whole-trace interleave exactly.
+    per-core order is preserved. Each event's per-core rank and its
+    core id form a unique ``(rank, core)`` pair, so one stable sort
+    of the fused key ``rank * core_span + (core - core_min)`` gives
+    the lockstep order. Factored out of :meth:`Trace.interleaved` so
+    the streaming spool (:mod:`repro.ligra.segments`) can apply the
+    identical reorder one span at a time — spans compose
+    independently, so per-span application reproduces the
+    whole-trace interleave exactly.
     """
     m = len(core)
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
     order = np.argsort(core, kind="stable")
-    sorted_c = core[order]
+    sorted_c = core[order].astype(np.int64)
     starts = np.flatnonzero(np.r_[True, sorted_c[1:] != sorted_c[:-1]])
     sizes = np.diff(np.r_[starts, m])
-    group_start = np.repeat(starts, sizes)
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m) - group_start
-    return np.lexsort((core, rank))
+    core_min = sorted_c[0]
+    core_span = sorted_c[-1] - core_min + 1
+    key = np.empty(m, dtype=np.int64)
+    key[order] = (
+        (np.arange(m) - np.repeat(starts, sizes)) * core_span
+        + (sorted_c - core_min)
+    )
+    return np.argsort(key, kind="stable")
 
 
 @dataclass
@@ -262,10 +271,12 @@ class Trace:
         if n == 0:
             return self
         perm = np.empty(n, dtype=np.int64)
-        bounds = [0] + [int(b) for b in self.barriers if 0 < b < n] + [n]
+        # Sorted unique in-range barriers (as SegmentWriter.close stores
+        # them): the spans then tile [0, n), so every slot of ``perm``
+        # is written exactly once.
+        b = np.asarray(self.barriers, dtype=np.int64)
+        bounds = [0, *np.unique(b[(b > 0) & (b < n)]).tolist(), n]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi <= lo:
-                continue
             perm[lo:hi] = lo + span_lockstep_perm(self.core[lo:hi])
         result = Trace(
             core=self.core[perm],
@@ -330,9 +341,10 @@ class Trace:
         to stream without materializing at all.
 
         Raises :class:`~repro.errors.TraceError` when the archive is
-        not a trace, or carries a ``format_version`` outside
+        not a trace, carries a ``format_version`` outside
         :data:`READABLE_TRACE_VERSIONS` (legacy archives without the
-        version entry load as before).
+        version entry load as before), or stores a decreasing
+        ``barriers`` array.
         """
         with np.load(path) as data:
             segmented = "segment_bounds" in data.files
@@ -356,7 +368,13 @@ class Trace:
                         f" this build reads versions {readable}"
                     )
             if not segmented:
-                return cls._load_monolithic(data)
+                trace = cls._load_monolithic(data)
+                if np.any(np.diff(trace.barriers) < 0):
+                    raise TraceError(
+                        f"{path} stores decreasing barriers"
+                        f" {trace.barriers.tolist()}"
+                    )
+                return trace
         from repro.ligra.segments import SegmentedTrace
 
         segtrace = SegmentedTrace.open(path, mmap_mode=mmap_mode)

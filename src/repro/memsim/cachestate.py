@@ -62,8 +62,10 @@ __all__ = [
     "CacheSystem",
     "KernelTelemetry",
     "iter_set_bits",
+    "line_argsort",
     "screen_guaranteed_hits",
     "set_bit_positions",
+    "slot_argsort",
 ]
 
 class CacheRecord:
@@ -185,8 +187,8 @@ def screen_guaranteed_hits(
     lines = np.asarray(lines, dtype=np.int64)
     writes = np.asarray(writes, dtype=bool)
     slot = cores * num_sets + lines % num_sets
-    so = _slot_argsort(slot)
-    lo = _line_argsort(lines)
+    so = slot_argsort(slot)
+    lo = line_argsort(lines)
     # Line-major pass: per-event line position and running write count.
     cw = np.cumsum(writes[lo], dtype=np.int32)
     linepos = np.empty(n, dtype=np.int32)
@@ -208,7 +210,7 @@ def screen_guaranteed_hits(
     return out
 
 
-def _slot_argsort(slot: np.ndarray) -> np.ndarray:
+def slot_argsort(slot: np.ndarray) -> np.ndarray:
     """Stable argsort of the small-range slot keys.
 
     Slot ids are bounded by ncores * num_sets, so they almost always
@@ -220,7 +222,7 @@ def _slot_argsort(slot: np.ndarray) -> np.ndarray:
     return np.argsort(slot, kind="stable")
 
 
-def _line_argsort(lines: np.ndarray) -> np.ndarray:
+def line_argsort(lines: np.ndarray) -> np.ndarray:
     """Stable argsort of line ids, radix-sorted when the range allows.
 
     Graph traces touch a compact address window (the vtxProp/CSR

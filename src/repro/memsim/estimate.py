@@ -43,7 +43,7 @@ import numpy as np
 from repro.config import SimConfig
 from repro.ligra.trace import Trace
 from repro.memsim.accounting import LatencyLedger, ReplayContext
-from repro.memsim.cachestate import CacheSystem, _slot_argsort
+from repro.memsim.cachestate import CacheSystem, slot_argsort
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import precompute
@@ -158,6 +158,14 @@ def predict_slot_hits(
     distinct intervening lines an LRU set of ``ways`` ways can absorb
     without evicting the key. First touches always predict a miss.
 
+    The rule only looks back, so it needs no key-major order: in
+    slot-major, batch-stable order a slot's accesses are contiguous,
+    and "the nearest same-key access is at most ``ways`` back" is
+    "one of the previous ``ways`` positions holds the same ``(slot,
+    key)``". That is one radix slot sort plus ``ways`` shifted
+    compares; slot and key are compared separately, so any key width
+    works.
+
     The gap counts slot *accesses*, not distinct lines, so repeated
     touches of one hot line inflate the gap and the model errs toward
     predicting misses (pessimistic for hits, conservative for DRAM
@@ -167,27 +175,18 @@ def predict_slot_hits(
     out = np.zeros(n, dtype=bool)
     if n < 2 or ways <= 0:
         return out
-    slots = np.ascontiguousarray(slots, dtype=np.int64)
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    # Slot-major, batch-stable order; per-slot sequence numbers.
-    so = _slot_argsort(slots)
+    slots = np.asarray(slots)
+    so = slot_argsort(slots)
     ss = slots[so]
-    rank = np.arange(n, dtype=np.int64)
-    new_slot = np.empty(n, dtype=bool)
-    new_slot[0] = True
-    np.not_equal(ss[1:], ss[:-1], out=new_slot[1:])
-    starts = np.flatnonzero(new_slot)
-    sizes = np.diff(np.append(starts, n))
-    rank -= np.repeat(starts, sizes)
-    # (slot, key)-major order, still batch-stable: lexsort's last key
-    # is primary, and ties keep the slot-major (= batch) order.
-    o2 = np.lexsort((keys[so], ss))
-    k2 = keys[so][o2]
-    s2 = ss[o2]
-    r2 = rank[o2]
-    same = (s2[1:] == s2[:-1]) & (k2[1:] == k2[:-1])
-    hit2 = same & ((r2[1:] - r2[:-1]) <= ways)
-    out[so[o2[1:][hit2]]] = True
+    ks = np.asarray(keys)[so]
+    hit = np.zeros(n, dtype=bool)
+    same = np.empty(n, dtype=bool)
+    for d in range(1, min(ways, n - 1) + 1):
+        m = n - d
+        np.equal(ks[d:], ks[:-d], out=same[:m])
+        same[:m] &= ss[d:] == ss[:-d]
+        hit[d:] |= same[:m]
+    out[so] = hit
     return out
 
 
@@ -198,8 +197,9 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     sees the same routing a replay would — including training-state
     routes like the dynamic scratchpad's frequency filter) and then
     the closed-form cache model of :func:`predict_slot_hits` instead
-    of the stateful kernel. Costs a few sorts of the cache-routed
-    subset; never touches :meth:`CacheSystem.replay_cache_path`.
+    of the stateful kernel. Costs one radix slot sort plus ``ways``
+    shifted compares of the cache-routed subset per cache level;
+    never touches :meth:`CacheSystem.replay_cache_path`.
     """
     config: SimConfig = backend.config
     ncores = config.core.num_cores
@@ -236,7 +236,7 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     if not est.cache_events:
         return est
 
-    cores = np.asarray(seg.core, dtype=np.int64)[cache_idx]
+    cores = seg.core[cache_idx].astype(np.int64)
     lines = prepass.lines[cache_idx]
     l1_nsets = config.l1.num_sets
     l1_hit = predict_slot_hits(
@@ -245,9 +245,9 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     est.l1_hits = int(np.count_nonzero(l1_hit))
     est.l1_misses = est.cache_events - est.l1_hits
 
-    miss = ~l1_hit
-    banks = prepass.banks[cache_idx][miss]
-    bank_keys = prepass.bank_keys[cache_idx][miss]
+    miss_idx = cache_idx[~l1_hit]
+    banks = prepass.banks[miss_idx]
+    bank_keys = prepass.bank_keys[miss_idx]
     l2_nsets = config.l2_per_core.num_sets
     l2_hit = predict_slot_hits(
         banks * l2_nsets + bank_keys % l2_nsets,
@@ -259,8 +259,6 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
 
     line_bytes = config.l1.line_bytes
     est.dram_read_bytes = est.l2_misses * line_bytes
-    l2_miss_writes = np.count_nonzero(
-        prepass.write[cache_idx][miss] & ~l2_hit
-    )
+    l2_miss_writes = np.count_nonzero(prepass.write[miss_idx] & ~l2_hit)
     est.dram_write_bytes = int(l2_miss_writes) * line_bytes
     return est

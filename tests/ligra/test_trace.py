@@ -1,5 +1,7 @@
 """Tests for the memory-trace model."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.ligra.trace import (
     FLAG_WRITE,
     Trace,
     TraceBuilder,
+    span_lockstep_perm,
 )
 
 
@@ -176,3 +179,85 @@ class TestInterleaving:
         tr = tb.build()
         inter = tr.interleaved()
         assert sorted(inter.addr.tolist()) == sorted(tr.addr.tolist())
+
+
+def _reference_lockstep(core):
+    """Plain-Python restatement: per-core queues popped round-robin
+    in core order until every queue is empty."""
+    queues = {}
+    for i, c in enumerate(core.tolist()):
+        queues.setdefault(c, deque()).append(i)
+    out = []
+    while queues:
+        for c in sorted(queues):
+            out.append(queues[c].popleft())
+        queues = {c: q for c, q in queues.items() if q}
+    return out
+
+
+class TestSpanLockstepPerm:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_skewed_spans_with_absent_cores(self, seed):
+        rng = np.random.default_rng(seed)
+        ncores = int(rng.integers(1, 17))
+        # Dirichlet shares below 1 concentrate the span on a few cores
+        # and leave others absent.
+        share = rng.dirichlet(np.full(ncores, 0.3))
+        lo = int(rng.integers(0, 4))
+        core = (lo + rng.choice(ncores, int(rng.integers(1, 300)), p=share)
+                ).astype(np.int16)
+        assert span_lockstep_perm(core).tolist() == _reference_lockstep(core)
+
+    def test_min_core_above_zero_with_gaps(self):
+        core = np.array([5, 5, 9, 5, 12, 12, 9, 5], dtype=np.int16)
+        assert span_lockstep_perm(core).tolist() == _reference_lockstep(core)
+        assert span_lockstep_perm(core).tolist() == [0, 2, 4, 1, 6, 5, 3, 7]
+
+    def test_single_core_is_identity(self):
+        core = np.full(7, 3, dtype=np.int16)
+        assert span_lockstep_perm(core).tolist() == list(range(7))
+
+    def test_empty_span(self):
+        assert span_lockstep_perm(np.zeros(0, dtype=np.int16)).tolist() == []
+
+
+class TestBarrierNormalization:
+    @staticmethod
+    def _trace(barriers):
+        core = np.array([0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0],
+                        dtype=np.int16)
+        n = len(core)
+        return Trace(
+            core=core,
+            addr=np.arange(n, dtype=np.int64),
+            size=np.full(n, 8, dtype=np.int16),
+            access_class=np.zeros(n, dtype=np.int8),
+            flags=np.zeros(n, dtype=np.int8),
+            vertex=np.full(n, -1, dtype=np.int64),
+            barriers=np.asarray(barriers, dtype=np.int64),
+        )
+
+    def test_unsorted_barriers_interleave_as_sorted(self):
+        # A decreasing barrier array must still tile the trace into
+        # spans: every event appears exactly once, in sorted-barrier
+        # lockstep order.
+        inter = self._trace([9, 4]).interleaved()
+        assert sorted(inter.addr.tolist()) == list(range(12))
+        expect = self._trace([4, 9]).interleaved()
+        assert inter.addr.tolist() == expect.addr.tolist()
+
+    def test_duplicate_and_out_of_range_barriers_ignored(self):
+        inter = self._trace([9, 0, 4, 4, 12, 30]).interleaved()
+        expect = self._trace([4, 9]).interleaved()
+        assert inter.addr.tolist() == expect.addr.tolist()
+
+    def test_load_rejects_decreasing_barriers(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        self._trace([9, 4]).save(path)
+        with pytest.raises(TraceError, match="decreasing barriers"):
+            Trace.load(path)
+
+    def test_load_accepts_sorted_barriers(self, tmp_path):
+        path = tmp_path / "good.npz"
+        self._trace([4, 4, 9]).save(path)
+        assert Trace.load(path).barriers.tolist() == [4, 4, 9]

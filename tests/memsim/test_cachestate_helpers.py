@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.memsim.cachestate import (
-    _line_argsort,
     iter_set_bits,
+    line_argsort,
     screen_guaranteed_hits,
 )
 
@@ -185,7 +185,7 @@ class TestScreenGuaranteedHits:
             )
 
     def test_wide_line_window_falls_back(self):
-        # Line ids spanning more than 2**16 exercise _line_argsort's
+        # Line ids spanning more than 2**16 exercise line_argsort's
         # int64 comparison-sort fallback; the screen must not change.
         assert screen(
             [0, 0, 0], [10, 10 + (1 << 20), 10], [False] * 3
@@ -207,4 +207,4 @@ class TestLineArgsort:
         ):
             lines = lines.astype(np.int64)
             expect = np.argsort(lines, kind="stable")
-            assert _line_argsort(lines).tolist() == expect.tolist()
+            assert line_argsort(lines).tolist() == expect.tolist()

@@ -134,6 +134,58 @@ class TestPredictSlotHits:
         assert predict_slot_hits(two, two, 0).tolist() == [False, False]
 
 
+def _reference_slot_hits(slots, keys, ways):
+    """Plain-Python restatement: per slot, a list of past keys; an
+    access hits iff its key's last index is at most ``ways`` back."""
+    history = {}
+    out = []
+    for slot, key in zip(slots.tolist(), keys.tolist()):
+        past = history.setdefault(slot, [])
+        last = max((i for i, k in enumerate(past) if k == key), default=None)
+        out.append(last is not None and len(past) - last <= ways)
+        past.append(key)
+    return out
+
+
+class TestPredictSlotHitsReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 120))
+        nslots = int(rng.integers(1, 6))
+        slots = rng.integers(0, nslots, n).astype(np.int64)
+        base = (1 << 62) - 3 if seed % 2 else 0
+        keys = base + rng.integers(0, int(rng.integers(1, 8)), n)
+        # From 0 up to beyond the longest slot's length.
+        for ways in (0, 1, 2, 4, 8, n + 1):
+            expect = _reference_slot_hits(slots, keys, ways)
+            assert predict_slot_hits(slots, keys, ways).tolist() == expect
+
+    def test_keys_near_2_pow_62(self):
+        top = 1 << 62
+        keys = np.array([top, top - 1, top, top + 7, top - 1, top],
+                        dtype=np.int64)
+        slots = np.zeros(len(keys), dtype=np.int64)
+        for ways in range(0, 8):
+            expect = _reference_slot_hits(slots, keys, ways)
+            assert predict_slot_hits(slots, keys, ways).tolist() == expect
+
+    def test_single_slot_all_same_keys(self):
+        slots = np.zeros(9, dtype=np.int64)
+        keys = np.full(9, 42, dtype=np.int64)
+        for ways in (0, 1, 3, 20):
+            expect = _reference_slot_hits(slots, keys, ways)
+            assert predict_slot_hits(slots, keys, ways).tolist() == expect
+        assert predict_slot_hits(slots, keys, 1).tolist() == [False] + [True] * 8
+
+    def test_fewer_than_two_events(self):
+        for n in (0, 1):
+            slots = np.zeros(n, dtype=np.int64)
+            keys = np.full(n, (1 << 62) + 1, dtype=np.int64)
+            for ways in (0, 1, 8):
+                assert predict_slot_hits(slots, keys, ways).tolist() == [False] * n
+
+
 @pytest.fixture(scope="module")
 def golden():
     """The paper's headline workload (PageRank on the lj stand-in) for
