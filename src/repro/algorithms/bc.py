@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
+from repro.intsort import unique_ids
 from repro.algorithms.common import AlgorithmResult, default_source, make_engine
 from repro.ligra.atomics import AtomicOp, scatter_atomic
 from repro.ligra.vertex_subset import VertexSubset
@@ -70,7 +71,7 @@ def run_bc(
             scatter_atomic(
                 AtomicOp.FP_ADD_DEP, num_paths.values, d, num_paths.values[s]
             )
-            newly = np.unique(d[level.values[d] < 0])
+            newly = unique_ids(d[level.values[d] < 0], n)
             level.values[newly] = current_round
             return newly
 
@@ -113,7 +114,7 @@ def run_bc(
                     num_paths.values[s] * inv_paths[d] * (1.0 + dependency.values[d])
                 )
                 scatter_atomic(AtomicOp.FP_ADD_DEP, dependency.values, s, contrib)
-                return np.unique(s)
+                return unique_ids(s, n)
 
             engine.edge_map(
                 sub,

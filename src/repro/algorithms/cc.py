@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.intsort import unique_ids
 from repro.algorithms.common import AlgorithmResult, make_engine, require_undirected
 from repro.ligra.atomics import AtomicOp, scatter_atomic
 from repro.ligra.vertex_subset import VertexSubset
@@ -74,7 +75,7 @@ def run_cc(
         engine=engine,
         values={
             "labels": labels,
-            "num_components": np.int64(len(np.unique(labels))),
+            "num_components": np.int64(len(unique_ids(labels, n))),
         },
         iterations=rounds,
     )
@@ -99,7 +100,7 @@ def cc_reference(graph: CSRGraph) -> np.ndarray:
     labels = np.fromiter((find(v) for v in range(n)), dtype=np.int64, count=n)
     # Normalize each component to its minimum member id.
     out = np.empty(n, dtype=np.int64)
-    for root in np.unique(labels):
+    for root in unique_ids(labels, n):
         members = np.flatnonzero(labels == root)
         out[members] = members.min()
     return out

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
+from repro.intsort import unique_ids
 from repro.algorithms.common import AlgorithmResult, make_engine, require_undirected
 from repro.ligra.atomics import AtomicOp, scatter_atomic
 from repro.ligra.vertex_subset import VertexSubset
@@ -106,7 +107,7 @@ def run_mis(
                 return srcs
             fresh = dsts[state.values[dsts] == 0]
             state.values[fresh] = 2
-            return np.unique(fresh)
+            return unique_ids(fresh, n)
 
         engine.edge_map(
             VertexSubset(n, ids=winners),

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
+from repro.intsort import unique_ids
 from repro.algorithms.common import AlgorithmResult, make_engine, require_undirected
 from repro.ligra.atomics import AtomicOp, scatter_atomic
 from repro.ligra.vertex_subset import VertexSubset
@@ -60,14 +61,14 @@ def run_kcore(
             d = dsts[live]
             if len(d) == 0:
                 return d
-            before = degree.values[np.unique(d)] >= k
+            uniq = unique_ids(d, n)
+            before = degree.values[uniq] >= k
             scatter_atomic(
                 AtomicOp.SINT_ADD,
                 degree.values,
                 d,
                 np.full(len(d), -1, dtype=np.int32),
             )
-            uniq = np.unique(d)
             # Newly sub-k vertices form the next peel round.
             newly = uniq[(degree.values[uniq] < k) & before]
             return newly
@@ -128,7 +129,7 @@ def run_coreness(
                         d,
                         np.full(len(d), -1, dtype=np.int32),
                     )
-                return np.unique(d)
+                return unique_ids(d, n)
 
             engine.edge_map(
                 frontier,

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.intsort import unique_ids
 from repro.algorithms.common import AlgorithmResult, make_engine, require_undirected
 from repro.ligra.atomics import AtomicOp, scatter_atomic
 
@@ -47,7 +48,7 @@ def run_tc(
     for v in range(n):
         nbrs = targets[offsets[v] : offsets[v + 1]]
         higher = nbrs[rank_of[nbrs] > rank_of[v]]
-        higher = np.unique(higher)
+        higher = unique_ids(higher, n)
         fwd.append(higher)
         fwd_offsets[v + 1] = fwd_offsets[v] + len(higher)
 

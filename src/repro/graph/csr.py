@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GraphError
+from repro.intsort import stable_argsort
 
 __all__ = ["CSRGraph", "from_edges"]
 
@@ -33,7 +34,7 @@ def _build_csr(
     weights: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Sort edges by ``src`` and build (offsets, targets, weights)."""
-    order = np.argsort(src, kind="stable")
+    order = stable_argsort(src)
     sorted_src = src[order]
     targets = dst[order]
     sorted_weights = weights[order] if weights is not None else None

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.intsort import unique_ids
 
 __all__ = ["AtomicOp", "apply_atomic", "scatter_atomic"]
 
@@ -114,12 +115,13 @@ def scatter_atomic(
     Handles duplicate indices with true sequential-equivalent semantics
     (``np.ufunc.at``), which is what a hardware atomic guarantees.
     Returns the indices whose stored value changed (deduplicated) — the
-    information edgeMap needs to build the next frontier.
+    information edgeMap needs to build the next frontier. Out-of-range
+    indices raise :class:`TraceError` before ``array`` is touched.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         return indices
-    uniq = np.unique(indices)
+    uniq = unique_ids(indices, len(array))
     before = array[uniq].copy()
     if op is AtomicOp.UINT_CAS:
         # First writer wins among duplicates; emulate by keeping the

@@ -290,7 +290,7 @@ class LigraEngine:
         use_weights:
             Also read per-edge weights (SSSP).
         remove_duplicates:
-            Deduplicate the returned frontier (Ligra's default).
+            Ligra's dedup flag; the returned frontier is a set either way.
 
         Returns
         -------
@@ -327,8 +327,6 @@ class LigraEngine:
                 )
                 self.stats.sparse_calls += 1
 
-            if not remove_duplicates:
-                changed = np.sort(changed)
             result = VertexSubset(graph.num_vertices, ids=changed)
             self._record_active_list_update(result, output)
             # Each edgeMap step ends an iteration: source-vertex

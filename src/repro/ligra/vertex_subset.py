@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from repro.errors import TraceError
+from repro.intsort import unique_ids
 
 __all__ = ["VertexSubset"]
 
@@ -45,10 +46,7 @@ class VertexSubset:
         self._ids: Optional[np.ndarray] = None
         self._dense: Optional[np.ndarray] = None
         if ids is not None:
-            arr = np.unique(np.asarray(ids, dtype=np.int64))
-            if len(arr) and (arr[0] < 0 or arr[-1] >= num_vertices):
-                raise TraceError("subset ids out of range")
-            self._ids = arr
+            self._ids = unique_ids(np.asarray(ids, dtype=np.int64), self._n)
         else:
             d = np.asarray(dense, dtype=bool)
             if d.shape != (num_vertices,):

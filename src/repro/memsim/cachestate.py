@@ -49,6 +49,7 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.config import SimConfig
+from repro.intsort import stable_argsort
 from repro.memsim.cache import Cache
 from repro.memsim.coherence import Directory
 from repro.memsim.dram import DramModel
@@ -62,10 +63,8 @@ __all__ = [
     "CacheSystem",
     "KernelTelemetry",
     "iter_set_bits",
-    "line_argsort",
     "screen_guaranteed_hits",
     "set_bit_positions",
-    "slot_argsort",
 ]
 
 class CacheRecord:
@@ -187,8 +186,8 @@ def screen_guaranteed_hits(
     lines = np.asarray(lines, dtype=np.int64)
     writes = np.asarray(writes, dtype=bool)
     slot = cores * num_sets + lines % num_sets
-    so = slot_argsort(slot)
-    lo = line_argsort(lines)
+    so = stable_argsort(slot)
+    lo = stable_argsort(lines)
     # Line-major pass: per-event line position and running write count.
     cw = np.cumsum(writes[lo], dtype=np.int32)
     linepos = np.empty(n, dtype=np.int32)
@@ -208,36 +207,6 @@ def screen_guaranteed_hits(
     )
     out[so[1:][ok]] = True
     return out
-
-
-def slot_argsort(slot: np.ndarray) -> np.ndarray:
-    """Stable argsort of the small-range slot keys.
-
-    Slot ids are bounded by ncores * num_sets, so they almost always
-    fit int16 — where numpy's stable sort is a radix sort, several
-    times faster than the int64 comparison sort.
-    """
-    if len(slot) and int(slot.max()) < 32768:
-        return np.argsort(slot.astype(np.int16), kind="stable")
-    return np.argsort(slot, kind="stable")
-
-
-def line_argsort(lines: np.ndarray) -> np.ndarray:
-    """Stable argsort of line ids, radix-sorted when the range allows.
-
-    Graph traces touch a compact address window (the vtxProp/CSR
-    regions), so line ids usually span far fewer than 2**16 distinct
-    values even though their absolute magnitudes are large. Shifting
-    by the minimum exposes numpy's uint16 radix sort; wide windows
-    fall back to the int64 comparison sort.
-    """
-    if len(lines):
-        lmin = int(lines.min())
-        if int(lines.max()) - lmin < 65536:
-            return np.argsort(
-                (lines - lmin).astype(np.uint16), kind="stable"
-            )
-    return np.argsort(lines, kind="stable")
 
 
 class KernelTelemetry:
@@ -573,7 +542,6 @@ class CacheSystem:
         pref = self.prefetcher
         p_heads = pref._heads
         p_next = pref._next
-        p_want = pref._want
         num_heads = pref.num_heads
 
         n = len(cores)
@@ -920,39 +888,17 @@ class CacheSystem:
                 # inlined): a line matching some head + 1 counts as
                 # prefetched and advances that head; otherwise it
                 # replaces a round-robin victim head.
-                want = p_want[core]
-                slots = want.get(line)
                 heads = p_heads[core]
-                nxt = line + 1
-                if slots:
-                    slot = min(slots)
-                    slots.remove(slot)
-                    if not slots:
-                        del want[line]
-                    heads[slot] = line
-                    ws = want.get(nxt)
-                    if ws is None:
-                        want[nxt] = [slot]
-                    else:
-                        ws.append(slot)
+                prev = line - 1
+                if prev in heads:
+                    heads[heads.index(prev)] = line
                     s_pref += 1
                     if rec_on:
                         r_pref[ki] = True
                     latency = pref_lat
                 else:
                     slot = p_next[core]
-                    old = heads[slot] + 1
-                    stale = want.get(old)
-                    if stale:
-                        stale.remove(slot)
-                        if not stale:
-                            del want[old]
                     heads[slot] = line
-                    ws = want.get(nxt)
-                    if ws is None:
-                        want[nxt] = [slot]
-                    else:
-                        ws.append(slot)
                     p_next[core] = (slot + 1) % num_heads
                 rl_append(latency)
 

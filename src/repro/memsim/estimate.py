@@ -41,9 +41,10 @@ from typing import Dict
 import numpy as np
 
 from repro.config import SimConfig
+from repro.intsort import stable_argsort
 from repro.ligra.trace import Trace
 from repro.memsim.accounting import LatencyLedger, ReplayContext
-from repro.memsim.cachestate import CacheSystem, slot_argsort
+from repro.memsim.cachestate import CacheSystem
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import precompute
@@ -164,7 +165,8 @@ def predict_slot_hits(
     "one of the previous ``ways`` positions holds the same ``(slot,
     key)``". That is one radix slot sort plus ``ways`` shifted
     compares; slot and key are compared separately, so any key width
-    works.
+    works; keys are gathered min-offset, in int32 unless their span
+    needs int64.
 
     The gap counts slot *accesses*, not distinct lines, so repeated
     touches of one hot line inflate the gap and the model errs toward
@@ -176,9 +178,12 @@ def predict_slot_hits(
     if n < 2 or ways <= 0:
         return out
     slots = np.asarray(slots)
-    so = slot_argsort(slots)
+    keys = np.asarray(keys)
+    so = stable_argsort(slots)
     ss = slots[so]
-    ks = np.asarray(keys)[so]
+    kmin = int(keys.min())
+    kdt = np.int32 if int(keys.max()) - kmin <= np.iinfo(np.int32).max else np.int64
+    ks = (keys - kmin).astype(kdt, copy=False)[so]
     hit = np.zeros(n, dtype=bool)
     same = np.empty(n, dtype=bool)
     for d in range(1, min(ways, n - 1) + 1):
@@ -188,6 +193,15 @@ def predict_slot_hits(
         hit[d:] |= same[:m]
     out[so] = hit
     return out
+
+
+def _slot_column(owner, keys, nsets: int, nowners: int) -> np.ndarray:
+    """``owner * nsets + keys % nsets``, in int16 whenever every slot fits."""
+    dt = np.int16 if nowners * nsets <= np.iinfo(np.int16).max else np.int32
+    col = owner.astype(dt)
+    col *= nsets
+    col += (keys % nsets).astype(dt)
+    return col
 
 
 def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
@@ -236,23 +250,20 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     if not est.cache_events:
         return est
 
-    cores = seg.core[cache_idx].astype(np.int64)
     lines = prepass.lines[cache_idx]
-    l1_nsets = config.l1.num_sets
     l1_hit = predict_slot_hits(
-        cores * l1_nsets + lines % l1_nsets, lines, config.l1.ways
+        _slot_column(seg.core[cache_idx], lines, config.l1.num_sets, ncores),
+        lines, config.l1.ways,
     )
     est.l1_hits = int(np.count_nonzero(l1_hit))
     est.l1_misses = est.cache_events - est.l1_hits
 
     miss_idx = cache_idx[~l1_hit]
-    banks = prepass.banks[miss_idx]
     bank_keys = prepass.bank_keys[miss_idx]
-    l2_nsets = config.l2_per_core.num_sets
+    l2 = config.l2_per_core
     l2_hit = predict_slot_hits(
-        banks * l2_nsets + bank_keys % l2_nsets,
-        bank_keys,
-        config.l2_per_core.ways,
+        _slot_column(prepass.banks[miss_idx], bank_keys, l2.num_sets, ncores),
+        bank_keys, l2.ways,
     )
     est.l2_hits = int(np.count_nonzero(l2_hit))
     est.l2_misses = est.l1_misses - est.l2_hits

@@ -163,42 +163,22 @@ class StreamDetector:
     linear scan of the head array); otherwise the line replaces a head
     chosen round-robin, so the second line of any sequential run and
     onward is prefetched.
-
-    The implementation keeps a per-core map from *expected next line*
-    to the slots waiting for it, making each observation O(1) instead
-    of an O(num_heads) scan while producing bit-identical decisions.
     """
 
     def __init__(self, num_cores: int, num_heads: int = 16) -> None:
         self.num_heads = num_heads
         self._heads = [[-2] * num_heads for _ in range(num_cores)]
         self._next = [0] * num_cores
-        # expected next line -> sorted-insertion list of slot indices
-        self._want = [{-1: list(range(num_heads))} for _ in range(num_cores)]
 
     def observe(self, core: int, line: int) -> bool:
         """Feed one line; returns whether it was stream-prefetched."""
-        want = self._want[core]
-        slots = want.get(line)
         heads = self._heads[core]
-        if slots:
-            # First matching head in slot order advances.
-            slot = min(slots)
-            slots.remove(slot)
-            if not slots:
-                del want[line]
-            heads[slot] = line
-            want.setdefault(line + 1, []).append(slot)
+        prev = line - 1
+        if prev in heads:
+            heads[heads.index(prev)] = line
             return True
         slot = self._next[core]
-        old = heads[slot] + 1
-        stale = want.get(old)
-        if stale:
-            stale.remove(slot)
-            if not stale:
-                del want[old]
         heads[slot] = line
-        want.setdefault(line + 1, []).append(slot)
         self._next[core] = (slot + 1) % self.num_heads
         return False
 

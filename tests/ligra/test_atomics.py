@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import TraceError
 from repro.ligra.atomics import AtomicOp, apply_atomic, scatter_atomic
 
 
@@ -47,6 +48,16 @@ class TestApplyAtomic:
 
 
 class TestScatterAtomic:
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_index_raises_before_update(self, bad):
+        arr = np.arange(4, dtype=np.float64)
+        with pytest.raises(TraceError, match="must lie in"):
+            scatter_atomic(
+                AtomicOp.FP_ADD, arr, np.array([0, bad, 2]),
+                np.array([1.0, 1.0, 1.0]),
+            )
+        np.testing.assert_array_equal(arr, [0.0, 1.0, 2.0, 3.0])
+
     def test_add_with_duplicates(self):
         arr = np.zeros(4)
         changed = scatter_atomic(

@@ -103,6 +103,22 @@ class TestEdgeMapSparse:
         assert seen["pairs"] == {(0, 1), (0, 2)}
         assert list(out) == [1, 2]
 
+    def test_remove_duplicates_flag_gives_same_frontier(self, tiny_graph):
+        # apply_fn hands back unsorted, repeated ids; the frontier is a
+        # set either way.
+        def apply_fn(_srcs, dsts, _weights):
+            return np.concatenate([dsts[::-1], dsts])
+
+        outs = []
+        for remove_duplicates in (True, False):
+            engine = LigraEngine(tiny_graph, num_cores=2)
+            outs.append(engine.edge_map(
+                VertexSubset(6, ids=np.array([0, 1])), apply_fn,
+                direction="out", remove_duplicates=remove_duplicates,
+            ))
+        assert outs[0] == outs[1]
+        assert outs[1].to_sparse().tolist() == [1, 2]
+
     def test_trace_event_counts(self, tiny_graph):
         engine = LigraEngine(tiny_graph, num_cores=2)
         prop = engine.alloc_prop("p", np.float64)

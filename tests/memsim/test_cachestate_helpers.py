@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.memsim.cachestate import (
-    iter_set_bits,
-    line_argsort,
-    screen_guaranteed_hits,
-)
+from repro.intsort import stable_argsort
+from repro.memsim.cachestate import iter_set_bits, screen_guaranteed_hits
 
 
 class TestIterSetBits:
@@ -185,8 +182,8 @@ class TestScreenGuaranteedHits:
             )
 
     def test_wide_line_window_falls_back(self):
-        # Line ids spanning more than 2**16 exercise line_argsort's
-        # int64 comparison-sort fallback; the screen must not change.
+        # Line ids spanning more than 2**16 take stable_argsort's
+        # multi-pass radix path; the screen must not change.
         assert screen(
             [0, 0, 0], [10, 10 + (1 << 20), 10], [False] * 3
         ) == [False, False, False]
@@ -198,8 +195,8 @@ class TestScreenGuaranteedHits:
 class TestLineArgsort:
     def test_matches_stable_argsort(self):
         rng = np.random.default_rng(7)
-        # Narrow window (uint16 radix path) and wide window (int64
-        # fallback) must both reproduce numpy's stable argsort.
+        # Narrow windows (one radix pass) and wide windows (three
+        # passes) of line ids must both reproduce numpy's stable argsort.
         for lines in (
             rng.integers(4_194_304, 4_194_304 + 50_000, 500),
             rng.integers(0, 1 << 40, 500),
@@ -207,4 +204,4 @@ class TestLineArgsort:
         ):
             lines = lines.astype(np.int64)
             expect = np.argsort(lines, kind="stable")
-            assert line_argsort(lines).tolist() == expect.tolist()
+            assert stable_argsort(lines).tolist() == expect.tolist()

@@ -20,7 +20,7 @@ import pytest
 
 from repro.algorithms.registry import run_algorithm
 from repro.graph.generators import rmat_graph
-from repro.memsim.estimate import estimate_replay, predict_slot_hits
+from repro.memsim.estimate import _slot_column, estimate_replay, predict_slot_hits
 from repro.memsim.routes import (
     ROUTE_CACHE,
     ROUTE_LOCKED,
@@ -170,6 +170,15 @@ class TestPredictSlotHitsReference:
             expect = _reference_slot_hits(slots, keys, ways)
             assert predict_slot_hits(slots, keys, ways).tolist() == expect
 
+    def test_key_span_beyond_int32(self):
+        # 0 and 2**32 alias under any 32-bit truncation; the int64 key
+        # column must keep them apart.
+        keys = np.array([0, 1 << 32, 0, 1 << 32, 1 << 40, 0], dtype=np.int64)
+        slots = np.zeros(len(keys), dtype=np.int16)
+        for ways in range(0, 7):
+            expect = _reference_slot_hits(slots, keys, ways)
+            assert predict_slot_hits(slots, keys, ways).tolist() == expect
+
     def test_single_slot_all_same_keys(self):
         slots = np.zeros(9, dtype=np.int64)
         keys = np.full(9, 42, dtype=np.int64)
@@ -184,6 +193,22 @@ class TestPredictSlotHitsReference:
             keys = np.full(n, (1 << 62) + 1, dtype=np.int64)
             for ways in (0, 1, 8):
                 assert predict_slot_hits(slots, keys, ways).tolist() == [False] * n
+
+
+class TestSlotColumn:
+    @pytest.mark.parametrize(
+        "nowners, nsets, dtype",
+        [(16, 4, np.int16), (16, 1024, np.int16), (16, 2048, np.int32),
+         (64, 1024, np.int32)],
+    )
+    def test_matches_int64_formula(self, nowners, nsets, dtype):
+        rng = np.random.default_rng(nsets)
+        owner = rng.integers(0, nowners, 500).astype(np.int16)
+        keys = rng.integers(1 << 30, 1 << 34, 500)
+        col = _slot_column(owner, keys, nsets, nowners)
+        assert col.dtype == dtype
+        expect = owner.astype(np.int64) * nsets + keys % nsets
+        assert col.tolist() == expect.tolist()
 
 
 @pytest.fixture(scope="module")
