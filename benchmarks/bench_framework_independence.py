@@ -10,6 +10,7 @@ transfers. Both must still come out ahead.
 
 from repro.bench import bench_graph, format_table
 from repro.config import SimConfig
+from repro.core.context import RunRequest
 from repro.core.system import run_system
 
 from conftest import emit
@@ -19,10 +20,11 @@ def _rows():
     graph, _ = bench_graph("lj")
     rows = []
     for framework in ("ligra", "graphmat"):
-        base = run_system(graph, "pagerank", SimConfig.scaled_baseline(),
-                          dataset="lj", framework=framework)
-        omega = run_system(graph, "pagerank", SimConfig.scaled_omega(),
-                           dataset="lj", framework=framework)
+        request = RunRequest(
+            "pagerank", dataset="lj", alg_kwargs={"framework": framework}
+        )
+        base = run_system(graph, request, SimConfig.scaled_baseline())
+        omega = run_system(graph, request, SimConfig.scaled_omega())
         rows.append(
             {
                 "framework": framework,

@@ -8,6 +8,7 @@ the experiment by running the baseline on reordered graphs.
 
 from repro.bench import bench_graph, format_table
 from repro.config import SimConfig
+from repro.core.context import RunRequest
 from repro.core.system import run_system
 from repro.graph.reorder import (
     reorder_by_degree,
@@ -22,7 +23,9 @@ DATASET = "lj"
 def _rows():
     graph, _ = bench_graph(DATASET)
     cfg = SimConfig.scaled_baseline()
-    base = run_system(graph, "pagerank", cfg, dataset=DATASET, reorder=False)
+    base = run_system(
+        graph, RunRequest("pagerank", dataset=DATASET, reorder=False), cfg
+    )
 
     variants = {
         "original order": graph,
@@ -32,7 +35,9 @@ def _rows():
     }
     rows = []
     for name, g in variants.items():
-        rep = run_system(g, "pagerank", cfg, dataset=DATASET, reorder=False)
+        rep = run_system(
+            g, RunRequest("pagerank", dataset=DATASET, reorder=False), cfg
+        )
         rows.append(
             {
                 "ordering": name,

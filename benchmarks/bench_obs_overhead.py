@@ -20,7 +20,7 @@ from repro.config import SimConfig
 from repro.algorithms.registry import run_algorithm
 from repro.core.offload import microcode_for_algorithm
 from repro.graph.reorder import reorder_nth_element
-from repro.memsim.engine import OmegaBackend
+from repro.memsim.backends import OmegaBackend
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.scratchpad import hot_capacity_for
 from repro.obs import (

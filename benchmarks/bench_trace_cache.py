@@ -31,6 +31,7 @@ import time
 
 from repro.bench import bench_graph, build_grid, format_table, run_sweep
 from repro.config import SimConfig
+from repro.core.context import RunContext, RunRequest
 from repro.core.system import run_system
 from repro.obs import SpanTracer, use_tracer
 from repro.store import TraceStore
@@ -49,8 +50,10 @@ def _timed_run(graph, cfg, store, stage_names):
     tracer = SpanTracer()
     start = time.perf_counter()
     with use_tracer(tracer):
-        report = run_system(graph, "pagerank", cfg, dataset="lj",
-                            cache=store)
+        report = run_system(
+            graph, RunRequest("pagerank", dataset="lj"), cfg,
+            context=RunContext.from_env(cache=store),
+        )
     total = time.perf_counter() - start
     stage = sum(
         r.dur_us for r in tracer.records if r.name in stage_names

@@ -35,6 +35,7 @@ from typing import Dict, Optional, Tuple
 import pytest
 
 from repro.config import SimConfig
+from repro.core.context import RunContext, RunRequest
 from repro.core.report import Comparison, SimReport
 from repro.core.system import run_system
 from repro.bench.record import record_bench
@@ -52,7 +53,7 @@ TRACE_CACHE_DIR = os.environ.get(
 
 
 def _bench_cache():
-    """run_system ``cache`` argument for benchmark runs."""
+    """``RunContext.from_env`` ``cache`` selector for benchmark runs."""
     if os.environ.get("REPRO_BENCH_NO_CACHE"):
         return False
     return TRACE_CACHE_DIR
@@ -104,7 +105,11 @@ class ComparisonCache:
         scale: float = 1.0,
         **kwargs,
     ) -> SimReport:
-        """Run (or fetch) one system simulation."""
+        """Run (or fetch) one system simulation.
+
+        Extra ``kwargs`` are :class:`~repro.core.context.RunRequest`
+        fields (chunk sizes, reorder, algorithm kwargs).
+        """
         from repro.algorithms.registry import ALGORITHMS
 
         key = (
@@ -122,9 +127,9 @@ class ComparisonCache:
                 weighted=info.requires_weights,
                 undirected=info.requires_undirected,
             )
-            kwargs.setdefault("cache", _bench_cache())
             self._runs[key] = run_system(
-                graph, algorithm, config, dataset=dataset, **kwargs
+                graph, RunRequest(algorithm, dataset=dataset, **kwargs),
+                config, context=RunContext.from_env(cache=_bench_cache()),
             )
         return self._runs[key]
 

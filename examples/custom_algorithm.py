@@ -18,7 +18,7 @@ from repro.core.offload import UpdateSpec, compile_update, generate_config_code
 from repro.core.report import Comparison, SimReport
 from repro.memsim.core_model import compute_timing
 from repro.memsim.energy import EnergyModel
-from repro.memsim.hierarchy import BaselineHierarchy, OmegaHierarchy
+from repro.memsim.backends import BaselineBackend, OmegaBackend
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.scratchpad import hot_capacity_for
 from repro.graph.reorder import reorder_nth_element
@@ -71,10 +71,10 @@ def simulate(engine, config, update_spec):
         )
         mapping = ScratchpadMapping(config.core.num_cores, capacity,
                                     chunk_size=32)
-        hierarchy = OmegaHierarchy(config, mapping,
-                                   compile_update(update_spec))
+        hierarchy = OmegaBackend(config, mapping,
+                                 compile_update(update_spec))
     else:
-        hierarchy = BaselineHierarchy(config)
+        hierarchy = BaselineBackend(config)
     output = hierarchy.replay(trace)
     timing = compute_timing(output, config)
     return SimReport(

@@ -10,7 +10,7 @@ workload, and prints a component-attribution table.
 Run:  python examples/design_space_exploration.py
 """
 
-from repro import SimConfig, compare_systems, load_dataset
+from repro import RunRequest, SimConfig, compare_systems, load_dataset
 from repro.bench import print_table
 
 
@@ -29,8 +29,9 @@ def main() -> None:
 
     rows = []
     for label, cfg in configs.items():
-        cmp = compare_systems(graph, "sssp", omega_config=cfg,
-                              dataset=spec.name)
+        cmp = compare_systems(
+            graph, RunRequest("sssp", dataset=spec.name), omega_config=cfg
+        )
         omega = cmp.omega
         rows.append(
             {
@@ -49,8 +50,9 @@ def main() -> None:
     rows = []
     for label, sp_chunk in (("matched (32)", 32), ("mismatched (1)", 1)):
         cmp = compare_systems(
-            graph, "sssp", dataset=spec.name,
-            chunk_size=32, sp_chunk_size=sp_chunk,
+            graph,
+            RunRequest("sssp", dataset=spec.name, chunk_size=32,
+                       sp_chunk_size=sp_chunk),
         )
         stats = cmp.omega.stats
         rows.append(

@@ -9,7 +9,7 @@ memory-system energy saving).
 Run:  python examples/quickstart.py
 """
 
-from repro import compare_systems, load_dataset
+from repro import RunRequest, compare_systems, load_dataset
 
 
 def main() -> None:
@@ -17,7 +17,7 @@ def main() -> None:
     print(f"dataset: {spec.name} — {spec.description}")
     print(f"graph:   {graph.num_vertices} vertices, {graph.num_edges} arcs")
 
-    cmp = compare_systems(graph, "pagerank", dataset=spec.name)
+    cmp = compare_systems(graph, RunRequest("pagerank", dataset=spec.name))
 
     base, omega = cmp.baseline, cmp.omega
     print()

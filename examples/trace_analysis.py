@@ -28,10 +28,10 @@ from repro.ligra.trace import (
     Trace,
 )
 from repro.memsim import (
-    BaselineHierarchy,
-    LockedCacheHierarchy,
-    OmegaHierarchy,
-    PimHierarchy,
+    BaselineBackend,
+    GraphPimBackend,
+    LockedCacheBackend,
+    OmegaBackend,
     ScratchpadMapping,
     compute_timing,
     hot_capacity_for,
@@ -78,16 +78,16 @@ def main() -> None:
     )
     mapping = ScratchpadMapping(16, capacity, chunk_size=32)
     designs = {
-        "baseline": BaselineHierarchy(SimConfig.scaled_baseline()),
-        "omega": OmegaHierarchy(
+        "baseline": BaselineBackend(SimConfig.scaled_baseline()),
+        "omega": OmegaBackend(
             SimConfig.scaled_omega(), mapping,
             microcode_for_algorithm("pagerank"),
         ),
-        "locked-cache": LockedCacheHierarchy(
+        "locked-cache": LockedCacheBackend(
             SimConfig.scaled_omega(use_pisc=False, use_source_buffer=False),
             mapping,
         ),
-        "graphpim": PimHierarchy(SimConfig.scaled_baseline()),
+        "graphpim": GraphPimBackend(SimConfig.scaled_baseline()),
     }
     rows = []
     baseline_cycles = None

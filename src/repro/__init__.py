@@ -4,10 +4,10 @@ IISWC 2018).
 
 Quickstart::
 
-    from repro import load_dataset, compare_systems
+    from repro import RunRequest, compare_systems, load_dataset
 
     graph, spec = load_dataset("lj")
-    cmp = compare_systems(graph, "pagerank", dataset="lj")
+    cmp = compare_systems(graph, RunRequest("pagerank", dataset="lj"))
     print(f"OMEGA speedup: {cmp.speedup:.2f}x")
 
 Package layout:

@@ -172,9 +172,8 @@ def run_task(
     """Execute one sweep cell and flatten the report into a row dict.
 
     Module-level (and taking only picklable arguments) so it can cross
-    a process boundary; ``cache`` follows
-    :func:`repro.store.resolve_store` semantics but must be a path or
-    ``None``/``False`` when used with worker processes. ``context`` is
+    a process boundary; ``cache`` is the ``cache`` selector of
+    :meth:`repro.core.context.RunContext.from_env`. ``context`` is
     an optional :class:`repro.core.context.RunContext`; when given it
     is authoritative and ``cache`` is ignored — the sweep executor
     resolves ambient state exactly once in the parent and ships the
@@ -191,7 +190,7 @@ def run_task(
     import time
 
     from repro.algorithms.registry import ALGORITHMS
-    from repro.core.context import RunContext
+    from repro.core.context import RunContext, RunRequest
     from repro.core.system import (
         default_backend_config,
         estimate_system,
@@ -215,16 +214,12 @@ def run_task(
     if info.requires_undirected and graph.directed:
         graph = graph.as_undirected()
     config = default_backend_config(task.backend, num_cores=task.num_cores)
+    request = RunRequest(
+        task.algorithm, backend=task.backend, dataset=task.dataset,
+        chunk_size=task.chunk_size,
+    )
     if rules is not None:
-        est = estimate_system(
-            graph,
-            task.algorithm,
-            config,
-            dataset=task.dataset,
-            backend=task.backend,
-            chunk_size=task.chunk_size,
-            context=context,
-        )
+        est = estimate_system(graph, request, config, context=context)
         metrics = est.as_dict()
         reason = prune_reason(metrics, rules)
         if reason is not None:
@@ -248,15 +243,7 @@ def run_task(
                 "pruned": reason,
                 "estimate": metrics,
             }
-    report = run_system(
-        graph,
-        task.algorithm,
-        config,
-        dataset=task.dataset,
-        backend=task.backend,
-        chunk_size=task.chunk_size,
-        context=context,
-    )
+    report = run_system(graph, request, config, context=context)
     run_seconds = time.perf_counter() - start
     cache_state = "off"
     if report.trace_cache and report.trace_cache.get("enabled"):
@@ -307,8 +294,10 @@ def run_sweep(
 
     ``workers <= 1`` runs inline (no pool, easiest to debug);
     ``workers > 1`` fans tasks across a ``ProcessPoolExecutor``. Rows
-    come back in task order either way. ``cache`` follows
-    :func:`repro.store.resolve_store` semantics; the parent resolves
+    come back in task order either way. ``cache`` is the ``cache``
+    selector of :meth:`repro.core.context.RunContext.from_env`
+    (``False``, a path, a :class:`~repro.store.TraceStore`, or
+    ``None`` for ``REPRO_CACHE_DIR``); the parent resolves
     it (and the rest of the ambient state) into one
     :class:`repro.core.context.RunContext` up front, and workers
     receive that context's :meth:`~repro.core.context.RunContext.to_spec`

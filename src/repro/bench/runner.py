@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SimConfig
+from repro.core.context import RunRequest
 from repro.core.report import Comparison
 from repro.core.system import compare_systems
 from repro.graph.csr import CSRGraph
@@ -76,7 +77,11 @@ def run_comparison(
     omega_config: Optional[SimConfig] = None,
     **kwargs,
 ) -> Comparison:
-    """Run one baseline-vs-OMEGA comparison for a named workload."""
+    """Run one baseline-vs-OMEGA comparison for a named workload.
+
+    Extra ``kwargs`` are :class:`~repro.core.context.RunRequest`
+    fields (chunk size, reorder, algorithm kwargs).
+    """
     from repro.algorithms.registry import ALGORITHMS
 
     info = ALGORITHMS[algorithm]
@@ -88,11 +93,9 @@ def run_comparison(
     )
     return compare_systems(
         graph,
-        algorithm,
+        RunRequest(algorithm, dataset=dataset, **kwargs),
         baseline_config=baseline_config,
         omega_config=omega_config,
-        dataset=dataset,
-        **kwargs,
     )
 
 

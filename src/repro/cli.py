@@ -343,10 +343,10 @@ def _cache_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_cache(args):
-    """Map --cache-dir/--no-cache onto run_system's ``cache`` argument."""
+    """Map --cache-dir/--no-cache onto ``RunContext.from_env(cache=...)``."""
     if args.no_cache:
         return False
-    return args.cache_dir  # None -> ambient (REPRO_CACHE_DIR), path -> store
+    return args.cache_dir  # None -> REPRO_CACHE_DIR, path -> store
 
 
 def _load(dataset: str, algorithm: str, scale: float):
@@ -399,23 +399,24 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.core.context import RunContext, RunRequest
     from repro.core.system import default_backend_config, run_system
 
     graph, spec = _load(args.dataset, args.algorithm, args.scale)
     backend = args.backend or args.system
     config = default_backend_config(backend, num_cores=args.cores)
-    report = run_system(
-        graph, args.algorithm, config,
-        dataset=spec.name, backend=backend, manifest_path=args.manifest,
-        trace_path=args.trace_out, timeline_path=args.metrics_out,
-        obs_window=args.obs_window, cache=_resolve_cache(args),
-        segment_events=args.segment_events,
-        attribution=(
-            True if (args.attribution or args.attribution_out) else None
-        ),
+    request = RunRequest(
+        args.algorithm, backend=backend, dataset=spec.name,
+        manifest_path=args.manifest, trace_path=args.trace_out,
+        timeline_path=args.metrics_out, obs_window=args.obs_window,
         attribution_path=args.attribution_out,
-        ledger_path=args.ledger,
     )
+    context = RunContext.from_env(
+        cache=_resolve_cache(args), segment_events=args.segment_events,
+        attribution=True if args.attribution else None,
+        attribution_path=args.attribution_out, ledger_path=args.ledger,
+    )
+    report = run_system(graph, request, config, context=context)
 
     for key, value in report.summary().items():
         print(f"{key}: {value}")
@@ -442,15 +443,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.core.context import RunContext, RunRequest
     from repro.core.system import compare_systems
 
     graph, spec = _load(args.dataset, args.algorithm, args.scale)
     cmp = compare_systems(
-        graph, args.algorithm,
+        graph, RunRequest(args.algorithm, dataset=spec.name),
         baseline_config=SimConfig.scaled_baseline(num_cores=args.cores),
         omega_config=SimConfig.scaled_omega(num_cores=args.cores),
-        dataset=spec.name,
-        cache=_resolve_cache(args),
+        context=RunContext.from_env(cache=_resolve_cache(args)),
     )
     for key, value in cmp.summary().items():
         print(f"{key}: {value}")
@@ -465,7 +466,7 @@ def _cmd_sweep(args) -> int:
         save_rows_json,
     )
     from repro.bench.tables import format_table
-    from repro.memsim.engine import get_backend
+    from repro.memsim.backends import get_backend
 
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
@@ -685,10 +686,10 @@ def _cmd_history(args) -> int:
         format_history,
         format_report,
         read_entries,
-        resolve_ledger_path,
     )
+    from repro.core.context import ledger_path_from_env
 
-    path = resolve_ledger_path(args.ledger)
+    path = args.ledger or ledger_path_from_env()
     if path is None:
         raise ReproError(
             "no ledger given: pass --ledger PATH or set REPRO_LEDGER"

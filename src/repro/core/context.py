@@ -1,35 +1,20 @@
 """Explicit run configuration: :class:`RunContext` and :class:`RunRequest`.
 
-Historically every layer of the pipeline resolved its own ambient
-state at a different depth: the trace store through process globals
-(``set_store``/``use_store``) or ``REPRO_CACHE_DIR``, the streaming
-segment size from ``REPRO_SEGMENT_EVENTS``, attribution from
-``REPRO_ATTRIBUTION``, the run ledger from ``REPRO_LEDGER``, and the
-scalar-cache escape hatch from ``REPRO_SCALAR_CACHE`` — read *inside*
-``CacheSystem.__init__`` on the replay hot path. Two concurrent
-in-process runs could therefore observe each other's configuration.
-
-This module makes the configuration a value instead of an ambient:
+A run is described by two values, and every driver
+(:func:`repro.core.system.run_system` and its siblings) takes exactly
+these two:
 
 - :class:`RunContext` is a frozen snapshot of everything a run reads
   from its surroundings (store handle, segment size, attribution flag,
   ledger path, scalar-cache flag, obs sinks). Threads can each carry
   their own context; nothing a concurrent run does can change it.
-- :meth:`RunContext.from_env` is the **only** place in ``src/repro``
-  allowed to read ``REPRO_*`` environment variables (machine-enforced
-  by the ENV001 lint rule). The legacy ambient accessors —
-  ``repro.store.get_store`` and ``repro.obs.ledger.resolve_ledger_path``
-  — survive as thin deprecated veneers that delegate to the
-  ``*_from_env`` helpers here.
-- :class:`RunRequest` absorbs :func:`repro.core.system.run_system`'s
-  sprawling per-run keyword arguments into one serializable value, so
-  a sweep worker or a ``repro serve`` job can carry the complete run
-  description across a process or socket boundary.
-
-``set_store(None)`` semantics are preserved explicitly: an installed
-ambient store *pins* the resolution (installing ``None`` pins caching
-off), and :meth:`RunContext.from_env` honours the pin before falling
-back to ``REPRO_CACHE_DIR``.
+- :meth:`RunContext.from_env` and the ``*_from_env`` helpers are the
+  **only** place in ``src/repro`` allowed to read ``REPRO_*``
+  environment variables (machine-enforced by the ENV001 lint rule).
+- :class:`RunRequest` is one run's workload description as a
+  serializable value, so a sweep worker or a ``repro serve`` job can
+  carry the complete run description across a process or socket
+  boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +26,7 @@ from typing import Any, Dict, Mapping, Optional, Union
 from repro.errors import SimulationError
 from repro.obs.ledger import ENV_LEDGER
 from repro.store import TraceStore
-from repro.store.store import ENV_CACHE_CAPACITY_MB, ENV_CACHE_DIR, installed_store
+from repro.store.store import ENV_CACHE_CAPACITY_MB, ENV_CACHE_DIR
 
 __all__ = [
     "ENV_SEGMENT_EVENTS",
@@ -90,9 +75,14 @@ def cache_capacity_from_env(
 def store_from_env(
     environ: Optional[Mapping[str, str]] = None,
 ) -> Optional[TraceStore]:
-    """The store ``REPRO_CACHE_DIR`` names, or ``None`` (caching off)."""
+    """The store ``REPRO_CACHE_DIR`` names, or ``None`` (caching off).
+
+    Its capacity is ``REPRO_CACHE_CAPACITY_MB`` from the same mapping.
+    """
     root = _environ(environ).get(ENV_CACHE_DIR)
-    return TraceStore(root) if root else None
+    if not root:
+        return None
+    return TraceStore(root, capacity_bytes=cache_capacity_from_env(environ))
 
 
 def segment_events_from_env(
@@ -150,10 +140,7 @@ class RunContext:
     worker threads rely on.
     """
 
-    #: Trace store handle, or ``None`` for caching off. Unlike the
-    #: deprecated ``set_store``/``use_store`` globals this is per-run
-    #: state; ``None`` here is the explicit analogue of
-    #: ``set_store(None)`` (caching pinned off for this run).
+    #: Trace store handle, or ``None`` for caching off.
     store: Optional[TraceStore] = None
     #: Out-of-core streaming segment size (``None`` = whole-trace).
     segment_events: Optional[int] = None
@@ -191,12 +178,11 @@ class RunContext:
         parameter is an explicit override that wins over the
         environment; ``None`` means "consult the environment":
 
-        - ``cache`` follows the legacy ``run_system(cache=...)``
-          contract: ``False`` disables caching, a path or
+        - ``cache``: ``False`` disables caching, a path or
           :class:`~repro.store.TraceStore` selects a store, and
-          ``None``/``True`` resolve the ambient store — an explicitly
-          installed ``set_store``/``use_store`` value (including the
-          pinned-off ``set_store(None)``) wins over ``REPRO_CACHE_DIR``.
+          ``None``/``True`` use the store ``REPRO_CACHE_DIR`` names
+          (:func:`store_from_env`). A store built here from a path or
+          the environment gets ``REPRO_CACHE_CAPACITY_MB``'s capacity.
         - ``attribution_path`` implies ``attribution=True`` unless
           ``attribution`` explicitly disables it.
         - ``environ`` substitutes a mapping for ``os.environ`` (tests).
@@ -207,10 +193,11 @@ class RunContext:
         elif isinstance(cache, TraceStore):
             store = cache
         elif isinstance(cache, (str, os.PathLike)):
-            store = TraceStore(cache)
+            store = TraceStore(
+                cache, capacity_bytes=cache_capacity_from_env(environ)
+            )
         else:
-            installed, ambient = installed_store()
-            store = ambient if installed else store_from_env(environ)
+            store = store_from_env(environ)
 
         if segment_events is None:
             segment_events = segment_events_from_env(environ)
@@ -301,11 +288,9 @@ class RunContext:
 class RunRequest:
     """One run's workload description, as a serializable value.
 
-    Absorbs the per-run keyword arguments of
-    :func:`repro.core.system.run_system` (the legacy kwargs remain as
-    a thin compatibility shim). Environment-derived configuration does
-    *not* live here — that is :class:`RunContext` — so a request says
-    *what* to run and a context says *with which surroundings*.
+    Environment-derived configuration does *not* live here — that is
+    :class:`RunContext` — so a request says *what* to run and a
+    context says *with which surroundings*.
 
     ``config`` stays a separate ``run_system`` argument (it is a rich
     object); when omitted, the driver derives it from ``backend`` and
@@ -313,20 +298,36 @@ class RunRequest:
     :func:`repro.core.system.default_backend_config`.
     """
 
+    #: Registered algorithm name (see :mod:`repro.algorithms.registry`).
     algorithm: str
+    #: Registered hierarchy-backend name (see
+    #: :func:`repro.memsim.backends.backend_names`).
     backend: Optional[str] = None
+    #: Label recorded in the report.
     dataset: str = ""
     #: OpenMP static-schedule chunk (mirrors ``DEFAULT_CHUNK_SIZE``).
     chunk_size: Optional[int] = 32
+    #: Scratchpad-mapping chunk; ``None`` matches ``chunk_size``
+    #: (Section V-D). A different value reproduces the mismatch
+    #: experiment.
     sp_chunk_size: Optional[int] = None
+    #: Nth-element in-degree reordering before the run; ``None`` takes
+    #: the backend's default (on for OMEGA and the locked cache).
     reorder: Optional[bool] = None
     #: Used only when the driver must derive a default config.
     num_cores: int = 16
+    #: Output files: the run manifest (JSON), the Chrome trace of the
+    #: run's phase spans, and the windowed replay timeline (JSON, or
+    #: CSV for a ``.csv`` path).
     manifest_path: Optional[str] = None
     trace_path: Optional[str] = None
     timeline_path: Optional[str] = None
+    #: Replay sampling window in trace events; 0 auto-sizes for about
+    #: 64 windows, ``None`` samples only when ``timeline_path`` is set.
     obs_window: Optional[int] = None
+    #: Standalone attribution JSON output.
     attribution_path: Optional[str] = None
+    #: Extra arguments for the algorithm runner (source vertex, etc.).
     alg_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:

@@ -11,7 +11,7 @@ from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.memsim.core_model import TimingResult
 from repro.memsim.energy import EnergyBreakdown
-from repro.memsim.hierarchy import ReplayOutput
+from repro.memsim.replay import ReplayOutput
 from repro.memsim.stats import MemStats
 from repro.obs.timeline import Timeline
 

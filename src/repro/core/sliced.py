@@ -26,6 +26,7 @@ from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.graph.degree import TOP_VERTEX_FRACTION
 from repro.graph.slicing import GraphSlice, slice_graph, slice_graph_power_law
+from repro.core.context import RunRequest
 from repro.core.report import SimReport
 from repro.core.system import run_system
 from repro.memsim.scratchpad import hot_capacity_for
@@ -80,24 +81,23 @@ def slice_plan(
 
 def run_sliced(
     graph: CSRGraph,
-    algorithm: str,
+    request: RunRequest,
     config: Optional[SimConfig] = None,
-    dataset: str = "",
     power_law_aware: bool = True,
     bytes_per_vertex: int = 9,
     merge_cycles_per_vertex: float = 0.5,
-    **kwargs,
 ) -> SlicedRunReport:
-    """Run ``algorithm`` slice-at-a-time through the OMEGA hierarchy.
+    """Run ``request`` slice-at-a-time through the OMEGA hierarchy.
 
     Parameters
     ----------
     graph:
         The full input graph (hot set may exceed the scratchpads).
-    algorithm:
-        Registered algorithm name; slicing is meaningful for the
-        all-active algorithms (PageRank-style) whose per-slice results
-        merge by destination ownership.
+    request:
+        The workload each slice runs (see
+        :func:`repro.core.system.run_system`); slicing is meaningful
+        for the all-active algorithms (PageRank-style) whose per-slice
+        results merge by destination ownership.
     config:
         OMEGA configuration (default: the scaled Table III config).
     power_law_aware:
@@ -115,17 +115,14 @@ def run_sliced(
     slices = slice_plan(
         graph, config, bytes_per_vertex, power_law_aware=power_law_aware
     )
-    reports = [
-        run_system(s.graph, algorithm, config, dataset=dataset, **kwargs)
-        for s in slices
-    ]
+    reports = [run_system(s.graph, request, config) for s in slices]
     # Each slice boundary merges the slice's owned range; the first
     # slice initializes rather than merges.
     merge_vertices = sum(s.num_owned_vertices for s in slices[1:])
     merge = merge_vertices * merge_cycles_per_vertex / config.core.num_cores
     return SlicedRunReport(
-        algorithm=algorithm,
-        dataset=dataset,
+        algorithm=request.algorithm,
+        dataset=request.dataset,
         power_law_aware=power_law_aware,
         num_slices=len(slices),
         slice_reports=reports,

@@ -14,13 +14,15 @@ This is the library's main entry point. :func:`run_system` executes one
    active bit) and compile the algorithm's update function to PISC
    microcode (Section V-F),
 4. replay the trace through the selected memory-hierarchy backend
-   (any name in :func:`repro.memsim.engine.backend_names`), and
+   (any name in :func:`repro.memsim.backends.backend_names`), and
 5. fold the counters into timing and energy.
 
 Every hierarchy variant — baseline CMP, OMEGA, the Section IX locked
-cache, GraphPIM, the dynamic scratchpad — runs through the same driver
-via ``run_system(..., backend=...)``; :func:`run_locked_cache` and
-:func:`run_graphpim` are thin aliases kept for compatibility.
+cache, GraphPIM, the dynamic scratchpad — runs through the same driver,
+selected by ``RunRequest(backend=...)``. Each driver takes the
+workload as a :class:`~repro.core.context.RunRequest` and the run's
+surroundings (store, streaming, attribution, ledger, obs sinks) as a
+:class:`~repro.core.context.RunContext`.
 
 Because the trace depends only on ``(graph, algorithm, kwargs, cores,
 chunk, reorder)`` — never on the hierarchy replaying it —
@@ -47,8 +49,6 @@ from repro.core.context import (
     ENV_SEGMENT_EVENTS,
     RunContext,
     RunRequest,
-    attribution_from_env,
-    segment_events_from_env,
 )
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
@@ -63,7 +63,7 @@ from repro.ligra.trace import Trace
 from repro.memsim.core_model import compute_timing
 from repro.memsim.energy import EnergyModel
 from repro.memsim.estimate import ReplayEstimate, estimate_replay
-from repro.memsim.engine import (
+from repro.memsim.backends import (
     BaselineBackend,
     DynamicScratchpadBackend,
     GraphPimBackend,
@@ -93,8 +93,6 @@ __all__ = [
     "estimate_system",
     "run_backends",
     "compare_systems",
-    "run_locked_cache",
-    "run_graphpim",
     "default_backend_config",
     "DEFAULT_CHUNK_SIZE",
     "RunContext",
@@ -216,27 +214,6 @@ class _TraceBundle:
             except OSError:
                 pass
             self.spool_path = None
-
-
-def _resolve_segment_events(segment_events: Optional[int]) -> Optional[int]:
-    """Fold the explicit argument with ``REPRO_SEGMENT_EVENTS``.
-
-    Returns a positive segment size, or ``None`` for in-core replay
-    (the default; 0 and negative values also mean off). The
-    environment read lives in :mod:`repro.core.context`.
-    """
-    if segment_events is None:
-        return segment_events_from_env()
-    if int(segment_events) <= 0:
-        return None
-    return int(segment_events)
-
-
-def _resolve_attribution(attribution: Optional[bool]) -> bool:
-    """Fold the explicit argument with ``REPRO_ATTRIBUTION``."""
-    if attribution is not None:
-        return bool(attribution)
-    return attribution_from_env()
 
 
 def _attribution_spec(
@@ -519,7 +496,6 @@ def _make_hierarchy(
     algorithm: str,
     config: SimConfig,
     backend_name: str,
-    backend_cls,
     chunk_size: Optional[int],
     sp_chunk_size: Optional[int],
     pim,
@@ -578,7 +554,7 @@ def _make_hierarchy(
         )
     else:
         # Extension backends take just the config.
-        hierarchy = backend_cls(config)
+        hierarchy = get_backend(backend_name)(config)
     return hierarchy, hot_capacity
 
 
@@ -587,7 +563,6 @@ def _replay_bundle(
     algorithm: str,
     config: SimConfig,
     backend_name: str,
-    backend_cls,
     dataset: str,
     chunk_size: Optional[int],
     sp_chunk_size: Optional[int],
@@ -601,8 +576,8 @@ def _replay_bundle(
     """Replay a prepared trace through one backend and build the report."""
     with tracer.span("prepare_backend", cat="run", backend=backend_name):
         hierarchy, hot_capacity = _make_hierarchy(
-            bundle, algorithm, config, backend_name, backend_cls,
-            chunk_size, sp_chunk_size, pim,
+            bundle, algorithm, config, backend_name, chunk_size,
+            sp_chunk_size, pim,
         )
     # Thread the context's scalar-cache flag onto the backend instance
     # so the replay driver never consults ambient state on the hot
@@ -676,210 +651,85 @@ def _pin_source(graph: CSRGraph, algorithm: str, alg_kwargs: Dict) -> None:
         alg_kwargs["source"] = default_source(graph)
 
 
-def _merge_request(
-    request: Optional[RunRequest],
-    algorithm: Optional[str],
-    alg_kwargs: Dict,
-) -> Optional[RunRequest]:
-    """Validate the request-vs-legacy-kwargs split for the drivers.
+def _single_backend(
+    request: RunRequest, config: Optional[SimConfig]
+) -> Tuple[str, SimConfig, bool]:
+    """Resolve a single-backend run's ``(backend, config, reorder)``.
 
-    A driver call supplies the workload either through ``request=`` or
-    through the legacy positional/keyword arguments — mixing the two
-    would make precedence ambiguous, so it raises.
+    Without a ``config`` the request's backend (default OMEGA) gets its
+    :func:`default_backend_config`; with one, a missing backend is
+    inferred from it: ``config.use_scratchpad`` selects OMEGA,
+    otherwise the baseline CMP. ``request.reorder=None`` takes the
+    backend's default from :data:`_REORDER_DEFAULT`.
     """
-    if request is None:
-        if algorithm is None:
-            raise SimulationError(
-                "an algorithm is required (positionally or via request=)"
-            )
-        return None
-    if algorithm is not None or alg_kwargs:
-        raise SimulationError(
-            "pass the workload either via request= or via the legacy"
-            " arguments, not both"
+    if config is None:
+        backend_name = request.backend or "omega"
+        config = default_backend_config(
+            backend_name, num_cores=request.num_cores
         )
-    return request
+    else:
+        backend_name = request.backend or (
+            "omega" if config.use_scratchpad else "baseline"
+        )
+    get_backend(backend_name)  # validates the name
+    reorder = request.reorder
+    if reorder is None:
+        reorder = _REORDER_DEFAULT.get(backend_name, config.use_scratchpad)
+    return backend_name, config, reorder
 
 
 def run_system(
     graph: CSRGraph,
-    algorithm: Optional[str] = None,
+    request: RunRequest,
     config: Optional[SimConfig] = None,
-    dataset: str = "",
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-    sp_chunk_size: Optional[int] = None,
-    reorder: Optional[bool] = None,
-    energy_model: Optional[EnergyModel] = None,
-    backend: Optional[str] = None,
-    pim=None,
-    manifest_path=None,
-    trace_path=None,
-    timeline_path=None,
-    obs_window: Optional[int] = None,
-    cache=None,
-    segment_events: Optional[int] = None,
-    attribution: Optional[bool] = None,
-    attribution_path=None,
-    ledger_path=None,
-    request: Optional[RunRequest] = None,
+    *,
     context: Optional[RunContext] = None,
-    **alg_kwargs,
+    energy_model: Optional[EnergyModel] = None,
+    pim=None,
 ) -> SimReport:
     """Run one algorithm on one graph through one system configuration.
-
-    The modern calling convention is two values:
-    ``run_system(graph, request=RunRequest(...), context=RunContext(...))``
-    — the request describes *what* to run (workload, backend, output
-    paths) and the context *with which surroundings* (store, segment
-    size, attribution, ledger, scalar flag, obs sinks). The legacy
-    keyword arguments below remain as a thin compatibility shim and
-    cannot be mixed with ``request=``. When ``context`` is omitted it
-    is built once via :meth:`repro.core.context.RunContext.from_env`,
-    folding the explicit ``cache``/``segment_events``/``attribution``/
-    ``ledger_path`` arguments with the ``REPRO_*`` environment exactly
-    as before; when a ``context`` is given it is authoritative for all
-    of those (the legacy arguments are ignored) and no environment
-    variable is consulted anywhere in the run.
 
     Parameters
     ----------
     graph:
         Input graph (in its original vertex order).
-    algorithm:
-        Registered algorithm name (see :mod:`repro.algorithms.registry`).
+    request:
+        *What* to run: the :class:`~repro.core.context.RunRequest`
+        names the algorithm and its kwargs, the backend, the engine
+        chunk sizes, the reorder choice and the output files (manifest,
+        Chrome trace, timeline, attribution JSON).
     config:
-        System description. When ``backend`` is not given it is
-        inferred from the config: ``config.use_scratchpad`` selects the
+        System description. When omitted it is
+        :func:`default_backend_config` for ``request.backend``
+        (default OMEGA) at ``request.num_cores``; when given without
+        ``request.backend``, ``config.use_scratchpad`` selects the
         OMEGA hierarchy, otherwise the baseline CMP.
-    dataset:
-        Label recorded in the report.
-    chunk_size:
-        OpenMP static-schedule chunk for the engine.
-    sp_chunk_size:
-        Scratchpad-mapping chunk; defaults to ``chunk_size`` (the
-        matched configuration of Section V-D). Pass a different value
-        to reproduce the mismatch experiment.
-    reorder:
-        Apply nth-element in-degree reordering before running.
-        Defaults per backend: ``True`` for OMEGA and the locked cache
-        (their required preprocessing), ``False`` for the baseline,
-        GraphPIM and the dynamic scratchpad (which run the original
-        ordering).
+    context:
+        *With which surroundings*: the
+        :class:`~repro.core.context.RunContext` carries the trace
+        store, the out-of-core segment size, the attribution flag, the
+        run ledger, the scalar-cache flag and the obs sinks. A given
+        context is authoritative and no environment variable is read
+        anywhere in the run. When omitted it is
+        :meth:`RunContext.from_env`, where ``request.attribution_path``
+        turns attribution on.
     energy_model:
         Energy constants; defaults to :class:`EnergyModel`.
-    backend:
-        Registered hierarchy-backend name (``baseline``, ``omega``,
-        ``locked``, ``graphpim``, ``dynamic``, or any extension
-        registered via
-        :func:`repro.memsim.engine.register_backend`).
     pim:
-        Optional :class:`~repro.memsim.engine.PimConfig` for the
+        Optional :class:`~repro.memsim.backends.PimConfig` for the
         ``graphpim`` backend.
-    manifest_path:
-        When given, write the run manifest
-        (:meth:`~repro.core.report.SimReport.manifest`) as JSON there.
-    trace_path:
-        When given, record nested phase spans (graph reorder → trace
-        generation → per-edgeMap sweeps → replay windows) and write
-        them as Chrome trace-event JSON there (viewable in Perfetto).
-        A tracer already installed via
-        :func:`repro.obs.use_tracer` is reused instead.
-    timeline_path:
-        When given, sample the replay every ``obs_window`` events and
-        write the windowed metrics timeline there (columnar JSON, or
-        CSV when the path ends in ``.csv``). The timeline's percentile
-        summary is attached to the run manifest either way.
-    obs_window:
-        Replay sampling window in trace events. ``None`` disables
-        sampling unless ``timeline_path`` is given; 0 auto-sizes for
-        about 64 windows.
-    cache:
-        Trace-store selector (see :func:`repro.store.resolve_store`):
-        ``None``/``True`` use the ambient store (``REPRO_CACHE_DIR``
-        or an installed :func:`repro.store.set_store`), ``False``
-        bypasses caching, a path or :class:`~repro.store.TraceStore`
-        selects a store explicitly. A warm hit skips reorder and
-        algorithm execution and yields bit-identical simulated
-        counters.
-    segment_events:
-        Out-of-core streaming segment size, in trace events. When set
-        (or when the ``REPRO_SEGMENT_EVENTS`` environment variable
-        holds a positive integer) the whole pipeline runs with bounded
-        resident memory: generation spools completed barrier spans to
-        a segmented archive, a warm store hit streams segments without
-        rehydrating the trace, and replay consumes one segment at a
-        time. Simulated counters are bit-identical to the in-core run;
-        ``None`` or a non-positive value keeps the default whole-trace
-        path.
-    attribution:
-        Fold per-class traffic attribution during the replay: every
-        event resolves to its graph entity (vertex properties by degree
-        stratum, CSR offsets/edges, frontier) and the per-class
-        counters — conserved bit-identically against the aggregate
-        ``MemStats`` — land in the manifest's ``attribution`` block and
-        (when tracing) as Perfetto counter tracks. Defaults to the
-        ``REPRO_ATTRIBUTION`` environment variable.
-    attribution_path:
-        When given, write the attribution block as standalone JSON
-        there (implies ``attribution=True`` unless explicitly
-        disabled).
-    ledger_path:
-        When given (or when the ``REPRO_LEDGER`` environment variable
-        names a file), append one run-ledger entry — the manifest keyed
-        by trace-store key, config hash, and git revision — to that
-        JSONL file after the run (see :mod:`repro.obs.ledger` and
-        ``repro history``).
-    alg_kwargs:
-        Extra arguments for the algorithm runner (source vertex, etc.).
-    request:
-        A :class:`~repro.core.context.RunRequest` carrying the
-        workload description instead of the legacy arguments above.
-    context:
-        A :class:`~repro.core.context.RunContext` carrying the run's
-        ambient configuration explicitly. When given, the run is fully
-        stateless with respect to process globals and environment.
     """
-    request = _merge_request(request, algorithm, alg_kwargs)
-    num_cores_hint = 16
-    if request is not None:
-        algorithm = request.algorithm
-        dataset = request.dataset or dataset
-        backend = request.backend if request.backend is not None else backend
-        chunk_size = request.chunk_size
-        sp_chunk_size = request.sp_chunk_size
-        reorder = request.reorder
-        num_cores_hint = request.num_cores
-        manifest_path = request.manifest_path
-        trace_path = request.trace_path
-        timeline_path = request.timeline_path
-        obs_window = request.obs_window
-        attribution_path = request.attribution_path
-        alg_kwargs = dict(request.alg_kwargs)
-    if config is None:
-        backend_name = backend or "omega"
-        config = default_backend_config(
-            backend_name, num_cores=num_cores_hint
-        )
-    else:
-        backend_name = backend or (
-            "omega" if config.use_scratchpad else "baseline"
-        )
-    backend_cls = get_backend(backend_name)  # validates the name
-    if reorder is None:
-        reorder = _REORDER_DEFAULT.get(backend_name, config.use_scratchpad)
+    backend_name, config, reorder = _single_backend(request, config)
+    algorithm = request.algorithm
+    dataset = request.dataset
+    chunk_size = request.chunk_size
+    trace_path = request.trace_path
+    timeline_path = request.timeline_path
+    attribution_path = request.attribution_path
+    alg_kwargs = dict(request.alg_kwargs)
     _pin_source(graph, algorithm, alg_kwargs)
     if context is None:
-        context = RunContext.from_env(
-            cache=cache,
-            segment_events=segment_events,
-            attribution=attribution,
-            attribution_path=attribution_path,
-            ledger_path=ledger_path,
-        )
-    store = context.store
-    segment_events = context.segment_events
-    want_attribution = context.attribution
-    ledger_path = context.ledger_path
+        context = RunContext.from_env(attribution_path=attribution_path)
 
     # Observability setup: use the context's sink, else the thread's
     # installed tracer, or spin up a private one when a trace file was
@@ -892,8 +742,8 @@ def run_system(
         context.metrics if context.metrics is not None else get_registry()
     )
     sampler = None
-    if timeline_path is not None or obs_window is not None:
-        sampler = ReplaySampler(obs_window or 0)
+    if timeline_path is not None or request.obs_window is not None:
+        sampler = ReplaySampler(request.obs_window or 0)
     _LOG.info(
         "run_system: algorithm=%s dataset=%s backend=%s cores=%d",
         algorithm, dataset or "?", backend_name, config.core.num_cores,
@@ -905,19 +755,21 @@ def run_system(
     ):
         bundle = _prepare_trace(
             graph, algorithm, config.core.num_cores, chunk_size, reorder,
-            store, tracer, alg_kwargs, segment_events=segment_events,
+            context.store, tracer, alg_kwargs,
+            segment_events=context.segment_events,
         )
         try:
             attribution_acc = None
-            if want_attribution:
+            if context.attribution:
                 with tracer.span("attribution_spec", cat="run"):
                     attribution_acc = AttributionAccumulator(
                         _attribution_spec(graph, bundle, reorder)
                     )
             report = _replay_bundle(
-                bundle, algorithm, config, backend_name, backend_cls,
-                dataset, chunk_size, sp_chunk_size, energy_model, pim,
-                sampler, tracer, attribution_acc=attribution_acc,
+                bundle, algorithm, config, backend_name, dataset,
+                chunk_size, request.sp_chunk_size, energy_model, pim,
+                sampler, tracer,
+                attribution_acc=attribution_acc,
                 scalar_cache=context.scalar_cache,
             )
         finally:
@@ -946,28 +798,23 @@ def run_system(
         with open(attribution_path, "w") as f:
             json.dump(report.attribution, f, indent=2, sort_keys=True)
         _LOG.info("wrote attribution breakdown to %s", attribution_path)
-    if manifest_path is not None:
-        report.save_manifest(manifest_path)
-    if ledger_path is not None:
-        append_entry(ledger_path, make_entry(report.manifest(), kind="run"))
-        _LOG.info("appended run-ledger entry to %s", ledger_path)
+    if request.manifest_path is not None:
+        report.save_manifest(request.manifest_path)
+    if context.ledger_path is not None:
+        append_entry(
+            context.ledger_path, make_entry(report.manifest(), kind="run")
+        )
+        _LOG.info("appended run-ledger entry to %s", context.ledger_path)
     return report
 
 
 def estimate_system(
     graph: CSRGraph,
-    algorithm: Optional[str] = None,
+    request: RunRequest,
     config: Optional[SimConfig] = None,
-    dataset: str = "",
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-    sp_chunk_size: Optional[int] = None,
-    reorder: Optional[bool] = None,
-    backend: Optional[str] = None,
-    pim=None,
-    cache=None,
-    request: Optional[RunRequest] = None,
+    *,
     context: Optional[RunContext] = None,
-    **alg_kwargs,
+    pim=None,
 ) -> "ReplayEstimate":
     """Predict a run's headline counters without replaying it.
 
@@ -980,50 +827,31 @@ def estimate_system(
     predicted metrics fall outside the band of interest.
 
     Always runs in-core (the estimator needs the whole interleaved
-    trace resident); out-of-core streaming does not apply here.
-    Accepts ``request=``/``context=`` exactly like :func:`run_system`.
-    Returns the :class:`~repro.memsim.estimate.ReplayEstimate`.
+    trace resident); out-of-core streaming does not apply here. The
+    arguments mean what they mean for :func:`run_system`; the request's
+    output paths are not written. Returns the
+    :class:`~repro.memsim.estimate.ReplayEstimate`.
     """
-    request = _merge_request(request, algorithm, alg_kwargs)
-    num_cores_hint = 16
-    if request is not None:
-        algorithm = request.algorithm
-        dataset = request.dataset or dataset
-        backend = request.backend if request.backend is not None else backend
-        chunk_size = request.chunk_size
-        sp_chunk_size = request.sp_chunk_size
-        reorder = request.reorder
-        num_cores_hint = request.num_cores
-        alg_kwargs = dict(request.alg_kwargs)
-    if config is None:
-        backend_name = backend or "omega"
-        config = default_backend_config(
-            backend_name, num_cores=num_cores_hint
-        )
-    else:
-        backend_name = backend or (
-            "omega" if config.use_scratchpad else "baseline"
-        )
-    backend_cls = get_backend(backend_name)
-    if reorder is None:
-        reorder = _REORDER_DEFAULT.get(backend_name, config.use_scratchpad)
+    backend_name, config, reorder = _single_backend(request, config)
+    algorithm = request.algorithm
+    alg_kwargs = dict(request.alg_kwargs)
     _pin_source(graph, algorithm, alg_kwargs)
     if context is None:
-        context = RunContext.from_env(cache=cache)
-    store = context.store
+        context = RunContext.from_env()
     tracer = context.tracer if context.tracer is not None else get_tracer()
     _LOG.info(
         "estimate_system: algorithm=%s dataset=%s backend=%s cores=%d",
-        algorithm, dataset or "?", backend_name, config.core.num_cores,
+        algorithm, request.dataset or "?", backend_name,
+        config.core.num_cores,
     )
     bundle = _prepare_trace(
-        graph, algorithm, config.core.num_cores, chunk_size, reorder,
-        store, tracer, alg_kwargs,
+        graph, algorithm, config.core.num_cores, request.chunk_size,
+        reorder, context.store, tracer, alg_kwargs,
     )
     try:
         hierarchy, _ = _make_hierarchy(
-            bundle, algorithm, config, backend_name, backend_cls,
-            chunk_size, sp_chunk_size, pim,
+            bundle, algorithm, config, backend_name, request.chunk_size,
+            request.sp_chunk_size, pim,
         )
         with tracer.span("estimate", cat="run", backend=backend_name,
                          events=bundle.num_events):
@@ -1034,20 +862,13 @@ def estimate_system(
 
 def run_backends(
     graph: CSRGraph,
-    algorithm: Optional[str] = None,
-    backends: Sequence[str] = (),
+    request: RunRequest,
+    backends: Sequence[str],
     configs: Optional[Dict[str, SimConfig]] = None,
-    dataset: str = "",
-    num_cores: int = 16,
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-    sp_chunk_size: Optional[int] = None,
-    reorder: Optional[bool] = None,
+    *,
+    context: Optional[RunContext] = None,
     energy_model: Optional[EnergyModel] = None,
     pim=None,
-    cache=None,
-    request: Optional[RunRequest] = None,
-    context: Optional[RunContext] = None,
-    **alg_kwargs,
 ) -> Dict[str, SimReport]:
     """Replay one workload through several backends, sharing traces.
 
@@ -1060,51 +881,41 @@ def run_backends(
     dynamic, reordered for OMEGA/locked) regardless of how many
     backends run.
 
-    Parameters mirror :func:`run_system`; ``configs`` optionally maps a
-    backend name to its :class:`SimConfig` (defaults per backend via
-    :func:`default_backend_config` with ``num_cores``). Returns an
-    ordered ``{backend name: SimReport}`` in the order requested.
-
-    Like :func:`run_system`, the workload may arrive as a
-    :class:`~repro.core.context.RunRequest` (``request=``) and ambient
-    state as an explicit :class:`~repro.core.context.RunContext`
-    (``context=``); a ``request.backend`` here is ignored — ``backends``
-    names the set to sweep.
+    The arguments mean what they mean for :func:`run_system`, except
+    that ``backends`` names the set to sweep (``request.backend`` is
+    ignored) and ``configs`` optionally maps a backend name to its
+    :class:`SimConfig` (defaults per backend via
+    :func:`default_backend_config` at ``request.num_cores``). The
+    request's output paths are not written. Returns an ordered
+    ``{backend name: SimReport}`` in the order requested.
     """
-    request = _merge_request(request, algorithm, alg_kwargs)
-    if request is not None:
-        algorithm = request.algorithm
-        dataset = request.dataset or dataset
-        chunk_size = request.chunk_size
-        sp_chunk_size = request.sp_chunk_size
-        reorder = request.reorder
-        num_cores = request.num_cores
-        alg_kwargs = dict(request.alg_kwargs)
     if not backends:
         raise SimulationError("run_backends needs at least one backend name")
+    algorithm = request.algorithm
+    chunk_size = request.chunk_size
     configs = dict(configs or {})
     resolved: Dict[str, SimConfig] = {}
     for name in backends:
         get_backend(name)  # validates
         resolved[name] = configs.get(name) or default_backend_config(
-            name, num_cores=num_cores
+            name, num_cores=request.num_cores
         )
+    alg_kwargs = dict(request.alg_kwargs)
     _pin_source(graph, algorithm, alg_kwargs)
     if context is None:
-        context = RunContext.from_env(cache=cache)
-    store = context.store
+        context = RunContext.from_env()
     tracer = context.tracer if context.tracer is not None else get_tracer()
 
     bundles: Dict[Tuple, _TraceBundle] = {}
     reports: Dict[str, SimReport] = {}
     with tracer.span(
-        "run_backends", cat="run", algorithm=algorithm, dataset=dataset,
-        backends=",".join(backends),
+        "run_backends", cat="run", algorithm=algorithm,
+        dataset=request.dataset, backends=",".join(backends),
     ):
         for name in backends:
             config = resolved[name]
             do_reorder = (
-                reorder if reorder is not None
+                request.reorder if request.reorder is not None
                 else _REORDER_DEFAULT.get(name, config.use_scratchpad)
             )
             signature = (
@@ -1114,82 +925,33 @@ def run_backends(
             if bundle is None:
                 bundle = _prepare_trace(
                     graph, algorithm, config.core.num_cores, chunk_size,
-                    do_reorder, store, tracer, alg_kwargs,
+                    do_reorder, context.store, tracer, alg_kwargs,
                 )
                 bundles[signature] = bundle
             reports[name] = _replay_bundle(
-                bundle, algorithm, config, name, get_backend(name), dataset,
-                chunk_size, sp_chunk_size, energy_model, pim, None, tracer,
+                bundle, algorithm, config, name, request.dataset,
+                chunk_size, request.sp_chunk_size,
+                energy_model, pim, None, tracer,
                 scalar_cache=context.scalar_cache,
             )
     return reports
 
 
-def run_locked_cache(
-    graph: CSRGraph,
-    algorithm: str,
-    config: Optional[SimConfig] = None,
-    dataset: str = "",
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-    energy_model: Optional[EnergyModel] = None,
-    **alg_kwargs,
-) -> SimReport:
-    """Run the Section IX locked-cache alternative.
-
-    Thin alias for ``run_system(..., backend="locked")``. The default
-    config is the scaled-OMEGA storage split (halved L2 — the other
-    half is the locked region) with PISCs disabled, keeping the
-    total-on-chip-storage comparison fair.
-    """
-    if config is None:
-        config = SimConfig.scaled_omega(
-            use_pisc=False, use_source_buffer=False
-        )
-    return run_system(
-        graph, algorithm, config, dataset=dataset, chunk_size=chunk_size,
-        energy_model=energy_model, backend="locked", **alg_kwargs,
-    )
-
-
-def run_graphpim(
-    graph: CSRGraph,
-    algorithm: str,
-    config: Optional[SimConfig] = None,
-    dataset: str = "",
-    chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
-    energy_model: Optional[EnergyModel] = None,
-    pim=None,
-    **alg_kwargs,
-) -> SimReport:
-    """Run the GraphPIM-style comparator (atomics offloaded off-chip).
-
-    Thin alias for ``run_system(..., backend="graphpim")``. Uses the
-    baseline's full cache hierarchy (GraphPIM repurposes no storage)
-    and runs on the *original* vertex order (it needs no popularity
-    preprocessing).
-    """
-    if config is None:
-        config = SimConfig.scaled_baseline()
-    return run_system(
-        graph, algorithm, config, dataset=dataset, chunk_size=chunk_size,
-        energy_model=energy_model, backend="graphpim", pim=pim, **alg_kwargs,
-    )
-
-
 def compare_systems(
     graph: CSRGraph,
-    algorithm: str,
+    request: RunRequest,
     baseline_config: Optional[SimConfig] = None,
     omega_config: Optional[SimConfig] = None,
-    dataset: str = "",
-    **kwargs,
+    *,
+    context: Optional[RunContext] = None,
+    energy_model: Optional[EnergyModel] = None,
 ) -> Comparison:
     """Run baseline and OMEGA on the same workload; return the ratios.
 
     Defaults to the scaled Table III configurations with equal total
     on-chip storage (the paper's "same-sized" comparison). A thin
     wrapper over :func:`run_backends`, so the two runs share the trace
-    store and any extra ``kwargs`` (chunk size, algorithm arguments).
+    store.
     """
     baseline_config = baseline_config or SimConfig.scaled_baseline()
     omega_config = omega_config or SimConfig.scaled_omega()
@@ -1198,11 +960,8 @@ def compare_systems(
     if not omega_config.use_scratchpad:
         raise SimulationError("omega_config must use scratchpads")
     reports = run_backends(
-        graph,
-        algorithm,
-        ("baseline", "omega"),
+        graph, request, ("baseline", "omega"),
         configs={"baseline": baseline_config, "omega": omega_config},
-        dataset=dataset,
-        **kwargs,
+        context=context, energy_model=energy_model,
     )
     return Comparison(baseline=reports["baseline"], omega=reports["omega"])

@@ -6,34 +6,37 @@ accounting, OMEGA's scratchpads + PISC engines + source buffers, an
 analytic core timing model, and energy/area models.
 
 All hierarchy variants are routing policies over one batch-vectorized
-replay engine (:mod:`repro.memsim.engine`); pick one by name via
-:func:`get_backend` / ``run_system(..., backend=...)``.
+replay engine (:mod:`repro.memsim.replay`), one
+:class:`HierarchyBackend` subclass per design
+(:mod:`repro.memsim.backends`); pick one by name via
+:func:`get_backend` / ``RunRequest(backend=...)``.
 """
 
-from repro.memsim.alternatives import (
-    LockedCacheHierarchy,
-    PimConfig,
-    PimHierarchy,
-)
 from repro.memsim.area import area_power_table
 from repro.memsim.cache import Cache
 from repro.memsim.coherence import Directory
 from repro.memsim.core_model import TimingResult, compute_timing
 from repro.memsim.dram import DramModel
 from repro.memsim.energy import EnergyBreakdown, EnergyModel
-from repro.memsim.engine import (
+from repro.memsim.backends import (
     BACKENDS,
+    BaselineBackend,
+    DynamicScratchpadBackend,
+    GraphPimBackend,
     HierarchyBackend,
+    LockedCacheBackend,
+    OmegaBackend,
+    PimConfig,
     backend_names,
     get_backend,
     register_backend,
 )
 from repro.memsim.geometry import BankGeometry
-from repro.memsim.hierarchy import BaselineHierarchy, OmegaHierarchy, ReplayOutput
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.pisc import MicroOp, Microcode, PiscEngine
 from repro.memsim.prepass import StreamDetector, TracePrepass, precompute
+from repro.memsim.replay import ReplayOutput
 from repro.memsim.scratchpad import (
     MonitorRegister,
     ScratchpadController,
@@ -43,11 +46,14 @@ from repro.memsim.srcbuffer import SourceVertexBuffer
 from repro.memsim.stats import MemStats
 
 __all__ = [
-    "LockedCacheHierarchy",
-    "PimConfig",
-    "PimHierarchy",
     "BACKENDS",
     "HierarchyBackend",
+    "BaselineBackend",
+    "OmegaBackend",
+    "LockedCacheBackend",
+    "GraphPimBackend",
+    "DynamicScratchpadBackend",
+    "PimConfig",
     "backend_names",
     "get_backend",
     "register_backend",
@@ -63,8 +69,6 @@ __all__ = [
     "DramModel",
     "EnergyBreakdown",
     "EnergyModel",
-    "BaselineHierarchy",
-    "OmegaHierarchy",
     "ReplayOutput",
     "Crossbar",
     "ScratchpadMapping",

@@ -41,7 +41,7 @@ class DynamicScratchpadBackend(HierarchyBackend):
     ) -> None:
         if not config.use_scratchpad:
             raise SimulationError(
-                "DynamicScratchpadHierarchy needs an OMEGA-style config"
+                f"backend {self.name!r} needs an OMEGA-style config"
             )
         if capacity_vertices < 0:
             raise SimulationError(

@@ -54,7 +54,7 @@ class GraphPimBackend(HierarchyBackend):
                  pim: Optional[PimConfig] = None) -> None:
         if config.use_scratchpad:
             raise SimulationError(
-                "PimHierarchy uses the full cache hierarchy; pass a"
+                f"backend {self.name!r} uses the full cache hierarchy; pass a"
                 " baseline-style config"
             )
         super().__init__(config)

@@ -33,7 +33,7 @@ class LockedCacheBackend(HierarchyBackend):
     def __init__(self, config: SimConfig, mapping: ScratchpadMapping) -> None:
         if config.use_pisc:
             raise SimulationError(
-                "LockedCacheHierarchy has no PISCs; pass use_pisc=False"
+                f"backend {self.name!r} has no PISCs; pass use_pisc=False"
             )
         super().__init__(config)
         self.mapping = mapping

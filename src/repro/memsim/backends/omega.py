@@ -39,7 +39,8 @@ class OmegaBackend(HierarchyBackend):
     ) -> None:
         if not config.use_scratchpad:
             raise SimulationError(
-                "OmegaHierarchy requires a config with use_scratchpad=True"
+                f"backend {self.name!r} requires a config with"
+                " use_scratchpad=True"
             )
         super().__init__(config)
         self.mapping = mapping

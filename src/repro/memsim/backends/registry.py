@@ -3,7 +3,7 @@
 Backends register under a short name (``"baseline"``, ``"omega"``,
 ``"locked"``, ``"graphpim"``, ``"dynamic"``) so drivers and the CLI
 can select them with a string (:func:`get_backend` /
-``run_system(..., backend="omega")``). Third-party hierarchies get
+``RunRequest(backend="omega")``). Third-party hierarchies get
 the same treatment: decorate a :class:`HierarchyBackend` subclass
 with :func:`register_backend`.
 """

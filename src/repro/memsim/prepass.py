@@ -17,7 +17,7 @@ depend on cache or directory state:
   port).
 
 Only cache, directory, DRAM-row and buffer state updates remain in
-the per-event loop (:mod:`repro.memsim.engine`).
+the per-event loop (:mod:`repro.memsim.replay`).
 
 Stream-prefetch detection is also provided here. The detector itself
 is inherently sequential (each observation rotates per-core stream

@@ -49,7 +49,7 @@ from repro.obs.timeline import ReplaySampler
 
 __all__ = ["ReplayOutput", "run_replay", "run_replay_segments"]
 
-_LOG = logging.getLogger("repro.memsim.engine")
+_LOG = logging.getLogger("repro.memsim.replay")
 
 
 @dataclass

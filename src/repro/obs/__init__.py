@@ -34,7 +34,6 @@ from repro.obs.ledger import (
     format_history,
     make_entry,
     read_entries,
-    resolve_ledger_path,
 )
 from repro.obs.logsetup import LOG_LEVELS, configure_logging
 from repro.obs.manifest_diff import (
@@ -84,7 +83,6 @@ __all__ = [
     "format_history",
     "make_entry",
     "read_entries",
-    "resolve_ledger_path",
     "LOG_LEVELS",
     "configure_logging",
     "TRACKED_METRICS",

@@ -35,32 +35,15 @@ __all__ = [
     "read_entries",
     "filter_entries",
     "format_history",
-    "resolve_ledger_path",
 ]
 
 #: Schema tag stamped on every ledger line.
 LEDGER_SCHEMA = "omega-repro/run-ledger/v1"
 
-#: Environment variable naming the ledger file; when set, ``run_system``
-#: appends an entry to it even without an explicit ``ledger_path``.
+#: Environment variable naming the ledger file; when set,
+#: :meth:`repro.core.context.RunContext.from_env` puts it on the context
+#: and ``run_system`` appends an entry to it.
 ENV_LEDGER = "REPRO_LEDGER"
-
-
-def resolve_ledger_path(explicit=None) -> Optional[str]:
-    """The ledger file to append to: explicit arg, else ``REPRO_LEDGER``.
-
-    Returns ``None`` (ledger disabled) when neither is set; an empty
-    environment value also disables it, so ``REPRO_LEDGER= repro run``
-    overrides an ambient setting. The environment read delegates to
-    :func:`repro.core.context.ledger_path_from_env` (the one module
-    allowed to touch ``REPRO_*``); prefer carrying the path on a
-    :class:`repro.core.context.RunContext`.
-    """
-    if explicit is not None:
-        return os.fspath(explicit)
-    from repro.core.context import ledger_path_from_env
-
-    return ledger_path_from_env()
 
 
 def git_rev() -> Optional[str]:

@@ -42,9 +42,11 @@ duplicated generation work, never a torn entry. Corrupted or
 version-mismatched entries are discarded and treated as misses, so the
 cache can only ever cost a regeneration, not correctness.
 
-Controls: the ambient store honours the ``REPRO_CACHE_DIR`` and
-``REPRO_CACHE_CAPACITY_MB`` environment variables; the CLI adds
-``--cache-dir`` / ``--no-cache``.
+Controls: a run's store comes from its
+:class:`~repro.core.context.RunContext`;
+:meth:`~repro.core.context.RunContext.from_env` builds it from the
+``REPRO_CACHE_DIR`` and ``REPRO_CACHE_CAPACITY_MB`` environment
+variables, and the CLI adds ``--cache-dir`` / ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ import shutil
 import tempfile
 import time
 import zipfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -76,11 +77,6 @@ __all__ = [
     "TraceStore",
     "trace_key",
     "normalize_kwargs",
-    "get_store",
-    "set_store",
-    "use_store",
-    "installed_store",
-    "resolve_store",
 ]
 
 _LOG = logging.getLogger("repro.store")
@@ -93,7 +89,7 @@ SIDECAR_VERSION = 1
 #: few MB each, so this holds hundreds of distinct workloads.
 DEFAULT_CAPACITY_BYTES = 512 * 1024 * 1024
 
-#: Environment variables controlling the ambient store.
+#: Environment variables naming the store ``RunContext.from_env`` builds.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_CAPACITY_MB = "REPRO_CACHE_CAPACITY_MB"
 
@@ -183,14 +179,7 @@ class TraceStore:
     ) -> None:
         self.root = Path(root)
         if capacity_bytes is None:
-            # Deprecated ambient fallback; environment reads live in
-            # repro.core.context (imported lazily — the context module
-            # itself imports this one).
-            from repro.core.context import cache_capacity_from_env
-
-            capacity_bytes = (
-                cache_capacity_from_env() or DEFAULT_CAPACITY_BYTES
-            )
+            capacity_bytes = DEFAULT_CAPACITY_BYTES
         if capacity_bytes <= 0:
             raise TraceError(
                 f"trace-store capacity must be > 0, got {capacity_bytes}"
@@ -517,113 +506,3 @@ class TraceStore:
             f"TraceStore(root={str(self.root)!r},"
             f" capacity_bytes={self.capacity_bytes})"
         )
-
-
-# ----------------------------------------------------------------------
-# Ambient store (deprecated compatibility veneer)
-#
-# The process-global resolution below predates the explicit
-# :class:`repro.core.context.RunContext`. It is retained so existing
-# callers keep working, but it is *not* reentrant: the globals are
-# process-wide, so two threads using set_store/use_store race each
-# other. New code should build a RunContext (whose ``from_env``
-# honours an installed store via :func:`installed_store`) and pass it
-# to run_system explicitly.
-# ----------------------------------------------------------------------
-_ambient_store: Optional[TraceStore] = None
-_ambient_installed = False
-
-
-def installed_store() -> Tuple[bool, Optional[TraceStore]]:
-    """The explicitly installed ambient store, without any env reads.
-
-    Returns ``(installed, store)``: ``installed`` is True after
-    :func:`set_store`/:func:`use_store` (even for ``set_store(None)``,
-    which pins caching off). :meth:`repro.core.context.RunContext.from_env`
-    consults this before falling back to ``REPRO_CACHE_DIR``, so the
-    deprecated global keeps winning exactly as it used to.
-    """
-    return _ambient_installed, _ambient_store
-
-
-def get_store() -> Optional[TraceStore]:
-    """The ambient trace store, or ``None`` when caching is disabled.
-
-    Deprecated veneer: an explicitly installed store
-    (:func:`set_store`/:func:`use_store`) wins; otherwise resolution
-    delegates to :func:`repro.core.context.store_from_env` (the
-    ``REPRO_CACHE_DIR`` environment variable). With neither, caching
-    is off — the library never writes outside directories it was
-    pointed at. Prefer carrying a store on a
-    :class:`repro.core.context.RunContext`.
-    """
-    if _ambient_installed:
-        return _ambient_store
-    from repro.core.context import store_from_env
-
-    return store_from_env()
-
-
-def set_store(store: Optional[TraceStore]) -> None:
-    """Install ``store`` as the process-wide ambient trace store.
-
-    Deprecated: the global is process-wide, not per-run — concurrent
-    runs should pass a store on a
-    :class:`repro.core.context.RunContext` instead. ``set_store(None)``
-    pins caching *off* regardless of environment (the explicit
-    per-run analogue is ``RunContext(store=None)``); call
-    :func:`reset_store` to restore environment-driven resolution.
-    """
-    global _ambient_store, _ambient_installed
-    _ambient_store = store
-    _ambient_installed = True
-
-
-def reset_store() -> None:
-    """Return to environment-driven ambient-store resolution."""
-    global _ambient_store, _ambient_installed
-    _ambient_store = None
-    _ambient_installed = False
-
-
-@contextmanager
-def use_store(store: Optional[TraceStore]):
-    """Context manager installing ``store`` for the enclosed scope.
-
-    .. deprecated::
-        ``use_store`` mutates process-wide globals and is **not
-        thread-safe**: a second thread entering or leaving the context
-        manager interleaves save/restore of the shared slot, and any
-        concurrent ``run_system`` resolves whichever store happens to
-        be installed at that instant. Pass the store explicitly —
-        ``run_system(..., cache=store)`` or
-        ``run_system(..., context=RunContext(store=store))`` — for
-        anything concurrent.
-    """
-    global _ambient_store, _ambient_installed
-    prev_store, prev_installed = _ambient_store, _ambient_installed
-    _ambient_store = store
-    _ambient_installed = True
-    try:
-        yield store
-    finally:
-        _ambient_store, _ambient_installed = prev_store, prev_installed
-
-
-def resolve_store(
-    cache: Union[None, bool, str, os.PathLike, TraceStore],
-) -> Optional[TraceStore]:
-    """Map a driver-level ``cache`` argument onto a store instance.
-
-    - ``None`` / ``True`` — the ambient store (:func:`get_store`);
-    - ``False`` — caching off;
-    - a path — a :class:`TraceStore` rooted there;
-    - a :class:`TraceStore` — itself.
-    """
-    if cache is False:
-        return None
-    if isinstance(cache, TraceStore):
-        return cache
-    if isinstance(cache, (str, os.PathLike)):
-        return TraceStore(cache)
-    return get_store()

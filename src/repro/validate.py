@@ -20,6 +20,7 @@ from typing import Callable, List, Optional
 
 from repro.config import SimConfig
 from repro.core.characterization import access_fraction_to_top, tmam_breakdown
+from repro.core.context import RunRequest
 from repro.core.system import compare_systems, run_system
 from repro.graph.datasets import load_dataset
 
@@ -67,10 +68,12 @@ def run_validation(scale: float = VALIDATE_SCALE,
 
     say("running power-law comparisons")
     workloads = [
-        compare_systems(lj, "pagerank", dataset="lj"),
-        compare_systems(lj, "bfs", dataset="lj"),
-        compare_systems(ap.as_undirected() if ap.directed else ap, "cc",
-                        dataset="ap"),
+        compare_systems(lj, RunRequest("pagerank", dataset="lj")),
+        compare_systems(lj, RunRequest("bfs", dataset="lj")),
+        compare_systems(
+            ap.as_undirected() if ap.directed else ap,
+            RunRequest("cc", dataset="ap"),
+        ),
     ]
     speedups = [c.speedup for c in workloads]
     results.append(_criterion(
@@ -118,16 +121,17 @@ def run_validation(scale: float = VALIDATE_SCALE,
     ))
 
     say("checking TMAM and ablation")
-    base_rep = run_system(lj, "pagerank", SimConfig.scaled_baseline())
+    base_rep = run_system(
+        lj, RunRequest("pagerank"), SimConfig.scaled_baseline()
+    )
     results.append(_criterion(
         "baseline memory-bound fraction",
         tmam_breakdown(base_rep)["memory_bound"],
         "> 0.5 (paper: ~0.71)", lambda v: v > 0.5,
     ))
     no_pisc = compare_systems(
-        lj, "pagerank",
+        lj, RunRequest("pagerank", dataset="lj"),
         omega_config=SimConfig.scaled_omega(use_pisc=False),
-        dataset="lj",
     )
     results.append(_criterion(
         "PISC ablation margin (full minus storage-only speedup)",
@@ -136,7 +140,7 @@ def run_validation(scale: float = VALIDATE_SCALE,
     ))
 
     say("checking non-power-law control")
-    road_cmp = compare_systems(road, "pagerank", dataset="rCA")
+    road_cmp = compare_systems(road, RunRequest("pagerank", dataset="rCA"))
     results.append(_criterion(
         "road-vs-power-law ordering (lj minus rCA speedup)",
         pagerank.speedup - road_cmp.speedup,

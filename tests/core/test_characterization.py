@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimConfig
+from repro.core.context import RunRequest
 from repro.errors import TraceError
 from repro.core.characterization import (
     access_fraction_to_top,
@@ -47,7 +48,8 @@ class TestAccessFractionToTop:
 class TestTmam:
     def test_baseline_memory_bound(self, small_powerlaw):
         rep = run_system(
-            small_powerlaw, "pagerank", SimConfig.scaled_baseline(num_cores=4)
+            small_powerlaw, RunRequest("pagerank"),
+            SimConfig.scaled_baseline(num_cores=4),
         )
         breakdown = tmam_breakdown(rep)
         # Fig 3: graph workloads are strongly memory bound (~71%).
@@ -56,7 +58,8 @@ class TestTmam:
 
     def test_fractions_in_range(self, small_powerlaw):
         rep = run_system(
-            small_powerlaw, "pagerank", SimConfig.scaled_baseline(num_cores=4)
+            small_powerlaw, RunRequest("pagerank"),
+            SimConfig.scaled_baseline(num_cores=4),
         )
         for v in tmam_breakdown(rep).values():
             assert 0.0 <= v <= 1.0

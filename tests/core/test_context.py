@@ -15,7 +15,7 @@ from repro.core.context import (
 )
 from repro.errors import SimulationError
 from repro.graph.generators import rmat_graph
-from repro.store import TraceStore, set_store, reset_store
+from repro.store import TraceStore
 
 
 @pytest.fixture(scope="module")
@@ -81,26 +81,20 @@ class TestRunContext:
         assert ctx.segment_events == 16
         assert ctx.attribution is False
 
-    def test_installed_store_pin_wins_over_env(self, tmp_path):
-        pinned = TraceStore(tmp_path / "pinned")
-        set_store(pinned)
-        try:
-            ctx = RunContext.from_env(
-                environ={"REPRO_CACHE_DIR": str(tmp_path / "other")}
-            )
-            assert ctx.store is pinned
-        finally:
-            reset_store()
-
-    def test_set_store_none_pins_caching_off(self, tmp_path):
-        set_store(None)
-        try:
-            ctx = RunContext.from_env(
-                environ={"REPRO_CACHE_DIR": str(tmp_path)}
-            )
-            assert ctx.store is None
-        finally:
-            reset_store()
+    def test_from_env_capacity_comes_from_the_mapping(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_CACHE_CAPACITY_MB", raising=False)
+        env = {
+            "REPRO_CACHE_DIR": str(tmp_path / "env"),
+            "REPRO_CACHE_CAPACITY_MB": "1",
+        }
+        from_dir = RunContext.from_env(environ=env).store
+        from_path = RunContext.from_env(
+            cache=tmp_path / "explicit", environ=env
+        ).store
+        assert from_dir.capacity_bytes == 1024 * 1024
+        assert from_path.capacity_bytes == 1024 * 1024
 
     def test_spec_round_trip(self, tmp_path):
         store = TraceStore(tmp_path / "s", capacity_bytes=123456)
@@ -123,31 +117,6 @@ class TestRunContext:
 
 
 class TestRunRequest:
-    def test_run_system_rejects_request_plus_legacy(self, graph):
-        from repro.core.system import run_system
-
-        req = RunRequest(algorithm="pagerank")
-        with pytest.raises(SimulationError):
-            run_system(graph, "pagerank", request=req)
-        with pytest.raises(SimulationError):
-            run_system(graph)  # no workload at all
-
-    def test_request_equals_legacy_kwargs(self, graph):
-        from repro.core.system import run_system
-
-        legacy = run_system(
-            graph, "pagerank", dataset="t", chunk_size=16, cache=False,
-        )
-        req = RunRequest(
-            algorithm="pagerank", dataset="t", chunk_size=16,
-        )
-        modern = run_system(
-            graph, request=req, context=RunContext(),
-        )
-        assert modern.cycles == legacy.cycles
-        assert modern.stats.as_dict() == legacy.stats.as_dict()
-        assert modern.dataset == "t"
-
     def test_request_dict_round_trip(self):
         req = RunRequest(
             algorithm="bfs", backend="omega", dataset="lj",
@@ -190,7 +159,7 @@ class TestConcurrentContexts:
         """Two concurrent run_system threads on *different* stores must
         produce bit-identical manifests to their serial equivalents and
         populate only their own store — the regression that motivated
-        RunContext (ambient use_store would interleave)."""
+        RunContext (a process-global store would interleave)."""
         from repro.core.system import run_system
 
         store_a = TraceStore(tmp_path / "a")

@@ -10,6 +10,7 @@ deviation is summation order in the per-core latency folds.
 
 import pytest
 
+from repro.core.context import RunRequest
 from repro.core.system import compare_systems
 from repro.graph.generators import rmat_graph
 
@@ -43,12 +44,14 @@ def _check(comparison, golden):
 @pytest.mark.slow
 def test_pagerank_ratios_match_pre_refactor():
     graph = rmat_graph(8, edge_factor=8, seed=21)
-    comparison = compare_systems(graph, "pagerank", dataset="rmat8")
+    comparison = compare_systems(
+        graph, RunRequest("pagerank", dataset="rmat8")
+    )
     _check(comparison, GOLDEN["rmat8_pagerank"])
 
 
 @pytest.mark.slow
 def test_bfs_ratios_match_pre_refactor():
     graph = rmat_graph(7, edge_factor=6, seed=5)
-    comparison = compare_systems(graph, "bfs", dataset="rmat7")
+    comparison = compare_systems(graph, RunRequest("bfs", dataset="rmat7"))
     _check(comparison, GOLDEN["rmat7_bfs"])

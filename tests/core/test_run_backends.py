@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SimConfig
+from repro.core.context import RunContext, RunRequest
 from repro.errors import SimulationError
 from repro.core.system import (
     compare_systems,
@@ -23,7 +24,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def shared(graph):
-    return run_backends(graph, "pagerank", BACKENDS, num_cores=4)
+    return run_backends(graph, RunRequest("pagerank", num_cores=4), BACKENDS)
 
 
 class TestDefaultBackendConfig:
@@ -45,9 +46,9 @@ class TestRunBackends:
         every backend's report equals a standalone run_system run."""
         for name in BACKENDS:
             solo = run_system(
-                graph, "pagerank",
+                graph, RunRequest("pagerank", backend=name),
                 default_backend_config(name, num_cores=4),
-                backend=name, cache=False,
+                context=RunContext.from_env(cache=False),
             )
             assert shared[name].stats.as_dict() == solo.stats.as_dict(), name
             assert shared[name].cycles == solo.cycles, name
@@ -61,36 +62,45 @@ class TestRunBackends:
         """baseline/graphpim/dynamic share the original-order trace;
         omega/locked share the reordered one — two entries, not five."""
         store = TraceStore(tmp_path)
-        run_backends(graph, "pagerank", BACKENDS, num_cores=4, cache=store)
+        run_backends(
+            graph, RunRequest("pagerank", num_cores=4), BACKENDS,
+            context=RunContext.from_env(cache=store),
+        )
         assert len(store) == 2
 
     def test_warm_store_hits_for_all_groups(self, graph, tmp_path):
         store = TraceStore(tmp_path)
-        run_backends(graph, "pagerank", ("baseline", "omega"),
-                     num_cores=4, cache=store)
-        warm = run_backends(graph, "pagerank", ("baseline", "omega"),
-                            num_cores=4, cache=store)
+        run_backends(
+            graph, RunRequest("pagerank", num_cores=4), ("baseline", "omega"),
+            context=RunContext.from_env(cache=store),
+        )
+        warm = run_backends(
+            graph, RunRequest("pagerank", num_cores=4), ("baseline", "omega"),
+            context=RunContext.from_env(cache=store),
+        )
         assert all(r.trace_cache["hit"] for r in warm.values())
 
     def test_explicit_config_overrides_default(self, graph):
         cfg = SimConfig.scaled_omega(num_cores=2)
-        reports = run_backends(graph, "pagerank", ("omega",),
-                               configs={"omega": cfg})
+        reports = run_backends(
+            graph, RunRequest("pagerank"), ("omega",), {"omega": cfg}
+        )
         assert reports["omega"].config.core.num_cores == 2
 
     def test_empty_backends_rejected(self, graph):
         with pytest.raises(SimulationError):
-            run_backends(graph, "pagerank", ())
+            run_backends(graph, RunRequest("pagerank"), ())
 
     def test_unknown_backend_rejected(self, graph):
         with pytest.raises(SimulationError):
-            run_backends(graph, "pagerank", ("tpu",))
+            run_backends(graph, RunRequest("pagerank"), ("tpu",))
 
     def test_source_pinned_once_for_traversals(self, graph):
         """bfs must resolve its default source before grouping so the
         reordered and original-order traces walk the same logical root."""
-        reports = run_backends(graph, "bfs", ("baseline", "omega"),
-                               num_cores=4)
+        reports = run_backends(
+            graph, RunRequest("bfs", num_cores=4), ("baseline", "omega")
+        )
         base, omega = reports["baseline"], reports["omega"]
         assert base.trace_events == pytest.approx(
             omega.trace_events, rel=0.05
@@ -100,7 +110,7 @@ class TestRunBackends:
 class TestCompareSystemsWrapper:
     def test_equals_run_backends(self, graph, shared):
         cmp = compare_systems(
-            graph, "pagerank",
+            graph, RunRequest("pagerank"),
             SimConfig.scaled_baseline(num_cores=4),
             SimConfig.scaled_omega(num_cores=4),
         )
@@ -112,7 +122,13 @@ class TestCompareSystemsWrapper:
 
     def test_shares_cache_with_run_backends(self, graph, tmp_path):
         store = TraceStore(tmp_path)
-        run_backends(graph, "pagerank", ("baseline", "omega"), cache=store)
-        cmp = compare_systems(graph, "pagerank", cache=store)
+        run_backends(
+            graph, RunRequest("pagerank"), ("baseline", "omega"),
+            context=RunContext.from_env(cache=store),
+        )
+        cmp = compare_systems(
+            graph, RunRequest("pagerank"),
+            context=RunContext.from_env(cache=store),
+        )
         assert cmp.baseline.trace_cache["hit"]
         assert cmp.omega.trace_cache["hit"]

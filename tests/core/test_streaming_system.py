@@ -14,11 +14,8 @@ import pytest
 
 from repro.cli import main
 from repro.config import SimConfig
-from repro.core.system import (
-    ENV_SEGMENT_EVENTS,
-    _resolve_segment_events,
-    run_system,
-)
+from repro.core.context import RunContext, RunRequest
+from repro.core.system import ENV_SEGMENT_EVENTS, run_system
 from repro.errors import SimulationError
 from repro.graph.generators import rmat_graph
 from repro.obs.manifest_diff import diff_manifests
@@ -37,13 +34,18 @@ def omega_cfg():
 
 @pytest.fixture(scope="module")
 def incore(graph, omega_cfg):
-    return run_system(graph, "pagerank", omega_cfg, dataset="t", cache=False)
+    return run_system(
+        graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+        context=RunContext.from_env(cache=False),
+    )
 
 
 class TestStreamedRunSystem:
     def test_streamed_counters_bit_identical(self, graph, omega_cfg, incore):
-        streamed = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                              cache=False, segment_events=2000)
+        streamed = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext.from_env(cache=False, segment_events=2000),
+        )
         assert streamed.stats.as_dict() == incore.stats.as_dict()
         assert streamed.cycles == incore.cycles
         assert streamed.energy.as_dict() == incore.energy.as_dict()
@@ -65,8 +67,10 @@ class TestStreamedRunSystem:
     def test_cold_store_adopts_spool(self, graph, omega_cfg, incore,
                                      tmp_path):
         store = TraceStore(tmp_path)
-        cold = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                          cache=store, segment_events=2000)
+        cold = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext.from_env(cache=store, segment_events=2000),
+        )
         assert cold.stats.as_dict() == incore.stats.as_dict()
         assert cold.trace_cache["hit"] is False
         assert len(store) == 1
@@ -78,16 +82,22 @@ class TestStreamedRunSystem:
     def test_warm_hit_streams_without_rehydrating(self, graph, omega_cfg,
                                                   incore, tmp_path):
         store = TraceStore(tmp_path)
-        run_system(graph, "pagerank", omega_cfg, dataset="t",
-                   cache=store, segment_events=2000)
-        warm = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                          cache=store, segment_events=2000)
+        run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext.from_env(cache=store, segment_events=2000),
+        )
+        warm = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext.from_env(cache=store, segment_events=2000),
+        )
         assert warm.trace_cache["hit"] is True
         assert warm.streamed is True
         assert warm.stats.as_dict() == incore.stats.as_dict()
         # And the same entry still serves whole-trace consumers.
-        plain = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                           cache=store)
+        plain = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext.from_env(cache=store),
+        )
         assert plain.trace_cache["hit"] is True
         assert plain.streamed is False
         assert plain.stats.as_dict() == incore.stats.as_dict()
@@ -95,8 +105,10 @@ class TestStreamedRunSystem:
     def test_streamed_vs_incore_manifest_diff_zero_tolerance(
         self, graph, omega_cfg, incore
     ):
-        streamed = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                              cache=False, segment_events=2000)
+        streamed = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext.from_env(cache=False, segment_events=2000),
+        )
         result = diff_manifests(incore.manifest(), streamed.manifest(),
                                 tolerance=0.0)
         assert result.ok, result.regressions
@@ -104,8 +116,11 @@ class TestStreamedRunSystem:
     def test_manifest_records_segmentation(self, graph, omega_cfg,
                                            tmp_path):
         path = tmp_path / "deep" / "nested" / "run.json"
-        run_system(graph, "pagerank", omega_cfg, dataset="t", cache=False,
-                   segment_events=2000, manifest_path=path)
+        run_system(
+            graph, RunRequest("pagerank", dataset="t", manifest_path=path),
+            omega_cfg,
+            context=RunContext.from_env(cache=False, segment_events=2000),
+        )
         doc = json.loads(path.read_text())
         seg = doc["segmentation"]
         assert seg["streamed"] is True
@@ -115,10 +130,15 @@ class TestStreamedRunSystem:
 
     def test_windowed_timeline_streams_identically(self, graph, omega_cfg,
                                                    tmp_path):
-        a = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                       cache=False, obs_window=3000)
-        b = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                       cache=False, obs_window=3000, segment_events=2000)
+        a = run_system(
+            graph, RunRequest("pagerank", dataset="t", obs_window=3000),
+            omega_cfg, context=RunContext.from_env(cache=False),
+        )
+        b = run_system(
+            graph, RunRequest("pagerank", dataset="t", obs_window=3000),
+            omega_cfg,
+            context=RunContext.from_env(cache=False, segment_events=2000),
+        )
         cols_a = dict(a.timeline.columns)
         cols_b = dict(b.timeline.columns)
         cols_a.pop("wall_seconds"), cols_b.pop("wall_seconds")
@@ -126,33 +146,42 @@ class TestStreamedRunSystem:
 
 
 class TestSegmentEventsResolution:
+    """``RunContext.from_env`` folds ``segment_events`` with the env."""
+
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(ENV_SEGMENT_EVENTS, "111")
-        assert _resolve_segment_events(222) == 222
+        assert RunContext.from_env(segment_events=222).segment_events == 222
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(ENV_SEGMENT_EVENTS, "333")
-        assert _resolve_segment_events(None) == 333
+        assert RunContext.from_env().segment_events == 333
 
     def test_default_off(self, monkeypatch):
         monkeypatch.delenv(ENV_SEGMENT_EVENTS, raising=False)
-        assert _resolve_segment_events(None) is None
+        assert RunContext.from_env().segment_events is None
 
     def test_nonpositive_means_off(self, monkeypatch):
         monkeypatch.setenv(ENV_SEGMENT_EVENTS, "0")
-        assert _resolve_segment_events(None) is None
-        assert _resolve_segment_events(-5) is None
+        assert RunContext.from_env().segment_events is None
+        for explicit in (0, -5):
+            ctx = RunContext.from_env(segment_events=explicit)
+            assert ctx.segment_events is None
 
     def test_junk_env_rejected(self, monkeypatch, graph, omega_cfg):
         monkeypatch.setenv(ENV_SEGMENT_EVENTS, "lots")
         with pytest.raises(SimulationError, match=ENV_SEGMENT_EVENTS):
-            run_system(graph, "pagerank", omega_cfg, cache=False)
+            run_system(
+                graph, RunRequest("pagerank"), omega_cfg,
+                context=RunContext.from_env(cache=False),
+            )
 
     def test_env_var_streams_run_system(self, monkeypatch, graph,
                                         omega_cfg, incore):
         monkeypatch.setenv(ENV_SEGMENT_EVENTS, "2000")
-        rep = run_system(graph, "pagerank", omega_cfg, dataset="t",
-                         cache=False)
+        rep = run_system(
+            graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+            context=RunContext.from_env(cache=False),
+        )
         assert rep.streamed is True
         assert rep.segment_events == 2000
         assert rep.stats.as_dict() == incore.stats.as_dict()
@@ -215,8 +244,10 @@ class TestOutputPathParents:
 
         tempfile.tempdir = None  # re-read TMPDIR
         try:
-            run_system(graph, "pagerank", omega_cfg, dataset="t",
-                       cache=False, segment_events=2000)
+            run_system(
+                graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+                context=RunContext.from_env(cache=False, segment_events=2000),
+            )
             assert list(tmp_path.iterdir()) == []
         finally:
             tempfile.tempdir = None

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import SimConfig
 from repro.ligra.trace import AccessClass, FLAG_WRITE, Trace
-from repro.memsim.hierarchy import BaselineHierarchy
+from repro.memsim.backends import BaselineBackend
 
 
 def make_trace(cores, addrs, flags):
@@ -21,7 +21,8 @@ def make_trace(cores, addrs, flags):
 
 
 def replay(trace, cores=4):
-    return BaselineHierarchy(SimConfig.scaled_baseline(num_cores=cores)).replay(trace)
+    config = SimConfig.scaled_baseline(num_cores=cores)
+    return BaselineBackend(config).replay(trace)
 
 
 class TestL2Banking:
@@ -51,7 +52,7 @@ class TestWritebackPaths:
         cfg = SimConfig.scaled_baseline(num_cores=4)
         set_stride = 4 * 64  # same-set lines are num_sets(=4) lines apart
         addrs = [0x100000 + i * set_stride for i in range(5)]
-        out = BaselineHierarchy(cfg).replay(
+        out = BaselineBackend(cfg).replay(
             make_trace([0] * 5, addrs, [FLAG_WRITE] * 5)
         )
         # All misses; the victim write-back hits L2 (no DRAM write yet).

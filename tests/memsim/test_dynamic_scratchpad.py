@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import SimConfig
+from repro.core.context import RunRequest
 from repro.errors import SimulationError
 from repro.ligra.trace import AccessClass, FLAG_ATOMIC, FLAG_WRITE, Trace
-from repro.memsim.alternatives import DynamicScratchpadHierarchy
+from repro.memsim.backends import DynamicScratchpadBackend
 from repro.core.offload import microcode_for_algorithm
 
 
@@ -31,20 +32,20 @@ def cfg():
 class TestConstruction:
     def test_requires_omega_config(self):
         with pytest.raises(SimulationError):
-            DynamicScratchpadHierarchy(SimConfig.scaled_baseline(), 64)
+            DynamicScratchpadBackend(SimConfig.scaled_baseline(), 64)
 
     def test_validates_capacity(self, cfg):
         with pytest.raises(SimulationError):
-            DynamicScratchpadHierarchy(cfg, -1)
+            DynamicScratchpadBackend(cfg, -1)
 
     def test_validates_slots(self, cfg):
         with pytest.raises(SimulationError):
-            DynamicScratchpadHierarchy(cfg, 64, slots_per_set=0)
+            DynamicScratchpadBackend(cfg, 64, slots_per_set=0)
 
 
 class TestDynamicBehaviour:
     def test_first_touch_allocates(self, cfg):
-        dyn = DynamicScratchpadHierarchy(cfg, capacity_vertices=64)
+        dyn = DynamicScratchpadBackend(cfg, capacity_vertices=64)
         out = dyn.replay(make_trace([0, 0], [5, 5]))
         # Both accesses resident (allocated on first touch).
         assert out.stats.sp_accesses == 2
@@ -53,8 +54,8 @@ class TestDynamicBehaviour:
     def test_hot_vertex_displaces_cold(self, cfg):
         # Capacity 4, one set: vertices 0,4,8,12 fill it (same set via
         # modulo), then a frequently-touched vertex evicts the coldest.
-        dyn = DynamicScratchpadHierarchy(cfg, capacity_vertices=4,
-                                         slots_per_set=4)
+        dyn = DynamicScratchpadBackend(cfg, capacity_vertices=4,
+                                       slots_per_set=4)
         fill = [0, 4, 8, 12]
         hot = [16] * 5
         trace = make_trace([0] * 9, fill + hot)
@@ -64,7 +65,7 @@ class TestDynamicBehaviour:
         assert out.stats.sp_accesses >= len(fill) + len(hot) - 2
 
     def test_atomics_offload_when_resident(self, cfg):
-        dyn = DynamicScratchpadHierarchy(
+        dyn = DynamicScratchpadBackend(
             cfg, capacity_vertices=64,
             microcode=microcode_for_algorithm("pagerank"),
         )
@@ -75,19 +76,19 @@ class TestDynamicBehaviour:
         assert out.stats.pisc_ops == 2
 
     def test_atomics_on_core_without_microcode(self, cfg):
-        dyn = DynamicScratchpadHierarchy(cfg, capacity_vertices=64)
+        dyn = DynamicScratchpadBackend(cfg, capacity_vertices=64)
         tr = make_trace([0], [3], flags=[FLAG_WRITE | FLAG_ATOMIC])
         out = dyn.replay(tr)
         assert out.stats.atomics_on_cores == 1
 
     def test_zero_capacity_falls_through_to_caches(self, cfg):
-        dyn = DynamicScratchpadHierarchy(cfg, capacity_vertices=0)
+        dyn = DynamicScratchpadBackend(cfg, capacity_vertices=0)
         out = dyn.replay(make_trace([0, 0], [1, 1]))
         assert out.stats.sp_accesses == 0
         assert out.stats.l1_accesses == 2
 
     def test_tag_overhead_matches_paper_claim(self, cfg):
-        dyn = DynamicScratchpadHierarchy(cfg, capacity_vertices=64)
+        dyn = DynamicScratchpadBackend(cfg, capacity_vertices=64)
         # BFS: 4-byte vtxProp, 4-byte tag -> "2x overhead" (i.e. +100%).
         assert dyn.tag_overhead_fraction(4) == pytest.approx(1.0)
         assert dyn.tag_overhead_fraction(8) == pytest.approx(0.5)
@@ -107,12 +108,14 @@ class TestEndToEnd:
 
         g = rmat_graph(9, edge_factor=8, seed=3)
         cfg = SimConfig.scaled_omega()
-        base = run_system(g, "pagerank", SimConfig.scaled_baseline())
-        static = run_system(g, "pagerank", cfg)
+        base = run_system(
+            g, RunRequest("pagerank"), SimConfig.scaled_baseline()
+        )
+        static = run_system(g, RunRequest("pagerank"), cfg)
 
         res = run_pagerank(g, num_cores=16, chunk_size=32)
         cap = hot_capacity_for(cfg.scratchpad_total_bytes, 9, g.num_vertices)
-        dyn = DynamicScratchpadHierarchy(
+        dyn = DynamicScratchpadBackend(
             cfg, cap, microcode_for_algorithm("pagerank")
         )
         out = dyn.replay(res.trace)

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from repro.config import SimConfig
-from repro.core.system import run_graphpim, run_locked_cache, run_system
+from repro.core.context import RunRequest
+from repro.core.system import run_system
 from repro.errors import SimulationError
 from repro.graph.generators import rmat_graph
-from repro.memsim.engine import (
+from repro.memsim.backends import (
     BACKENDS,
     BaselineBackend,
+    DynamicScratchpadBackend,
+    GraphPimBackend,
     HierarchyBackend,
+    LockedCacheBackend,
     OmegaBackend,
     backend_names,
     get_backend,
@@ -43,6 +47,19 @@ class TestRegistry:
         for name in ("baseline", "omega", "locked", "graphpim", "dynamic"):
             assert get_backend(name).name == name
 
+    @pytest.mark.parametrize("name,make", [
+        ("baseline", lambda: BaselineBackend(SimConfig.scaled_omega())),
+        ("omega", lambda: OmegaBackend(SimConfig.scaled_baseline(), None)),
+        ("locked",
+         lambda: LockedCacheBackend(SimConfig.scaled_omega(), None)),
+        ("graphpim", lambda: GraphPimBackend(SimConfig.scaled_omega())),
+        ("dynamic",
+         lambda: DynamicScratchpadBackend(SimConfig.scaled_baseline(), 64)),
+    ])
+    def test_wrong_config_error_names_backend(self, name, make):
+        with pytest.raises(SimulationError, match=f"backend '{name}'"):
+            make()
+
     def test_register_backend_extension(self, graph):
         @register_backend("test-null")
         class NullBackend(HierarchyBackend):
@@ -51,8 +68,8 @@ class TestRegistry:
         try:
             assert get_backend("test-null") is NullBackend
             report = run_system(
-                graph, "pagerank", SimConfig.scaled_baseline(),
-                backend="test-null",
+                graph, RunRequest("pagerank", backend="test-null"),
+                SimConfig.scaled_baseline(),
             )
             assert report.backend == "test-null"
             assert report.cycles > 0
@@ -75,7 +92,7 @@ class TestRunSystemBackends:
     ])
     def test_every_variant_runs(self, graph, backend, config_factory):
         report = run_system(
-            graph, "pagerank", config_factory(), backend=backend
+            graph, RunRequest("pagerank", backend=backend), config_factory()
         )
         assert report.backend == backend
         assert report.cycles > 0
@@ -84,38 +101,44 @@ class TestRunSystemBackends:
         assert sum(report.stats.core_accesses) == report.trace_events
 
     def test_backend_inferred_from_config(self, graph):
-        base = run_system(graph, "pagerank", SimConfig.scaled_baseline())
-        omega = run_system(graph, "pagerank", SimConfig.scaled_omega())
+        base = run_system(
+            graph, RunRequest("pagerank"), SimConfig.scaled_baseline()
+        )
+        omega = run_system(
+            graph, RunRequest("pagerank"), SimConfig.scaled_omega()
+        )
         assert base.backend == "baseline"
         assert omega.backend == "omega"
 
     def test_unknown_backend_name_raises(self, graph):
         with pytest.raises(SimulationError, match="unknown backend"):
             run_system(
-                graph, "pagerank", SimConfig.scaled_baseline(),
-                backend="nope",
+                graph, RunRequest("pagerank", backend="nope"),
+                SimConfig.scaled_baseline(),
             )
 
-    def test_locked_alias_matches_run_system(self, graph):
+    def test_locked_default_config(self, graph):
+        """Without a config, ``locked`` runs the halved-L2 OMEGA split
+        with no PISCs and no source buffers."""
         config = SimConfig.scaled_omega(
             use_pisc=False, use_source_buffer=False
         )
-        via_alias = run_locked_cache(graph, "pagerank", config)
-        via_backend = run_system(graph, "pagerank", config, backend="locked")
-        assert via_alias.system == "locked-cache"
-        assert via_alias.cycles == via_backend.cycles
-        assert via_alias.stats.as_dict() == via_backend.stats.as_dict()
-        assert via_alias.hot_capacity == via_backend.hot_capacity
+        request = RunRequest("pagerank", backend="locked")
+        default = run_system(graph, request)
+        explicit = run_system(graph, request, config)
+        assert default.system == "locked-cache"
+        assert default.cycles == explicit.cycles
+        assert default.stats.as_dict() == explicit.stats.as_dict()
+        assert default.hot_capacity == explicit.hot_capacity
 
-    def test_graphpim_alias_matches_run_system(self, graph):
-        config = SimConfig.scaled_baseline()
-        via_alias = run_graphpim(graph, "pagerank", config)
-        via_backend = run_system(
-            graph, "pagerank", config, backend="graphpim"
-        )
-        assert via_alias.system == "graphpim"
-        assert via_alias.cycles == via_backend.cycles
-        assert via_alias.stats.as_dict() == via_backend.stats.as_dict()
+    def test_graphpim_default_config(self, graph):
+        """Without a config, ``graphpim`` keeps the baseline hierarchy."""
+        request = RunRequest("pagerank", backend="graphpim")
+        default = run_system(graph, request)
+        explicit = run_system(graph, request, SimConfig.scaled_baseline())
+        assert default.system == "graphpim"
+        assert default.cycles == explicit.cycles
+        assert default.stats.as_dict() == explicit.stats.as_dict()
 
 
 class TestScalarFastEquivalence:
@@ -193,8 +216,8 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         config = SimConfig.scaled_omega()
         report = run_system(
-            graph, "pagerank", config, dataset="rmat7",
-            manifest_path=path,
+            graph, RunRequest("pagerank", dataset="rmat7", manifest_path=path),
+            config,
         )
         data = json.loads(path.read_text())
         assert data["schema"] == "omega-repro/run-manifest/v7"

@@ -12,7 +12,7 @@ from repro.memsim.area import (
 from repro.memsim.core_model import compute_timing
 from repro.memsim.dram import DramModel
 from repro.memsim.energy import EnergyModel
-from repro.memsim.hierarchy import ReplayOutput
+from repro.memsim.replay import ReplayOutput
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.stats import MemStats
 

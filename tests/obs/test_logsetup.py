@@ -46,7 +46,7 @@ class TestConfigureLogging:
             # The tree is self-contained: one handler, no propagation
             # to the application root logger.
             assert not root.propagate
-            child = logging.getLogger("repro.memsim.engine")
+            child = logging.getLogger("repro.memsim.replay")
             assert child.getEffectiveLevel() == logging.INFO
             assert child.isEnabledFor(logging.INFO)
             assert not child.isEnabledFor(logging.DEBUG)

@@ -32,7 +32,7 @@ from repro.ligra.trace import (
 )
 from repro.core.context import RunContext, RunRequest
 from repro.core.system import run_system
-from repro.memsim.engine import (
+from repro.memsim.backends import (
     BaselineBackend,
     DynamicScratchpadBackend,
     GraphPimBackend,
