@@ -2,11 +2,14 @@
 
 The simulator's correctness rests on invariants no unit test sees
 whole: counters must flow from increment site to manifest, every
-route code must be accounted by the backend that emits it, every
-backend must implement the full protocol surface, nothing inside the
+route code must be accounted by the backend that emits it, shared
+serve/obs state must be written under its lock, nothing inside the
 simulation packages may read entropy, and the docs must match the
 constants they quote. ``repro.analyze`` checks all of that statically
-— ``repro lint`` on the CLI, :func:`run_battery` from code.
+— ``repro lint`` on the CLI, :func:`run_battery` from code. Every run
+is one cold pass over the checkout's sources and docs: there is no
+result cache and no accepted-findings file, so what a checkout ships
+can never silence its own findings.
 
 Findings can be suppressed inline with an explicit reason::
 
@@ -15,12 +18,6 @@ Findings can be suppressed inline with an explicit reason::
 See ``docs/static-analysis.md`` for the rule catalog.
 """
 
-from repro.analyze.baseline import (
-    BASELINE_SCHEMA,
-    load_baseline,
-    write_baseline,
-)
-from repro.analyze.cache import CacheStats, LintCache
 from repro.analyze.callgraph import CallGraph
 from repro.analyze.emit import (
     LINT_SCHEMA,
@@ -37,15 +34,12 @@ from repro.analyze.runner import BatteryResult, run_battery
 from repro.analyze.suppress import SUPPRESSION_RULE, Suppressions
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "LINT_SCHEMA",
     "SARIF_VERSION",
     "AnalysisError",
     "BatteryResult",
-    "CacheStats",
     "CallGraph",
     "Finding",
-    "LintCache",
     "ProjectIndex",
     "RuleInfo",
     "SUPPRESSION_RULE",
@@ -55,12 +49,10 @@ __all__ = [
     "all_rules",
     "dump_json",
     "get_rule",
-    "load_baseline",
     "rule",
     "rule_ids",
     "run_battery",
     "to_json",
     "to_sarif",
     "to_text",
-    "write_baseline",
 ]

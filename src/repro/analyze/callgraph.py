@@ -55,7 +55,7 @@ from typing import (
     Tuple,
 )
 
-from repro.analyze.astutil import import_aliases, resolve_call_target
+from repro.analyze.astutil import resolve_call_target
 from repro.analyze.dataflow import FunctionFlow, walk_function_body
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -170,7 +170,7 @@ class CallGraph:
         self.spawns: List[SpawnSite] = []
         #: ``do_*`` methods of request-handler subclasses.
         self.handler_methods: List[str] = []
-        self._aliases: Dict[str, Dict[str, str]] = {}
+        self._modules = project.modules
         self._children: Optional[Dict[str, List[ClassRef]]] = None
         self._reach_cache: Dict["frozenset[str]", Set[str]] = {}
         self._collect(project)
@@ -179,7 +179,6 @@ class CallGraph:
     # -- symbol table --------------------------------------------------
     def _collect(self, project: "ProjectIndex") -> None:
         for module in project.iter_modules():
-            self._aliases[module.name] = import_aliases(module.tree)
             self._collect_scope(module.name, module.tree.body, prefix="",
                                 cls=None)
         for cls in self.classes.values():
@@ -213,7 +212,7 @@ class CallGraph:
                     self.edges.setdefault(outer, set()).add(qual)
             elif isinstance(node, ast.ClassDef):
                 qual = f"{module}:{prefix}{node.name}"
-                aliases = self._aliases[module]
+                aliases = self._modules[module].aliases
                 bases = []
                 for base in node.bases:
                     dotted = resolve_call_target(base, aliases)
@@ -348,7 +347,7 @@ class CallGraph:
             self._resolve_function(self.functions[qual])
 
     def _resolve_function(self, ref: FuncRef) -> None:
-        aliases = self._aliases[ref.module]
+        aliases = self._modules[ref.module].aliases
         out = self.edges.setdefault(ref.qual, set())
         cls = self.classes.get(ref.cls) if ref.cls else None
         for node in walk_function_body(ref.node):
@@ -508,7 +507,7 @@ class CallGraph:
                 returns = getattr(factory.node, "returns", None)
                 if returns is not None:
                     return self._annotation_classes(
-                        returns, self._aliases[factory.module]
+                        returns, self._modules[factory.module].aliases
                     )
             return []
         if isinstance(value, ast.Name):

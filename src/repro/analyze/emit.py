@@ -1,7 +1,7 @@
 """Render battery results as text, JSON, or SARIF 2.1.0.
 
 The text form is for humans at the terminal; the JSON form
-(``omega-repro/lint/v2``) is a stable machine surface for scripts;
+(``omega-repro/lint/v3``) is a stable machine surface for scripts;
 the SARIF form follows the 2.1.0 document shape so CI code-scanning
 uploads and editors can ingest it.
 """
@@ -9,15 +9,15 @@ uploads and editors can ingest it.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analyze.findings import Finding, RuleInfo, Severity
 
 __all__ = ["LINT_SCHEMA", "SARIF_VERSION", "to_text", "to_json", "to_sarif"]
 
-#: Schema tag of the machine-readable JSON report. v2 added the
-#: baseline surface: a ``baselined`` list plus its summary count.
-LINT_SCHEMA = "omega-repro/lint/v2"
+#: Schema tag of the machine-readable JSON report. v3 dropped v2's
+#: accepted-findings list and its summary count.
+LINT_SCHEMA = "omega-repro/lint/v3"
 
 #: SARIF specification version emitted by :func:`to_sarif`.
 SARIF_VERSION = "2.1.0"
@@ -31,16 +31,14 @@ _SARIF_SCHEMA_URI = (
 _SARIF_LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 
-def to_text(findings: List[Finding], suppressed: int = 0,
-            baselined: int = 0) -> str:
+def to_text(findings: List[Finding], suppressed: int = 0) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = [f.format() for f in findings]
     n_err = sum(1 for f in findings if f.severity == Severity.ERROR)
     n_warn = len(findings) - n_err
     summary = (
         f"{len(findings)} finding(s): {n_err} error(s),"
-        f" {n_warn} warning(s), {suppressed} suppressed,"
-        f" {baselined} baselined"
+        f" {n_warn} warning(s), {suppressed} suppressed"
     )
     lines.append(summary)
     return "\n".join(lines) + "\n"
@@ -57,10 +55,8 @@ def _finding_dict(f: Finding) -> Dict[str, object]:
 
 
 def to_json(findings: List[Finding],
-            suppressed: List[Finding],
-            baselined: Optional[List[Finding]] = None) -> Dict[str, object]:
-    """Machine-readable report document (``omega-repro/lint/v2``)."""
-    accepted = baselined if baselined is not None else []
+            suppressed: List[Finding]) -> Dict[str, object]:
+    """Machine-readable report document (``omega-repro/lint/v3``)."""
     return {
         "schema": LINT_SCHEMA,
         "summary": {
@@ -72,11 +68,9 @@ def to_json(findings: List[Finding],
                 1 for f in findings if f.severity == Severity.WARNING
             ),
             "suppressed": len(suppressed),
-            "baselined": len(accepted),
         },
         "findings": [_finding_dict(f) for f in findings],
         "suppressed": [_finding_dict(f) for f in suppressed],
-        "baselined": [_finding_dict(f) for f in accepted],
     }
 
 

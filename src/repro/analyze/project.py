@@ -13,21 +13,16 @@ lints.
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
+from repro.analyze.astutil import import_aliases
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analyze.callgraph import CallGraph
 
-__all__ = ["SourceModule", "ProjectIndex", "AnalysisError", "source_digest"]
-
-
-def source_digest(source: str) -> str:
-    """Content hash of one source file (the incremental-cache key)."""
-    return hashlib.blake2b(source.encode(), digest_size=16).hexdigest()
+__all__ = ["SourceModule", "ProjectIndex", "AnalysisError"]
 
 
 class AnalysisError(ReproError):
@@ -38,7 +33,7 @@ class SourceModule:
     """One parsed source file: dotted name, path, text, AST."""
 
     def __init__(self, name: str, path: Path, rel_path: str,
-                 source: str, tree: Optional[ast.Module] = None) -> None:
+                 source: str) -> None:
         #: Dotted module name (``repro.memsim.routes``).
         self.name = name
         #: Absolute path on disk.
@@ -49,11 +44,6 @@ class SourceModule:
         self.source = source
         #: Source split into lines (1-based access via ``line()``).
         self.lines = source.splitlines()
-        if tree is not None:
-            # An incremental-cache hit hands the parsed tree in —
-            # content-hash keyed, so it matches ``source`` exactly.
-            self.tree: ast.Module = tree
-            return
         try:
             #: Parsed abstract syntax tree.
             self.tree = ast.parse(source, filename=rel_path)
@@ -61,6 +51,18 @@ class SourceModule:
             raise AnalysisError(
                 f"cannot parse {rel_path}: {exc}"
             ) from exc
+        self._aliases: Optional[Dict[str, str]] = None
+
+    @property
+    def aliases(self) -> Dict[str, str]:
+        """Import aliases of this module (computed once, shared).
+
+        See :func:`repro.analyze.astutil.import_aliases`; every rule
+        and the call graph read this instead of re-walking the tree.
+        """
+        if self._aliases is None:
+            self._aliases = import_aliases(self.tree)
+        return self._aliases
 
     def line(self, lineno: int) -> str:
         """Source text of 1-based line ``lineno`` ('' out of range)."""
@@ -80,10 +82,7 @@ def _module_name(rel: Path) -> str:
 class ProjectIndex:
     """All parsed modules and doc pages of one checkout."""
 
-    def __init__(self, root: "str | Path",
-                 module_cache: Optional[
-                     Mapping[str, Tuple[str, ast.Module]]
-                 ] = None) -> None:
+    def __init__(self, root: "str | Path") -> None:
         self.root = Path(root).resolve()
         src = self.root / "src"
         package_root = src / "repro"
@@ -94,28 +93,14 @@ class ProjectIndex:
             )
         #: Dotted module name → :class:`SourceModule`.
         self.modules: Dict[str, SourceModule] = {}
-        #: Repo-relative path → content digest (cache key material).
-        self.file_digests: Dict[str, str] = {}
-        #: How many modules were adopted from ``module_cache`` instead
-        #: of re-parsed (incremental-cache telemetry).
-        self.modules_reused = 0
         for path in sorted(package_root.rglob("*.py")):
             if "__pycache__" in path.parts:
                 continue
             rel_src = path.relative_to(src)
             name = _module_name(rel_src)
             rel = path.relative_to(self.root).as_posix()
-            source = path.read_text()
-            digest = source_digest(source)
-            self.file_digests[rel] = digest
-            tree: Optional[ast.Module] = None
-            if module_cache is not None:
-                cached = module_cache.get(rel)
-                if cached is not None and cached[0] == digest:
-                    tree = cached[1]
-                    self.modules_reused += 1
             self.modules[name] = SourceModule(
-                name, path, rel, source, tree=tree
+                name, path, rel, path.read_text()
             )
         self._docs: Optional[Dict[str, str]] = None
         self._call_graph: Optional["CallGraph"] = None

@@ -14,11 +14,10 @@ from repro.analyze.rules import envreads as envreads
 from repro.analyze.rules import exceptions as exceptions
 from repro.analyze.rules import manifest_schema as manifest_schema
 from repro.analyze.rules import numpyfold as numpyfold
-from repro.analyze.rules import protocol as protocol
 from repro.analyze.rules import race as race
 from repro.analyze.rules import routing as routing
 
 __all__ = [
     "counters", "determinism", "docsync", "envreads", "exceptions",
-    "manifest_schema", "numpyfold", "protocol", "race", "routing",
+    "manifest_schema", "numpyfold", "race", "routing",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analyze.astutil import import_aliases, resolve_call_target
+from repro.analyze.astutil import resolve_call_target
 from repro.analyze.findings import Finding
 from repro.analyze.project import ProjectIndex, SourceModule
 from repro.analyze.registry import rule
@@ -78,7 +78,7 @@ def check_determinism(project: ProjectIndex) -> Iterator[Finding]:
     """Flag entropy sources that would break replay determinism."""
     info = check_determinism.info  # type: ignore[attr-defined]
     for module in project.iter_modules("repro"):
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         sim_scope = _in_sim_scope(module)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional
 
-from repro.analyze.astutil import dotted_name, import_aliases
+from repro.analyze.astutil import dotted_name
 from repro.analyze.findings import Finding
 from repro.analyze.project import ProjectIndex, SourceModule
 from repro.analyze.registry import rule
@@ -88,7 +88,7 @@ def check_env_reads(project: ProjectIndex) -> Iterator[Finding]:
     for module in project.iter_modules("repro"):
         if _is_allowed(module):
             continue
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 target = _resolve(node.func, aliases)

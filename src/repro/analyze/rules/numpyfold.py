@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analyze.astutil import resolve_call_target, import_aliases
+from repro.analyze.astutil import resolve_call_target
 from repro.analyze.dataflow import FunctionFlow, walk_function_body
 from repro.analyze.findings import Finding
 from repro.analyze.project import ProjectIndex
@@ -184,14 +184,12 @@ def check_accumulator_width(project: ProjectIndex) -> Iterator[Finding]:
 
     for qual in sorted(graph.functions):
         ref = graph.functions[qual]
-        aliases = import_aliases(project.modules[ref.module].tree)
+        module = project.modules[ref.module]
+        aliases = module.aliases
         cls = graph.classes.get(ref.cls) if ref.cls else None
         chase = _Chase(
             aliases, ref.flow, cls.attr_inits if cls else {},
         )
-        module = project.get(ref.module)
-        if module is None:  # pragma: no cover - functions come from modules
-            continue
         for kind, target, lineno in _fold_sites(ref.node, aliases):
             verdict = chase.classify(target)
             if verdict == "wide":

@@ -36,7 +36,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.analyze.astutil import resolve_call_target, import_aliases
+from repro.analyze.astutil import resolve_call_target
 from repro.analyze.callgraph import CallGraph, ClassRef
 from repro.analyze.dataflow import LockContext, walk_function_body
 from repro.analyze.findings import Finding
@@ -229,7 +229,7 @@ def check_lock_discipline(project: ProjectIndex) -> Iterator[Finding]:
         module = project.get(cls.module)
         if module is None:  # pragma: no cover - classes come from modules
             continue
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         accesses = _collect_accesses(graph, cls, aliases)
         if not accesses:
             continue

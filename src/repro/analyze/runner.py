@@ -3,21 +3,19 @@
 :func:`run_battery` is the analyzer's one entry point — the CLI, the
 CI job, and the self-check test all go through it. It resolves the
 rule selection first (an unknown rule id fails fast, before any
-parsing), consults the incremental cache, parses the checkout into a
-:class:`~repro.analyze.project.ProjectIndex` (reusing cached ASTs for
-unchanged modules), runs the selected rules, scans suppression
-comments, splits findings into reported vs suppressed, and finally
-subtracts the baseline. Exit-code semantics live here too: ``1`` when
-any unsuppressed, non-baselined error-severity finding remains.
+parsing), parses the checkout into a
+:class:`~repro.analyze.project.ProjectIndex`, runs the selected rules,
+scans suppression comments, and splits findings into reported vs
+suppressed. Every run is cold: nothing is read from or written to the
+checkout besides its sources and docs. Exit-code semantics live here
+too: ``1`` when any unsuppressed error-severity finding remains.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Union
 
-from repro.analyze.baseline import Fingerprint, split_baselined
-from repro.analyze.cache import CacheStats, LintCache, battery_key
 from repro.analyze.findings import Finding, RuleInfo, Severity
 from repro.analyze.project import ProjectIndex
 from repro.analyze.registry import all_rules, get_rule
@@ -31,19 +29,13 @@ class BatteryResult:
 
     def __init__(self, findings: List[Finding],
                  suppressed: List[Finding],
-                 rules: List[RuleInfo],
-                 baselined: Optional[List[Finding]] = None,
-                 cache: Optional[CacheStats] = None) -> None:
-        #: Unsuppressed, non-baselined findings, sorted.
+                 rules: List[RuleInfo]) -> None:
+        #: Unsuppressed findings, sorted.
         self.findings = findings
         #: Findings silenced by well-formed noqa comments.
         self.suppressed = suppressed
         #: Metadata of every rule that ran (for the SARIF rules table).
         self.rules = rules
-        #: Findings accepted by the baseline file (reported, non-fatal).
-        self.baselined = baselined if baselined is not None else []
-        #: What the incremental cache did for this run.
-        self.cache = cache if cache is not None else CacheStats()
 
     @property
     def errors(self) -> List[Finding]:
@@ -62,63 +54,29 @@ class BatteryResult:
         return 0 if self.ok else 1
 
 
-def _analyzer_version() -> str:
-    from repro import __version__
-
-    return __version__
-
-
 def run_battery(
     root: Union[str, Path],
     rules: Optional[Sequence[str]] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    baseline: Optional[Set[Fingerprint]] = None,
 ) -> BatteryResult:
     """Run the invariant battery over the checkout at ``root``.
 
     ``rules`` selects a subset by id (default: every registered
     rule); unknown ids raise before anything is parsed, so usage
     errors fail fast. The suppression meta-rule (SUP001) always runs —
-    malformed noqa comments are findings regardless of the selection.
-
-    ``cache_dir`` enables the incremental cache: unchanged modules are
-    not re-parsed, and a run whose full input digest matches the
-    recorded one replays the previous findings without running any
-    rule. ``baseline`` is a set of accepted finding fingerprints (see
-    :mod:`repro.analyze.baseline`); matching findings land in
-    ``result.baselined`` and do not affect the exit code.
+    malformed noqa comments are findings regardless of the selection
+    — so selecting ``SUP001`` alone runs just that scan.
     """
     # Resolve the selection FIRST: an unknown rule id must fail fast
     # (exit 2 at the CLI) before the project is even parsed.
     if rules is None:
         selected = all_rules()
     else:
-        selected = [get_rule(rid) for rid in rules]
+        selected = [
+            get_rule(rid) for rid in rules if rid != SUPPRESSION_RULE.id
+        ]
     infos = [r.info for r in selected] + [SUPPRESSION_RULE]
-    selected_ids = [info.id for info in infos]
 
-    cache = LintCache(cache_dir) if cache_dir is not None else None
-    module_cache = cache.load_modules() if cache is not None else {}
-
-    project = ProjectIndex(root, module_cache=module_cache or None)
-    stats = CacheStats(
-        enabled=cache is not None,
-        modules_total=len(project.file_digests),
-        modules_reused=project.modules_reused,
-    )
-
-    key = battery_key(
-        project.file_digests, project.docs(), selected_ids,
-        _analyzer_version(),
-    )
-    if cache is not None:
-        recorded = cache.load_battery(key)
-        if recorded is not None:
-            stats.battery_hit = True
-            stats.modules_reused = stats.modules_total
-            reported, silenced = recorded
-            return _finish(reported, silenced, infos, baseline, stats)
-
+    project = ProjectIndex(root)
     raw: List[Finding] = []
     for registered in selected:
         raw.extend(registered.check(project))
@@ -132,26 +90,4 @@ def run_battery(
     silenced = [f for f in raw if suppressions.is_suppressed(f)]
     reported.sort(key=Finding.sort_key)
     silenced.sort(key=Finding.sort_key)
-
-    if cache is not None:
-        cache.save_modules({
-            module.rel_path: (
-                project.file_digests[module.rel_path], module.tree
-            )
-            for module in project.modules.values()
-        })
-        cache.save_battery(key, reported, silenced)
-
-    return _finish(reported, silenced, infos, baseline, stats)
-
-
-def _finish(reported: List[Finding], silenced: List[Finding],
-            infos: List[RuleInfo],
-            baseline: Optional[Set[Fingerprint]],
-            stats: CacheStats) -> BatteryResult:
-    baselined: List[Finding] = []
-    if baseline:
-        reported, baselined = split_baselined(reported, baseline)
-    return BatteryResult(
-        reported, silenced, infos, baselined=baselined, cache=stats
-    )
+    return BatteryResult(reported, silenced, infos)

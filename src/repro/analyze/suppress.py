@@ -84,6 +84,10 @@ def scan_suppressions(project: ProjectIndex,
     known.add(SUPPRESSION_RULE.id)
     sup = Suppressions()
     for module in project.iter_modules():
+        # A comment is a substring of the source, so a module whose
+        # source never matches holds no attempt: skip tokenizing it.
+        if _ATTEMPT.search(module.source) is None:
+            continue
         # Tokenize so only genuine comments count — the same syntax
         # quoted inside a docstring or error message is not an
         # attempted suppression.

@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default text; json is the stable"
-             " omega-repro/lint/v2 document, sarif is SARIF 2.1.0)",
+             " omega-repro/lint/v3 document, sarif is SARIF 2.1.0)",
     )
     lint.add_argument(
         "--out", metavar="PATH", default=None,
@@ -275,27 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rules", metavar="IDS", default=None,
         help="comma-separated rule ids to run (default: all;"
-             " suppression hygiene always runs)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="accepted-findings file: matching findings are reported"
-             " as baselined and do not fail the battery",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline (required) to the current findings"
-             " and exit 0",
-    )
-    lint.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="incremental-cache directory (default:"
-             " ROOT/.repro-lint-cache); warm runs re-parse only"
-             " changed modules and replay unchanged batteries",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache for this run",
+             " suppression hygiene SUP001 always runs)",
     )
 
     serve = sub.add_parser(
@@ -574,11 +554,8 @@ def _default_lint_root() -> str:
 
 
 def _cmd_lint(args) -> int:
-    import sys
-
     from repro import __version__ as version
     from repro.analyze import dump_json, run_battery, to_json, to_sarif, to_text
-    from repro.analyze.baseline import load_baseline, write_baseline
 
     root = args.root or _default_lint_root()
     rules = None
@@ -587,38 +564,13 @@ def _cmd_lint(args) -> int:
         if not rules:
             raise ReproError("--rules given but no rule ids parsed")
 
-    if args.update_baseline and not args.baseline:
-        raise ReproError("--update-baseline requires --baseline PATH")
-    baseline = None
-    if args.baseline and not args.update_baseline:
-        baseline = load_baseline(args.baseline)
-
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or str(
-            Path(root) / ".repro-lint-cache"
-        )
-    result = run_battery(
-        root, rules=rules, cache_dir=cache_dir, baseline=baseline
-    )
-    if result.cache.enabled:
-        print(f"lint-cache: {result.cache.describe()}", file=sys.stderr)
-
-    if args.update_baseline:
-        count = write_baseline(args.baseline, result.findings)
-        print(f"baseline: {args.baseline} ({count} entries)")
-        return 0
-
+    result = run_battery(root, rules=rules)
     if args.format == "json":
-        text = dump_json(to_json(
-            result.findings, result.suppressed, result.baselined
-        ))
+        text = dump_json(to_json(result.findings, result.suppressed))
     elif args.format == "sarif":
         text = dump_json(to_sarif(result.findings, result.rules, version))
     else:
-        text = to_text(
-            result.findings, len(result.suppressed), len(result.baselined)
-        )
+        text = to_text(result.findings, len(result.suppressed))
 
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

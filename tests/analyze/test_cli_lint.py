@@ -1,7 +1,12 @@
 """The ``repro lint`` subcommand: formats, outputs, exit codes."""
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
+from repro import __version__
+from repro.analyze import rule_ids
 from repro.cli import main
 
 from tests.analyze.conftest import REPO_ROOT, fixture_tree
@@ -10,7 +15,6 @@ BAD_FIXTURES = (
     "bad_determinism",
     "bad_counters",
     "bad_routing",
-    "bad_protocol",
     "bad_docsync",
     "bad_suppression",
     "bad_race",
@@ -35,12 +39,28 @@ def test_lint_exits_one_on_each_bad_fixture(capsys):
         assert "error:" in out, f"{name} printed no findings"
 
 
+def _listing(root: Path):
+    """Every file under ``root`` with its mtime (bytecode excluded)."""
+    return {
+        (p.relative_to(root).as_posix(), p.stat().st_mtime_ns)
+        for p in root.rglob("*")
+        if p.is_file()
+        and not {".git", "__pycache__", ".pytest_cache"} & set(p.parts)
+    }
+
+
 def test_lint_defaults_to_own_checkout(capsys):
     # No --root: lints the checkout the package runs from, which must
     # be clean (the self-check test asserts the same through the API).
+    # Neither that run nor one over a fixture may write into the tree
+    # it lints.
+    fixture = fixture_tree("bad_race")
+    before = (_listing(REPO_ROOT), _listing(fixture))
+    assert main(["lint", "--root", str(fixture)]) == 1
     code = main(["lint"])
     capsys.readouterr()
     assert code == 0
+    assert (_listing(REPO_ROOT), _listing(fixture)) == before
 
 
 def test_lint_json_format(capsys):
@@ -50,10 +70,9 @@ def test_lint_json_format(capsys):
     ])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "omega-repro/lint/v2"
+    assert doc["schema"] == "omega-repro/lint/v3"
+    assert set(doc) == {"schema", "summary", "findings", "suppressed"}
     assert doc["summary"]["errors"] == 1
-    assert doc["summary"]["baselined"] == 0
-    assert doc["baselined"] == []
     assert doc["findings"][0]["rule"] == "DET001"
 
 
@@ -80,6 +99,68 @@ def test_lint_rule_subset(capsys):
     ])
     capsys.readouterr()
     assert code == 0
+
+
+def test_lint_rules_sup001_runs_only_the_suppression_scan(capsys):
+    # SUP001 is in the rule catalog, so it is a valid selection; on
+    # its own it runs the noqa-hygiene scan and nothing else.
+    code = main([
+        "lint", "--root", str(fixture_tree("bad_suppression")),
+        "--rules", "SUP001", "--format", "json",
+    ])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [f["rule"] for f in doc["findings"]] == ["SUP001", "SUP001"]
+    code = main([
+        "lint", "--root", str(fixture_tree("bad_determinism")),
+        "--rules", "SUP001",
+    ])
+    capsys.readouterr()
+    assert code == 0
+
+
+def _plant_empty_battery_record(root: Path) -> None:
+    """Write the result record an earlier lint cache replayed.
+
+    The cache this tool used to keep lived in ``ROOT/.repro-lint`` +
+    ``-cache`` and replayed its ``battery.json`` whenever the
+    recorded key matched a digest of the checkout's own files, rule
+    ids and version — so a checkout could ship a record with no
+    findings and lint clean.
+    """
+    def digest(text: str) -> str:
+        return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+    fmt = "omega-repro/lint" + "-cache/v1"
+    src = root / "src"
+    files = sorted(
+        (p.relative_to(root).as_posix(), digest(p.read_text()))
+        for p in (src / "repro").rglob("*.py")
+        if "__pycache__" not in p.parts
+    )
+    payload = {
+        "format": fmt, "version": __version__,
+        "rules": sorted(set(rule_ids()) | {"SUP001"}),
+        "files": files, "docs": [],
+    }
+    key = digest(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    record = root / (".repro-lint" + "-cache") / "battery.json"
+    record.parent.mkdir(exist_ok=True)
+    record.write_text(json.dumps({
+        "format": fmt, "key": key, "findings": [], "suppressed": [],
+    }))
+
+
+def test_a_checkout_cannot_silence_its_own_findings(tmp_path, capsys):
+    root = tmp_path / "bad_race"
+    shutil.copytree(fixture_tree("bad_race"), root)
+    _plant_empty_battery_record(root)
+    code = main(["lint", "--root", str(root), "--format", "json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["line"]) for f in doc["findings"]] == [
+        ("RAC001", 22), ("RAC001", 23),
+    ]
 
 
 def test_lint_unknown_rule_is_usage_error(capsys):

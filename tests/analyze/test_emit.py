@@ -1,4 +1,4 @@
-"""Report emitters: text, omega-repro/lint/v2 JSON, SARIF 2.1.0."""
+"""Report emitters: text, omega-repro/lint/v3 JSON, SARIF 2.1.0."""
 
 import json
 
@@ -33,14 +33,8 @@ def test_text_report_lines_and_summary():
     lines = text.splitlines()
     assert lines[0] == "src/repro/a.py:3: DET001 error: wall-clock call"
     assert lines[-1] == (
-        "2 finding(s): 1 error(s), 1 warning(s), 2 suppressed,"
-        " 0 baselined"
+        "2 finding(s): 1 error(s), 1 warning(s), 2 suppressed"
     )
-
-
-def test_text_report_counts_baselined():
-    text = to_text(FINDINGS, suppressed=0, baselined=3)
-    assert text.splitlines()[-1].endswith("0 suppressed, 3 baselined")
 
 
 def test_json_document_shape():
@@ -48,17 +42,11 @@ def test_json_document_shape():
     assert doc["schema"] == LINT_SCHEMA
     assert doc["summary"] == {
         "findings": 2, "errors": 1, "warnings": 1, "suppressed": 1,
-        "baselined": 0,
     }
-    assert doc["baselined"] == []
+    assert set(doc) == {"schema", "summary", "findings", "suppressed"}
     assert doc["findings"][0]["rule"] == "DET001"
     assert doc["findings"][0]["line"] == 3
-
-
-def test_json_document_carries_baselined_findings():
-    doc = to_json([], suppressed=[], baselined=[FINDINGS[0]])
-    assert doc["summary"]["baselined"] == 1
-    assert doc["baselined"][0]["rule"] == "DET001"
+    assert doc["suppressed"][0]["message"] == "wall-clock call"
     # dump is valid, deterministic JSON
     assert json.loads(dump_json(doc)) == json.loads(dump_json(doc))
 

@@ -17,8 +17,7 @@ from repro.errors import ReproError
 
 
 def test_builtin_rule_ids_are_registered():
-    assert {"CNT001", "DET001", "DOC001", "PRT001",
-            "RTE001"} <= set(rule_ids())
+    assert {"CNT001", "DET001", "DOC001", "RTE001"} <= set(rule_ids())
 
 
 def test_duplicate_rule_id_rejected():
