@@ -27,21 +27,28 @@ surroundings (store, streaming, attribution, ledger, obs sinks) as a
 Because the trace depends only on ``(graph, algorithm, kwargs, cores,
 chunk, reorder)`` — never on the hierarchy replaying it —
 :func:`run_backends` generates (or loads) each *distinct* trace once
-and replays every requested backend against it. :func:`compare_systems`
-is a thin wrapper over it that returns the paper's headline ratios
-(speedup, traffic reduction, DRAM bandwidth improvement, energy
-saving).
+and replays every requested backend against it. It is one pipeline:
+*Plan* resolves each backend and the context, *Acquire* installs the
+context's obs sinks and prepares each trace (in-core or streamed),
+*Replay* runs the backends (attributed when the context asks), and
+*Emit* appends the ledger. :func:`run_system` is its one-backend case
+plus the request's output files; :func:`estimate_system` shares Plan
+and Acquire. :func:`compare_systems` is a thin wrapper that returns the
+paper's headline ratios (speedup, traffic reduction, DRAM bandwidth
+improvement, energy saving).
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SimConfig
 from repro.core.context import (
@@ -143,8 +150,8 @@ def default_backend_config(backend: str, num_cores: int = 16) -> SimConfig:
     Mirrors the paper's same-total-storage comparisons: baseline and
     GraphPIM keep the full cache hierarchy, the locked cache repurposes
     half the L2 without PISCs, OMEGA and the dynamic scratchpad run the
-    full Table III OMEGA design. Used by the CLI and by
-    :func:`run_backends` when no explicit config is given.
+    full Table III OMEGA design. Used by the CLI and by every driver
+    when no explicit config is given.
     """
     if backend in ("baseline", "graphpim"):
         return SimConfig.scaled_baseline(num_cores=num_cores)
@@ -166,6 +173,7 @@ class _TraceBundle:
     Exactly one of ``trace`` (whole-trace in-core) and ``segments``
     (out-of-core streaming: a bounded-memory
     :class:`~repro.ligra.segments.SegmentedTrace` handle) is set.
+    Leaving the bundle's ``with`` block releases it.
     """
 
     trace: Optional[Trace]
@@ -182,19 +190,21 @@ class _TraceBundle:
     segments: Optional[SegmentedTrace] = None
     #: Resolved streaming segment size (``None`` for in-core runs).
     segment_events: Optional[int] = None
-    #: Spool file this bundle owns and must delete on cleanup (only
+    #: Spool file this bundle owns and must delete on release (only
     #: when the unlink-while-open trick was unavailable).
     spool_path: Optional[str] = None
 
     @property
+    def source(self) -> Union[Trace, SegmentedTrace]:
+        return self.trace if self.trace is not None else self.segments
+
+    @property
     def num_events(self) -> int:
-        source = self.trace if self.trace is not None else self.segments
-        return source.num_events
+        return self.source.num_events
 
     @property
     def nbytes(self) -> int:
-        source = self.trace if self.trace is not None else self.segments
-        return source.nbytes
+        return self.source.nbytes
 
     def cache_info(self) -> Dict:
         """Manifest ``trace_cache`` block."""
@@ -204,7 +214,10 @@ class _TraceBundle:
             "key": self.cache_key,
         }
 
-    def cleanup(self) -> None:
+    def __enter__(self) -> "_TraceBundle":
+        return self
+
+    def __exit__(self, *exc) -> None:
         """Release the streaming handle and any owned spool file."""
         if self.segments is not None:
             self.segments.close()
@@ -214,6 +227,73 @@ class _TraceBundle:
             except OSError:
                 pass
             self.spool_path = None
+
+
+@dataclass
+class _Plan:
+    """What one driver call runs, resolved once before any trace exists."""
+
+    graph: CSRGraph
+    request: RunRequest
+    context: RunContext
+    tracer: Any
+    registry: Any
+    #: The request's algorithm kwargs with the traversal root pinned.
+    alg_kwargs: Dict
+    #: One resolved ``(name, config, reorder)`` per requested backend.
+    backends: List[Tuple[str, SimConfig, bool]]
+
+
+def _plan(
+    graph: CSRGraph,
+    request: RunRequest,
+    backends: Sequence[Tuple[Optional[str], Optional[SimConfig]]],
+    context: Optional[RunContext],
+) -> _Plan:
+    """Plan: resolve the backends, the traversal root and the context.
+
+    Each ``(name, config)`` pair resolves once: a missing name is
+    inferred from the config (``config.use_scratchpad`` selects OMEGA,
+    otherwise the baseline CMP; no config at all means OMEGA), a
+    missing config is the backend's :func:`default_backend_config` at
+    ``request.num_cores``, and ``request.reorder=None`` takes the
+    backend's :data:`_REORDER_DEFAULT`. Without a ``context`` the run
+    uses :meth:`RunContext.from_env`, where ``request.attribution_path``
+    turns attribution on. The obs sinks are the context's, else the
+    thread's installed ones.
+    """
+    resolved = []
+    for name, config in backends:
+        if name is None:
+            name = (
+                "omega" if config is None or config.use_scratchpad
+                else "baseline"
+            )
+        get_backend(name)  # validates the name
+        if config is None:
+            config = default_backend_config(name, num_cores=request.num_cores)
+        reorder = request.reorder
+        if reorder is None:
+            reorder = _REORDER_DEFAULT.get(name, config.use_scratchpad)
+        resolved.append((name, config, reorder))
+
+    # Pin traversal roots to a *logical* vertex before any relabeling,
+    # so runs with and without reordering traverse the same workload.
+    alg_kwargs = dict(request.alg_kwargs)
+    if (request.algorithm in ("bfs", "sssp", "bc")
+            and alg_kwargs.get("source") is None):
+        alg_kwargs["source"] = default_source(graph)
+
+    if context is None:
+        context = RunContext.from_env(
+            attribution_path=request.attribution_path
+        )
+    tracer = context.tracer if context.tracer is not None else get_tracer()
+    registry = (
+        context.metrics if context.metrics is not None else get_registry()
+    )
+    return _Plan(graph, request, context, tracer, registry, alg_kwargs,
+                 resolved)
 
 
 def _attribution_spec(
@@ -227,8 +307,7 @@ def _attribution_spec(
     degree vector, so warm store hits (which skip the reorder entirely)
     classify identically to cold runs.
     """
-    source = bundle.trace if bundle.trace is not None else bundle.segments
-    regions = tuple(getattr(source, "regions", ()) or ())
+    regions = tuple(getattr(bundle.source, "regions", ()) or ())
     deg = graph.in_degrees()
     vclass = degree_classes(deg)
     if reorder and len(vclass):
@@ -281,16 +360,11 @@ def _make_spool(store: Optional[TraceStore], key: Optional[str]) -> str:
 
 
 def _generate_bundle(
-    graph: CSRGraph,
-    algorithm: str,
-    num_cores: int,
-    chunk_size: Optional[int],
+    plan: _Plan,
     reorder: bool,
-    tracer,
-    alg_kwargs: Dict,
-    segment_events: Optional[int] = None,
-    store: Optional[TraceStore] = None,
-    key: Optional[str] = None,
+    num_cores: int,
+    segment_events: Optional[int],
+    key: Optional[str],
 ) -> _TraceBundle:
     """Cold path: reorder (optionally) and execute the algorithm.
 
@@ -304,10 +378,12 @@ def _generate_bundle(
     adopts it into the store or it is unlinked here (POSIX keeps the
     open archive handle readable after the unlink).
     """
-    work_graph = graph
+    tracer = plan.tracer
+    alg_kwargs = plan.alg_kwargs
+    work_graph = plan.graph
     if reorder:
         with tracer.span("reorder", cat="run", key="in"):
-            work_graph, new_ids = reorder_nth_element(graph, key="in")
+            work_graph, new_ids = reorder_nth_element(plan.graph, key="in")
         if alg_kwargs.get("source") is not None:
             alg_kwargs = dict(alg_kwargs)
             alg_kwargs["source"] = int(new_ids[alg_kwargs["source"]])
@@ -315,16 +391,16 @@ def _generate_bundle(
     builder: Union[bool, SpoolingTraceBuilder] = True
     spool = None
     if segment_events is not None:
-        spool = _make_spool(store, key)
+        spool = _make_spool(plan.context.store, key)
         builder = SpoolingTraceBuilder(spool, segment_events=segment_events)
     try:
         with tracer.span("trace_generation", cat="run",
                          streamed=spool is not None) as gen_span:
             result: AlgorithmResult = run_algorithm(
-                algorithm,
+                plan.request.algorithm,
                 work_graph,
                 num_cores=num_cores,
-                chunk_size=chunk_size,
+                chunk_size=plan.request.chunk_size,
                 trace=builder,
                 **alg_kwargs,
             )
@@ -369,44 +445,14 @@ def _generate_bundle(
     )
 
 
-def _bundle_meta(
-    graph: CSRGraph,
-    algorithm: str,
-    num_cores: int,
-    chunk_size: Optional[int],
-    reorder: bool,
-    bundle: _TraceBundle,
-) -> Dict:
-    """The JSON sidecar a stored trace carries next to its archive."""
-    return {
-        "algorithm": algorithm,
-        "graph_fingerprint": graph.fingerprint(),
-        "num_cores": int(num_cores),
-        "chunk_size": (
-            None if chunk_size is None else int(chunk_size)
-        ),
-        "reorder": _REORDER_RECIPE if reorder else None,
-        "num_events": bundle.num_events,
-        "trace_nbytes": bundle.nbytes,
-        "vtx_ranges": [list(r) for r in bundle.vtx_ranges],
-        "bytes_per_vertex": bundle.bytes_per_vertex,
-        "num_vertices": bundle.num_vertices,
-        "num_edges": bundle.num_edges,
-    }
-
-
 def _prepare_trace(
-    graph: CSRGraph,
-    algorithm: str,
-    num_cores: int,
-    chunk_size: Optional[int],
+    plan: _Plan,
     reorder: bool,
-    store: Optional[TraceStore],
-    tracer,
-    alg_kwargs: Dict,
-    segment_events: Optional[int] = None,
+    num_cores: int,
+    segment_events: Optional[int],
 ) -> _TraceBundle:
-    """Load the trace bundle from the store, or generate and cache it.
+    """Acquire: load the trace bundle from the store, or generate and
+    cache it. Use the bundle in a ``with`` block to release it.
 
     With ``segment_events`` set every path stays out-of-core: a warm
     hit opens the stored segmented archive for streaming
@@ -416,15 +462,16 @@ def _prepare_trace(
     finished archive to the store via :meth:`TraceStore.adopt` — the
     whole trace is never resident.
     """
+    store, tracer = plan.context.store, plan.tracer
     key = None
     if store is not None:
         key = trace_key(
-            graph,
-            algorithm,
+            plan.graph,
+            plan.request.algorithm,
             num_cores=num_cores,
-            chunk_size=chunk_size,
+            chunk_size=plan.request.chunk_size,
             reorder=_REORDER_RECIPE if reorder else None,
-            alg_kwargs=alg_kwargs,
+            alg_kwargs=plan.alg_kwargs,
         )
         if key is None:
             _LOG.debug(
@@ -458,14 +505,23 @@ def _prepare_trace(
                 segment_events=segment_events,
             )
         _LOG.info("trace store miss: %s", key)
-    bundle = _generate_bundle(
-        graph, algorithm, num_cores, chunk_size, reorder, tracer,
-        alg_kwargs, segment_events=segment_events, store=store, key=key,
-    )
+    bundle = _generate_bundle(plan, reorder, num_cores, segment_events, key)
     if key is not None:
-        meta = _bundle_meta(
-            graph, algorithm, num_cores, chunk_size, reorder, bundle
-        )
+        chunk_size = plan.request.chunk_size
+        # The JSON sidecar the stored trace carries next to its archive.
+        meta = {
+            "algorithm": plan.request.algorithm,
+            "graph_fingerprint": plan.graph.fingerprint(),
+            "num_cores": int(num_cores),
+            "chunk_size": None if chunk_size is None else int(chunk_size),
+            "reorder": _REORDER_RECIPE if reorder else None,
+            "num_events": bundle.num_events,
+            "trace_nbytes": bundle.nbytes,
+            "vtx_ranges": [list(r) for r in bundle.vtx_ranges],
+            "bytes_per_vertex": bundle.bytes_per_vertex,
+            "num_vertices": bundle.num_vertices,
+            "num_edges": bundle.num_edges,
+        }
         with tracer.span("trace_store.store", cat="run", key=key,
                          streamed=bundle.segments is not None):
             if bundle.segments is not None:
@@ -481,7 +537,7 @@ def _prepare_trace(
     elif bundle.spool_path is not None:
         # No store destination: drop the directory entry now and keep
         # streaming from the open handle (the inode lives until the
-        # bundle's cleanup closes it).
+        # bundle's ``with`` block closes it).
         try:
             os.unlink(bundle.spool_path)
         except OSError:  # pragma: no cover - non-POSIX semantics
@@ -491,13 +547,27 @@ def _prepare_trace(
     return bundle
 
 
+@contextmanager
+def _installed(plan: _Plan, driver: str) -> Iterator[None]:
+    """Acquire, first half: install the context's obs sinks for the
+    whole driver call, under the driver's root span."""
+    request = plan.request
+    names = ",".join(name for name, _, _ in plan.backends)
+    _LOG.info(
+        "%s: algorithm=%s dataset=%s backends=%s",
+        driver, request.algorithm, request.dataset or "?", names,
+    )
+    with use_tracer(plan.tracer), use_registry(plan.registry), \
+            plan.tracer.span(driver, cat="run", algorithm=request.algorithm,
+                             dataset=request.dataset, backends=names):
+        yield
+
+
 def _make_hierarchy(
+    plan: _Plan,
     bundle: _TraceBundle,
-    algorithm: str,
-    config: SimConfig,
     backend_name: str,
-    chunk_size: Optional[int],
-    sp_chunk_size: Optional[int],
+    config: SimConfig,
     pim,
 ):
     """Construct the hierarchy backend for one prepared trace.
@@ -522,18 +592,19 @@ def _make_hierarchy(
             bundle.num_vertices,
         )
         if backend_name != "dynamic":
+            sp_chunk_size = plan.request.sp_chunk_size
             mapping = ScratchpadMapping(
                 num_cores=config.core.num_cores,
                 hot_capacity=hot_capacity,
                 chunk_size=(
                     sp_chunk_size if sp_chunk_size is not None
-                    else chunk_size
+                    else plan.request.chunk_size
                 ),
             )
 
     microcode = None
     if backend_name in ("omega", "dynamic") and config.use_pisc:
-        microcode = microcode_for_algorithm(algorithm)
+        microcode = microcode_for_algorithm(plan.request.algorithm)
 
     if backend_name == "baseline":
         hierarchy = BaselineBackend(
@@ -559,30 +630,25 @@ def _make_hierarchy(
 
 
 def _replay_bundle(
+    plan: _Plan,
     bundle: _TraceBundle,
-    algorithm: str,
-    config: SimConfig,
     backend_name: str,
-    dataset: str,
-    chunk_size: Optional[int],
-    sp_chunk_size: Optional[int],
+    config: SimConfig,
     energy_model: Optional[EnergyModel],
     pim,
     sampler: Optional[ReplaySampler],
-    tracer,
-    attribution_acc: Optional[AttributionAccumulator] = None,
-    scalar_cache: bool = False,
+    attribution_acc: Optional[AttributionAccumulator],
 ) -> SimReport:
     """Replay a prepared trace through one backend and build the report."""
+    tracer = plan.tracer
     with tracer.span("prepare_backend", cat="run", backend=backend_name):
         hierarchy, hot_capacity = _make_hierarchy(
-            bundle, algorithm, config, backend_name, chunk_size,
-            sp_chunk_size, pim,
+            plan, bundle, backend_name, config, pim
         )
     # Thread the context's scalar-cache flag onto the backend instance
     # so the replay driver never consults ambient state on the hot
     # path.
-    hierarchy.scalar_cache = scalar_cache
+    hierarchy.scalar_cache = plan.context.scalar_cache
 
     replay_start = time.perf_counter()
     if bundle.segments is not None:
@@ -615,8 +681,8 @@ def _replay_bundle(
     n = bundle.num_vertices
     report = SimReport(
         system=_BACKEND_LABELS.get(backend_name, config.name),
-        algorithm=algorithm,
-        dataset=dataset,
+        algorithm=plan.request.algorithm,
+        dataset=plan.request.dataset,
         config=config,
         stats=output.stats,
         timing=timing,
@@ -637,6 +703,10 @@ def _replay_bundle(
         peak_rss_bytes=_peak_rss_bytes(),
         attribution=attribution_block,
     )
+    if sampler is not None:
+        report.timeline = sampler.timeline()
+        if plan.registry.enabled:
+            report.timeline.metrics = plan.registry.snapshot()
     _LOG.info(
         "run complete: %.0f cycles, bottleneck=%s, replay %.3fs",
         timing.total_cycles, timing.bottleneck, replay_seconds,
@@ -644,38 +714,80 @@ def _replay_bundle(
     return report
 
 
-def _pin_source(graph: CSRGraph, algorithm: str, alg_kwargs: Dict) -> None:
-    """Pin traversal roots to a *logical* vertex before any relabeling,
-    so runs with and without reordering traverse the same workload."""
-    if algorithm in ("bfs", "sssp", "bc") and alg_kwargs.get("source") is None:
-        alg_kwargs["source"] = default_source(graph)
+def _replay(
+    plan: _Plan,
+    driver: str,
+    energy_model: Optional[EnergyModel],
+    pim,
+    sampler: Optional[ReplaySampler] = None,
+) -> Dict[str, SimReport]:
+    """Acquire and Replay: each trace signature's bundle once, then
+    every backend that shares it.
 
-
-def _single_backend(
-    request: RunRequest, config: Optional[SimConfig]
-) -> Tuple[str, SimConfig, bool]:
-    """Resolve a single-backend run's ``(backend, config, reorder)``.
-
-    Without a ``config`` the request's backend (default OMEGA) gets its
-    :func:`default_backend_config`; with one, a missing backend is
-    inferred from it: ``config.use_scratchpad`` selects OMEGA,
-    otherwise the baseline CMP. ``request.reorder=None`` takes the
-    backend's default from :data:`_REORDER_DEFAULT`.
+    A bundle is released as soon as its backends are done. With
+    ``context.attribution`` set, each bundle gets one
+    :class:`AttributionSpec` and each backend its own accumulator.
+    Returns the reports in request order.
     """
-    if config is None:
-        backend_name = request.backend or "omega"
-        config = default_backend_config(
-            backend_name, num_cores=request.num_cores
-        )
-    else:
-        backend_name = request.backend or (
-            "omega" if config.use_scratchpad else "baseline"
-        )
-    get_backend(backend_name)  # validates the name
-    reorder = request.reorder
-    if reorder is None:
-        reorder = _REORDER_DEFAULT.get(backend_name, config.use_scratchpad)
-    return backend_name, config, reorder
+    # Trace signature (reorder, cores) -> the backends replaying it.
+    groups: Dict[Tuple[bool, int], List[Tuple[str, SimConfig]]] = {}
+    for name, config, reorder in plan.backends:
+        signature = (bool(reorder), config.core.num_cores)
+        groups.setdefault(signature, []).append((name, config))
+    reports: Dict[str, SimReport] = {}
+    with _installed(plan, driver):
+        for (reorder, num_cores), legs in groups.items():
+            with _prepare_trace(plan, reorder, num_cores,
+                                plan.context.segment_events) as bundle:
+                spec = None
+                if plan.context.attribution:
+                    with plan.tracer.span("attribution_spec", cat="run"):
+                        spec = _attribution_spec(plan.graph, bundle, reorder)
+                for name, config in legs:
+                    reports[name] = _replay_bundle(
+                        plan, bundle, name, config, energy_model, pim,
+                        sampler,
+                        None if spec is None else AttributionAccumulator(spec),
+                    )
+    return {name: reports[name] for name, _, _ in plan.backends}
+
+
+def _emit(
+    plan: _Plan, reports: Dict[str, SimReport], request_files: bool
+) -> None:
+    """Emit: write the request's output files, then the ledger.
+
+    Each request path names one file, so only a one-backend call
+    (``request_files``) writes them; every report gets its own ledger
+    entry.
+    """
+    request = plan.request
+    if request_files:
+        (report,) = reports.values()
+        if request.trace_path is not None:
+            plan.tracer.export_chrome(request.trace_path)
+            _LOG.info("wrote Chrome trace to %s", request.trace_path)
+        if request.timeline_path is not None and report.timeline is not None:
+            report.timeline.save(request.timeline_path)
+            _LOG.info(
+                "wrote %d-window timeline to %s",
+                report.timeline.num_windows, request.timeline_path,
+            )
+        path = request.attribution_path
+        if path is not None and report.attribution is not None:
+            parent = os.path.dirname(os.fspath(path))
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(path, "w") as f:
+                json.dump(report.attribution, f, indent=2, sort_keys=True)
+            _LOG.info("wrote attribution breakdown to %s", path)
+        if request.manifest_path is not None:
+            report.save_manifest(request.manifest_path)
+    ledger = plan.context.ledger_path
+    if ledger is not None:
+        for report in reports.values():
+            append_entry(ledger, make_entry(report.manifest(), kind="run"))
+        _LOG.info("appended %d run-ledger entries to %s", len(reports), ledger)
 
 
 def run_system(
@@ -688,6 +800,9 @@ def run_system(
     pim=None,
 ) -> SimReport:
     """Run one algorithm on one graph through one system configuration.
+
+    This is :func:`run_backends` with one backend, plus the request's
+    output files.
 
     Parameters
     ----------
@@ -719,92 +834,15 @@ def run_system(
         Optional :class:`~repro.memsim.backends.PimConfig` for the
         ``graphpim`` backend.
     """
-    backend_name, config, reorder = _single_backend(request, config)
-    algorithm = request.algorithm
-    dataset = request.dataset
-    chunk_size = request.chunk_size
-    trace_path = request.trace_path
-    timeline_path = request.timeline_path
-    attribution_path = request.attribution_path
-    alg_kwargs = dict(request.alg_kwargs)
-    _pin_source(graph, algorithm, alg_kwargs)
-    if context is None:
-        context = RunContext.from_env(attribution_path=attribution_path)
-
-    # Observability setup: use the context's sink, else the thread's
-    # installed tracer, or spin up a private one when a trace file was
-    # requested; sample the replay when a timeline file or an explicit
-    # window was requested.
-    tracer = context.tracer if context.tracer is not None else get_tracer()
-    if trace_path is not None and not tracer.enabled:
-        tracer = SpanTracer()
-    registry = (
-        context.metrics if context.metrics is not None else get_registry()
-    )
+    plan = _plan(graph, request, [(request.backend, config)], context)
+    if request.trace_path is not None and not plan.tracer.enabled:
+        plan.tracer = SpanTracer()  # the Chrome trace needs a live sink
     sampler = None
-    if timeline_path is not None or request.obs_window is not None:
+    if request.timeline_path is not None or request.obs_window is not None:
         sampler = ReplaySampler(request.obs_window or 0)
-    _LOG.info(
-        "run_system: algorithm=%s dataset=%s backend=%s cores=%d",
-        algorithm, dataset or "?", backend_name, config.core.num_cores,
-    )
-
-    with use_tracer(tracer), use_registry(registry), tracer.span(
-        "run_system", cat="run", algorithm=algorithm, dataset=dataset,
-        backend=backend_name,
-    ):
-        bundle = _prepare_trace(
-            graph, algorithm, config.core.num_cores, chunk_size, reorder,
-            context.store, tracer, alg_kwargs,
-            segment_events=context.segment_events,
-        )
-        try:
-            attribution_acc = None
-            if context.attribution:
-                with tracer.span("attribution_spec", cat="run"):
-                    attribution_acc = AttributionAccumulator(
-                        _attribution_spec(graph, bundle, reorder)
-                    )
-            report = _replay_bundle(
-                bundle, algorithm, config, backend_name, dataset,
-                chunk_size, request.sp_chunk_size, energy_model, pim,
-                sampler, tracer,
-                attribution_acc=attribution_acc,
-                scalar_cache=context.scalar_cache,
-            )
-        finally:
-            bundle.cleanup()
-
-    if sampler is not None:
-        report.timeline = sampler.timeline()
-        if registry.enabled:
-            report.timeline.metrics = registry.snapshot()
-
-    if trace_path is not None:
-        tracer.export_chrome(trace_path)
-        _LOG.info("wrote Chrome trace to %s", trace_path)
-    if timeline_path is not None and report.timeline is not None:
-        report.timeline.save(timeline_path)
-        _LOG.info(
-            "wrote %d-window timeline to %s",
-            report.timeline.num_windows, timeline_path,
-        )
-    if attribution_path is not None and report.attribution is not None:
-        import json
-
-        parent = os.path.dirname(os.fspath(attribution_path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(attribution_path, "w") as f:
-            json.dump(report.attribution, f, indent=2, sort_keys=True)
-        _LOG.info("wrote attribution breakdown to %s", attribution_path)
-    if request.manifest_path is not None:
-        report.save_manifest(request.manifest_path)
-    if context.ledger_path is not None:
-        append_entry(
-            context.ledger_path, make_entry(report.manifest(), kind="run")
-        )
-        _LOG.info("appended run-ledger entry to %s", context.ledger_path)
+    reports = _replay(plan, "run_system", energy_model, pim, sampler)
+    _emit(plan, reports, request_files=True)
+    (report,) = reports.values()
     return report
 
 
@@ -819,45 +857,28 @@ def estimate_system(
     """Predict a run's headline counters without replaying it.
 
     The trace-preparation stages are identical to :func:`run_system`
-    (same store keys, same reorder defaults, same hierarchy sizing),
-    but the replay is replaced by the closed-form model of
-    :func:`repro.memsim.estimate.estimate_replay`: exact route shares,
-    reuse-gap cache predictions, no stateful kernel. Used by
+    (same store keys, same reorder defaults, same hierarchy sizing,
+    same obs sinks), but the replay is replaced by the closed-form
+    model of :func:`repro.memsim.estimate.estimate_replay`: exact route
+    shares, reuse-gap cache predictions, no stateful kernel. Used by
     ``repro sweep --estimate-prune`` to skip configurations whose
     predicted metrics fall outside the band of interest.
 
     Always runs in-core (the estimator needs the whole interleaved
     trace resident); out-of-core streaming does not apply here. The
     arguments mean what they mean for :func:`run_system`; the request's
-    output paths are not written. Returns the
-    :class:`~repro.memsim.estimate.ReplayEstimate`.
+    output paths are not written and no ledger entry is appended.
+    Returns the :class:`~repro.memsim.estimate.ReplayEstimate`.
     """
-    backend_name, config, reorder = _single_backend(request, config)
-    algorithm = request.algorithm
-    alg_kwargs = dict(request.alg_kwargs)
-    _pin_source(graph, algorithm, alg_kwargs)
-    if context is None:
-        context = RunContext.from_env()
-    tracer = context.tracer if context.tracer is not None else get_tracer()
-    _LOG.info(
-        "estimate_system: algorithm=%s dataset=%s backend=%s cores=%d",
-        algorithm, request.dataset or "?", backend_name,
-        config.core.num_cores,
-    )
-    bundle = _prepare_trace(
-        graph, algorithm, config.core.num_cores, request.chunk_size,
-        reorder, context.store, tracer, alg_kwargs,
-    )
-    try:
-        hierarchy, _ = _make_hierarchy(
-            bundle, algorithm, config, backend_name, request.chunk_size,
-            request.sp_chunk_size, pim,
-        )
-        with tracer.span("estimate", cat="run", backend=backend_name,
-                         events=bundle.num_events):
+    plan = _plan(graph, request, [(request.backend, config)], context)
+    ((name, config, reorder),) = plan.backends
+    with _installed(plan, "estimate_system"), _prepare_trace(
+        plan, reorder, config.core.num_cores, None
+    ) as bundle:
+        hierarchy, _ = _make_hierarchy(plan, bundle, name, config, pim)
+        with plan.tracer.span("estimate", cat="run", backend=name,
+                              events=bundle.num_events):
             return estimate_replay(hierarchy, bundle.trace)
-    finally:
-        bundle.cleanup()
 
 
 def run_backends(
@@ -876,64 +897,29 @@ def run_backends(
     count, chunk size and reorder recipe — *not* on the hierarchy that
     replays it — so each distinct trace is generated (or loaded from
     the trace store) exactly once and every backend that needs it
-    replays the same in-memory arrays. With the paper's defaults that
-    means two generations (original order for baseline/GraphPIM/
-    dynamic, reordered for OMEGA/locked) regardless of how many
-    backends run.
+    replays the same trace. With the paper's defaults that means two
+    generations (original order for baseline/GraphPIM/dynamic,
+    reordered for OMEGA/locked) regardless of how many backends run.
 
     The arguments mean what they mean for :func:`run_system`, except
     that ``backends`` names the set to sweep (``request.backend`` is
     ignored) and ``configs`` optionally maps a backend name to its
     :class:`SimConfig` (defaults per backend via
     :func:`default_backend_config` at ``request.num_cores``). The
-    request's output paths are not written. Returns an ordered
-    ``{backend name: SimReport}`` in the order requested.
+    context is honoured as in :func:`run_system` — streamed,
+    attributed, its obs sinks, and one ledger entry per report — but
+    the request's output files (manifest, Chrome trace, timeline,
+    attribution JSON) are not written, since each names one file.
+    Returns an ordered ``{backend name: SimReport}`` in the order
+    requested.
     """
     if not backends:
         raise SimulationError("run_backends needs at least one backend name")
-    algorithm = request.algorithm
-    chunk_size = request.chunk_size
-    configs = dict(configs or {})
-    resolved: Dict[str, SimConfig] = {}
-    for name in backends:
-        get_backend(name)  # validates
-        resolved[name] = configs.get(name) or default_backend_config(
-            name, num_cores=request.num_cores
-        )
-    alg_kwargs = dict(request.alg_kwargs)
-    _pin_source(graph, algorithm, alg_kwargs)
-    if context is None:
-        context = RunContext.from_env()
-    tracer = context.tracer if context.tracer is not None else get_tracer()
-
-    bundles: Dict[Tuple, _TraceBundle] = {}
-    reports: Dict[str, SimReport] = {}
-    with tracer.span(
-        "run_backends", cat="run", algorithm=algorithm,
-        dataset=request.dataset, backends=",".join(backends),
-    ):
-        for name in backends:
-            config = resolved[name]
-            do_reorder = (
-                request.reorder if request.reorder is not None
-                else _REORDER_DEFAULT.get(name, config.use_scratchpad)
-            )
-            signature = (
-                bool(do_reorder), config.core.num_cores, chunk_size,
-            )
-            bundle = bundles.get(signature)
-            if bundle is None:
-                bundle = _prepare_trace(
-                    graph, algorithm, config.core.num_cores, chunk_size,
-                    do_reorder, context.store, tracer, alg_kwargs,
-                )
-                bundles[signature] = bundle
-            reports[name] = _replay_bundle(
-                bundle, algorithm, config, name, request.dataset,
-                chunk_size, request.sp_chunk_size,
-                energy_model, pim, None, tracer,
-                scalar_cache=context.scalar_cache,
-            )
+    configs = configs or {}
+    plan = _plan(graph, request,
+                 [(name, configs.get(name)) for name in backends], context)
+    reports = _replay(plan, "run_backends", energy_model, pim)
+    _emit(plan, reports, request_files=False)
     return reports
 
 

@@ -12,9 +12,13 @@ from repro.core.system import (
     run_system,
 )
 from repro.graph.generators import rmat_graph
+from repro.obs import read_entries
 from repro.store import TraceStore
 
 BACKENDS = ("baseline", "omega", "locked", "graphpim", "dynamic")
+
+#: A streamed, attributed context: every driver must honour both.
+STREAMED_ATTRIBUTED = RunContext(segment_events=2000, attribution=True)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +29,14 @@ def graph():
 @pytest.fixture(scope="module")
 def shared(graph):
     return run_backends(graph, RunRequest("pagerank", num_cores=4), BACKENDS)
+
+
+@pytest.fixture(scope="module")
+def streamed(graph):
+    return run_backends(
+        graph, RunRequest("pagerank", num_cores=4), BACKENDS,
+        context=STREAMED_ATTRIBUTED,
+    )
 
 
 class TestDefaultBackendConfig:
@@ -105,6 +117,38 @@ class TestRunBackends:
         assert base.trace_events == pytest.approx(
             omega.trace_events, rel=0.05
         )
+
+
+class TestRunBackendsHonoursContext:
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_streamed_attributed_matches_in_core_and_solo(
+        self, graph, shared, streamed, name
+    ):
+        """A streamed, attributed context streams and attributes every
+        backend; neither moves a counter, and the attribution equals a
+        solo run_system's under the same context."""
+        report = streamed[name]
+        assert report.streamed is True
+        assert report.num_segments > 1
+        assert report.stats.as_dict() == shared[name].stats.as_dict()
+        assert report.cycles == shared[name].cycles
+        solo = run_system(
+            graph, RunRequest("pagerank", backend=name),
+            default_backend_config(name, num_cores=4),
+            context=STREAMED_ATTRIBUTED,
+        )
+        assert report.attribution is not None
+        assert report.attribution == solo.attribution
+
+    def test_ledger_gets_one_entry_per_report(self, graph, tmp_path):
+        ledger = tmp_path / "runs.jsonl"
+        reports = run_backends(
+            graph, RunRequest("pagerank", num_cores=4), ("baseline", "omega"),
+            context=RunContext(ledger_path=str(ledger)),
+        )
+        entries = read_entries(ledger)
+        assert [e["kind"] for e in entries] == ["run", "run"]
+        assert [e["manifest"]["backend"] for e in entries] == list(reports)
 
 
 class TestCompareSystemsWrapper:

@@ -8,14 +8,17 @@ report and manifest record how the run was segmented.
 """
 
 import json
-import os
 
 import pytest
 
 from repro.cli import main
 from repro.config import SimConfig
 from repro.core.context import RunContext, RunRequest
-from repro.core.system import ENV_SEGMENT_EVENTS, run_system
+from repro.core.system import (
+    ENV_SEGMENT_EVENTS,
+    run_backends,
+    run_system,
+)
 from repro.errors import SimulationError
 from repro.graph.generators import rmat_graph
 from repro.obs.manifest_diff import diff_manifests
@@ -235,19 +238,30 @@ class TestOutputPathParents:
         doc = json.loads(json_out.read_text())
         assert doc["rows"]
 
+    @pytest.mark.parametrize("driver", ["run_system", "run_backends"])
     def test_run_system_cleans_spool_without_store(self, graph, omega_cfg,
-                                                   tmp_path, monkeypatch):
+                                                   tmp_path, monkeypatch,
+                                                   driver):
         # Point the system temp directory somewhere observable: after a
-        # storeless streamed run, no spool file may remain.
+        # storeless streamed run, no spool file may remain — also when
+        # run_backends streams two trace signatures.
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         import tempfile
 
         tempfile.tempdir = None  # re-read TMPDIR
         try:
-            run_system(
-                graph, RunRequest("pagerank", dataset="t"), omega_cfg,
-                context=RunContext.from_env(cache=False, segment_events=2000),
-            )
+            context = RunContext.from_env(cache=False, segment_events=2000)
+            if driver == "run_system":
+                run_system(
+                    graph, RunRequest("pagerank", dataset="t"), omega_cfg,
+                    context=context,
+                )
+            else:
+                reports = run_backends(
+                    graph, RunRequest("pagerank", dataset="t", num_cores=4),
+                    ("baseline", "omega"), context=context,
+                )
+                assert all(r.streamed for r in reports.values())
             assert list(tmp_path.iterdir()) == []
         finally:
             tempfile.tempdir = None

@@ -5,15 +5,39 @@ import json
 import pytest
 
 from repro.config import SimConfig
-from repro.core.context import RunRequest
-from repro.core.system import run_system
+from repro.core.context import RunContext, RunRequest
+from repro.core.system import estimate_system, run_backends, run_system
 from repro.graph.generators import rmat_graph
 from repro.obs import MetricsRegistry, SpanTracer, use_registry, use_tracer
+
+DRIVERS = ("run_system", "run_backends", "estimate_system")
 
 
 @pytest.fixture(scope="module")
 def graph():
     return rmat_graph(7, edge_factor=6, seed=3)
+
+
+def _drive(driver, graph, sinks, tracer, registry):
+    """Run ``driver`` on the baseline with the obs sinks either installed
+    on the thread or carried by the context; return its event count."""
+    if sinks == "installed":
+        with use_tracer(tracer), use_registry(registry):
+            return _call(driver, graph, RunContext())
+    return _call(driver, graph, RunContext(tracer=tracer, metrics=registry))
+
+
+def _call(driver, graph, context):
+    request = RunRequest("pagerank", dataset="t", num_cores=4)
+    config = SimConfig.scaled_baseline(num_cores=4)
+    if driver == "run_system":
+        return run_system(graph, request, config,
+                          context=context).trace_events
+    if driver == "run_backends":
+        reports = run_backends(graph, request, ("baseline",),
+                               {"baseline": config}, context=context)
+        return reports["baseline"].trace_events
+    return estimate_system(graph, request, config, context=context).events
 
 
 class TestInstrumentedRun:
@@ -53,26 +77,28 @@ class TestInstrumentedRun:
             doc["num_windows"]
         )
 
-    def test_installed_tracer_is_reused(self, graph):
+    @pytest.mark.parametrize("sinks", ["installed", "context"])
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_installed_tracer_is_reused(self, graph, driver, sinks):
+        """Every driver's spans — its own and the engine's and replay's
+        deep inside it — reach the tracer it was given."""
         tracer = SpanTracer()
-        with use_tracer(tracer):
-            run_system(
-                graph, RunRequest("pagerank", dataset="t"),
-                SimConfig.scaled_baseline(num_cores=4),
-            )
-        assert any(r.name == "run_system" for r in tracer.records)
+        _drive(driver, graph, sinks, tracer, MetricsRegistry())
+        names = {r.name for r in tracer.records}
+        assert {driver, "edge_map"} <= names
+        if driver != "estimate_system":
+            assert "replay" in names
 
-    def test_metrics_registry_collects_counters(self, graph):
+    @pytest.mark.parametrize("sinks", ["installed", "context"])
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_metrics_registry_collects_counters(self, graph, driver, sinks):
         registry = MetricsRegistry()
-        with use_registry(registry):
-            report = run_system(
-                graph, RunRequest("pagerank", dataset="t"),
-                SimConfig.scaled_baseline(num_cores=4),
-            )
+        events = _drive(driver, graph, sinks, SpanTracer(), registry)
         counters = registry.snapshot()["counters"]
-        assert counters["replay.events"] == report.trace_events
         assert counters["ligra.edge_map_calls"] > 0
         assert counters["ligra.vertex_map_calls"] > 0
+        if driver != "estimate_system":
+            assert counters["replay.events"] == events
 
     def test_registry_snapshot_rides_timeline(self, graph, tmp_path):
         path = tmp_path / "timeline.json"
