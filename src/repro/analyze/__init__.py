@@ -1,15 +1,17 @@
 """Static-analysis subsystem: AST-based invariant checks for the repo.
 
-The simulator's correctness rests on invariants no unit test sees
-whole: counters must flow from increment site to manifest, every
-route code must be accounted by the backend that emits it, shared
-serve/obs state must be written under its lock, nothing inside the
-simulation packages may read entropy, and the docs must match the
-constants they quote. ``repro.analyze`` checks all of that statically
-— ``repro lint`` on the CLI, :func:`run_battery` from code. Every run
-is one cold pass over the checkout's sources and docs: there is no
-result cache and no accepted-findings file, so what a checkout ships
-can never silence its own findings.
+Some invariants sit on code paths a run does not execute, so no
+runtime test sees them: nothing inside the simulation packages may
+read entropy, library code raises only ``ReproError`` subclasses,
+counter folds accumulate at 64 bits, and shared serve/obs state must
+be written under its lock. ``repro.analyze`` checks those statically —
+``repro lint`` on the CLI, :func:`run_battery` from code. Invariants a
+plain test can check on live runs (counters, routes, manifest blocks)
+or with a token scan (environment reads, documented flags and
+variables) live in ``tests/test_contracts.py`` instead. Every run is
+one cold pass over the checkout's sources: there is no result cache
+and no accepted-findings file, so what a checkout ships can never
+silence its own findings.
 
 Findings can be suppressed inline with an explicit reason::
 

@@ -2,21 +2,19 @@
 
 Nothing here is repo-specific: import-alias resolution (so
 ``np.random.rand`` resolves to ``numpy.random.rand`` regardless of
-how numpy was imported), dotted-name rendering of attribute chains,
-and literal extraction for module-level constants.
+how numpy was imported) and dotted-name rendering of attribute
+chains.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "import_aliases",
     "dotted_name",
     "resolve_call_target",
-    "module_constant",
-    "string_tuple_constant",
 ]
 
 
@@ -73,43 +71,3 @@ def resolve_call_target(func: ast.expr,
         return None
     base = aliases.get(parts[0], parts[0])
     return ".".join([base] + parts[1:])
-
-
-def module_constant(tree: ast.Module, name: str) -> Tuple[object, int]:
-    """Value and line of a top-level literal assignment, if present.
-
-    Returns ``(value, lineno)``; ``(None, 0)`` when the name is not
-    assigned a literal at module level. Handles plain literals plus
-    ``frozenset({...})`` / ``set({...})`` / ``tuple((...))`` wrappers.
-    """
-    for node in tree.body:
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        assert value is not None
-        expr = value
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Name)
-            and expr.func.id in ("frozenset", "set", "tuple")
-            and len(expr.args) == 1
-        ):
-            expr = expr.args[0]
-        try:
-            return ast.literal_eval(expr), node.lineno
-        except (ValueError, SyntaxError):
-            return None, node.lineno
-    return None, 0
-
-
-def string_tuple_constant(tree: ast.Module, name: str) -> Set[str]:
-    """A module-level tuple/set/list of strings, as a set ('' safe)."""
-    value, _ = module_constant(tree, name)
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return {v for v in value if isinstance(v, str)}
-    return set()

@@ -2,8 +2,7 @@
 
 :class:`ProjectIndex` walks a checkout root, parses every module under
 ``src/repro`` into an AST exactly once, and exposes lookup helpers the
-rules share: module-by-dotted-name, prefix iteration, and the doc
-pages (``README.md`` + ``docs/*.md``) the doc-sync rule cross-checks.
+rules share: module-by-dotted-name and prefix iteration.
 
 Everything is pure reading — the analyzer never imports the code it
 checks, so a syntactically valid tree with a broken import graph still
@@ -80,7 +79,7 @@ def _module_name(rel: Path) -> str:
 
 
 class ProjectIndex:
-    """All parsed modules and doc pages of one checkout."""
+    """All parsed modules of one checkout."""
 
     def __init__(self, root: "str | Path") -> None:
         self.root = Path(root).resolve()
@@ -102,7 +101,6 @@ class ProjectIndex:
             self.modules[name] = SourceModule(
                 name, path, rel, path.read_text()
             )
-        self._docs: Optional[Dict[str, str]] = None
         self._call_graph: Optional["CallGraph"] = None
 
     # -- module lookup -------------------------------------------------
@@ -122,30 +120,6 @@ class ProjectIndex:
                 name == p or name.startswith(p + ".") for p in prefixes
             ):
                 yield self.modules[name]
-
-    # -- docs ----------------------------------------------------------
-    def docs(self) -> Dict[str, str]:
-        """Doc pages (repo-relative posix path → text).
-
-        Covers ``README.md`` and every ``docs/*.md`` that exists;
-        empty when the checkout ships no docs (e.g. a bare package).
-        """
-        if self._docs is None:
-            pages: Dict[str, str] = {}
-            readme = self.root / "README.md"
-            if readme.is_file():
-                pages["README.md"] = readme.read_text()
-            docs_dir = self.root / "docs"
-            if docs_dir.is_dir():
-                for page in sorted(docs_dir.glob("*.md")):
-                    rel = page.relative_to(self.root).as_posix()
-                    pages[rel] = page.read_text()
-            self._docs = pages
-        return self._docs
-
-    def doc_text(self, rel_path: str) -> Optional[str]:
-        """Text of one doc page by repo-relative path, or ``None``."""
-        return self.docs().get(rel_path)
 
     # -- whole-program views -------------------------------------------
     def call_graph(self) -> "CallGraph":

@@ -6,9 +6,10 @@ rule selection first (an unknown rule id fails fast, before any
 parsing), parses the checkout into a
 :class:`~repro.analyze.project.ProjectIndex`, runs the selected rules,
 scans suppression comments, and splits findings into reported vs
-suppressed. Every run is cold: nothing is read from or written to the
-checkout besides its sources and docs. Exit-code semantics live here
-too: ``1`` when any unsuppressed error-severity finding remains.
+suppressed. Every run is cold: nothing is read from the checkout
+besides its sources, and nothing is written to it. Exit-code
+semantics live here too: ``1`` when any unsuppressed error-severity
+finding remains.
 """
 
 from __future__ import annotations

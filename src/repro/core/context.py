@@ -10,7 +10,8 @@ these two:
   their own context; nothing a concurrent run does can change it.
 - :meth:`RunContext.from_env` and the ``*_from_env`` helpers are the
   **only** place in ``src/repro`` allowed to read ``REPRO_*``
-  environment variables (machine-enforced by the ENV001 lint rule).
+  environment variables (machine-enforced by a token scan in
+  ``tests/test_contracts.py``).
 - :class:`RunRequest` is one run's workload description as a
   serializable value, so a sweep worker or a ``repro serve`` job can
   carry the complete run description across a process or socket
@@ -174,9 +175,9 @@ class RunContext:
         """Build a context from explicit overrides plus the environment.
 
         This classmethod is the single sanctioned reader of ``REPRO_*``
-        environment variables in ``src/repro`` (rule ENV001). Every
-        parameter is an explicit override that wins over the
-        environment; ``None`` means "consult the environment":
+        environment variables in ``src/repro``. Every parameter is an
+        explicit override that wins over the environment; ``None``
+        means "consult the environment":
 
         - ``cache``: ``False`` disables caching, a path or
           :class:`~repro.store.TraceStore` selects a store, and

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -32,7 +33,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.algorithms.registry import ALGORITHMS
 from repro.errors import SimulationError
+from repro.memsim.backends import backend_names
 from repro.store.store import normalize_kwargs
 
 __all__ = [
@@ -88,13 +91,25 @@ class JobSpec:
         kwargs = doc.get("alg_kwargs") or {}
         if not isinstance(kwargs, Mapping):
             raise SimulationError("alg_kwargs must be an object")
+        algorithm = str(doc["algorithm"])
+        if algorithm not in ALGORITHMS:
+            raise SimulationError(
+                f"unknown algorithm {algorithm!r};"
+                f" available: {', '.join(ALGORITHMS)}"
+            )
+        backend = str(doc.get("backend", "omega"))
+        if backend not in backend_names():
+            raise SimulationError(
+                f"unknown backend {backend!r};"
+                f" available: {', '.join(backend_names())}"
+            )
         return cls(
             dataset=str(doc["dataset"]),
-            algorithm=str(doc["algorithm"]),
-            backend=str(doc.get("backend", "omega")),
-            scale=float(doc.get("scale", 1.0)),
-            num_cores=int(doc.get("num_cores", 16)),
-            chunk_size=int(doc.get("chunk_size", 32)),
+            algorithm=algorithm,
+            backend=backend,
+            scale=_positive_scale(doc.get("scale", 1.0)),
+            num_cores=_positive_int("num_cores", doc.get("num_cores", 16)),
+            chunk_size=_positive_int("chunk_size", doc.get("chunk_size", 32)),
             alg_kwargs=dict(kwargs),
         )
 
@@ -108,6 +123,28 @@ class JobSpec:
             "chunk_size": self.chunk_size,
             "alg_kwargs": dict(self.alg_kwargs),
         }
+
+
+def _positive_scale(value: Any) -> float:
+    """A finite, positive dataset scale (numeric strings accepted)."""
+    try:
+        scale = float(value)
+    except (TypeError, ValueError):
+        scale = math.nan
+    if isinstance(value, bool) or not (math.isfinite(scale) and scale > 0):
+        raise SimulationError(
+            f"scale must be a finite number > 0, got {value!r}"
+        )
+    return scale
+
+
+def _positive_int(key: str, value: Any) -> int:
+    """``value`` of field ``key``, which must be a positive JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise SimulationError(
+            f"{key} must be a positive integer, got {value!r}"
+        )
+    return value
 
 
 def job_key(spec: JobSpec) -> str:

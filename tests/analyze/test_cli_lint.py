@@ -13,14 +13,10 @@ from tests.analyze.conftest import REPO_ROOT, fixture_tree
 
 BAD_FIXTURES = (
     "bad_determinism",
-    "bad_counters",
-    "bad_routing",
-    "bad_docsync",
     "bad_suppression",
     "bad_race",
     "bad_exceptions",
     "bad_numpyfold",
-    "bad_schema",
 )
 
 
@@ -79,7 +75,7 @@ def test_lint_json_format(capsys):
 def test_lint_sarif_to_file(tmp_path, capsys):
     out_path = tmp_path / "lint.sarif"
     code = main([
-        "lint", "--root", str(fixture_tree("bad_routing")),
+        "lint", "--root", str(fixture_tree("bad_exceptions")),
         "--format", "sarif", "--out", str(out_path),
     ])
     assert code == 1
@@ -87,15 +83,15 @@ def test_lint_sarif_to_file(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["version"] == "2.1.0"
     rule_ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
-    assert "RTE001" in rule_ids and "SUP001" in rule_ids
-    assert {r["ruleId"] for r in doc["runs"][0]["results"]} == {"RTE001"}
+    assert "EXC001" in rule_ids and "SUP001" in rule_ids
+    assert {r["ruleId"] for r in doc["runs"][0]["results"]} == {"EXC001"}
 
 
 def test_lint_rule_subset(capsys):
     # The determinism fixture is clean under every rule but DET001.
     code = main([
         "lint", "--root", str(fixture_tree("bad_determinism")),
-        "--rules", "CNT001,RTE001",
+        "--rules", "EXC001,NPY001",
     ])
     capsys.readouterr()
     assert code == 0

@@ -6,18 +6,13 @@ import textwrap
 import pytest
 
 from repro.analyze import AnalysisError, ProjectIndex, rule_ids
-from repro.analyze.astutil import (
-    import_aliases,
-    module_constant,
-    resolve_call_target,
-    string_tuple_constant,
-)
+from repro.analyze.astutil import import_aliases, resolve_call_target
 from repro.analyze.registry import rule
 from repro.errors import ReproError
 
 
 def test_builtin_rule_ids_are_registered():
-    assert {"CNT001", "DET001", "DOC001", "RTE001"} <= set(rule_ids())
+    assert {"DET001", "EXC001", "NPY001", "RAC001"} <= set(rule_ids())
 
 
 def test_duplicate_rule_id_rejected():
@@ -79,18 +74,3 @@ def test_alias_resolution_variants():
     assert resolve_call_target(call.func, aliases) == "datetime.datetime.now"
     call = ast.parse("time.time()").body[0].value
     assert resolve_call_target(call.func, aliases) == "time.time"
-
-
-def test_module_constant_unwraps_frozenset():
-    tree = _parse("READABLE = frozenset({1, 2})\n")
-    value, lineno = module_constant(tree, "READABLE")
-    assert value == {1, 2}
-    assert lineno == 1
-    assert module_constant(tree, "MISSING") == (None, 0)
-
-
-def test_string_tuple_constant():
-    tree = _parse('NAMES = ("a", "b")\nNOT_STRINGS = (1, 2)\n')
-    assert string_tuple_constant(tree, "NAMES") == {"a", "b"}
-    assert string_tuple_constant(tree, "NOT_STRINGS") == set()
-    assert string_tuple_constant(tree, "MISSING") == set()

@@ -1,82 +1,62 @@
-"""DOC001: flags, env vars and version constants match the docs."""
+"""Docs in sync with the code, formerly lint rule DOC001, as tamper tests.
 
-from repro.analyze import run_battery
+The rule is now ``undocumented_flags`` and ``undocumented_env_vars`` in
+``tests/test_contracts.py`` plus ``trace_doc_drift`` in
+``tests/ligra/test_trace_io.py``. Each test feeds them a tampered
+parser, source tree or page text.
+"""
 
-from tests.analyze.conftest import fixture_tree
+import re
+
+from repro.cli import build_parser
+from repro.core.report import MANIFEST_SCHEMA
+from repro.ligra.trace import READABLE_TRACE_VERSIONS, TRACE_FORMAT_VERSION
+from repro.obs.timeline import TIMELINE_SCHEMA
+
+from tests.ligra.test_trace_io import trace_doc_drift
+from tests.test_contracts import (
+    DOCS,
+    TRACE_DOC,
+    undocumented_env_vars,
+    undocumented_flags,
+)
 
 
-def doc(root):
-    result = run_battery(root, rules=["DOC001"])
-    return [f for f in result.findings if f.rule == "DOC001"]
-
-
-def test_bad_fixture_flags_all_four_drifts():
-    findings = doc(fixture_tree("bad_docsync"))
-    messages = "\n".join(f.message for f in findings)
-    assert "--mystery" in messages
-    assert "REPRO_SECRET" in messages
-    assert "TRACE_FORMAT_VERSION is 3" in messages
-    assert "READABLE_TRACE_VERSIONS is [1, 2, 3]" in messages
-    assert len(findings) == 4
+def test_bad_fixture_flags_all_four_drifts(tree):
+    parser = build_parser()
+    parser.add_argument("--mystery")
+    assert undocumented_flags(parser) == ["--mystery"]
+    root = tree({"src/repro/knobs.py": 'SECRET = "REPRO_SECRET"\n'})
+    assert undocumented_env_vars(root / "src") == ["REPRO_SECRET"]
+    doc = re.sub(r"(TRACE_FORMAT_VERSION`, currently )\d+", r"\g<1>2",
+                 TRACE_DOC)
+    doc = re.sub(r"currently \{[0-9, ]+\}", "currently {1, 2}", doc)
+    assert trace_doc_drift(doc) == [
+        "TRACE_FORMAT_VERSION", "READABLE_TRACE_VERSIONS",
+    ]
 
 
 def test_documented_flag_and_env_var_are_clean(tree):
-    root = tree({
-        "src/repro/cli.py": """\
-            import argparse
-
-            CACHE_ENV = "REPRO_CACHE_DIR"
-
-            def build_parser():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--mystery", help="documented")
-                return parser
-            """,
-        "README.md": (
-            "# Readme\n\nUse `--mystery` and set `REPRO_CACHE_DIR`.\n"
-        ),
-    })
-    assert doc(root) == []
+    parser = build_parser()
+    parser.add_argument("--mystery")
+    docs = "Use `--mystery` and set `REPRO_CACHE_DIR`."
+    root = tree({"src/repro/knobs.py": 'CACHE_ENV = "REPRO_CACHE_DIR"\n'})
+    assert undocumented_flags(parser, DOCS + docs) == []
+    assert undocumented_env_vars(root / "src", docs) == []
 
 
-def test_silent_when_checkout_ships_no_docs(tree):
-    root = tree({
-        "src/repro/cli.py": """\
-            import argparse
-
-            CACHE_ENV = "REPRO_SECRET"
-
-            def build_parser():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--mystery")
-                return parser
-            """,
-    })
-    assert doc(root) == []
+def test_matching_versions_are_clean():
+    readable = ", ".join(str(v) for v in sorted(READABLE_TRACE_VERSIONS))
+    doc = (
+        f"(`TRACE_FORMAT_VERSION`, currently {TRACE_FORMAT_VERSION}).\n"
+        f"Readers accept versions (currently {{{readable}}}).\n"
+        f"Tags: {MANIFEST_SCHEMA}, {TIMELINE_SCHEMA}.\n"
+    )
+    assert trace_doc_drift(doc) == []
 
 
-def test_matching_versions_are_clean(tree):
-    root = tree({
-        "src/repro/ligra/trace.py": """\
-            TRACE_FORMAT_VERSION = 2
-            READABLE_TRACE_VERSIONS = frozenset({1, 2})
-            """,
-        "docs/trace-format.md": (
-            "# Trace format\n\n"
-            "(`TRACE_FORMAT_VERSION`, currently 2).\n"
-            "Readers accept versions (currently {1, 2}).\n"
-        ),
-    })
-    assert doc(root) == []
-
-
-def test_schema_tag_must_appear_in_trace_doc(tree):
-    root = tree({
-        "src/repro/core/report.py": """\
-            MANIFEST_SCHEMA = "fixture/run-manifest/v9"
-            """,
-        "docs/trace-format.md": "# Trace format\n\nNo tags here.\n",
-    })
-    findings = doc(root)
-    assert len(findings) == 1
-    assert "fixture/run-manifest/v9" in findings[0].message
+def test_schema_tag_must_appear_in_trace_doc():
+    # MANIFEST_SCHEMA bumped in code only: the page names the old tag.
+    assert MANIFEST_SCHEMA in TRACE_DOC
+    doc = TRACE_DOC.replace(MANIFEST_SCHEMA, "omega-repro/run-manifest/v0")
+    assert trace_doc_drift(doc) == [MANIFEST_SCHEMA]

@@ -1,122 +1,67 @@
-"""RTE001: every route code emitted, accounted, or declared."""
+"""Route accounting, formerly lint rule RTE001, as tamper tests.
 
-from repro.analyze import run_battery
+The rule is now the route contracts of ``tests/test_contracts.py``: the
+census of emitted codes against ``repro.memsim.routes`` and the
+charged-exactly-once identity. Each test runs a live backend, tampered
+or not, and asserts what those contracts report.
+"""
 
-from tests.analyze.conftest import fixture_tree
+from repro.memsim import routes
+from repro.memsim.backends import BACKENDS, OmegaBackend
+from repro.memsim.backends.base import HierarchyBackend
+from repro.memsim.routes import ROUTE_SP_PLAIN, ROUTE_SRCBUF_HIT
 
-
-def rte(root):
-    result = run_battery(root, rules=["RTE001"])
-    return [f for f in result.findings if f.rule == "RTE001"]
-
-
-def test_bad_fixture_flags_dangling_and_dead_routes():
-    findings = rte(fixture_tree("bad_routing"))
-    assert len(findings) == 2
-    by_path = {f.path: f for f in findings}
-    emit = by_path["src/repro/memsim/backends/hw.py"]
-    assert "emits ROUTE_SP but never accounts it" in emit.message
-    dead = by_path["src/repro/memsim/routes.py"]
-    assert "ROUTE_GHOST" in dead.message
-
-
-def test_accounted_emission_is_clean(tree):
-    root = tree({
-        "src/repro/memsim/routes.py": """\
-            ROUTE_CACHE = 0
-            ROUTE_SP = 1
-            """,
-        "src/repro/memsim/replay.py": """\
-            from repro.memsim.routes import ROUTE_CACHE
-
-            def replay(routes):
-                return routes == ROUTE_CACHE
-            """,
-        "src/repro/memsim/backends/__init__.py": "",
-        "src/repro/memsim/backends/hw.py": """\
-            from repro.memsim.routes import ROUTE_SP
-
-            def route(routes, mask):
-                routes[mask] = ROUTE_SP
-                return routes
-
-            def account(routes, stats):
-                stats.sp += int((routes == ROUTE_SP).sum())
-            """,
-    })
-    assert rte(root) == []
+from tests.test_contracts import (
+    grid_graph,
+    recording_routes,
+    route_drift,
+    run,
+    uncharged,
+)
 
 
-def test_base_accounting_covers_all_backends(tree):
-    root = tree({
-        "src/repro/memsim/routes.py": """\
-            ROUTE_SP = 1
-            """,
-        "src/repro/memsim/backends/__init__.py": "",
-        "src/repro/memsim/backends/base.py": """\
-            from repro.memsim.routes import ROUTE_SP
+def test_bad_fixture_flags_dangling_and_dead_routes(monkeypatch):
+    # Omega emits a code nothing declares or charges, and routes.py
+    # declares a code no backend emits.
+    route = OmegaBackend.route
 
-            def account(routes, stats):
-                stats.sp += int((routes == ROUTE_SP).sum())
-            """,
-        "src/repro/memsim/backends/hw.py": """\
-            from repro.memsim.routes import ROUTE_SP
+    def emits_code_7(self, *args):
+        emitted = route(self, *args)
+        emitted[emitted == ROUTE_SP_PLAIN] = 7
+        return emitted
 
-            def route(routes, mask):
-                routes[mask] = ROUTE_SP
-                return routes
-            """,
-    })
-    assert rte(root) == []
+    monkeypatch.setattr(OmegaBackend, "route", emits_code_7)
+    monkeypatch.setattr(routes, "ROUTE_GHOST", 99, raising=False)
+    with recording_routes() as codes:
+        report = run(grid_graph("pagerank"), "pagerank", "omega")
+    drift = route_drift(codes)
+    assert "undeclared code 7" in drift
+    assert "dead ROUTE_GHOST" in drift
+    assert uncharged(report) > 0
 
 
-def test_route_time_declaration_escape(tree):
-    root = tree({
-        "src/repro/memsim/routes.py": """\
-            ROUTE_HIT = 1
-            """,
-        "src/repro/memsim/backends/__init__.py": "",
-        "src/repro/memsim/backends/hw.py": """\
-            from repro.memsim.routes import ROUTE_HIT
-
-            ROUTES_ACCOUNTED_AT_ROUTE_TIME = ("ROUTE_HIT",)
-
-            def route(routes, mask):
-                routes[mask] = ROUTE_HIT
-                return routes
-            """,
-    })
-    assert rte(root) == []
+def test_accounted_emission_is_clean():
+    # Omega charges its source-buffer hits in its own account().
+    assert "account" in vars(OmegaBackend)
+    with recording_routes() as codes:
+        report = run(grid_graph("sssp"), "sssp", "omega")
+    assert ROUTE_SRCBUF_HIT in codes
+    assert not [d for d in route_drift(codes) if d.startswith("undeclared")]
+    assert uncharged(report) == 0
 
 
-def test_route_time_declaration_must_name_real_routes(tree):
-    root = tree({
-        "src/repro/memsim/routes.py": """\
-            ROUTE_HIT = 1
-            """,
-        "src/repro/memsim/backends/__init__.py": "",
-        "src/repro/memsim/backends/hw.py": """\
-            from repro.memsim.routes import ROUTE_HIT
-
-            ROUTES_ACCOUNTED_AT_ROUTE_TIME = ("ROUTE_HIT", "ROUTE_TYPO")
-
-            def route(routes, mask):
-                routes[mask] = ROUTE_HIT
-                return routes
-            """,
-    })
-    findings = rte(root)
-    assert len(findings) == 1
-    assert "ROUTE_TYPO" in findings[0].message
-
-
-def test_declared_unused_escape(tree):
-    root = tree({
-        "src/repro/memsim/routes.py": """\
-            ROUTE_FUTURE = 7
-
-            ROUTES_DECLARED_UNUSED = ("ROUTE_FUTURE",)
-            """,
-        "src/repro/memsim/backends/__init__.py": "",
-    })
-    assert rte(root) == []
+def test_base_accounting_covers_all_backends(monkeypatch):
+    inherited = [name for name, cls in BACKENDS.items()
+                 if "account" not in vars(cls)]
+    assert inherited, "every backend overrides account()"
+    for name in inherited:
+        with recording_routes() as codes:
+            report = run(grid_graph("pagerank"), "pagerank", name)
+        assert uncharged(report) == 0, name
+        assert not [d for d in route_drift(codes)
+                    if d.startswith("undeclared")], name
+    # Without the base accounting, the scratchpad events of a backend
+    # that inherits it go uncharged.
+    monkeypatch.setattr(HierarchyBackend, "account", lambda *args: None)
+    report = run(grid_graph("pagerank"), "pagerank", "dynamic")
+    assert uncharged(report) > 0

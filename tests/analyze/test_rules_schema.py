@@ -1,118 +1,53 @@
-"""SCH001: manifest blocks, KNOWN_BLOCKS, and docs stay in sync."""
+"""Manifest blocks, formerly lint rule SCH001, as tamper tests.
 
-from repro.analyze import run_battery
+The rule is now ``block_drift`` in ``tests/test_contracts.py``: the
+blocks a run's manifest writes, ``KNOWN_BLOCKS`` and the quoted block
+names in ``docs/trace-format.md`` must agree. Each test tampers with a
+live report's manifest, the live ``KNOWN_BLOCKS`` or the page text.
+"""
 
-from tests.analyze.conftest import fixture_tree
+import pytest
 
+from repro.core.report import SimReport
+from repro.obs import manifest_diff
 
-def sch(root):
-    result = run_battery(root, rules=["SCH001"])
-    return [f for f in result.findings if f.rule == "SCH001"]
-
-
-REPORT_OK = """\
-    MANIFEST_SCHEMA = "omega-repro/manifest/v1"
-
-
-    class SimReport:
-        def manifest(self):
-            return {
-                "schema": MANIFEST_SCHEMA,
-                "workload": {},
-            }
-    """
-
-BLOCKS_OK = """\
-    KNOWN_BLOCKS = frozenset({"schema", "workload"})
-    """
+from tests.test_contracts import TRACE_DOC, block_drift, grid_graph, run
 
 
-def test_bad_fixture_flags_missing_and_stale_blocks():
-    findings = sch(fixture_tree("bad_schema"))
-    assert len(findings) == 2
-    by_path = {f.path: f for f in findings}
-    missing = by_path["src/repro/core/report.py"]
-    assert "'mystery'" in missing.message
-    assert "KNOWN_BLOCKS" in missing.message
-    stale = by_path["src/repro/obs/manifest_diff.py"]
-    assert "'stale_block'" in stale.message
+@pytest.fixture(scope="module")
+def report():
+    return run(grid_graph("pagerank"), "pagerank", "omega")
 
 
-def test_in_sync_trees_are_clean(tree):
-    root = tree({
-        "src/repro/core/__init__.py": "",
-        "src/repro/core/report.py": REPORT_OK,
-        "src/repro/obs/__init__.py": "",
-        "src/repro/obs/manifest_diff.py": BLOCKS_OK,
+def test_bad_fixture_flags_missing_and_stale_blocks(monkeypatch, report):
+    manifest = SimReport.manifest
+    monkeypatch.setattr(SimReport, "manifest", lambda self: {
+        **manifest(self), "mystery": {},
     })
-    assert sch(root) == []
+    monkeypatch.setattr(manifest_diff, "KNOWN_BLOCKS",
+                        manifest_diff.KNOWN_BLOCKS | {"stale_block"})
+    assert block_drift(report.manifest()) == [
+        "stale stale_block", "undocumented mystery", "ungated mystery",
+    ]
 
 
-def test_docs_table_must_mention_every_block(tree):
-    root = tree({
-        "src/repro/core/__init__.py": "",
-        "src/repro/core/report.py": REPORT_OK,
-        "src/repro/obs/__init__.py": "",
-        "src/repro/obs/manifest_diff.py": BLOCKS_OK,
-        "docs/trace-format.md": """\
-            # Trace format
-
-            | block | meaning |
-            | --- | --- |
-            | "schema" | format version |
-            """,
-    })
-    findings = sch(root)
-    assert len(findings) == 1
-    assert "'workload'" in findings[0].message
-    assert "docs/trace-format.md" in findings[0].message
+def test_in_sync_trees_are_clean(report):
+    assert block_drift(report.manifest()) == []
 
 
-def test_docs_check_is_skipped_without_the_page(tree):
-    # No docs/trace-format.md in the mini-tree → only code-level sync.
-    root = tree({
-        "src/repro/core/__init__.py": "",
-        "src/repro/core/report.py": REPORT_OK,
-        "src/repro/obs/__init__.py": "",
-        "src/repro/obs/manifest_diff.py": BLOCKS_OK,
-    })
-    assert sch(root) == []
+def test_docs_table_must_mention_every_block(report):
+    page = TRACE_DOC.replace('"workload"', "workload")
+    assert block_drift(report.manifest(), page) == ["undocumented workload"]
 
 
-def test_subscript_inserts_count_as_blocks(tree):
-    # manifest() building the dict imperatively still gets scanned.
-    root = tree({
-        "src/repro/core/__init__.py": "",
-        "src/repro/core/report.py": """\
-            class SimReport:
-                def manifest(self):
-                    doc = {
-                        "schema": "v1",
-                    }
-                    doc["workload"] = {}
-                    doc["surprise"] = 1
-                    return doc
-            """,
-        "src/repro/obs/__init__.py": "",
-        "src/repro/obs/manifest_diff.py": BLOCKS_OK,
-    })
-    findings = sch(root)
-    assert len(findings) == 1
-    assert "'surprise'" in findings[0].message
+def test_subscript_inserts_count_as_blocks(monkeypatch, report):
+    # A block added to the built dict, not to its literal, still counts.
+    manifest = SimReport.manifest
 
+    def with_surprise(self):
+        doc = manifest(self)
+        doc["surprise"] = 1
+        return doc
 
-def test_missing_anchor_is_reported_not_crashed(tree):
-    # report.py exists but lost SimReport.manifest: the rule says so.
-    root = tree({
-        "src/repro/core/__init__.py": "",
-        "src/repro/core/report.py": """\
-            class SomethingElse:
-                pass
-            """,
-        "src/repro/obs/__init__.py": "",
-        "src/repro/obs/manifest_diff.py": BLOCKS_OK,
-    })
-    findings = sch(root)
-    assert len(findings) == 1
-    assert "no longer defines" in findings[0].message
-    assert "SimReport" in findings[0].message
+    monkeypatch.setattr(SimReport, "manifest", with_surprise)
+    assert "ungated surprise" in block_drift(report.manifest())

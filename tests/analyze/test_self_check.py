@@ -5,6 +5,8 @@ invariant the way a careless edit would, and assert the battery's exit
 code flips to 1 with the right rule — proving the gate actually guards
 the invariants it claims to. The untampered copy is linted once per
 module; each test tampers with its own copy of that checked tree.
+Tampers of rules since replaced by runtime contracts are checked
+against those contracts instead (last section).
 """
 
 import shutil
@@ -13,8 +15,22 @@ from pathlib import Path
 import pytest
 
 from repro.analyze import SUPPRESSION_RULE, rule_ids, run_battery
+from repro.core.report import SimReport
+from repro.memsim.backends import OmegaBackend
+from repro.memsim.backends.base import HierarchyBackend
+from repro.memsim.stats import MemStats
+from repro.obs import timeline
 
 from tests.analyze.conftest import REPO_ROOT
+from tests.test_contracts import (
+    block_drift,
+    env_offenders,
+    ghost_fields,
+    grid_graph,
+    run,
+    silent_counters,
+    uncharged,
+)
 
 
 def test_battery_is_clean_on_this_checkout():
@@ -28,13 +44,12 @@ def test_battery_is_clean_on_this_checkout():
 
 def test_battery_rules_cover_the_advertised_families():
     ids = set(rule_ids()) | {SUPPRESSION_RULE.id}
-    assert ids == {"DET001", "CNT001", "RTE001", "DOC001", "SUP001",
-                   "ENV001", "RAC001", "EXC001", "NPY001", "SCH001"}
+    assert ids == {"DET001", "SUP001", "RAC001", "EXC001", "NPY001"}
 
 
 @pytest.fixture(scope="module")
 def pristine_src(tmp_path_factory):
-    """A copy of this repo's src tree (no docs → doc rules stay quiet)."""
+    """A copy of this repo's src tree."""
     root = tmp_path_factory.mktemp("pristine")
     shutil.copytree(
         REPO_ROOT / "src" / "repro",
@@ -60,21 +75,6 @@ def _rules_fired(root: Path):
     return {f.rule for f in result.findings}
 
 
-def test_deleting_a_reported_counter_trips_cnt001(scratch_src):
-    # coherence_invalidations is reported ONLY through as_dict — the
-    # counters the timeline snapshot or the attribution fold also carry
-    # would stay conserved through those surfaces after this tamper.
-    stats = scratch_src / "src/repro/memsim/stats.py"
-    text = stats.read_text()
-    needle = (
-        '            "coherence_invalidations":'
-        ' self.coherence_invalidations,\n'
-    )
-    assert needle in text
-    stats.write_text(text.replace(needle, ""))
-    assert "CNT001" in _rules_fired(scratch_src)
-
-
 def test_wall_clock_in_replay_trips_det001(scratch_src):
     replay = scratch_src / "src/repro/memsim/replay.py"
     with replay.open("a") as fh:
@@ -84,35 +84,6 @@ def test_wall_clock_in_replay_trips_det001(scratch_src):
             "    return time.time()\n"
         )
     assert "DET001" in _rules_fired(scratch_src)
-
-
-def test_dropping_the_route_accounting_trips_rte001(scratch_src):
-    omega = scratch_src / "src/repro/memsim/backends/omega.py"
-    text = omega.read_text()
-    needle = '        idx = np.flatnonzero(routes == ROUTE_SRCBUF_HIT)\n'
-    assert needle in text
-    omega.write_text(text.replace(needle, ""))
-    assert "RTE001" in _rules_fired(scratch_src)
-
-
-def test_ambient_env_read_trips_env001(scratch_src):
-    ledger = scratch_src / "src/repro/obs/ledger.py"
-    with ledger.open("a") as fh:
-        fh.write(
-            "\n\ndef _ambient_ledger():\n"
-            "    import os\n"
-            "    return os.environ.get('REPRO_LEDGER')\n"
-        )
-    assert "ENV001" in _rules_fired(scratch_src)
-
-
-def test_snapshotting_a_ghost_counter_trips_cnt001(scratch_src):
-    timeline = scratch_src / "src/repro/obs/timeline.py"
-    text = timeline.read_text()
-    needle = '    "l1_hits",\n'
-    assert needle in text
-    timeline.write_text(text.replace(needle, '    "l1_hitz",\n'))
-    assert "CNT001" in _rules_fired(scratch_src)
 
 
 def test_dropping_the_job_manager_lock_trips_rac001(scratch_src):
@@ -149,14 +120,60 @@ def test_narrowing_the_replay_accumulator_trips_npy001(scratch_src):
     assert "NPY001" in _rules_fired(scratch_src)
 
 
-def test_new_manifest_block_without_gating_trips_sch001(scratch_src):
-    # scratch_src ships no docs tree, so only the KNOWN_BLOCKS half of
-    # the sync check can fire — which is exactly the tampered half.
-    report = scratch_src / "src/repro/core/report.py"
-    text = report.read_text()
-    needle = '            "telemetry": self.telemetry(),\n'
-    assert needle in text
-    report.write_text(text.replace(
-        needle, '            "zz_new": 0,\n' + needle
+# -- tampers of rules replaced by the contracts in tests/test_contracts.py
+# The same careless edits, applied to live objects (or, for the source
+# scan, to a copied module), must fail the contract that replaced the
+# rule named in each test.
+def test_deleting_a_reported_counter_trips_cnt001(monkeypatch):
+    stats = run(grid_graph("pagerank"), "pagerank", "omega").stats
+    as_dict = MemStats.as_dict
+
+    def without_invalidations(self):
+        counts = as_dict(self)
+        del counts["coherence_invalidations"]
+        return counts
+
+    monkeypatch.setattr(MemStats, "as_dict", without_invalidations)
+    assert silent_counters(stats) == ["coherence_invalidations"]
+
+
+def test_dropping_the_route_accounting_trips_rte001(monkeypatch):
+    # Omega's account() no longer charges its source-buffer hits.
+    monkeypatch.setattr(OmegaBackend, "account", HierarchyBackend.account)
+    report = run(grid_graph("sssp"), "sssp", "omega")
+    assert uncharged(report) > 0
+
+
+def test_ambient_env_read_trips_env001(tmp_path):
+    ledger = tmp_path / "repro" / "obs" / "ledger.py"
+    ledger.parent.mkdir(parents=True)
+    shutil.copy(REPO_ROOT / "src" / "repro" / "obs" / "ledger.py", ledger)
+    assert env_offenders(tmp_path) == []
+    with ledger.open("a") as fh:
+        fh.write(
+            "\n\ndef _ambient_ledger():\n"
+            "    import os\n"
+            "    return os.environ.get('REPRO_LEDGER')\n"
+        )
+    (offender,) = env_offenders(tmp_path)
+    assert offender.startswith("repro/obs/ledger.py:")
+
+
+def test_snapshotting_a_ghost_counter_trips_cnt001(monkeypatch):
+    fields = timeline._STAT_FIELDS
+    assert "l1_hits" in fields
+    monkeypatch.setattr(timeline, "_STAT_FIELDS", tuple(
+        "l1_hitz" if name == "l1_hits" else name for name in fields
     ))
-    assert "SCH001" in _rules_fired(scratch_src)
+    assert ghost_fields() == ["l1_hitz"]
+
+
+def test_new_manifest_block_without_gating_trips_sch001(monkeypatch):
+    manifest = SimReport.manifest
+    monkeypatch.setattr(SimReport, "manifest", lambda self: {
+        **manifest(self), "zz_new": 0,
+    })
+    report = run(grid_graph("pagerank"), "pagerank", "baseline")
+    assert block_drift(report.manifest()) == [
+        "undocumented zz_new", "ungated zz_new",
+    ]

@@ -27,7 +27,7 @@ def test_suppression_only_covers_named_rules(tree):
             import time
 
             def stamp():
-                return time.time()  # repro: noqa[CNT001] -- wrong rule named
+                return time.time()  # repro: noqa[EXC001] -- wrong rule named
             """,
     })
     result = run_battery(root)
@@ -42,7 +42,7 @@ def test_multi_rule_suppression(tree):
             import time
 
             def stamp():
-                return time.time()  # repro: noqa[CNT001, DET001] -- fixture
+                return time.time()  # repro: noqa[EXC001, DET001] -- fixture
             """,
     })
     result = run_battery(root)
@@ -92,6 +92,6 @@ def test_suppressions_still_scanned_with_rule_subset(tree):
             LIMIT = 1  # repro: noqa[DET001]
             """,
     })
-    result = run_battery(root, rules=["CNT001"])
+    result = run_battery(root, rules=["EXC001"])
     assert [f.rule for f in result.findings] == ["SUP001"]
     assert result.exit_code() == 1

@@ -1,11 +1,13 @@
 """Tests for trace persistence and the GraphMat execution mode."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.context import RunRequest
+from repro.core.report import MANIFEST_SCHEMA
 from repro.errors import SimulationError, TraceError
 from repro.ligra.trace import (
     READABLE_TRACE_VERSIONS,
@@ -17,6 +19,23 @@ from repro.ligra.trace import (
     TraceBuilder,
 )
 from repro.algorithms.pagerank import pagerank_reference, run_pagerank
+from repro.obs.timeline import TIMELINE_SCHEMA
+
+
+def trace_doc_drift(doc: str) -> list:
+    """Version and schema statements in ``doc`` that miss the constants."""
+    drift = []
+    current = re.search(r"TRACE_FORMAT_VERSION`, currently (\d+)", doc)
+    if not current or int(current.group(1)) != TRACE_FORMAT_VERSION:
+        drift.append("TRACE_FORMAT_VERSION")
+    readable = re.search(r"currently \{([0-9, ]+)\}", doc)
+    if not readable or {
+        int(v) for v in readable.group(1).split(",")
+    } != set(READABLE_TRACE_VERSIONS):
+        drift.append("READABLE_TRACE_VERSIONS")
+    return drift + [
+        tag for tag in (MANIFEST_SCHEMA, TIMELINE_SCHEMA) if tag not in doc
+    ]
 
 
 class TestTraceSaveLoad:
@@ -140,26 +159,12 @@ class TestTraceFormat:
             assert got == want
 
     def test_docs_match_constant(self):
-        # docs/trace-format.md states the current version inline; the
-        # analyzer's doc-sync rule is the single source of truth for
-        # that cross-check, so drive it directly instead of re-rolling
-        # the regexes here.
-        from repro.analyze import ProjectIndex
-        from repro.analyze.rules.docsync import (
-            check_docs_sync,
-            check_version_sync,
-        )
-
-        project = ProjectIndex(Path(__file__).resolve().parents[2])
-        findings = list(
-            check_version_sync(project, check_docs_sync.info)
-        )
-        assert findings == [], "\n".join(f.format() for f in findings)
-        # And the doc really does state something (the rule is silent
-        # when the page disappears entirely — that would be a DOC001
-        # finding about the missing statements, covered above only if
-        # the page exists).
-        assert project.doc_text("docs/trace-format.md") is not None
+        # docs/trace-format.md states the format versions and schema
+        # tags inline; each statement must match the live constant.
+        doc = (
+            Path(__file__).resolve().parents[2] / "docs" / "trace-format.md"
+        ).read_text()
+        assert trace_doc_drift(doc) == []
 
     def test_regions_roundtrip(self, tmp_path):
         tr = self._trace()

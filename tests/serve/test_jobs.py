@@ -14,6 +14,16 @@ from repro.errors import SimulationError
 from repro.serve.jobs import JobManager, JobSpec, QueueFullError, job_key
 
 
+#: Field values a client can send that no run could use.
+JUNK_FIELDS = [
+    {"scale": "abc"}, {"scale": "inf"}, {"scale": float("nan")},
+    {"scale": 0}, {"scale": -1.0}, {"scale": None}, {"scale": True},
+    {"num_cores": 0}, {"num_cores": "abc"}, {"num_cores": 2.5},
+    {"num_cores": True}, {"chunk_size": -4}, {"chunk_size": "32"},
+    {"algorithm": "nosuch"}, {"backend": "nosuch"},
+]
+
+
 class TestJobSpec:
     def test_from_dict_defaults(self):
         spec = JobSpec.from_dict({"dataset": "lj", "algorithm": "pagerank"})
@@ -31,6 +41,15 @@ class TestJobSpec:
                                "bogus": 1})
         with pytest.raises(SimulationError):
             JobSpec.from_dict([1, 2])
+        for junk in JUNK_FIELDS:
+            with pytest.raises(SimulationError):
+                JobSpec.from_dict({"dataset": "lj", "algorithm": "pagerank",
+                                   **junk})
+
+    def test_from_dict_accepts_numeric_scale_strings(self):
+        spec = JobSpec.from_dict({"dataset": "lj", "algorithm": "pagerank",
+                                  "scale": "0.5"})
+        assert spec.scale == 0.5
 
     def test_wait_is_transport_not_spec(self):
         a = JobSpec.from_dict({"dataset": "lj", "algorithm": "bfs"})

@@ -17,6 +17,8 @@ from repro.core.context import RunContext, RunRequest
 from repro.serve import JobManager, make_server, make_system_runner
 from repro.store import TraceStore
 
+from tests.serve.test_jobs import JUNK_FIELDS
+
 DATASET = "sd"
 SCALE = 0.5
 
@@ -90,6 +92,12 @@ def test_bad_specs_get_400(server):
                           "bogus": 1})[0] == 400
     assert _post(server, {"dataset": DATASET, "algorithm": "pagerank",
                           "alg_kwargs": {"bad": [1]}})[0] == 400
+    submitted = _get(server, "/v1/stats")[1]["submitted"]
+    for junk in JUNK_FIELDS:
+        status, doc = _post(server, {"dataset": DATASET,
+                                     "algorithm": "pagerank", **junk})
+        assert (status, "error" in doc) == (400, True), junk
+    assert _get(server, "/v1/stats")[1]["submitted"] == submitted  # none queued
 
 
 def test_cold_coalesced_warm_lifecycle(server):
