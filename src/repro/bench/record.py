@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from typing import Dict, Optional
 
+from repro.errors import ReproError
 from repro.obs.ledger import make_entry
 
 __all__ = [
@@ -55,24 +57,48 @@ def record_bench(name: str, metrics: Dict, repo_root,
     """Append one bench entry to ``<repo_root>/BENCH_<name>.json``.
 
     Returns the file path written. The file is a JSON array of
-    ledger-format entries; a missing or unreadable file starts a fresh
-    trajectory rather than failing the bench.
+    ledger-format entries; a missing file starts a fresh trajectory.
+    An existing file that cannot be read as an array raises
+    :class:`~repro.errors.ReproError` and is left untouched: it holds
+    the trajectory, including the first entry's reference context
+    (:func:`bench_baseline_context`). The new array is written to a
+    temporary file and renamed over the old one, so a crash mid-write
+    never leaves a torn trajectory.
     """
     path = os.path.join(os.fspath(repo_root), f"BENCH_{name}.json")
     entries = []
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-        if isinstance(doc, list):
-            entries = doc
-    except (OSError, json.JSONDecodeError):
-        entries = []
+    if os.path.exists(path):
+        try:
+            with open(path) as f:
+                entries = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ReproError(
+                f"cannot read bench trajectory {path}: {exc}; fix or move"
+                " it before recording"
+            ) from exc
+        if not isinstance(entries, list):
+            raise ReproError(
+                f"bench trajectory {path} is not a JSON array; fix or move"
+                " it before recording"
+            )
     entries.append(
         make_entry(bench_manifest(name, metrics, context), kind="bench")
     )
-    with open(path, "w") as f:
-        json.dump(entries, f, indent=2, sort_keys=True)
-        f.write("\n")
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=f".BENCH_{name}.",
+        suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(entries, f, indent=2, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return path
 
 

@@ -625,7 +625,8 @@ def _kernel_lines(kern):
     yield "kernel screening:"
     yield (f"  mode: {kern.get('mode', '?')}"
            f"  batches: {kern.get('batches', 0)}"
-           f"  events: {kern.get('events', 0)}")
+           f"  events: {kern.get('events', 0)}"
+           f"  reused: {kern.get('reused', 0)}")
     yield (f"  screened: {kern.get('screened', 0)}"
            f" ({100.0 * kern.get('screened_fraction', 0.0):.1f}%)")
     yield f"  residual: serialized {kern.get('serialized_events', 0)}"

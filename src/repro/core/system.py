@@ -649,6 +649,10 @@ def _replay_bundle(
     # so the replay driver never consults ambient state on the hot
     # path.
     hierarchy.scalar_cache = plan.context.scalar_cache
+    # Every run sharing the store handle replays each distinct
+    # cache-path stream once (omega and locked route the same one).
+    store = plan.context.store
+    hierarchy.cache_memo = None if store is None else store.cache_path_memo
 
     replay_start = time.perf_counter()
     if bundle.segments is not None:

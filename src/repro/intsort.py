@@ -22,8 +22,10 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
 
     The keys are offset by their minimum; the span then decides the
     number of 16-bit LSD passes (1 below 2**16, 2 below 2**32, at most
-    4). The offset is taken modulo the working width, which is exact
-    because every offset key fits in it.
+    4). A span below 2**8 (the screen's and the estimator's cache-slot
+    sorts) takes one uint8 pass instead, which numpy sorts faster. The
+    offset is taken modulo the working width, which is exact because
+    every offset key fits in it.
     """
     keys = np.asarray(keys)
     if keys.dtype.kind not in "iu":
@@ -31,7 +33,12 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     if not len(keys):
         return np.empty(0, dtype=np.intp)
     lo = int(keys.min())
-    passes = max(1, -(-(int(keys.max()) - lo).bit_length() // 16))
+    span = int(keys.max()) - lo
+    if span < 1 << 8:
+        k = keys.astype(np.uint8)
+        k -= np.uint8(lo % (1 << 8))
+        return np.argsort(k, kind="stable")
+    passes = max(1, -(-span.bit_length() // 16))
     width = (np.uint16, np.uint32, np.uint64, np.uint64)[passes - 1]
     k = keys.astype(width)
     k -= width(lo % (1 << (8 * k.itemsize)))

@@ -50,6 +50,13 @@ class HierarchyBackend:
     #: :class:`repro.core.context.RunContext.scalar_cache` here.
     scalar_cache = False
 
+    #: In-memory memo of cache-path results
+    #: (:class:`repro.store.ResultMemo`), or ``None``. ``run_system``
+    #: copies its context store's :attr:`~repro.store.TraceStore.cache_path_memo`
+    #: here; the replay driver uses it only for an in-core, unsampled,
+    #: unattributed replay, whose cache path is one kernel batch.
+    cache_memo = None
+
     #: Off-chip bytes charged per in-memory atomic (non-zero only for
     #: PIM-style backends); read by the attribution accumulator so its
     #: per-class DRAM folds mirror the backend's accounting.

@@ -11,12 +11,17 @@ pre-routed event batches over it. Two execution paths produce
   iteration, the seed semantics. Selected by ``scalar_cache=True`` on
   :class:`CacheSystem` (threaded from the backend's ``scalar_cache``
   flag, which ``run_system`` copies from its run context).
-- the **batch kernel** (:meth:`CacheSystem._replay_kernel`): a
-  vectorized screening pass resolves every *guaranteed hit* in one
-  numpy sweep (latency, counters, and LRU effect all known without
-  touching state), and only the residual events — those that can
-  conflict on a cache set, miss, or carry coherence side effects —
-  serialize, in batch order, through the inlined loop.
+- the **batch kernel** (:meth:`CacheSystem._replay_kernel`), in three
+  steps. A vectorized screen resolves every *guaranteed hit* in one
+  numpy sweep. The residual events — those that can conflict on a
+  cache set, miss, or carry coherence side effects — serialize in
+  batch order through :meth:`CacheSystem._residual_loop`, which only
+  moves cache state (L1 and L2 sets, directory, prefetcher heads) and
+  logs each outcome (L1 misses, demand L2 hits, prefetch hits, dirty
+  victims, DRAM write-backs, coherence actions). One vectorized fold
+  (:meth:`CacheSystem._fold`) then derives every counter, the DRAM
+  row-buffer outcomes, the per-event latencies and the optional
+  :class:`CacheRecord` columns from that log.
 
 The batch-segmentation invariant the kernel relies on
 (:func:`screen_guaranteed_hits`): an event whose nearest *same-core*
@@ -30,20 +35,28 @@ consults the directory); writes require the immediately preceding
 same-line event to be a same-core write, so the dirty bit and the
 directory's exclusive-owner entry are already established and the
 directory transition is idempotent. Such events never enter the
-serialized loop; their latency is prefilled and their hit counts fall
-out of the per-core complement (events minus misses). The residual
-latencies scatter back to their batch positions, so the per-core
+serialized loop; their latency is the L1 latency and their hit counts
+fall out of the per-core complement (events minus misses). The fold
+writes every latency at its batch position, so the per-core
 ``np.add.at`` float fold runs in batch order exactly as the oracle's.
 
-Unlike the pre-refactor fast path, the kernel covers **every**
-interconnect topology and DRAM page policy: mesh hop latencies are
-precomputed per (core, bank) pair, and the open/hybrid-page row-buffer
-state machine is inlined with per-event channel/row columns computed
-vectorized up front.
+The kernel covers **every** interconnect topology and DRAM page
+policy: mesh hop latencies come from a per-(core, bank) table, and the
+open/hybrid-page row-buffer machine runs in the fold over the logged
+DRAM accesses, ordered by position and phase.
+
+A kernel batch computes a :class:`CachePathDelta` — every counter
+increment, DRAM's open rows and the per-core latency sums — before
+applying it. When a batch is the whole cache path of a run from a
+fresh system, the delta is memoized in the run's store handle
+(:class:`repro.store.ResultMemo`) under a digest of the cache-relevant
+config and the routed columns (:meth:`CacheSystem.memo_key`), and an
+identical later stream applies it instead of replaying.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator, List
 
 import numpy as np
@@ -59,6 +72,7 @@ from repro.memsim.prepass import StreamDetector
 from repro.memsim.stats import MemStats
 
 __all__ = [
+    "CachePathDelta",
     "CacheRecord",
     "CacheSystem",
     "KernelTelemetry",
@@ -71,11 +85,11 @@ class CacheRecord:
     """Per-event outcome columns of one cache batch (attribution).
 
     Optional observability sidecar of :meth:`CacheSystem.replay_cache_path`:
-    when passed, both execution paths fill one row per event at the
-    exact counter-increment sites, so column sums reproduce the batch's
-    ``MemStats`` deltas bit-identically. Screened guaranteed hits never
-    enter the serialized loop, which is why ``l1_hit`` *defaults* to
-    True — only the miss path flips it.
+    when passed, both execution paths fill one row per event — the
+    oracle by differencing the counters around each access, the kernel
+    from the same outcome log its counters fold from — so column sums
+    reproduce the batch's ``MemStats`` deltas bit-identically.
+    ``l1_hit`` *defaults* to True: only L1 misses flip it.
 
     ``writebacks`` counts dirty-line DRAM write-backs *triggered by*
     the event (an L1-victim's L2 insertion plus the demand miss's own
@@ -219,15 +233,22 @@ class KernelTelemetry:
     manifest's ``replay.kernel`` block and the Perfetto counter track
     both read from here. The scalar oracle path never touches it:
     ``batches`` stays 0 and the replay block reports mode "scalar".
+
+    A batch served from the cache-path memo reports the screening
+    counters of the replay it reuses, so ``screened +
+    serialized_events == events`` holds either way; ``reused`` counts
+    the events whose outcome came from the memo instead of the loop.
     """
 
-    __slots__ = ("batches", "events", "screened", "serialized_events")
+    __slots__ = ("batches", "events", "screened", "serialized_events",
+                 "reused")
 
     def __init__(self) -> None:
         self.batches = 0
         self.events = 0
         self.screened = 0
         self.serialized_events = 0
+        self.reused = 0
 
     def observe(self, events: int, screened: int) -> None:
         """Fold one kernel batch's screening outcome into the totals."""
@@ -249,7 +270,95 @@ class KernelTelemetry:
             "screened": self.screened,
             "screened_fraction": round(self.screened_fraction, 6),
             "serialized_events": self.serialized_events,
+            "reused": self.reused,
         }
+
+
+#: ``MemStats`` fields the cache path increments, in delta order.
+_STAT_FIELDS = (
+    "l1_hits", "l1_misses", "l2_hits", "l2_misses", "prefetch_hits",
+    "onchip_line_bytes", "onchip_word_bytes", "coherence_invalidations",
+    "dram_read_bytes", "dram_write_bytes", "atomics_total",
+    "atomics_on_cores",
+)
+_CACHE_FIELDS = ("hits", "misses", "evictions", "dirty_evictions")
+_DIRECTORY_FIELDS = ("invalidations", "writebacks")
+_CROSSBAR_FIELDS = (
+    "line_packets", "line_bytes", "control_packets", "control_bytes",
+)
+_DRAM_FIELDS = (
+    "read_accesses", "read_bytes", "write_accesses", "write_bytes",
+    "row_hits", "row_misses",
+)
+
+
+class CachePathDelta:
+    """What one kernel batch changes outside the cache state itself.
+
+    ``counters`` holds one integer increment per
+    :meth:`CacheSystem._counter_slots` entry (``MemStats``, every L1
+    and L2, the directory, the crossbar, DRAM). ``open_rows`` is DRAM's
+    open-row register file after the batch (``None`` under the closed
+    page policy), and ``mem_lat``/``serial`` are the per-core latency
+    sums after the batch. ``events``/``screened`` are the batch's
+    screening counts. A delta is plain data: applying it twice to two
+    fresh systems leaves both with identical counters, which is what
+    lets :class:`~repro.store.ResultMemo` hand one batch's delta to a
+    second replay of the same stream.
+    """
+
+    __slots__ = ("events", "screened", "counters", "open_rows", "mem_lat",
+                 "serial")
+
+    def __init__(self, events: int, screened: int, counters: tuple,
+                 open_rows, mem_lat: list, serial: list) -> None:
+        self.events = events
+        self.screened = screened
+        self.counters = counters
+        self.open_rows = open_rows
+        self.mem_lat = mem_lat
+        self.serial = serial
+
+
+class _ResidualLog:
+    """Per-event outcomes the residual loop logs for the fold.
+
+    Every list holds batch positions (or values aligned with them) in
+    loop order. Nothing here is a counter: the loop only moves cache
+    state and appends, and :meth:`CacheSystem._fold` derives every
+    counter, latency and record column from these lists.
+    """
+
+    __slots__ = (
+        "l1_miss", "l2_hit", "prefetch", "coh_at", "coh_code", "dropped",
+        "victim_at", "victim_line", "victim_miss", "wb_order", "wb_addr",
+    )
+
+    def __init__(self) -> None:
+        #: L1 misses; demand L2 hits among them; stream-prefetch hits.
+        self.l1_miss: List[int] = []
+        self.l2_hit: List[int] = []
+        self.prefetch: List[int] = []
+        #: Directory actions with a cost: position and
+        #: ``2 * invalidations + writeback``.
+        self.coh_at: List[int] = []
+        self.coh_code: List[int] = []
+        #: Cores whose L1 copy an invalidation actually removed.
+        self.dropped: List[int] = []
+        #: Dirty L1 victims (position, line) and the L2 banks where the
+        #: victim's write-back missed.
+        self.victim_at: List[int] = []
+        self.victim_line: List[int] = []
+        self.victim_miss: List[int] = []
+        #: DRAM write-backs: ``3 * position + phase`` (0: the L1
+        #: victim's L2 insertion evicted it, 2: the demand fill did;
+        #: the demand read itself is phase 1) and the written address.
+        self.wb_order: List[int] = []
+        self.wb_addr: List[int] = []
+
+
+def _int_array(values: List[int]) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
 
 
 class CacheSystem:
@@ -257,15 +366,21 @@ class CacheSystem:
 
     Exposes both the scalar :meth:`access` (seed semantics, the
     reference oracle) and :meth:`replay_cache_path`, which screens the
-    batch for guaranteed hits and serializes only the residual events
-    through a fully inlined loop. ``fast_path_ok`` selects the kernel;
-    it is ``False`` only when the system is built with
-    ``scalar_cache=True``.
+    batch for guaranteed hits, moves cache state through a serialized
+    loop over the residual events, and folds every counter from the
+    loop's outcome log. ``fast_path_ok`` selects the kernel; it is
+    ``False`` only when the system is built with ``scalar_cache=True``.
+
+    ``memo`` (a :class:`~repro.store.ResultMemo`) lets the first kernel
+    batch reuse the :class:`CachePathDelta` of an identical earlier
+    replay. The driver passes one only when that batch is the whole
+    cache path of the run (in-core, unsampled, unattributed); a reused
+    batch leaves the cache state itself untouched.
     """
 
     def __init__(self, config: SimConfig, stats: MemStats,
                  dram: DramModel, crossbar: Crossbar,
-                 scalar_cache: bool = False) -> None:
+                 scalar_cache: bool = False, memo=None) -> None:
         ncores = config.core.num_cores
         self.config = config
         self.stats = stats
@@ -280,8 +395,6 @@ class CacheSystem:
         self.geometry = BankGeometry(
             num_banks=ncores, line_bytes=config.l1.line_bytes
         )
-        # Kept as attributes for backward compatibility; all derived
-        # from the shared BankGeometry helper.
         self.bank_mask = self.geometry.bank_mask
         self.bank_bits = self.geometry.bank_bits
         self.line_bytes = self.geometry.line_bytes
@@ -300,10 +413,8 @@ class CacheSystem:
         #: Screening counters accumulated over every kernel
         #: batch this system replays (see :class:`KernelTelemetry`).
         self.kernel_telemetry = KernelTelemetry()
-
-    def _prefetched(self, core: int, line: int) -> bool:
-        """Stride detection: is ``line`` the next line of a live stream?"""
-        return self.prefetcher.observe(core, line)
+        #: Consulted by the first kernel batch only.
+        self.memo = memo
 
     # ------------------------------------------------------------------
     # Scalar oracle (reference semantics + external callers)
@@ -422,7 +533,7 @@ class CacheSystem:
         split (``atomic_serialization`` of the latency serializes, plus
         the fixed stall). ``record`` (a :class:`CacheRecord` sized to
         the batch) additionally captures per-event outcomes for traffic
-        attribution; both paths fill it at the counter-increment sites.
+        attribution; both paths fill it.
         """
         if len(cores) == 0:
             return
@@ -436,38 +547,81 @@ class CacheSystem:
                 mem_lat, serial, record,
             )
             return
-        lats = self._replay_kernel(
-            cores64,
-            np.asarray(addrs, dtype=np.int64),
+        addrs = np.asarray(addrs, dtype=np.int64)
+        writes = np.asarray(writes, dtype=bool)
+        atomics = np.asarray(atomics, dtype=bool)
+        memo = self.memo
+        key = None
+        if (memo is not None and record is None
+                and self.kernel_telemetry.batches == 0
+                and not any(mem_lat) and not any(serial)):
+            key = self.memo_key(cores64, addrs, writes, atomics)
+            delta = memo.get(key)
+            if delta is not None:
+                self._apply(delta, mem_lat, serial)
+                self.kernel_telemetry.reused += delta.events
+                return
+        delta = self._replay_kernel(
+            cores64, addrs,
             np.asarray(lines, dtype=np.int64),
             np.asarray(banks, dtype=np.int64),
             np.asarray(bank_keys, dtype=np.int64),
-            np.asarray(writes, dtype=bool),
-            record,
+            writes, atomics, mem_lat, serial, record,
         )
-        # Latency accounting happens vectorized, after the loop: the
-        # atomic split and per-core sums fold via bincount.
-        core_cfg = self.config.core
-        ser = core_cfg.atomic_serialization
-        stall = core_cfg.atomic_stall_cycles
-        atom = np.asarray(atomics, dtype=bool)
-        lat = np.asarray(lats)
-        n_atomic = int(np.count_nonzero(atom))
-        mem = np.where(atom, lat * (1.0 - ser), lat)
-        # np.add.at accumulates element-by-element in event order, so
-        # the float association matches the scalar oracle exactly even
-        # when the batch is a window segment of a longer replay
-        # (bincount would fold a partial sum and drift by one ULP).
-        mem_sums = np.asarray(mem_lat, dtype=np.float64)
-        np.add.at(mem_sums, cores64, mem)
-        mem_lat[:] = mem_sums.tolist()
-        if n_atomic:
-            self.stats.atomics_total += n_atomic
-            self.stats.atomics_on_cores += n_atomic
-            srl = np.where(atom, lat * ser + stall, 0.0)
-            ser_sums = np.asarray(serial, dtype=np.float64)
-            np.add.at(ser_sums, cores64, srl)
-            serial[:] = ser_sums.tolist()
+        self._apply(delta, mem_lat, serial)
+        if key is not None:
+            memo.put(key, delta)
+
+    def memo_key(self, cores: np.ndarray, addrs: np.ndarray,
+                 writes: np.ndarray, atomics: np.ndarray) -> str:
+        """Content digest of a batch replayed from a fresh system.
+
+        Covers everything the cache path's outcome depends on: the
+        cache-relevant config (L1, L2, DRAM, interconnect, core count,
+        the atomic latency split, the hybrid policy's random ranges)
+        and the routed core/addr/write/atomic columns. Lines, banks
+        and bank keys derive from the address and the geometry.
+        """
+        config = self.config
+        dcfg = config.dram
+        ranges = (
+            tuple(self.dram._random_ranges)
+            if dcfg.page_policy == "hybrid" else ()
+        )
+        h = hashlib.sha256(repr((
+            config.l1, config.l2_per_core, dcfg, config.interconnect,
+            self.ncores, config.core.atomic_serialization,
+            config.core.atomic_stall_cycles, ranges,
+            self.prefetcher.num_heads,
+        )).encode())
+        h.update(np.ascontiguousarray(cores, dtype=np.int64))
+        h.update(np.ascontiguousarray(addrs, dtype=np.int64))
+        h.update(np.packbits(writes))
+        h.update(np.packbits(atomics))
+        return h.hexdigest()
+
+    def _counter_slots(self) -> List[tuple]:
+        """``(object, field)`` per counter a :class:`CachePathDelta`
+        increments, in the delta's order."""
+        slots = [(self.stats, f) for f in _STAT_FIELDS]
+        for cache in (*self.l1s, *self.l2_banks):
+            slots += [(cache, f) for f in _CACHE_FIELDS]
+        slots += [(self.directory, f) for f in _DIRECTORY_FIELDS]
+        slots += [(self.crossbar, f) for f in _CROSSBAR_FIELDS]
+        slots += [(self.dram, f) for f in _DRAM_FIELDS]
+        return slots
+
+    def _apply(self, delta: CachePathDelta, mem_lat: List[float],
+               serial: List[float]) -> None:
+        """Add a batch's counter increments and install its end values."""
+        for (obj, name), inc in zip(self._counter_slots(), delta.counters):
+            if inc:
+                setattr(obj, name, getattr(obj, name) + inc)
+        if delta.open_rows is not None:
+            self.dram._open_rows[:] = delta.open_rows
+        mem_lat[:] = delta.mem_lat
+        serial[:] = delta.serial
+        self.kernel_telemetry.observe(delta.events, delta.screened)
 
     def _replay_generic(self, cores, addrs, writes, atomics,
                         mem_lat, serial, record=None) -> None:
@@ -475,8 +629,8 @@ class CacheSystem:
 
         With ``record`` set, per-event outcomes are recovered by
         differencing the stats counters around each access — the
-        oracle-side twin of the kernel's in-loop capture, guaranteed
-        to match the aggregate increments by construction.
+        oracle-side twin of the kernel's folded record columns,
+        guaranteed to match the aggregate increments by construction.
         """
         stats = self.stats
         access = self.access
@@ -512,100 +666,78 @@ class CacheSystem:
                 mem_lat[core] += latency
 
     def _replay_kernel(self, cores, addrs, lines, banks, bank_keys, writes,
-                       record=None):
-        """Screened batch kernel: numpy for guaranteed hits, a
-        serialized loop for the residual.
+                       atomics, mem_lat, serial,
+                       record=None) -> CachePathDelta:
+        """Screened batch kernel: screen, residual loop, fold.
 
-        Mirrors :meth:`access` operation-for-operation on the residual
-        events but keeps every counter in a local and touches the
-        cache/directory/prefetcher dicts directly, flushing totals back
-        to the model objects once at the end. Guaranteed hits
-        (:func:`screen_guaranteed_hits`) never enter the loop: their
-        latency is prefilled with the L1 latency and their effects are
-        provably nil — which is also why ``record`` rows default to
-        "L1 hit, nothing else": only the residual miss path writes
-        outcome rows, at the same sites the counters increment.
+        Guaranteed hits (:func:`screen_guaranteed_hits`) never enter
+        the loop; their latency is the L1 latency and their effects
+        are provably nil. The residual events move cache state in
+        batch order (:meth:`_residual_loop`), and :meth:`_fold` turns
+        the loop's outcome log into every counter, the per-event
+        latencies and the ``record`` columns. The system's counters
+        are untouched until the caller applies the returned delta.
         """
-        config = self.config
-        ncores = self.ncores
+        n = len(cores)
+        keep = np.flatnonzero(~screen_guaranteed_hits(
+            cores, lines, writes, self.l1s[0]._num_sets
+        ))
+        l1_before = [sum(map(len, c._sets)) for c in self.l1s]
+        l2_before = [sum(map(len, b._sets)) for b in self.l2_banks]
+        log = self._residual_loop(keep, cores, lines, banks, bank_keys,
+                                  writes)
+        counters, open_rows, lats = self._fold(
+            log, cores, addrs, banks, l1_before, l2_before, record,
+        )
+        # Latency accounting: the atomic split and the per-core sums.
+        # np.add.at accumulates element-by-element in event order, so
+        # the float association matches the scalar oracle exactly even
+        # when the batch is a window segment of a longer replay
+        # (bincount would fold a partial sum and drift by one ULP).
+        core_cfg = self.config.core
+        ser = core_cfg.atomic_serialization
+        n_atomic = int(np.count_nonzero(atomics))
+        mem_sums = np.asarray(mem_lat, dtype=np.float64)
+        np.add.at(mem_sums, cores, np.where(atomics, lats * (1.0 - ser),
+                                            lats))
+        ser_sums = np.asarray(serial, dtype=np.float64)
+        if n_atomic:
+            srl = np.where(atomics, lats * ser + core_cfg.atomic_stall_cycles,
+                           0.0)
+            np.add.at(ser_sums, cores, srl)
+        counters[_STAT_FIELDS.index("atomics_total")] = n_atomic
+        counters[_STAT_FIELDS.index("atomics_on_cores")] = n_atomic
+        return CachePathDelta(
+            events=n, screened=n - len(keep), counters=tuple(counters),
+            open_rows=open_rows, mem_lat=mem_sums.tolist(),
+            serial=ser_sums.tolist(),
+        )
+
+    def _residual_loop(self, keep, cores, lines, banks, bank_keys,
+                       writes) -> _ResidualLog:
+        """Serialize the residual events through the cache state.
+
+        Mirrors :meth:`access` operation-for-operation on the state it
+        moves — L1 and L2 sets, the directory, the prefetcher heads —
+        touching the dicts and lists directly, and appends each
+        outcome to a :class:`_ResidualLog`. No counter, latency or
+        DRAM row is computed here.
+        """
         l1_nsets = self.l1s[0]._num_sets
         l1_ways = self.l1s[0]._ways
         l2_nsets = self.l2_banks[0]._num_sets
         l2_ways = self.l2_banks[0]._ways
         l1_sets = [c._sets for c in self.l1s]
         l2_sets = [b._sets for b in self.l2_banks]
-        dir_lines = self.directory._lines
         flat_l1 = [s for c in self.l1s for s in c._sets]
         flat_l2 = [s for b in self.l2_banks for s in b._sets]
-        # Prefetcher state, inlined for the L1-miss path (same lists
-        # the StreamDetector mutates, so state stays coherent).
-        pref = self.prefetcher
-        p_heads = pref._heads
-        p_next = pref._next
-        num_heads = pref.num_heads
-
-        n = len(cores)
-        # The vectorized pass: the screen resolves every guaranteed
-        # hit without state.
-        keep = np.flatnonzero(
-            ~screen_guaranteed_hits(cores, lines, writes, l1_nsets)
-        )
-        self.kernel_telemetry.observe(events=n, screened=n - len(keep))
-
-        # Interconnect latencies are per-(core, bank) constants under
-        # both topologies; precompute the table the miss path indexes.
-        xcfg = self.crossbar.config
-        if xcfg.topology == "crossbar":
-            bank_lat = [[self.remote_lat] * ncores] * ncores
-            wb_lat = self.remote_lat
-        else:
-            bank_lat = [
-                [self.crossbar.transfer_latency(c, b) for b in range(ncores)]
-                for c in range(ncores)
-            ]
-            wb_lat = self.crossbar.transfer_latency()
-        # Invalidation acks cost one crossbar round trip regardless of
-        # topology (matches _invalidate).
-        remote_lat = self.remote_lat
-
-        # DRAM page policy: closed is a constant; open/hybrid run the
-        # per-channel row-buffer machine with vectorized per-event
-        # channel/row columns (hybrid's random ranges resolved up
-        # front; victim write-backs compute theirs in-loop).
-        dram = self.dram
-        dcfg = config.dram
-        dram_lat = dcfg.latency_cycles
-        if dcfg.page_policy == "closed":
-            track_rows = False
-            chan_l = row_l = rand_l = None
-            channels = row_bytes = row_hit_cyc = row_miss_cyc = 0
-            open_rows = None
-            ranges = ()
-        else:
-            track_rows = True
-            channels = dcfg.channels
-            row_bytes = dcfg.row_bytes
-            row_hit_cyc = dcfg.row_hit_cycles
-            row_miss_cyc = dcfg.row_miss_cycles
-            open_rows = list(dram._open_rows)
-            # Only the hybrid policy consults the random ranges; plain
-            # open-page runs the row machine for every access.
-            ranges = (
-                list(dram._random_ranges)
-                if dcfg.page_policy == "hybrid" else []
-            )
-            kept_addrs = addrs[keep]
-            chan_l = ((kept_addrs // 64) % channels).tolist()
-            row_l = (kept_addrs // row_bytes).tolist()
-            if ranges:
-                rand = np.zeros(len(keep), dtype=bool)
-                for lo_a, hi_a in ranges:
-                    rand |= (kept_addrs >= lo_a) & (kept_addrs < hi_a)
-                rand_l = rand.tolist()
-            else:
-                rand_l = [False] * len(keep)
-        rowh = 0
-        rowm = 0
+        dir_lines = self.directory._lines
+        p_heads = self.prefetcher._heads
+        p_next = self.prefetcher._next
+        num_heads = self.prefetcher.num_heads
+        bank_mask = self.bank_mask
+        bank_bits = self.bank_bits
+        line_bits = self.line_bits
 
         # Residual columns, in batch order; set indices are
         # state-independent, so they are computed vectorized here.
@@ -613,339 +745,318 @@ class CacheSystem:
         kl = lines[keep]
         kb = banks[keep]
         kk = bank_keys[keep]
-        cores_l = kc.tolist()
-        lines_l = kl.tolist()
-        writes_l = writes[keep].tolist()
-        s1i_l = (kc * l1_nsets + kl % l1_nsets).tolist()
-        banks_l = kb.tolist()
-        keys_l = kk.tolist()
-        l2i_l = (kb * l2_nsets + kk % l2_nsets).tolist()
-        keep_l = keep.tolist()
+        columns = (
+            kc.tolist(), kl.tolist(), writes[keep].tolist(),
+            (kc * l1_nsets + kl % l1_nsets).tolist(), kb.tolist(),
+            kk.tolist(), (kb * l2_nsets + kk % l2_nsets).tolist(),
+            keep.tolist(),
+        )
 
-        l1_lat = float(self.l1_lat)
-        pref_lat = float(self.l1_lat + 1)
-        l2_lat = self.l2_lat
-        line_bytes = self.line_bytes
-        line_bits = self.line_bits
-        header = xcfg.header_bytes
-        lb_h = line_bytes + header
-        bank_mask = self.bank_mask
-        bank_bits = self.bank_bits
+        log = _ResidualLog()
+        miss_append = log.l1_miss.append
+        l2_hit_append = log.l2_hit.append
+        pref_append = log.prefetch.append
+        coh_at_append = log.coh_at.append
+        coh_code_append = log.coh_code.append
+        dropped_append = log.dropped.append
+        victim_at_append = log.victim_at.append
+        victim_line_append = log.victim_line.append
+        victim_miss_append = log.victim_miss.append
+        wb_order_append = log.wb_order.append
+        wb_addr_append = log.wb_addr.append
 
-        l1h = [0] * ncores
-        l1m = [0] * ncores
-        l1e = [0] * ncores
-        l1de = [0] * ncores
-        l2h = [0] * ncores
-        l2m = [0] * ncores
-        l2e = [0] * ncores
-        l2de = [0] * ncores
-        s_l2_hits = 0
-        s_l2_misses = 0
-        s_pref = 0
-        s_onchip_line = 0
-        s_onchip_word = 0
-        s_coh_inv = 0
-        s_dram_rd = 0
-        s_dram_wr = 0
-        x_line_pkts = 0
-        x_ctrl_pkts = 0
-        d_inval = 0
-        d_wb = 0
-        dram_racc = 0
-        dram_wacc = 0
-
-        def victim_write(vaddr: int) -> None:
-            """Row-state effect of a posted victim write-back."""
-            nonlocal rowh, rowm
-            for lo_a, hi_a in ranges:
-                if lo_a <= vaddr < hi_a:
-                    return
-            ch = (vaddr // 64) % channels
-            row = vaddr // row_bytes
-            if open_rows[ch] == row:
-                rowh += 1
-            else:
-                rowm += 1
-                open_rows[ch] = row
-
-        rec_on = record is not None
-        if rec_on:
-            r_l1 = record.l1_hit
-            r_l2h = record.l2_hit
-            r_l2m = record.l2_miss
-            r_pref = record.prefetch
-            r_wb = record.writebacks
-
-        # Guaranteed hits cost exactly the L1 latency; residual
-        # latencies collect in loop order and scatter back through
-        # ``keep`` once at the end (appending to a list beats
-        # per-event ndarray stores, and the prefilled array spares the
-        # final list->array conversion the accounting fold would pay).
-        lats = np.full(n, l1_lat)
-        rl: List[float] = []
-        rl_append = rl.append
-        for core, line, write, si, bank, bank_key, l2si, ki in zip(
-            cores_l, lines_l, writes_l, s1i_l, banks_l, keys_l, l2i_l, keep_l
-        ):
+        for core, line, write, si, bank, bank_key, l2si, ki in zip(*columns):
             s = flat_l1[si]
             if line in s:
                 s.move_to_end(line)
                 if not write:
-                    rl_append(l1_lat)
-                else:
-                    s[line] = True
-                    me = 1 << core
-                    entry = dir_lines.get(line)
-                    if entry is None:
-                        dir_lines[line] = [me, core]
-                        rl_append(l1_lat)
-                    else:
-                        mask0, owner = entry
-                        others = mask0 & ~me
-                        wb = owner >= 0 and owner != core
-                        entry[0] = me
-                        entry[1] = core
-                        if wb:
-                            d_wb += 1
-                        extra = 0
-                        if others:
-                            lsi = line % l1_nsets
-                            # Single sharer: direct bit math. Multi-
-                            # target masks go through the vectorized
-                            # unpackbits/flatnonzero helper.
-                            if others & (others - 1):
-                                targets = set_bit_positions(others).tolist()
-                            else:
-                                targets = (others.bit_length() - 1,)
-                            for c in targets:
-                                sc = l1_sets[c][lsi]
-                                if line in sc:
-                                    del sc[line]
-                                s_onchip_word += header
-                                x_ctrl_pkts += 1
-                                s_coh_inv += 1
-                                d_inval += 1
-                            extra = remote_lat
-                        if wb:
-                            s_onchip_line += lb_h
-                            x_line_pkts += 1
-                            extra += wb_lat
-                        rl_append(l1_lat + extra)
+                    continue
+                s[line] = True
+                missed = False
             else:
-                latency = l1_lat
-                l1m[core] += 1
-                if rec_on:
-                    r_l1[ki] = False
-                dirty_victim = -1
+                missed = True
+                miss_append(ki)
+                dirty = False
                 if len(s) >= l1_ways:
-                    victim_line, was_dirty = s.popitem(last=False)
-                    l1e[core] += 1
-                    if was_dirty:
-                        l1de[core] += 1
-                        dirty_victim = victim_line
+                    victim, dirty = s.popitem(last=False)
                 s[line] = write
-                me = 1 << core
-                entry = dir_lines.get(line)
-                if write:
-                    if entry is None:
-                        dir_lines[line] = [me, core]
+            me = 1 << core
+            entry = dir_lines.get(line)
+            if entry is None:
+                dir_lines[line] = [me, core if write else -1]
+            elif write:
+                mask0, owner = entry
+                entry[0] = me
+                entry[1] = core
+                others = mask0 & ~me
+                wb = owner >= 0 and owner != core
+                if others:
+                    lsi = line % l1_nsets
+                    # Single sharer: direct bit math. Multi-target
+                    # masks go through the vectorized helper.
+                    if others & (others - 1):
+                        targets = set_bit_positions(others).tolist()
                     else:
-                        mask0, owner = entry
-                        others = mask0 & ~me
-                        wb = owner >= 0 and owner != core
-                        entry[0] = me
-                        entry[1] = core
-                        if wb:
-                            d_wb += 1
-                        if others:
-                            lsi = line % l1_nsets
-                            if others & (others - 1):
-                                targets = set_bit_positions(others).tolist()
-                            else:
-                                targets = (others.bit_length() - 1,)
-                            for c in targets:
-                                sc = l1_sets[c][lsi]
-                                if line in sc:
-                                    del sc[line]
-                                s_onchip_word += header
-                                x_ctrl_pkts += 1
-                                s_coh_inv += 1
-                                d_inval += 1
-                            latency += remote_lat
-                        if wb:
-                            s_onchip_line += lb_h
-                            x_line_pkts += 1
-                            latency += wb_lat
-                else:
-                    if entry is None:
-                        dir_lines[line] = [me, -1]
-                    else:
-                        mask0, owner = entry
-                        if owner >= 0 and owner != core:
-                            d_wb += 1
-                            entry[1] = -1
-                            s_onchip_line += lb_h
-                            x_line_pkts += 1
-                            latency += wb_lat
-                        entry[0] = mask0 | me
+                        targets = (others.bit_length() - 1,)
+                    for c in targets:
+                        sc = l1_sets[c][lsi]
+                        if line in sc:
+                            del sc[line]
+                            dropped_append(c)
+                    coh_at_append(ki)
+                    coh_code_append(2 * len(targets) + wb)
+                elif wb:
+                    coh_at_append(ki)
+                    coh_code_append(1)
+            else:
+                mask0, owner = entry
+                if owner >= 0 and owner != core:
+                    entry[1] = -1
+                    coh_at_append(ki)
+                    coh_code_append(1)
+                entry[0] = mask0 | me
+            if not missed:
+                continue
 
-                if dirty_victim >= 0:
-                    vbank = dirty_victim & bank_mask
-                    vkey = dirty_victim >> bank_bits
-                    if vbank != core:
-                        x_line_pkts += 1
-                        s_onchip_line += lb_h
-                    s2 = l2_sets[vbank][vkey % l2_nsets]
-                    if vkey in s2:
-                        l2h[vbank] += 1
-                        s2.move_to_end(vkey)
-                        s2[vkey] = True
-                    else:
-                        l2m[vbank] += 1
-                        if len(s2) >= l2_ways:
-                            v2, d2 = s2.popitem(last=False)
-                            l2e[vbank] += 1
-                            if d2:
-                                l2de[vbank] += 1
-                                dram_wacc += 1
-                                s_dram_wr += line_bytes
-                                if rec_on:
-                                    r_wb[ki] += 1
-                                if track_rows:
-                                    victim_write(
-                                        ((v2 << bank_bits) | vbank)
-                                        << line_bits
-                                    )
-                        s2[vkey] = True
-                    entry = dir_lines.get(dirty_victim)
-                    if entry is not None:
-                        entry[0] &= ~me
-                        if entry[1] == core:
-                            entry[1] = -1
-                        if entry[0] == 0:
-                            del dir_lines[dirty_victim]
-
-                if bank != core:
-                    latency += bank_lat[core][bank]
-                    x_line_pkts += 1
-                    s_onchip_line += lb_h
-                latency += l2_lat
-                s2 = flat_l2[l2si]
-                if bank_key in s2:
-                    l2h[bank] += 1
-                    s2.move_to_end(bank_key)
-                    if write:
-                        s2[bank_key] = True
-                    s_l2_hits += 1
-                    if rec_on:
-                        r_l2h[ki] = True
+            if dirty:
+                victim_at_append(ki)
+                victim_line_append(victim)
+                vbank = victim & bank_mask
+                vkey = victim >> bank_bits
+                s2 = l2_sets[vbank][vkey % l2_nsets]
+                if vkey in s2:
+                    s2.move_to_end(vkey)
+                    s2[vkey] = True
                 else:
-                    l2m[bank] += 1
-                    dirty2 = -1
+                    victim_miss_append(vbank)
                     if len(s2) >= l2_ways:
                         v2, d2 = s2.popitem(last=False)
-                        l2e[bank] += 1
                         if d2:
-                            l2de[bank] += 1
-                            dirty2 = v2
-                    s2[bank_key] = write
-                    s_l2_misses += 1
-                    s_dram_rd += line_bytes
-                    dram_racc += 1
-                    if rec_on:
-                        r_l2m[ki] = True
-                    if track_rows:
-                        # Exactly one latency is appended per residual
-                        # event, so len(rl) (pre-append) is this
-                        # event's residual ordinal — no per-iteration
-                        # counter needed on the hot paths.
-                        i = len(rl)
-                        if rand_l[i]:
-                            latency += dram_lat
-                        else:
-                            ch = chan_l[i]
-                            row = row_l[i]
-                            if open_rows[ch] == row:
-                                rowh += 1
-                                latency += row_hit_cyc
-                            else:
-                                rowm += 1
-                                open_rows[ch] = row
-                                latency += row_miss_cyc
-                    else:
-                        latency += dram_lat
-                    if dirty2 >= 0:
-                        dram_wacc += 1
-                        s_dram_wr += line_bytes
-                        if rec_on:
-                            r_wb[ki] += 1
-                        if track_rows:
-                            victim_write(
-                                ((dirty2 << bank_bits) | bank) << line_bits
+                            wb_order_append(3 * ki)
+                            wb_addr_append(
+                                ((v2 << bank_bits) | vbank) << line_bits
                             )
-                # Stream-prefetch detection (StreamDetector.observe,
-                # inlined): a line matching some head + 1 counts as
-                # prefetched and advances that head; otherwise it
-                # replaces a round-robin victim head.
-                heads = p_heads[core]
-                prev = line - 1
-                if prev in heads:
-                    heads[heads.index(prev)] = line
-                    s_pref += 1
-                    if rec_on:
-                        r_pref[ki] = True
-                    latency = pref_lat
-                else:
-                    slot = p_next[core]
-                    heads[slot] = line
-                    p_next[core] = (slot + 1) % num_heads
-                rl_append(latency)
+                    s2[vkey] = True
+                entry = dir_lines.get(victim)
+                if entry is not None:
+                    entry[0] &= ~me
+                    if entry[1] == core:
+                        entry[1] = -1
+                    if entry[0] == 0:
+                        del dir_lines[victim]
 
-        # Per-core L1 hits fall out of the per-core event counts: the
-        # loop only tallies misses, hits (screened or residual) are the
-        # complement.
-        if rl:
-            lats[keep] = rl
+            s2 = flat_l2[l2si]
+            if bank_key in s2:
+                l2_hit_append(ki)
+                s2.move_to_end(bank_key)
+                if write:
+                    s2[bank_key] = True
+            else:
+                if len(s2) >= l2_ways:
+                    v2, d2 = s2.popitem(last=False)
+                    if d2:
+                        wb_order_append(3 * ki + 2)
+                        wb_addr_append(
+                            ((v2 << bank_bits) | bank) << line_bits
+                        )
+                s2[bank_key] = write
+            # Stream-prefetch detection (StreamDetector.observe,
+            # inlined): a line matching some head + 1 counts as
+            # prefetched and advances that head; otherwise it replaces
+            # a round-robin victim head.
+            heads = p_heads[core]
+            prev = line - 1
+            if prev in heads:
+                heads[heads.index(prev)] = line
+                pref_append(ki)
+            else:
+                slot = p_next[core]
+                heads[slot] = line
+                p_next[core] = (slot + 1) % num_heads
+        return log
 
-        ev_counts = np.bincount(cores, minlength=ncores)
-        for c in range(ncores):
-            l1h[c] = int(ev_counts[c]) - l1m[c]
-        stats = self.stats
-        stats.l1_hits += sum(l1h)
-        stats.l1_misses += sum(l1m)
-        stats.l2_hits += s_l2_hits
-        stats.l2_misses += s_l2_misses
-        stats.prefetch_hits += s_pref
-        stats.onchip_line_bytes += s_onchip_line
-        stats.onchip_word_bytes += s_onchip_word
-        stats.coherence_invalidations += s_coh_inv
-        stats.dram_read_bytes += s_dram_rd
-        stats.dram_write_bytes += s_dram_wr
-        for c in range(ncores):
-            l1 = self.l1s[c]
-            l1.hits += l1h[c]
-            l1.misses += l1m[c]
-            l1.evictions += l1e[c]
-            l1.dirty_evictions += l1de[c]
-            l2 = self.l2_banks[c]
-            l2.hits += l2h[c]
-            l2.misses += l2m[c]
-            l2.evictions += l2e[c]
-            l2.dirty_evictions += l2de[c]
-        self.directory.invalidations += d_inval
-        self.directory.writebacks += d_wb
-        xbar = self.crossbar
-        xbar.line_packets += x_line_pkts
-        xbar.line_bytes += x_line_pkts * lb_h
-        xbar.control_packets += x_ctrl_pkts
-        xbar.control_bytes += x_ctrl_pkts * header
-        dram.read_accesses += dram_racc
-        dram.read_bytes += s_dram_rd
-        dram.write_accesses += dram_wacc
-        dram.write_bytes += s_dram_wr
-        if track_rows:
-            dram.row_hits += rowh
-            dram.row_misses += rowm
-            dram._open_rows[:] = open_rows
-        return lats
+    def _fold(self, log: _ResidualLog, cores, addrs, banks,
+              l1_before: List[int], l2_before: List[int], record=None):
+        """Derive a batch's counters, latencies and record from its log.
+
+        Returns ``(counters, open_rows, lats)``: a list aligned with
+        :meth:`_counter_slots` (the atomic counters are left 0 for the
+        caller), DRAM's open rows after the batch (``None`` under the
+        closed page policy) and the per-event latency array.
+
+        Evictions come from occupancy: a miss inserts one line, an
+        eviction or a removing invalidation takes one out, so per
+        cache ``evictions = before + misses - after - removed``. Every
+        dirty L2 eviction is one DRAM write-back. DRAM's row-buffer
+        machine runs here too: the demand reads and write-backs,
+        ordered by position and phase, are stable-sorted by channel,
+        and an access hits when the previous access on its channel
+        (or the carried-in open row) has the same row.
+        """
+        n = len(cores)
+        ncores = self.ncores
+        xcfg = self.crossbar.config
+        header = xcfg.header_bytes
+        lb_h = self.line_bytes + header
+        line_bytes = self.line_bytes
+        bank_mask = self.bank_mask
+
+        miss = _int_array(log.l1_miss)
+        l2_hit = _int_array(log.l2_hit)
+        pref = _int_array(log.prefetch)
+        mc = cores[miss]
+        mb = banks[miss]
+        hit_mask = np.zeros(n, dtype=bool)
+        hit_mask[l2_hit] = True
+        l2_miss = miss[~hit_mask[miss]]
+
+        # L1: misses per core; hits are the complement of the events.
+        l1_misses = np.bincount(mc, minlength=ncores)
+        l1_hits = np.bincount(cores, minlength=ncores) - l1_misses
+        l1_after = np.array([sum(map(len, c._sets)) for c in self.l1s])
+        dropped = np.bincount(_int_array(log.dropped), minlength=ncores)
+        l1_evictions = np.array(l1_before) + l1_misses - l1_after - dropped
+        victim_at = _int_array(log.victim_at)
+        victim_core = cores[victim_at]
+        l1_dirty = np.bincount(victim_core, minlength=ncores)
+
+        # L2: demand accesses plus dirty-L1-victim write-backs per bank.
+        victim_bank = _int_array(log.victim_line) & bank_mask
+        victim_misses = np.bincount(_int_array(log.victim_miss),
+                                    minlength=ncores)
+        demand_hits = np.bincount(banks[l2_hit], minlength=ncores)
+        l2_hits = (demand_hits + np.bincount(victim_bank, minlength=ncores)
+                   - victim_misses)
+        l2_misses = (np.bincount(mb, minlength=ncores) - demand_hits
+                     + victim_misses)
+        l2_after = np.array([sum(map(len, b._sets)) for b in self.l2_banks])
+        l2_evictions = np.array(l2_before) + l2_misses - l2_after
+        wb_order = _int_array(log.wb_order)
+        wb_addr = _int_array(log.wb_addr)
+        l2_dirty = np.bincount(
+            (wb_addr >> self.line_bits) & bank_mask, minlength=ncores
+        )
+
+        # Coherence: invalidation fan-out and modified-line fetches.
+        coh_at = _int_array(log.coh_at)
+        coh_code = _int_array(log.coh_code)
+        inval = coh_code >> 1
+        coh_wb = coh_code & 1
+        n_inval = int(inval.sum())
+        n_coh_wb = int(coh_wb.sum())
+        remote = mb != mc
+        line_packets = (
+            int(np.count_nonzero(remote)) + n_coh_wb
+            + int(np.count_nonzero(victim_bank != victim_core))
+        )
+
+        # Latencies, added in the oracle's order: L1, invalidation
+        # round trip, modified-line fetch, bank hop, L2, DRAM; a stream
+        # prefetch hit replaces the whole miss latency.
+        lats = np.full(n, float(self.l1_lat))
+        if len(coh_at):
+            if xcfg.topology == "crossbar":
+                wb_lat = self.remote_lat
+            else:
+                wb_lat = self.crossbar.transfer_latency()
+            lats[coh_at] += (
+                np.where(inval > 0, self.remote_lat, 0) + coh_wb * wb_lat
+            )
+        if len(miss):
+            if xcfg.topology == "crossbar":
+                hop = np.where(remote, self.remote_lat, 0)
+            else:
+                table = np.array([
+                    [self.crossbar.transfer_latency(c, b)
+                     for b in range(ncores)]
+                    for c in range(ncores)
+                ])
+                hop = np.where(remote, table[mc, mb], 0)
+            lats[miss] += hop + self.l2_lat
+        dram_lat, row_hits, row_misses, open_rows = self._dram_rows(
+            l2_miss, addrs[l2_miss], wb_order, wb_addr
+        )
+        lats[l2_miss] += dram_lat
+        lats[pref] = float(self.l1_lat + 1)
+
+        if record is not None:
+            record.l1_hit[miss] = False
+            record.l2_hit[l2_hit] = True
+            record.l2_miss[l2_miss] = True
+            record.prefetch[pref] = True
+            # An event triggers at most one write-back per phase (0:
+            # its L1 victim's insertion, 2: its own fill), so each
+            # phase's rows are distinct and a fancy += counts them.
+            phase = wb_order % 3
+            for p in (0, 2):
+                record.writebacks[wb_order[phase == p] // 3] += 1
+
+        n_l2_miss = len(l2_miss)
+        n_wb = len(wb_order)
+        counters = [
+            int(l1_hits.sum()), len(miss), len(l2_hit), n_l2_miss,
+            len(pref), line_packets * lb_h, n_inval * header, n_inval,
+            n_l2_miss * line_bytes, n_wb * line_bytes, 0, 0,
+        ]
+        counters += np.stack(
+            [l1_hits, l1_misses, l1_evictions, l1_dirty], axis=1
+        ).ravel().tolist()
+        counters += np.stack(
+            [l2_hits, l2_misses, l2_evictions, l2_dirty], axis=1
+        ).ravel().tolist()
+        counters += [
+            n_inval, n_coh_wb,
+            line_packets, line_packets * lb_h, n_inval, n_inval * header,
+            n_l2_miss, n_l2_miss * line_bytes, n_wb, n_wb * line_bytes,
+            row_hits, row_misses,
+        ]
+        return counters, open_rows, lats
+
+    def _dram_rows(self, reads: np.ndarray, read_addrs: np.ndarray,
+                   wb_order: np.ndarray, wb_addr: np.ndarray):
+        """DRAM latency of each demand read, and the row-buffer effect.
+
+        Returns ``(read latencies, row hits, row misses, open rows)``.
+        The closed page policy charges a constant and keeps no rows
+        (open rows ``None``). Under open/hybrid, reads (phase 1 of
+        their position) and write-backs (phases 0 and 2) run through
+        the per-channel open-row machine in that order; the hybrid
+        policy serves its random ranges close-page, outside the
+        machine.
+        """
+        dcfg = self.config.dram
+        if dcfg.page_policy == "closed":
+            return dcfg.latency_cycles, 0, 0, None
+        open_rows = list(self.dram._open_rows)
+        order = np.concatenate([3 * reads + 1, wb_order])
+        addr = np.concatenate([read_addrs, wb_addr])
+        seq = np.argsort(order, kind="stable")
+        addr = addr[seq]
+        is_read = seq < len(reads)
+        lat = np.full(len(addr), dcfg.latency_cycles)
+        machine = np.ones(len(addr), dtype=bool)
+        if dcfg.page_policy == "hybrid":
+            for lo, hi in self.dram._random_ranges:
+                machine &= ~((addr >= lo) & (addr < hi))
+        idx = np.flatnonzero(machine)
+        ch = (addr[idx] // 64) % dcfg.channels
+        row = addr[idx] // dcfg.row_bytes
+        by_ch = stable_argsort(ch)
+        sch = ch[by_ch]
+        srow = row[by_ch]
+        first = np.ones(len(sch), dtype=bool)
+        first[1:] = sch[1:] != sch[:-1]
+        prev = np.empty_like(srow)
+        prev[1:] = srow[:-1]
+        prev[first] = np.array(open_rows, dtype=np.int64)[sch[first]]
+        hit = np.empty(len(idx), dtype=bool)
+        hit[by_ch] = srow == prev
+        last = np.ones(len(sch), dtype=bool)
+        last[:-1] = first[1:]
+        for c, r in zip(sch[last].tolist(), srow[last].tolist()):
+            open_rows[c] = r
+        lat[idx] = np.where(hit, dcfg.row_hit_cycles, dcfg.row_miss_cycles)
+        read_lat = np.empty(len(reads), dtype=lat.dtype)
+        read_lat[seq[is_read]] = lat[is_read]
+        n_hit = int(np.count_nonzero(hit))
+        return read_lat, n_hit, len(idx) - n_hit, open_rows

@@ -22,10 +22,9 @@ the per-event loop (:mod:`repro.memsim.replay`).
 Stream-prefetch detection is also provided here. The detector itself
 is inherently sequential (each observation rotates per-core stream
 heads), so :class:`StreamDetector` offers the exact per-event
-``observe`` the engine drives on L1 misses, plus a batch ``flags``
-form that processes a whole (core, line) sequence at once — both
-implement the same 16-head round-robin stride detector and produce
-identical flags for identical input sequences.
+``observe`` the scalar oracle drives on L1 misses (the batch kernel
+inlines the same logic), plus a ``flags`` form that feeds a whole
+(core, line) sequence through ``observe`` — a convenience for tests.
 """
 
 from __future__ import annotations
@@ -183,11 +182,10 @@ class StreamDetector:
         return False
 
     def flags(self, cores, lines) -> np.ndarray:
-        """Batch form: flags for a whole (core, line) sequence.
+        """Flags for a whole (core, line) sequence, one per event.
 
-        Equivalent to calling :meth:`observe` per event; used by the
-        pre-pass equivalence tests and by backends whose cache-path
-        membership is statically known.
+        Calls :meth:`observe` per event. No backend calls it; the
+        pre-pass equivalence tests do.
         """
         cores = np.asarray(cores).tolist()
         lines = np.asarray(lines).tolist()

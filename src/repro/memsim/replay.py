@@ -173,9 +173,17 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
         dram = DramModel(config.dram)
         dram.set_random_ranges(backend.dram_random_ranges)
         crossbar = Crossbar(config.interconnect, ncores)
+        # The memo holds whole-cache-path results, so only a replay
+        # whose cache path is one batch from this fresh system (one
+        # in-core segment, no windows, no per-event record) may use it.
+        whole = (
+            isinstance(source, _InCoreSource) and sampler is None
+            and attribution is None
+        )
         system = CacheSystem(
             config, stats, dram, crossbar,
             scalar_cache=backend.scalar_cache,
+            memo=backend.cache_memo if whole else None,
         )
         ledger = LatencyLedger(ncores)
         ctx = ReplayContext(

@@ -10,6 +10,7 @@ from repro.store.store import (
     ENV_CACHE_CAPACITY_MB,
     ENV_CACHE_DIR,
     SIDECAR_VERSION,
+    ResultMemo,
     StoreEntry,
     TraceStore,
     normalize_kwargs,
@@ -21,6 +22,7 @@ __all__ = [
     "ENV_CACHE_CAPACITY_MB",
     "ENV_CACHE_DIR",
     "SIDECAR_VERSION",
+    "ResultMemo",
     "StoreEntry",
     "TraceStore",
     "normalize_kwargs",

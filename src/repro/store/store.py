@@ -42,6 +42,14 @@ duplicated generation work, never a torn entry. Corrupted or
 version-mismatched entries are discarded and treated as misses, so the
 cache can only ever cost a regeneration, not correctness.
 
+Next to the files, each store handle keeps one in-memory
+:class:`ResultMemo`, :attr:`TraceStore.cache_path_memo`: the cache
+path's counter deltas keyed by the digest of the routed stream and the
+cache configuration, so every run sharing the handle replays each
+distinct cache-path stream once. It is never written to disk, so it
+lives exactly as long as the handle and is not shared across
+processes.
+
 Controls: a run's store comes from its
 :class:`~repro.core.context.RunContext`;
 :meth:`~repro.core.context.RunContext.from_env` builds it from the
@@ -57,11 +65,13 @@ import logging
 import os
 import shutil
 import tempfile
+import threading
 import time
 import zipfile
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +83,7 @@ from repro.obs import get_registry
 __all__ = [
     "SIDECAR_VERSION",
     "DEFAULT_CAPACITY_BYTES",
+    "ResultMemo",
     "StoreEntry",
     "TraceStore",
     "trace_key",
@@ -98,6 +109,11 @@ ENV_CACHE_CAPACITY_MB = "REPRO_CACHE_CAPACITY_MB"
 #: :meth:`TraceStore.evict`. Young temp files are left alone — they
 #: may belong to a live concurrent writer.
 ORPHAN_TMP_AGE_SECONDS = 3600.0
+
+#: Entries a store handle's cache-path memo keeps. One entry is a few
+#: KB of counters (not per-event data); a 25-cell, five-backend sweep
+#: of Table II cells has 20 distinct cache-path streams.
+CACHE_PATH_MEMO_ENTRIES = 256
 
 
 def normalize_kwargs(kwargs: Dict) -> Optional[Dict]:
@@ -155,6 +171,46 @@ def trace_key(
     return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
 
 
+class ResultMemo:
+    """A count-bounded, lock-guarded, in-memory LRU map.
+
+    Values are shared, not copied: callers store plain data they never
+    mutate afterwards. ``hits``/``misses`` count :meth:`get` outcomes.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise TraceError(f"memo capacity must be > 0, got {capacity}")
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> Any:
+        """The value stored under ``key`` (now most recent), or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: str, value: Any) -> None:
+        """Store ``value``; past capacity, drop the least recently used."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """One cached trace: its key, on-disk size, and last-use time."""
@@ -167,9 +223,11 @@ class StoreEntry:
 class TraceStore:
     """A size-capped, LRU-evicted directory of cached traces.
 
-    The store is stateless between calls (all bookkeeping lives in the
-    filesystem), so any number of processes — e.g. the workers of
-    ``repro sweep`` — can share one root directory.
+    The on-disk store is stateless between calls (all bookkeeping
+    lives in the filesystem), so any number of processes — e.g. the
+    workers of ``repro sweep`` — can share one root directory. The one
+    piece of in-memory state is :attr:`cache_path_memo`, private to
+    this handle.
     """
 
     def __init__(
@@ -185,6 +243,9 @@ class TraceStore:
                 f"trace-store capacity must be > 0, got {capacity_bytes}"
             )
         self.capacity_bytes = int(capacity_bytes)
+        #: Cache-path results of the runs sharing this handle (see
+        #: :meth:`repro.memsim.cachestate.CacheSystem.replay_cache_path`).
+        self.cache_path_memo = ResultMemo(CACHE_PATH_MEMO_ENTRIES)
 
     # ------------------------------------------------------------------
     # Paths

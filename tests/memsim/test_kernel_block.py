@@ -19,7 +19,7 @@ BACKENDS = ["baseline", "omega", "locked", "graphpim", "dynamic"]
 #: The v7 ``replay.kernel`` key set.
 KERNEL_KEYS = {
     "mode", "batches", "events", "screened", "screened_fraction",
-    "serialized_events",
+    "serialized_events", "reused",
 }
 
 
@@ -46,6 +46,7 @@ def test_kernel_block(graph, backend, tmp_path, capsys):
     assert kernel["batches"] >= 1
     assert kernel["screened"] + kernel["serialized_events"] \
         == kernel["events"]
+    assert kernel["reused"] == 0  # a context without a store reuses nothing
 
     events = json.loads(trace_path.read_text())["traceEvents"]
     counters = [e["args"] for e in events

@@ -16,8 +16,8 @@ from repro.errors import TraceError
 from repro.intsort import stable_argsort, unique_ids
 
 DTYPES = [np.int16, np.int32, np.int64, np.uint16, np.uint32, np.uint64]
-#: Key spans on both sides of each 16-bit digit boundary.
-SPAN_BITS = [0, 4, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64]
+#: Key spans on both sides of each digit boundary (8-bit, then 16-bit).
+SPAN_BITS = [0, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64]
 
 
 @st.composite
@@ -66,8 +66,10 @@ class TestStableArgsort:
 
     @pytest.mark.parametrize(
         "span, passes",
-        [(0, 1), ((1 << 16) - 1, 1), (1 << 16, 2), ((1 << 32) - 1, 2),
-         (1 << 32, 3), ((1 << 48) - 1, 3), (1 << 48, 4), ((1 << 64) - 1, 4)],
+        [(0, 1), ((1 << 8) - 1, 1), (1 << 8, 1), ((1 << 16) - 1, 1),
+         (1 << 16, 2),
+         ((1 << 32) - 1, 2), (1 << 32, 3), ((1 << 48) - 1, 3), (1 << 48, 4),
+         ((1 << 64) - 1, 4)],
     )
     def test_pass_count_follows_span(self, monkeypatch, span, passes):
         rng = np.random.default_rng(span % 1009)
@@ -83,8 +85,34 @@ class TestStableArgsort:
         monkeypatch.setattr(np, "argsort", counting)
         got = stable_argsort(keys)
         monkeypatch.undo()
-        assert calls == [np.dtype(np.uint16)] * passes
+        digit = np.uint8 if span < 1 << 8 else np.uint16
+        assert calls == [np.dtype(digit)] * passes
         np.testing.assert_array_equal(got, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("span", [0, 1, 63, 64, 255])
+    def test_byte_span_takes_one_uint8_pass(self, monkeypatch, dtype, span):
+        """Spans below 2**8 (cache-slot sorts) sort one uint8 digit,
+        also when the keys sit at the dtype's extremes."""
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(span)
+        for lo in (int(info.min), int(info.max) - span, 0):
+            offsets = rng.integers(0, span, 300, endpoint=True).tolist()
+            keys = np.array([lo + d for d in offsets], dtype=dtype)
+            calls = []
+            real = np.argsort
+
+            def counting(a, *args, **kwargs):
+                calls.append(a.dtype)
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, "argsort", counting)
+            got = stable_argsort(keys)
+            monkeypatch.undo()
+            assert calls == [np.dtype(np.uint8)]
+            np.testing.assert_array_equal(
+                got, np.argsort(keys, kind="stable")
+            )
 
     def test_rejects_non_integer_keys(self):
         with pytest.raises(TraceError):

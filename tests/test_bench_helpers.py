@@ -127,3 +127,53 @@ class TestRunComparisonAndSweep:
 
         results = sweep([("pagerank", "sd"), ("bfs", "sd")], scale=0.5)
         assert [c.baseline.algorithm for c in results] == ["pagerank", "bfs"]
+
+
+class TestRecordBench:
+    """``BENCH_<name>.json`` trajectories are appended, never dropped."""
+
+    def _record(self, root, value):
+        from repro.bench.record import record_bench
+
+        return record_bench("demo", {"x": value}, root,
+                            {"seed_events_per_sec": 123.0})
+
+    def test_appends_and_keeps_the_anchor(self, tmp_path):
+        from repro.bench.record import bench_baseline_context, load_bench
+
+        self._record(tmp_path, 1)
+        self._record(tmp_path, 2)
+        entries = load_bench("demo", tmp_path)
+        assert [e["manifest"]["metrics"]["x"] for e in entries] == [1, 2]
+        assert bench_baseline_context(
+            "demo", tmp_path, "seed_events_per_sec") == 123.0
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_demo.json"]
+
+    @pytest.mark.parametrize("content", ['[{"torn": ', "{}", ""])
+    def test_unreadable_trajectory_raises_and_is_left_untouched(
+            self, tmp_path, content):
+        from repro.errors import ReproError
+
+        path = tmp_path / "BENCH_demo.json"
+        path.write_text(content)
+        with pytest.raises(ReproError):
+            self._record(tmp_path, 3)
+        assert path.read_text() == content
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_demo.json"]
+
+    def test_failed_write_leaves_the_old_trajectory(self, tmp_path,
+                                                    monkeypatch):
+        import os
+
+        self._record(tmp_path, 1)
+        path = tmp_path / "BENCH_demo.json"
+        before = path.read_text()
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            self._record(tmp_path, 2)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_demo.json"]
