@@ -3,15 +3,16 @@
 Some invariants sit on code paths a run does not execute, so no
 runtime test sees them: nothing inside the simulation packages may
 read entropy, library code raises only ``ReproError`` subclasses,
-counter folds accumulate at 64 bits, and shared serve/obs state must
-be written under its lock. ``repro.analyze`` checks those statically —
-``repro lint`` on the CLI, :func:`run_battery` from code. Invariants a
-plain test can check on live runs (counters, routes, manifest blocks)
-or with a token scan (environment reads, documented flags and
-variables) live in ``tests/test_contracts.py`` instead. Every run is
-one cold pass over the checkout's sources: there is no result cache
-and no accepted-findings file, so what a checkout ships can never
-silence its own findings.
+and counter folds accumulate at 64 bits. ``repro.analyze`` checks
+those statically — ``repro lint`` on the CLI, :func:`run_battery` from
+code. Invariants a plain test can check on live runs (counters,
+routes, manifest blocks) or with a token scan (environment reads,
+documented flags and variables) live in ``tests/test_contracts.py``
+instead; the lock discipline of shared serve state is checked by
+forcing interleavings in ``tests/serve/test_concurrency.py``. Every
+run is one cold pass over the checkout's sources: there is no result
+cache and no accepted-findings file, so what a checkout ships can
+never silence its own findings.
 
 Findings can be suppressed inline with an explicit reason::
 
@@ -20,7 +21,6 @@ Findings can be suppressed inline with an explicit reason::
 See ``docs/static-analysis.md`` for the rule catalog.
 """
 
-from repro.analyze.callgraph import CallGraph
 from repro.analyze.emit import (
     LINT_SCHEMA,
     SARIF_VERSION,
@@ -40,7 +40,6 @@ __all__ = [
     "SARIF_VERSION",
     "AnalysisError",
     "BatteryResult",
-    "CallGraph",
     "Finding",
     "ProjectIndex",
     "RuleInfo",

@@ -1,28 +1,20 @@
-"""Intraprocedural dataflow: reaching definitions and lock regions.
+"""Intraprocedural dataflow: reaching definitions.
 
-Two small frameworks the whole-program rules share:
-
-- :class:`FunctionFlow` — a linear reaching-definitions approximation
-  over one function body: ``reaching(name, lineno)`` answers "what
-  expression was last assigned to ``name`` before this line". Linear
-  (source order, no branch merging) is the right fidelity for a
-  linter: the codebase's accumulators and executor handles are defined
-  once, straight-line, before use.
-- :class:`LockContext` — "accessed-under-lock" tracking for ``with
-  self._lock:`` regions: every qualifying ``with`` statement's line
-  span is recorded, and ``covers(lineno)`` answers whether a statement
-  executes inside one.
-
-Neither framework imports the code it models — everything is derived
+:class:`FunctionFlow` is a linear reaching-definitions approximation
+over one function body: ``reaching(name, lineno)`` answers "what
+expression was last assigned to ``name`` before this line". Linear
+(source order, no branch merging) is the right fidelity for a linter:
+the codebase's accumulators are defined once, straight-line, before
+use. Nothing here imports the code it models — everything is derived
 from the AST alone.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["FunctionFlow", "LockContext", "walk_function_body"]
+__all__ = ["FunctionFlow", "walk_function_body"]
 
 
 def walk_function_body(func: ast.AST) -> Iterator[ast.AST]:
@@ -58,18 +50,6 @@ class FunctionFlow:
         self.func = func
         #: name → [(lineno, value expression or None)], source order.
         self._defs: Dict[str, List[Tuple[int, Optional[ast.expr]]]] = {}
-        #: parameter name → annotation expression (or None).
-        self._params: Dict[str, Optional[ast.expr]] = {}
-        args = getattr(func, "args", None)
-        if args is not None:
-            every = (
-                list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)
-                + ([args.vararg] if args.vararg else [])
-                + ([args.kwarg] if args.kwarg else [])
-            )
-            for a in every:
-                self._params[a.arg] = a.annotation
         for node in walk_function_body(func):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
@@ -113,41 +93,3 @@ class FunctionFlow:
             else:
                 break
         return best[1] if best else None
-
-    def is_param(self, name: str) -> bool:
-        """Whether ``name`` is one of the function's parameters."""
-        return name in self._params
-
-    def is_local(self, name: str) -> bool:
-        """Whether ``name`` is bound anywhere in the function body."""
-        return name in self._defs or name in self._params
-
-    def param_annotation(self, name: str) -> Optional[ast.expr]:
-        """The annotation expression of parameter ``name``, if any."""
-        return self._params.get(name)
-
-
-class LockContext:
-    """Which lines of a function execute under a held lock.
-
-    ``is_lock_expr`` decides whether one ``with`` item's context
-    expression acquires a lock (the race rule passes a predicate that
-    recognizes ``self.<lock attribute>``). Every qualifying ``with``
-    statement contributes its full line span; ``covers(lineno)`` is
-    then a span-containment test — lexical nesting is exactly the
-    with-statement's dynamic extent for straight-line code.
-    """
-
-    def __init__(self, func: ast.AST,
-                 is_lock_expr: Callable[[ast.expr], bool]) -> None:
-        self._spans: List[Tuple[int, int]] = []
-        for node in walk_function_body(func):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            if any(is_lock_expr(item.context_expr) for item in node.items):
-                end = getattr(node, "end_lineno", None) or node.lineno
-                self._spans.append((node.lineno, end))
-
-    def covers(self, lineno: int) -> bool:
-        """Whether ``lineno`` falls inside a lock-guarded region."""
-        return any(lo <= lineno <= hi for lo, hi in self._spans)

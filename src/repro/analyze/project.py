@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.analyze.astutil import import_aliases
 from repro.errors import ReproError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analyze.callgraph import CallGraph
 
 __all__ = ["SourceModule", "ProjectIndex", "AnalysisError"]
 
@@ -57,7 +54,7 @@ class SourceModule:
         """Import aliases of this module (computed once, shared).
 
         See :func:`repro.analyze.astutil.import_aliases`; every rule
-        and the call graph read this instead of re-walking the tree.
+        and the symbol table read this instead of re-walking the tree.
         """
         if self._aliases is None:
             self._aliases = import_aliases(self.tree)
@@ -101,7 +98,6 @@ class ProjectIndex:
             self.modules[name] = SourceModule(
                 name, path, rel, path.read_text()
             )
-        self._call_graph: Optional["CallGraph"] = None
 
     # -- module lookup -------------------------------------------------
     def get(self, name: str) -> Optional[SourceModule]:
@@ -120,12 +116,3 @@ class ProjectIndex:
                 name == p or name.startswith(p + ".") for p in prefixes
             ):
                 yield self.modules[name]
-
-    # -- whole-program views -------------------------------------------
-    def call_graph(self) -> "CallGraph":
-        """The project-wide call graph (built once, shared by rules)."""
-        if self._call_graph is None:
-            from repro.analyze.callgraph import CallGraph
-
-            self._call_graph = CallGraph(self)
-        return self._call_graph

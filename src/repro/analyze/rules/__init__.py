@@ -10,6 +10,5 @@ free.
 from repro.analyze.rules import determinism as determinism
 from repro.analyze.rules import exceptions as exceptions
 from repro.analyze.rules import numpyfold as numpyfold
-from repro.analyze.rules import race as race
 
-__all__ = ["determinism", "exceptions", "numpyfold", "race"]
+__all__ = ["determinism", "exceptions", "numpyfold"]

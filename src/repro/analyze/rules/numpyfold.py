@@ -38,6 +38,7 @@ from repro.analyze.dataflow import FunctionFlow, walk_function_body
 from repro.analyze.findings import Finding
 from repro.analyze.project import ProjectIndex
 from repro.analyze.registry import rule
+from repro.analyze.symbols import SymbolTable
 
 __all__ = ["check_accumulator_width"]
 
@@ -180,13 +181,13 @@ def _fold_sites(
 def check_accumulator_width(project: ProjectIndex) -> Iterator[Finding]:
     """Flag numpy accumulation folds into narrow or unknown dtypes."""
     info = check_accumulator_width.info  # type: ignore[attr-defined]
-    graph = project.call_graph()
+    symbols = SymbolTable(project)
 
-    for qual in sorted(graph.functions):
-        ref = graph.functions[qual]
+    for qual in sorted(symbols.functions):
+        ref = symbols.functions[qual]
         module = project.modules[ref.module]
         aliases = module.aliases
-        cls = graph.classes.get(ref.cls) if ref.cls else None
+        cls = symbols.classes.get(ref.cls) if ref.cls else None
         chase = _Chase(
             aliases, ref.flow, cls.attr_inits if cls else {},
         )

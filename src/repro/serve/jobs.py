@@ -295,9 +295,11 @@ class JobManager:
             manifest = self._runner(job.spec, job.progress.append)
         except Exception as exc:  # noqa: BLE001  # repro: noqa[EXC001] -- worker-thread boundary: any job failure becomes a FAILED status surfaced to the client
             with self._lock:
-                job.status = FAILED
+                # status last: snapshot() reads without the lock, so a
+                # poll must never see FAILED before the error is set.
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.finished = time.time()
+                job.status = FAILED
                 self._inflight.pop(job.key, None)
                 self._counters["failed"] += 1
             job.done_event.set()

@@ -15,7 +15,9 @@ API (all JSON):
   ``"wait": true`` to block until the manifest is ready. Responses:
   ``200`` (warm, or ``wait`` completed), ``202`` (job accepted; body
   carries ``job_id`` and ``state`` = ``cold``/``coalesced``), ``429``
-  (queue full — retry later), ``400`` (bad spec).
+  (queue full — retry later), ``400`` (bad spec, or a
+  ``Content-Length`` that is not an integer), ``413`` (a stated body
+  longer than :data:`MAX_BODY_BYTES`).
 - ``GET /v1/jobs/<id>`` — job status: ``status``, ``progress`` (span
   names from the run's tracer, streamed as the replay advances),
   ``manifest`` when done, ``error`` when failed.
@@ -52,6 +54,14 @@ _LOG = logging.getLogger("repro.serve")
 
 #: Default cap on how long a ``"wait": true`` request may block.
 WAIT_TIMEOUT_SECONDS = 600.0
+
+#: Largest request body read (a job spec is well under 1 KiB); a
+#: longer stated ``Content-Length`` is answered 413 without reading.
+MAX_BODY_BYTES = 64 * 1024
+
+
+class _BodyTooLargeError(SimulationError):
+    """The request states a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 class _ProgressTracer(SpanTracer):
@@ -135,7 +145,22 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(blob)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        stated = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(stated)
+        except ValueError:
+            # the body's extent is unknown, so the connection cannot
+            # be reused for another request.
+            self.close_connection = True
+            raise SimulationError(
+                f"Content-Length must be an integer, got {stated!r}"
+            ) from None
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _BodyTooLargeError(
+                f"request body of {length} bytes exceeds the"
+                f" {MAX_BODY_BYTES}-byte limit"
+            )
         if length <= 0:
             raise SimulationError("request body required")
         try:
@@ -173,6 +198,9 @@ class _Handler(BaseHTTPRequestHandler):
             state, job, manifest = manager.submit(spec)
         except QueueFullError as exc:
             self._reply(429, {"error": str(exc), "state": "rejected"})
+            return
+        except _BodyTooLargeError as exc:
+            self._reply(413, {"error": str(exc)})
             return
         except SimulationError as exc:
             self._reply(400, {"error": str(exc)})

@@ -14,7 +14,6 @@ from tests.analyze.conftest import REPO_ROOT, fixture_tree
 BAD_FIXTURES = (
     "bad_determinism",
     "bad_suppression",
-    "bad_race",
     "bad_exceptions",
     "bad_numpyfold",
 )
@@ -50,7 +49,7 @@ def test_lint_defaults_to_own_checkout(capsys):
     # be clean (the self-check test asserts the same through the API).
     # Neither that run nor one over a fixture may write into the tree
     # it lints.
-    fixture = fixture_tree("bad_race")
+    fixture = fixture_tree("bad_numpyfold")
     before = (_listing(REPO_ROOT), _listing(fixture))
     assert main(["lint", "--root", str(fixture)]) == 1
     code = main(["lint"])
@@ -148,14 +147,14 @@ def _plant_empty_battery_record(root: Path) -> None:
 
 
 def test_a_checkout_cannot_silence_its_own_findings(tmp_path, capsys):
-    root = tmp_path / "bad_race"
-    shutil.copytree(fixture_tree("bad_race"), root)
+    root = tmp_path / "bad_numpyfold"
+    shutil.copytree(fixture_tree("bad_numpyfold"), root)
     _plant_empty_battery_record(root)
     code = main(["lint", "--root", str(root), "--format", "json"])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert [(f["rule"], f["line"]) for f in doc["findings"]] == [
-        ("RAC001", 22), ("RAC001", 23),
+        ("NPY001", 8), ("NPY001", 14),
     ]
 
 

@@ -12,7 +12,7 @@ from repro.errors import ReproError
 
 
 def test_builtin_rule_ids_are_registered():
-    assert {"DET001", "EXC001", "NPY001", "RAC001"} <= set(rule_ids())
+    assert {"DET001", "EXC001", "NPY001"} <= set(rule_ids())
 
 
 def test_duplicate_rule_id_rejected():

@@ -9,7 +9,9 @@ Tampers of rules since replaced by runtime contracts are checked
 against those contracts instead (last section).
 """
 
+import importlib.util
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from repro.memsim.stats import MemStats
 from repro.obs import timeline
 
 from tests.analyze.conftest import REPO_ROOT
+from tests.serve.test_concurrency import submit_while_finishing
 from tests.test_contracts import (
     block_drift,
     env_offenders,
@@ -44,7 +47,7 @@ def test_battery_is_clean_on_this_checkout():
 
 def test_battery_rules_cover_the_advertised_families():
     ids = set(rule_ids()) | {SUPPRESSION_RULE.id}
-    assert ids == {"DET001", "SUP001", "RAC001", "EXC001", "NPY001"}
+    assert ids == {"DET001", "SUP001", "EXC001", "NPY001"}
 
 
 @pytest.fixture(scope="module")
@@ -86,19 +89,6 @@ def test_wall_clock_in_replay_trips_det001(scratch_src):
     assert "DET001" in _rules_fired(scratch_src)
 
 
-def test_dropping_the_job_manager_lock_trips_rac001(scratch_src):
-    # The careless edit: the manifest write in the worker thread loses
-    # its lock region but keeps its indentation.
-    jobs = scratch_src / "src/repro/serve/jobs.py"
-    text = jobs.read_text()
-    needle = "        with self._lock:\n            job.manifest = manifest\n"
-    assert needle in text
-    jobs.write_text(text.replace(
-        needle, "        if True:\n            job.manifest = manifest\n"
-    ))
-    assert "RAC001" in _rules_fired(scratch_src)
-
-
 def test_builtin_raise_in_library_code_trips_exc001(scratch_src):
     metrics = scratch_src / "src/repro/obs/metrics.py"
     with metrics.open("a") as fh:
@@ -121,9 +111,26 @@ def test_narrowing_the_replay_accumulator_trips_npy001(scratch_src):
 
 
 # -- tampers of rules replaced by the contracts in tests/test_contracts.py
-# The same careless edits, applied to live objects (or, for the source
-# scan, to a copied module), must fail the contract that replaced the
-# rule named in each test.
+# and tests/serve/test_concurrency.py. The same careless edits, applied
+# to live objects or to a copied module, must fail the contract that
+# replaced the rule named in each test.
+def test_dropping_the_job_manager_lock_trips_rac001(tmp_path, monkeypatch):
+    # The careless edit: the worker's success path loses its lock
+    # region but keeps its indentation.
+    text = (REPO_ROOT / "src/repro/serve/jobs.py").read_text()
+    needle = "        with self._lock:\n            job.manifest = manifest\n"
+    assert needle in text
+    path = tmp_path / "tampered_jobs.py"
+    path.write_text(text.replace(
+        needle, "        if True:\n            job.manifest = manifest\n"
+    ))
+    spec = importlib.util.spec_from_file_location("tampered_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tampered_jobs", module)
+    spec.loader.exec_module(module)
+    assert submit_while_finishing(module) == ("cold", 2)
+
+
 def test_deleting_a_reported_counter_trips_cnt001(monkeypatch):
     stats = run(grid_graph("pagerank"), "pagerank", "omega").stats
     as_dict = MemStats.as_dict

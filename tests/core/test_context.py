@@ -15,7 +15,12 @@ from repro.core.context import (
 )
 from repro.errors import SimulationError
 from repro.graph.generators import rmat_graph
+from repro.obs import MetricsRegistry, SpanTracer
+from repro.obs import metrics as obs_metrics
+from repro.obs import tracer as obs_tracer
 from repro.store import TraceStore
+
+from tests.serve.test_concurrency import Window
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +217,58 @@ class TestConcurrentContexts:
         assert len(entries_a) == 1
         assert len(entries_b) == 1
         assert entries_a.isdisjoint(entries_b)
+
+    def test_each_thread_keeps_its_own_obs_sinks(
+        self, graph, tmp_path, monkeypatch,
+    ):
+        """Two attributed runs on one store, each thread with its own
+        tracer and metrics registry: every sink must record exactly
+        what a serial run records. Both threads install their sinks
+        before either runs on — the first install parks until the
+        second arrives — so a tracer or registry ambient shared across
+        threads would hand one thread's events to the other's sink."""
+        from repro.core.system import run_system
+
+        def sinks(algorithm, store, results=None):
+            ctx = RunContext(store=store, attribution=True,
+                             tracer=SpanTracer(), metrics=MetricsRegistry())
+            report = run_system(graph, context=ctx, request=RunRequest(
+                algorithm=algorithm, dataset=f"t{algorithm}",
+            ))
+            out = (
+                [(s.name, s.cat, s.depth, s.parent, s.args)
+                 for s in ctx.tracer.records],
+                [(c.name, c.values) for c in ctx.tracer.counters],
+                ctx.metrics.snapshot(),
+                _strip_host_fields(report.manifest()),
+            )
+            if results is not None:
+                results[algorithm] = out
+            return out
+
+        serial = {
+            alg: sinks(alg, TraceStore(tmp_path / f"ref-{alg}"))
+            for alg in ("pagerank", "bfs")
+        }
+        for module, name in ((obs_tracer, "set_tracer"),
+                             (obs_metrics, "set_registry")):
+            window, install = Window(), getattr(module, name)
+
+            def parked(sink, window=window, install=install):
+                window.park()
+                previous = install(sink)
+                window.arrive()
+                return previous
+
+            monkeypatch.setattr(module, name, parked)
+
+        shared, results = TraceStore(tmp_path / "shared"), {}
+        threads = [
+            threading.Thread(target=sinks, args=(alg, shared, results))
+            for alg in serial
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert results == serial

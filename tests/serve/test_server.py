@@ -7,6 +7,7 @@ simulated fields) to a direct ``run_system`` call on the same spec.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.context import RunContext, RunRequest
 from repro.serve import JobManager, make_server, make_system_runner
+from repro.serve.server import MAX_BODY_BYTES
 from repro.store import TraceStore
 
 from tests.serve.test_jobs import JUNK_FIELDS
@@ -98,6 +100,29 @@ def test_bad_specs_get_400(server):
                                      "algorithm": "pagerank", **junk})
         assert (status, "error" in doc) == (400, True), junk
     assert _get(server, "/v1/stats")[1]["submitted"] == submitted  # none queued
+
+
+def _raw_post_status(server, content_length):
+    """Status code answering a POST that states ``content_length`` and
+    sends no body (0 when the server drops the connection instead)."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(
+            "POST /v1/jobs HTTP/1.1\r\nHost: repro\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        line = sock.makefile("rb").readline().split()
+    return int(line[1]) if len(line) > 1 else 0
+
+
+@pytest.mark.parametrize("length, status", [
+    ("abc", 400), ("1.5", 400),
+    (MAX_BODY_BYTES + 1, 413), (2**62, 413), (2**70, 413),
+], ids=["letters", "decimal", "cap+1", "2**62", "2**70"])
+def test_bad_content_length_gets_4xx(server, length, status):
+    submitted = _get(server, "/v1/stats")[1]["submitted"]
+    assert _raw_post_status(server, length) == status
+    assert _get(server, "/v1/stats")[1]["submitted"] == submitted
 
 
 def test_cold_coalesced_warm_lifecycle(server):
