@@ -50,7 +50,7 @@ def main() -> None:
         size_kb = path.stat().st_size / 1024
         trace = Trace.load(path)
     print(f"captured {trace.num_events:,} events "
-          f"({size_kb:.0f} KB compressed)\n")
+          f"({size_kb:.0f} KB)\n")
 
     # 2. Mine the raw stream (the paper's Section III facts).
     classes = trace.access_class

@@ -1,13 +1,14 @@
 """Segmented trace archives: streaming writes, bounded-memory reads.
 
-Format version 3 turns the trace archive into a first-class *segment
-index*: the event columns are split into fixed-size segments, each
-stored as its own uncompressed ``.npy`` member of a zip archive, next
-to a small index (``segment_bounds``, ``barriers``, the region table,
-and an ``interleaved`` flag). Because the members are plain ``.npy``
-blobs in a plain zip, ``np.load`` can still open the archive and read
-the index, while :class:`SegmentedTrace` streams one segment at a
-time — resident memory is bounded by one segment, not the trace.
+Format version 3 is the one trace archive layout: the event columns
+are split into fixed-size segments, each stored as its own
+uncompressed ``.npy`` member of a zip archive, next to a small index
+(``segment_bounds``, ``barriers``, the region table, and an
+``interleaved`` marker that is always 1). Because the members are
+plain ``.npy`` blobs in a plain zip, ``np.load`` can still open the
+archive and read the index, while :class:`SegmentedTrace` streams one
+segment at a time — resident memory is bounded by one segment, not
+the trace.
 
 Three producers/consumers live here:
 
@@ -16,18 +17,19 @@ Three producers/consumers live here:
   multiples, and writes each completed segment immediately, so a
   trace larger than RAM can be spooled to disk as it is generated.
 - :class:`SegmentedTrace` — the read side. Backed either by an open
-  archive (lazy: segments are read — or memory-mapped with
-  ``mmap_mode`` — on demand) or by an in-core :class:`Trace` (for
-  tests and for segmenting an already-materialized trace).
+  archive (lazy: segments are read on demand) or by an in-core
+  :class:`Trace` (for tests and for segmenting an already-materialized
+  trace).
 - :class:`SpoolingTraceBuilder` — a :class:`TraceBuilder` that flushes
   each completed barrier span (in lockstep-interleaved order) into a
   :class:`SegmentWriter` instead of accumulating the whole trace.
 
-The interleave invariant: lockstep interleaving is applied per
-barrier span and spans compose independently, so a spooled archive
-holds exactly the event order ``Trace.interleaved()`` would produce —
-replaying its segments back-to-back is bit-identical to in-core
-replay of the interleaved trace.
+The interleave invariant: every archive holds its events in lockstep
+order. Interleaving is applied per barrier span and spans compose
+independently, so a spooled archive holds exactly the event order
+``Trace.interleaved()`` would produce — replaying its segments
+back-to-back is bit-identical to in-core replay of the interleaved
+trace.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from numpy.lib import format as npformat
 
 from repro.errors import TraceError
 from repro.ligra.trace import (
-    READABLE_TRACE_VERSIONS,
     TRACE_FORMAT_VERSION,
     AccessClass,
     Region,
@@ -75,6 +76,12 @@ EVENT_COLUMNS: Tuple[Tuple[str, type], ...] = (
 
 _COLUMN_NAMES = tuple(name for name, _ in EVENT_COLUMNS)
 
+#: Index members every archive carries (the region table is optional).
+_INDEX_MEMBERS = frozenset({
+    "format_version.npy", "interleaved.npy", "segment_bounds.npy",
+    "barriers.npy",
+})
+
 
 def _segment_member(index: int, column: str) -> str:
     return f"seg{index:05d}.{column}.npy"
@@ -101,45 +108,6 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
                                allow_pickle=False)
 
 
-def _member_memmap(path: str, info: zipfile.ZipInfo,
-                   mmap_mode: str) -> np.ndarray:
-    """Memory-map one stored ``.npy`` member in place.
-
-    Only ``ZIP_STORED`` members are mappable (the data is the raw
-    ``.npy`` stream); the local file header is parsed to find the
-    data offset because its extra-field length can differ from the
-    central directory's.
-    """
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise TraceError(
-            f"{info.filename} in {path} is compressed; only stored"
-            " members can be memory-mapped"
-        )
-    with open(path, "rb") as f:
-        f.seek(info.header_offset)
-        header = f.read(30)
-        if len(header) < 30 or header[:4] != b"PK\x03\x04":
-            raise TraceError(
-                f"{path} has a corrupt local header for {info.filename}"
-            )
-        name_len = int.from_bytes(header[26:28], "little")
-        extra_len = int.from_bytes(header[28:30], "little")
-        f.seek(info.header_offset + 30 + name_len + extra_len)
-        version = npformat.read_magic(f)
-        if version == (1, 0):
-            shape, fortran, dtype = npformat.read_array_header_1_0(f)
-        elif version == (2, 0):
-            shape, fortran, dtype = npformat.read_array_header_2_0(f)
-        else:
-            raise TraceError(
-                f"{info.filename} in {path} has unsupported npy"
-                f" version {version}"
-            )
-        offset = f.tell()
-    return np.memmap(path, dtype=dtype, mode=mmap_mode, offset=offset,
-                     shape=shape, order="F" if fortran else "C")
-
-
 class SegmentWriter:
     """Incremental segmented-archive writer with bounded buffering.
 
@@ -147,18 +115,18 @@ class SegmentWriter:
     segments of exactly ``segment_events`` events are written to the
     archive as soon as they fill, so at most one segment (plus the
     current input batch) is ever resident. :meth:`close` flushes the
-    final partial segment and writes the index members.
+    final partial segment and writes the index members. Callers append
+    events in lockstep order; the index marks the archive interleaved.
     """
 
-    def __init__(self, path, segment_events: int = DEFAULT_SEGMENT_EVENTS,
-                 interleaved: bool = False) -> None:
+    def __init__(self, path,
+                 segment_events: int = DEFAULT_SEGMENT_EVENTS) -> None:
         if segment_events <= 0:
             raise TraceError(
                 f"segment_events must be > 0, got {segment_events}"
             )
         self.path = path
         self.segment_events = int(segment_events)
-        self.interleaved = interleaved
         self._zf: Optional[zipfile.ZipFile] = zipfile.ZipFile(
             path, "w", compression=zipfile.ZIP_STORED, allowZip64=True
         )
@@ -243,8 +211,7 @@ class SegmentWriter:
         )
         _write_member(zf, "format_version.npy",
                       np.asarray(np.int64(TRACE_FORMAT_VERSION)))
-        _write_member(zf, "interleaved.npy",
-                      np.asarray(np.int64(1 if self.interleaved else 0)))
+        _write_member(zf, "interleaved.npy", np.asarray(np.int64(1)))
         _write_member(zf, "segment_bounds.npy", bounds)
         _write_member(zf, "barriers.npy", barrier_arr)
         if regions:
@@ -271,85 +238,91 @@ class SegmentedTrace:
     """A trace exposed as an ordered sequence of segment traces.
 
     Backed either by an open v3 archive (:meth:`open` — segments are
-    read on demand, optionally memory-mapped) or by an in-core
-    :class:`Trace` (:meth:`from_trace`). Each segment comes out as a
-    self-contained :class:`Trace` whose barriers are rebased to the
-    segment and whose ``regions`` are the full table, so every replay
-    stage (pre-pass, routing, source-buffer barriers) works unchanged
-    on a segment.
+    read on demand) or by an in-core :class:`Trace`
+    (:meth:`from_trace`). Either way the events are in lockstep order.
+    Each segment comes out as a self-contained :class:`Trace` whose
+    barriers are rebased to the segment and whose ``regions`` are the
+    full table, so every replay stage (pre-pass, routing,
+    source-buffer barriers) works unchanged on a segment.
     """
 
     def __init__(self, *, bounds: np.ndarray, barriers: np.ndarray,
-                 regions: Tuple[Region, ...], interleaved: bool,
+                 regions: Tuple[Region, ...],
                  trace: Optional[Trace] = None,
-                 path=None, zf: Optional[zipfile.ZipFile] = None,
-                 mmap_mode: Optional[str] = None) -> None:
+                 zf: Optional[zipfile.ZipFile] = None) -> None:
         self.segment_bounds = np.asarray(bounds, dtype=np.int64)
         self.barriers = np.asarray(barriers, dtype=np.int64)
         self.regions = regions
-        self.interleaved = interleaved
-        self.path = path
         self._trace = trace
         self._zf = zf
-        self._mmap_mode = mmap_mode
 
     # -- constructors --------------------------------------------------
     @classmethod
     def from_trace(cls, trace: Trace,
                    segment_events: int = DEFAULT_SEGMENT_EVENTS,
-                   interleave: bool = True) -> "SegmentedTrace":
-        """Segment an in-core trace (interleaving it first by default)."""
+                   ) -> "SegmentedTrace":
+        """Segment an in-core trace, interleaving it first."""
         if segment_events <= 0:
             raise TraceError(
                 f"segment_events must be > 0, got {segment_events}"
             )
-        if interleave:
-            trace = trace.interleaved()
+        trace = trace.interleaved()
         n = trace.num_events
         bounds = np.arange(0, n, segment_events, dtype=np.int64)
         bounds = np.append(bounds, n)
         return cls(
             bounds=bounds, barriers=np.asarray(trace.barriers,
                                                dtype=np.int64),
-            regions=trace.regions, interleaved=interleave, trace=trace,
+            regions=trace.regions, trace=trace,
         )
 
     @classmethod
-    def open(cls, path,
-             mmap_mode: Optional[str] = None) -> "SegmentedTrace":
+    def open(cls, path) -> "SegmentedTrace":
         """Open a v3 segmented archive for streaming reads.
 
-        ``mmap_mode`` (e.g. ``"r"``) memory-maps segment columns in
-        place instead of reading them, trading page-cache pressure
-        for zero-copy access. The default reads each segment into a
-        fresh buffer that is dropped when iteration moves on — that
-        is what keeps peak RSS bounded.
+        Each segment is read into a fresh buffer that is dropped when
+        iteration moves on — that is what keeps peak RSS bounded.
+        Archives are input from outside the program, so the index is
+        checked here: the required members must be present, the
+        version current, the events interleaved, ``segment_bounds``
+        must start at 0 and never decrease, and ``barriers`` must
+        never decrease. Any defect raises
+        :class:`~repro.errors.TraceError`.
         """
         zf = zipfile.ZipFile(path, "r")
         try:
             names = set(zf.namelist())
-            if "segment_bounds.npy" not in names:
+            missing = sorted(_INDEX_MEMBERS - names)
+            if missing:
                 raise TraceError(
-                    f"{path} is not a segmented trace archive"
+                    f"{path} is not a trace archive in the segmented"
+                    f" layout; missing {missing}"
                 )
-            if "format_version.npy" in names:
-                version = int(_read_member(zf, "format_version.npy"))
-                if version not in READABLE_TRACE_VERSIONS:
-                    readable = sorted(READABLE_TRACE_VERSIONS)
-                    raise TraceError(
-                        f"{path} has trace format version {version};"
-                        f" this build reads versions {readable}"
-                    )
+            version = int(_read_member(zf, "format_version.npy"))
+            if version != TRACE_FORMAT_VERSION:
+                raise TraceError(
+                    f"{path} has trace format version {version};"
+                    f" this build reads version {TRACE_FORMAT_VERSION}"
+                )
+            interleaved = int(_read_member(zf, "interleaved.npy"))
+            if interleaved != 1:
+                raise TraceError(
+                    f"{path} is not in lockstep order"
+                    f" (interleaved = {interleaved})"
+                )
             bounds = _read_member(zf, "segment_bounds.npy")
-            barriers = (
-                _read_member(zf, "barriers.npy")
-                if "barriers.npy" in names
-                else np.zeros(0, dtype=np.int64)
-            )
-            interleaved = bool(
-                int(_read_member(zf, "interleaved.npy"))
-                if "interleaved.npy" in names else 0
-            )
+            if (bounds.ndim != 1 or len(bounds) == 0 or bounds[0] != 0
+                    or np.any(np.diff(bounds) < 0)):
+                raise TraceError(
+                    f"{path} stores malformed segment_bounds; they must"
+                    " start at 0 and never decrease"
+                )
+            barriers = _read_member(zf, "barriers.npy")
+            if np.any(np.diff(barriers) < 0):
+                raise TraceError(
+                    f"{path} stores decreasing barriers"
+                    f" {barriers.tolist()}"
+                )
             regions: Tuple[Region, ...] = ()
             if "region_base.npy" in names:
                 regions = tuple(
@@ -367,11 +340,7 @@ class SegmentedTrace:
         except Exception:  # repro: noqa[EXC001] -- cleanup-and-reraise: close the archive on any failure, then propagate it unchanged
             zf.close()
             raise
-        return cls(
-            bounds=bounds, barriers=barriers, regions=regions,
-            interleaved=interleaved, path=path, zf=zf,
-            mmap_mode=mmap_mode,
-        )
+        return cls(bounds=bounds, barriers=barriers, regions=regions, zf=zf)
 
     # -- geometry ------------------------------------------------------
     @property
@@ -400,15 +369,6 @@ class SegmentedTrace:
             return {name: getattr(t, name)[lo:hi] for name in _COLUMN_NAMES}
         if self._zf is None:
             raise TraceError("SegmentedTrace is closed")
-        if self._mmap_mode is not None:
-            return {
-                name: _member_memmap(
-                    self.path,
-                    self._zf.getinfo(_segment_member(index, name)),
-                    self._mmap_mode,
-                )
-                for name in _COLUMN_NAMES
-            }
         return {
             name: _read_member(self._zf, _segment_member(index, name))
             for name in _COLUMN_NAMES
@@ -439,8 +399,7 @@ class SegmentedTrace:
             barriers=np.asarray(local, dtype=np.int64),
             regions=self.regions,
         )
-        if self.interleaved:
-            seg._interleaved = seg
+        seg._interleaved = seg
         return seg
 
     def iter_segments(self) -> Iterator[Trace]:
@@ -472,8 +431,7 @@ class SegmentedTrace:
                 barriers=self.barriers.copy(),
                 regions=self.regions,
             )
-        if self.interleaved:
-            trace._interleaved = trace
+        trace._interleaved = trace
         return trace
 
     # -- writes --------------------------------------------------------
@@ -483,8 +441,7 @@ class SegmentedTrace:
             int(np.diff(self.segment_bounds).max()) if self.num_segments
             else 1, 1,
         )
-        writer = SegmentWriter(path, segment_events=step,
-                               interleaved=self.interleaved)
+        writer = SegmentWriter(path, segment_events=step)
         try:
             for index in range(self.num_segments):
                 writer.append(self._segment_columns(index))
@@ -523,8 +480,7 @@ class SpoolingTraceBuilder(TraceBuilder):
     def __init__(self, path,
                  segment_events: int = DEFAULT_SEGMENT_EVENTS) -> None:
         super().__init__(enabled=True)
-        self._writer = SegmentWriter(path, segment_events=segment_events,
-                                     interleaved=True)
+        self._writer = SegmentWriter(path, segment_events=segment_events)
         self._flushed = 0
 
     @property

@@ -36,29 +36,16 @@ __all__ = [
     "WORD_BYTES",
     "CACHE_LINE_BYTES",
     "TRACE_FORMAT_VERSION",
-    "READABLE_TRACE_VERSIONS",
     "span_lockstep_perm",
 ]
 
-#: On-disk trace-archive format version. Version 1 added the
-#: ``format_version`` scalar and the optional address-space region
-#: metadata columns; version 2 marks archives produced by the layered
-#: replay engine (same columns — the bump reserves the number for the
-#: batch-kernel era so downstream caches can tell generations apart);
-#: version 3 adds the *segmented* archive layout (a ``segment_bounds``
-#: index plus per-segment column blobs — see
-#: :mod:`repro.ligra.segments`), while monolithic v3 archives keep the
-#: v2 column set. Archives written before versioning (no
-#: ``format_version`` entry) are still accepted as legacy.
+#: On-disk trace-archive format version. Version 3 is the *segmented*
+#: archive layout (a ``segment_bounds`` index plus per-segment column
+#: blobs, events in lockstep order — see :mod:`repro.ligra.segments`),
+#: the only layout this build writes or reads. Versions 1 and 2 were
+#: monolithic ``.npz`` archives; they are rejected, as is any other
+#: version.
 TRACE_FORMAT_VERSION = 3
-
-#: Archive versions :meth:`Trace.load` reads. Versions 1 and 2 are
-#: column-compatible with monolithic version 3, so all three load;
-#: anything newer is rejected rather than misread. The loader
-#: dispatches on archive *layout* (the presence of a
-#: ``segment_bounds`` index marks a segmented archive), not on the
-#: version number alone.
-READABLE_TRACE_VERSIONS = frozenset({1, 2, 3})
 
 #: Machine word size (the paper's max vtxProp entry is 8 bytes).
 WORD_BYTES = 8
@@ -289,147 +276,40 @@ class Trace:
             regions=self.regions,
         )
         # Instance attribute, not a dataclass field: it stays out of
-        # __eq__/__repr__ and of save()'s column set.
+        # __eq__/__repr__.
         self._interleaved = result
         result._interleaved = result  # lockstep order is a fixed point
         return result
 
     def save(self, path) -> None:
-        """Persist the trace as a compressed ``.npz`` archive.
+        """Persist the trace as a segmented archive (format v3).
 
-        Archives carry :data:`TRACE_FORMAT_VERSION` plus the
-        address-space region table (when :attr:`regions` is set), so a
-        loader can validate compatibility and recover the memory
-        layout without the generating engine.
+        The archive holds :meth:`interleaved`'s lockstep order, the
+        order every replay uses, plus :data:`TRACE_FORMAT_VERSION` and
+        the address-space region table (when :attr:`regions` is set),
+        so a loader can validate compatibility and recover the memory
+        layout without the generating engine. See
+        :mod:`repro.ligra.segments` for the layout.
         """
-        columns = {
-            "format_version": np.int64(TRACE_FORMAT_VERSION),
-            "core": self.core,
-            "addr": self.addr,
-            "size": self.size,
-            "access_class": self.access_class,
-            "flags": self.flags,
-            "vertex": self.vertex,
-            "barriers": self.barriers,
-        }
-        if self.regions:
-            columns["region_name"] = np.array(
-                [r.name for r in self.regions], dtype=np.str_
-            )
-            columns["region_base"] = np.array(
-                [r.base for r in self.regions], dtype=np.int64
-            )
-            columns["region_size"] = np.array(
-                [r.size for r in self.regions], dtype=np.int64
-            )
-            columns["region_class"] = np.array(
-                [int(r.access_class) for r in self.regions], dtype=np.int8
-            )
-        np.savez_compressed(path, **columns)
-
-    @classmethod
-    def load(cls, path, mmap_mode: Optional[str] = None) -> "Trace":
-        """Load a trace previously written by :meth:`save`.
-
-        The loader dispatches on archive layout: monolithic archives
-        (v1/v2, and v3 written by :meth:`save`) read eagerly as
-        before; segmented v3 archives (a ``segment_bounds`` index
-        with per-segment blobs) are materialized through
-        :class:`repro.ligra.segments.SegmentedTrace` — pass
-        ``mmap_mode`` (e.g. ``"r"``) to memory-map their columns
-        instead of copying, and use ``SegmentedTrace.open`` directly
-        to stream without materializing at all.
-
-        Raises :class:`~repro.errors.TraceError` when the archive is
-        not a trace, carries a ``format_version`` outside
-        :data:`READABLE_TRACE_VERSIONS` (legacy archives without the
-        version entry load as before), or stores a decreasing
-        ``barriers`` array.
-        """
-        with np.load(path) as data:
-            segmented = "segment_bounds" in data.files
-            if not segmented:
-                required = {
-                    "core", "addr", "size", "access_class", "flags",
-                    "vertex",
-                }
-                missing = required - set(data.files)
-                if missing:
-                    raise TraceError(
-                        f"{path} is not a trace archive;"
-                        f" missing {sorted(missing)}"
-                    )
-            if "format_version" in data.files:
-                version = int(data["format_version"])
-                if version not in READABLE_TRACE_VERSIONS:
-                    readable = sorted(READABLE_TRACE_VERSIONS)
-                    raise TraceError(
-                        f"{path} has trace format version {version};"
-                        f" this build reads versions {readable}"
-                    )
-            if not segmented:
-                trace = cls._load_monolithic(data)
-                if np.any(np.diff(trace.barriers) < 0):
-                    raise TraceError(
-                        f"{path} stores decreasing barriers"
-                        f" {trace.barriers.tolist()}"
-                    )
-                return trace
         from repro.ligra.segments import SegmentedTrace
 
-        segtrace = SegmentedTrace.open(path, mmap_mode=mmap_mode)
-        try:
-            return segtrace.materialize()
-        finally:
-            segtrace.close()
+        SegmentedTrace.from_trace(self).save(path)
 
     @classmethod
-    def _load_monolithic(cls, data) -> "Trace":
-        regions: Tuple[Region, ...] = ()
-        if "region_base" in data.files:
-            regions = tuple(
-                Region(
-                    name=str(name),
-                    base=int(base),
-                    size=int(size),
-                    access_class=AccessClass(int(klass)),
-                )
-                for name, base, size, klass in zip(
-                    data["region_name"],
-                    data["region_base"],
-                    data["region_size"],
-                    data["region_class"],
-                )
-            )
-        return cls(
-            core=data["core"],
-            addr=data["addr"],
-            size=data["size"],
-            access_class=data["access_class"],
-            flags=data["flags"],
-            vertex=data["vertex"],
-            barriers=(
-                data["barriers"]
-                if "barriers" in data.files
-                else np.zeros(0, dtype=np.int64)
-            ),
-            regions=regions,
-        )
+    def load(cls, path) -> "Trace":
+        """Load an archive written by :meth:`save` or the trace store.
 
-    def concat(self, other: "Trace") -> "Trace":
-        """Concatenate two traces (events of ``other`` follow ``self``)."""
-        return Trace(
-            core=np.concatenate([self.core, other.core]),
-            addr=np.concatenate([self.addr, other.addr]),
-            size=np.concatenate([self.size, other.size]),
-            access_class=np.concatenate([self.access_class, other.access_class]),
-            flags=np.concatenate([self.flags, other.flags]),
-            vertex=np.concatenate([self.vertex, other.vertex]),
-            barriers=np.concatenate(
-                [self.barriers, other.barriers + len(self.addr)]
-            ),
-            regions=self.regions if self.regions else other.regions,
-        )
+        Returns the saved trace's :meth:`interleaved` form: events in
+        lockstep order, barriers sorted and de-duplicated. Use
+        ``SegmentedTrace.open`` to stream the archive one segment at a
+        time instead. Raises :class:`~repro.errors.TraceError` when
+        the archive is not a segmented v3 trace archive (a monolithic
+        ``.npz`` included) or its index is malformed.
+        """
+        from repro.ligra.segments import SegmentedTrace
+
+        with SegmentedTrace.open(path) as segtrace:
+            return segtrace.materialize()
 
 
 def _as_full(x: Union[int, np.ndarray], n: int, dtype) -> np.ndarray:

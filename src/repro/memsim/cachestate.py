@@ -78,7 +78,6 @@ __all__ = [
     "KernelTelemetry",
     "iter_set_bits",
     "screen_guaranteed_hits",
-    "set_bit_positions",
 ]
 
 class CacheRecord:
@@ -110,10 +109,8 @@ class CacheRecord:
 def iter_set_bits(mask: int) -> Iterator[int]:
     """Yield the positions of the set bits of ``mask``, LSB first.
 
-    The scalar reference form of the sharer-bitmask walks
-    (invalidation targets are the set bits of a directory mask); the
-    kernel's invalidation sites use :func:`set_bit_positions` for
-    multi-target masks.
+    Invalidation targets are the set bits of a directory sharer mask;
+    both the scalar oracle and the kernel walk them with this.
     """
     pos = 0
     while mask:
@@ -121,25 +118,6 @@ def iter_set_bits(mask: int) -> Iterator[int]:
             yield pos
         mask >>= 1
         pos += 1
-
-
-def set_bit_positions(mask: int) -> np.ndarray:
-    """Set-bit positions of ``mask`` as an array, LSB first.
-
-    Vectorized twin of :func:`iter_set_bits` (the oracle-path
-    reference): the mask's little-endian bytes unpack to a bit plane
-    and ``np.flatnonzero`` reads off the positions in one sweep. Used
-    by the kernel's invalidation path when a sharer mask has multiple
-    targets.
-    """
-    if mask <= 0:
-        return np.empty(0, dtype=np.int64)
-    nbytes = (mask.bit_length() + 7) // 8
-    bits = np.unpackbits(
-        np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )
-    return np.flatnonzero(bits)
 
 
 def screen_guaranteed_hits(
@@ -792,10 +770,9 @@ class CacheSystem:
                 wb = owner >= 0 and owner != core
                 if others:
                     lsi = line % l1_nsets
-                    # Single sharer: direct bit math. Multi-target
-                    # masks go through the vectorized helper.
+                    # Single sharer: direct bit math.
                     if others & (others - 1):
-                        targets = set_bit_positions(others).tolist()
+                        targets = tuple(iter_set_bits(others))
                     else:
                         targets = (others.bit_length() - 1,)
                     for c in targets:

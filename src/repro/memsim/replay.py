@@ -32,7 +32,6 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.ligra.trace import Trace
 from repro.memsim.cache import Cache
 from repro.memsim.cachestate import CacheRecord, CacheSystem
@@ -95,16 +94,6 @@ class _SegmentedSource:
     """A segmented archive, streamed one bounded segment at a time."""
 
     def __init__(self, segtrace) -> None:
-        if not segtrace.interleaved:
-            # Segments of a non-interleaved archive cannot be reordered
-            # independently (the lockstep permutation is per barrier
-            # span, and spans can straddle segment boundaries), so
-            # streaming it would diverge from in-core replay.
-            raise SimulationError(
-                "streamed replay needs an interleaved segmented archive"
-                " (SpoolingTraceBuilder and the trace store write those);"
-                " use Trace.load() + replay() for this one"
-            )
         self._segtrace = segtrace
 
     @property
@@ -149,10 +138,10 @@ def run_replay_segments(backend, segments,
     bounded by the segment size, not the trace size — while every
     piece of simulator state carries across boundaries, so the
     counters are bit-identical to ``run_replay`` over the materialized
-    trace. Requires an interleaved archive (what the spooling builder
-    and the trace store produce). ``attribution`` folds per-class
-    counters one segment at a time (see :func:`run_replay`) with
-    totals bit-identical to the in-core fold.
+    trace (every archive holds its events in lockstep order).
+    ``attribution`` folds per-class counters one segment at a time
+    (see :func:`run_replay`) with totals bit-identical to the in-core
+    fold.
     """
     return _run(backend, _SegmentedSource(segments), sampler, attribution)
 
@@ -246,29 +235,8 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
                 if not window:
                     with tracer.span("cache_path", cat="replay",
                                      events=len(cache_idx)):
-                        if len(cache_idx):
-                            record = (
-                                CacheRecord(len(cache_idx))
-                                if attribution is not None else None
-                            )
-                            system.replay_cache_path(
-                                seg.core[cache_idx],
-                                seg.addr[cache_idx],
-                                prepass.lines[cache_idx],
-                                prepass.banks[cache_idx],
-                                prepass.bank_keys[cache_idx],
-                                prepass.write[cache_idx],
-                                prepass.atomic[cache_idx],
-                                ledger.mem["cache"],
-                                ledger.serial["cache"],
-                                record=record,
-                            )
-                            if record is not None:
-                                attribution.fold_cache(
-                                    classes[cache_idx],
-                                    prepass.atomic[cache_idx],
-                                    record,
-                                )
+                        _cache_stage(ctx, seg, prepass, cache_idx,
+                                     attribution, classes)
                     with tracer.span("account", cat="replay"):
                         backend.account(ctx, seg, prepass, routes)
                 else:
@@ -325,6 +293,26 @@ def _run(backend, source, sampler: Optional[ReplaySampler],
         )
 
 
+def _cache_stage(ctx, seg: Trace, prepass, idx: np.ndarray,
+                 attribution, classes: Optional[np.ndarray]) -> None:
+    """Run events ``idx`` of ``seg`` through the stateful cache system.
+
+    With ``attribution`` the kernel records each event's outcome, and
+    the record folds into the per-class totals under ``classes``.
+    """
+    if not len(idx):
+        return
+    record = CacheRecord(len(idx)) if attribution is not None else None
+    ctx.system.replay_cache_path(
+        seg.core[idx], seg.addr[idx], prepass.lines[idx],
+        prepass.banks[idx], prepass.bank_keys[idx], prepass.write[idx],
+        prepass.atomic[idx], ctx.ledger.mem["cache"],
+        ctx.ledger.serial["cache"], record=record,
+    )
+    if record is not None:
+        attribution.fold_cache(classes[idx], prepass.atomic[idx], record)
+
+
 def _run_windowed_segment(
     backend,
     ctx,
@@ -353,7 +341,6 @@ def _run_windowed_segment(
     segmented.
     """
     stats = ctx.stats
-    system = ctx.system
     windowed = WindowedRoutes(routes)
     end = offset + seg.num_events
     lo = offset
@@ -365,28 +352,8 @@ def _run_windowed_segment(
             ci_lo, ci_hi = np.searchsorted(
                 cache_idx, (lo - offset, hi - offset)
             )
-            sub = cache_idx[ci_lo:ci_hi]
-            if len(sub):
-                record = (
-                    CacheRecord(len(sub))
-                    if attribution is not None else None
-                )
-                system.replay_cache_path(
-                    seg.core[sub],
-                    seg.addr[sub],
-                    prepass.lines[sub],
-                    prepass.banks[sub],
-                    prepass.bank_keys[sub],
-                    prepass.write[sub],
-                    prepass.atomic[sub],
-                    ctx.ledger.mem["cache"],
-                    ctx.ledger.serial["cache"],
-                    record=record,
-                )
-                if record is not None:
-                    attribution.fold_cache(
-                        classes[sub], prepass.atomic[sub], record,
-                    )
+            _cache_stage(ctx, seg, prepass, cache_idx[ci_lo:ci_hi],
+                         attribution, classes)
             backend.account(
                 ctx, seg, prepass, windowed.fill(lo - offset, hi - offset)
             )

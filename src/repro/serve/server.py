@@ -16,8 +16,9 @@ API (all JSON):
   ``200`` (warm, or ``wait`` completed), ``202`` (job accepted; body
   carries ``job_id`` and ``state`` = ``cold``/``coalesced``), ``429``
   (queue full — retry later), ``400`` (bad spec, or a
-  ``Content-Length`` that is not an integer), ``413`` (a stated body
-  longer than :data:`MAX_BODY_BYTES`).
+  ``Content-Length`` that is not an integer), ``408`` (the stated body
+  did not arrive within :data:`READ_TIMEOUT_SECONDS`), ``413`` (a
+  stated body longer than :data:`MAX_BODY_BYTES`).
 - ``GET /v1/jobs/<id>`` — job status: ``status``, ``progress`` (span
   names from the run's tracer, streamed as the replay advances),
   ``manifest`` when done, ``error`` when failed.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -59,9 +61,18 @@ WAIT_TIMEOUT_SECONDS = 600.0
 #: longer stated ``Content-Length`` is answered 413 without reading.
 MAX_BODY_BYTES = 64 * 1024
 
+#: Longest a connection may stay silent mid-request, e.g. a body
+#: shorter than its ``Content-Length``: the read is then answered 408
+#: and the connection closed, so no handler thread parks on it.
+READ_TIMEOUT_SECONDS = 30.0
 
-class _BodyTooLargeError(SimulationError):
-    """The request states a body longer than :data:`MAX_BODY_BYTES`."""
+
+class _BodyError(SimulationError):
+    """A request body that cannot be read, answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _ProgressTracer(SpanTracer):
@@ -131,6 +142,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ReproServer"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_SECONDS
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, fmt: str, *args: Any) -> None:
@@ -157,14 +169,22 @@ class _Handler(BaseHTTPRequestHandler):
             ) from None
         if length > MAX_BODY_BYTES:
             self.close_connection = True
-            raise _BodyTooLargeError(
-                f"request body of {length} bytes exceeds the"
+            raise _BodyError(
+                413, f"request body of {length} bytes exceeds the"
                 f" {MAX_BODY_BYTES}-byte limit"
             )
         if length <= 0:
             raise SimulationError("request body required")
         try:
-            doc = json.loads(self.rfile.read(length))
+            body = self.rfile.read(length)
+        except socket.timeout:
+            self.close_connection = True
+            raise _BodyError(
+                408, f"request body of {length} bytes not received"
+                f" within {self.timeout} s"
+            ) from None
+        try:
+            doc = json.loads(body)
         except ValueError:
             raise SimulationError("request body is not valid JSON") from None
         if not isinstance(doc, dict):
@@ -199,8 +219,8 @@ class _Handler(BaseHTTPRequestHandler):
         except QueueFullError as exc:
             self._reply(429, {"error": str(exc), "state": "rejected"})
             return
-        except _BodyTooLargeError as exc:
-            self._reply(413, {"error": str(exc)})
+        except _BodyError as exc:
+            self._reply(exc.status, {"error": str(exc)})
             return
         except SimulationError as exc:
             self._reply(400, {"error": str(exc)})

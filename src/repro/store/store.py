@@ -251,7 +251,7 @@ class TraceStore:
     # Paths
     # ------------------------------------------------------------------
     def trace_path(self, key: str) -> Path:
-        """On-disk path of the compressed trace for ``key``."""
+        """On-disk path of the segmented trace archive for ``key``."""
         return self.root / f"{key}.npz"
 
     def meta_path(self, key: str) -> Path:
@@ -264,37 +264,12 @@ class TraceStore:
     def load(self, key: str) -> Optional[Tuple[Trace, Dict]]:
         """Fetch ``(trace, metadata)`` for ``key``, or ``None`` on miss.
 
-        Any defect — missing files, truncated archive, version
-        mismatch, malformed sidecar — discards the entry and reports a
-        miss, so callers always fall back to regeneration.
+        Any defect — missing files, truncated archive, damaged segment
+        member, version mismatch, malformed sidecar — discards the
+        entry and reports a miss, so callers always fall back to
+        regeneration.
         """
-        counters = get_registry()
-        meta_path = self.meta_path(key)
-        trace_path = self.trace_path(key)
-        try:
-            meta = self._read_sidecar(meta_path)
-            trace = Trace.load(trace_path)
-            if trace.num_events != int(meta.get("num_events", -1)):
-                raise TraceError(
-                    f"event count {trace.num_events} does not match"
-                    f" sidecar {meta.get('num_events')!r}"
-                )
-        except FileNotFoundError:
-            counters.counter("trace_store.misses").inc()
-            return None
-        except (
-            TraceError, OSError, ValueError, KeyError, zipfile.BadZipFile,
-        ) as exc:
-            _LOG.warning(
-                "trace store: discarding unusable entry %s (%s)", key, exc
-            )
-            counters.counter("trace_store.corrupt").inc()
-            counters.counter("trace_store.misses").inc()
-            self.discard(key)
-            return None
-        self._touch(trace_path, meta_path)
-        counters.counter("trace_store.hits").inc()
-        return trace, meta
+        return self._read(key, materialize=True)
 
     def open_segments(self, key: str) -> Optional[Tuple[SegmentedTrace, Dict]]:
         """Fetch ``(segments, metadata)`` for ``key``, or ``None`` on miss.
@@ -303,8 +278,19 @@ class TraceStore:
         :class:`~repro.ligra.segments.SegmentedTrace` reads one
         bounded segment at a time straight from the archive — the
         whole trace is never resident. Validation and
-        corruption-discard semantics match :meth:`load`; the caller
-        owns closing the handle (it is a context manager).
+        corruption-discard semantics match :meth:`load`, except that
+        segment members are only read (and checked) as the caller
+        streams them; the caller owns closing the handle (it is a
+        context manager).
+        """
+        return self._read(key, materialize=False)
+
+    def _read(self, key: str,
+              materialize: bool) -> Optional[Tuple[Any, Dict]]:
+        """The one entry reader behind :meth:`load` and :meth:`open_segments`.
+
+        Materializing happens inside the guarded block, so a segment
+        member damaged in place is a miss that discards the entry.
         """
         counters = get_registry()
         meta_path = self.meta_path(key)
@@ -318,11 +304,12 @@ class TraceStore:
                         f"event count {segments.num_events} does not match"
                         f" sidecar {meta.get('num_events')!r}"
                     )
-                if not segments.interleaved:
-                    raise TraceError("stored archive is not interleaved")
+                found = segments.materialize() if materialize else segments
             except BaseException:
                 segments.close()
                 raise
+            if materialize:
+                segments.close()
         except FileNotFoundError:
             counters.counter("trace_store.misses").inc()
             return None
@@ -338,7 +325,7 @@ class TraceStore:
             return None
         self._touch(trace_path, meta_path)
         counters.counter("trace_store.hits").inc()
-        return segments, meta
+        return found, meta
 
     def store(self, key: str, trace: Trace, meta: Dict,
               segment_events: Optional[int] = None) -> None:
@@ -545,9 +532,8 @@ class TraceStore:
 
     @staticmethod
     def _atomic_write(path: Path, writer) -> None:
-        # Keep the real suffix on the temp name: np.savez_compressed
-        # appends ".npz" to names that lack it, which would orphan the
-        # temp file and break the rename.
+        # Dot-prefixed ".tmp" names are what entries() skips and
+        # _collect_orphans() collects.
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=f".{path.stem}.", suffix=f".tmp{path.suffix}"
         )

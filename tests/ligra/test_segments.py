@@ -1,5 +1,6 @@
 """Tests for the v3 segmented trace archive and the spooling builder."""
 
+import io
 import zipfile
 
 import numpy as np
@@ -13,7 +14,6 @@ from repro.ligra.segments import (
     SpoolingTraceBuilder,
 )
 from repro.ligra.trace import (
-    READABLE_TRACE_VERSIONS,
     TRACE_FORMAT_VERSION,
     AccessClass,
     Region,
@@ -40,6 +40,22 @@ def build_trace(n=100, seed=0, barrier_every=17, cores=4):
                access_class=AccessClass.VTXPROP),
     )
     return trace
+
+
+def rewrite_member(path, name, array=None):
+    """Replace member ``name`` of a saved archive (drop it if None)."""
+    with zipfile.ZipFile(path) as zf:
+        members = {
+            member: zf.read(member) for member in zf.namelist()
+            if member != name
+        }
+    with zipfile.ZipFile(path, "w") as zf:
+        for member, blob in members.items():
+            zf.writestr(member, blob)
+        if array is not None:
+            buf = io.BytesIO()
+            np.save(buf, np.asarray(array))
+            zf.writestr(name, buf.getvalue())
 
 
 def assert_traces_equal(a: Trace, b: Trace):
@@ -105,15 +121,7 @@ class TestArchiveRoundtrip:
         path = tmp_path / "t.npz"
         SegmentedTrace.from_trace(trace, 41).save(path)
         with SegmentedTrace.open(path) as loaded:
-            assert loaded.interleaved
             assert loaded.num_events == trace.num_events
-            assert_traces_equal(loaded.materialize(), trace.interleaved())
-
-    def test_mmap_mode_reads_same_columns(self, tmp_path):
-        trace = build_trace()
-        path = tmp_path / "t.npz"
-        SegmentedTrace.from_trace(trace, 41).save(path)
-        with SegmentedTrace.open(path, mmap_mode="r") as loaded:
             assert_traces_equal(loaded.materialize(), trace.interleaved())
 
     def test_nbytes_matches_trace_semantics(self, tmp_path):
@@ -128,27 +136,32 @@ class TestArchiveRoundtrip:
         path = tmp_path / "t.npz"
         writer = SegmentWriter(path, segment_events=8)
         writer.close()
-        # Rewrite the version member with a future stamp.
-        with zipfile.ZipFile(path) as zf:
-            members = {
-                name: zf.read(name) for name in zf.namelist()
-                if name != "format_version.npy"
-            }
-        with zipfile.ZipFile(path, "w") as zf:
-            for name, blob in members.items():
-                zf.writestr(name, blob)
-            import io
-            buf = io.BytesIO()
-            np.save(buf, np.asarray(np.int64(max(READABLE_TRACE_VERSIONS)
-                                             + 1)))
-            zf.writestr("format_version.npy", buf.getvalue())
+        rewrite_member(path, "format_version.npy",
+                       np.int64(TRACE_FORMAT_VERSION + 1))
         with pytest.raises(TraceError, match="format version"):
             SegmentedTrace.open(path)
 
     def test_open_rejects_monolithic_archive(self, tmp_path):
         path = tmp_path / "mono.npz"
-        build_trace().save(path)
-        with pytest.raises(TraceError, match="not a segmented"):
+        trace = build_trace()
+        np.savez(path, format_version=np.int64(TRACE_FORMAT_VERSION),
+                 barriers=trace.barriers,
+                 **{name: getattr(trace, name) for name in COLUMNS})
+        with pytest.raises(TraceError, match="segment_bounds"):
+            SegmentedTrace.open(path)
+
+    @pytest.mark.parametrize("member, value, match", [
+        ("interleaved.npy", np.int64(0), "lockstep order"),
+        ("format_version.npy", None, "missing"),
+        ("segment_bounds.npy", np.array([5, 41, 82, 100]), "segment_bounds"),
+        ("segment_bounds.npy", np.array([0, 82, 41, 100]), "segment_bounds"),
+    ], ids=["not-interleaved", "no-version", "bounds-start", "bounds-order"])
+    def test_open_rejects_malformed_index(self, tmp_path, member, value,
+                                          match):
+        path = tmp_path / "t.npz"
+        SegmentedTrace.from_trace(build_trace(), 41).save(path)
+        rewrite_member(path, member, value)
+        with pytest.raises(TraceError, match=match):
             SegmentedTrace.open(path)
 
     def test_reads_after_close_fail_cleanly(self, tmp_path):
@@ -221,7 +234,6 @@ class TestSpoolingBuilder:
     def test_spooled_archive_equals_interleaved_build(self, tmp_path):
         spooler, direct = self._run_both(tmp_path)
         segments = spooler.finalize()
-        assert segments.interleaved
         assert_traces_equal(
             segments.materialize(), direct.build().interleaved()
         )

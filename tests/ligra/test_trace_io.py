@@ -10,7 +10,6 @@ from repro.core.context import RunRequest
 from repro.core.report import MANIFEST_SCHEMA
 from repro.errors import SimulationError, TraceError
 from repro.ligra.trace import (
-    READABLE_TRACE_VERSIONS,
     TRACE_FORMAT_VERSION,
     AccessClass,
     FLAG_UPDATE,
@@ -28,11 +27,6 @@ def trace_doc_drift(doc: str) -> list:
     current = re.search(r"TRACE_FORMAT_VERSION`, currently (\d+)", doc)
     if not current or int(current.group(1)) != TRACE_FORMAT_VERSION:
         drift.append("TRACE_FORMAT_VERSION")
-    readable = re.search(r"currently \{([0-9, ]+)\}", doc)
-    if not readable or {
-        int(v) for v in readable.group(1).split(",")
-    } != set(READABLE_TRACE_VERSIONS):
-        drift.append("READABLE_TRACE_VERSIONS")
     return drift + [
         tag for tag in (MANIFEST_SCHEMA, TIMELINE_SCHEMA) if tag not in doc
     ]
@@ -48,13 +42,31 @@ class TestTraceSaveLoad:
         return tb.build()
 
     def test_roundtrip(self, tmp_path):
-        tr = self._trace()
+        # Two cores in one barrier span: lockstep order differs from
+        # append order, and load() returns the lockstep order.
+        tb = TraceBuilder()
+        tb.append(0, np.array([1, 2, 3]), 8, AccessClass.VTXPROP,
+                  write=True, atomic=True, vertex=np.array([0, 1, 2]))
+        tb.append(1, np.array([4, 5]), 4, AccessClass.EDGELIST)
+        tb.mark_barrier()
+        tb.append(1, np.array([6]), 8, AccessClass.NGRAPH, src_read=True)
+        tb.append(0, np.array([7]), 8, AccessClass.VTXPROP, vertex=3)
+        tr = tb.build()
+        tr.regions = (
+            Region(name="vtxprop:rank", base=0, size=4096,
+                   access_class=AccessClass.VTXPROP),
+        )
         path = tmp_path / "t.npz"
         tr.save(path)
         loaded = Trace.load(path)
-        np.testing.assert_array_equal(loaded.addr, tr.addr)
-        np.testing.assert_array_equal(loaded.flags, tr.flags)
-        np.testing.assert_array_equal(loaded.barriers, tr.barriers)
+        want = tr.interleaved()
+        assert loaded.addr.tolist() == [1, 4, 2, 5, 3, 7, 6]
+        for name in ("core", "addr", "size", "access_class", "flags",
+                     "vertex", "barriers"):
+            got, expect = getattr(loaded, name), getattr(want, name)
+            assert got.dtype == expect.dtype, name
+            np.testing.assert_array_equal(got, expect, err_msg=name)
+        assert loaded.regions == want.regions
 
     def test_roundtrip_preserves_replay(self, tmp_path, small_powerlaw):
         from repro.config import SimConfig
@@ -105,58 +117,16 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match="format version"):
             Trace.load(path)
 
-    def test_load_accepts_legacy_unversioned(self, tmp_path):
-        # Archives written before versioning carry no format_version
-        # scalar; they must still load.
-        path = tmp_path / "t.npz"
-        self._trace().save(path)
-        with np.load(path) as data:
-            columns = {
-                name: data[name] for name in data.files
-                if name != "format_version"
-            }
-        np.savez(path, **columns)
-        assert Trace.load(path).num_events == 3
-
-    def test_load_accepts_every_readable_version(self, tmp_path):
-        # Version-1 archives are column-compatible with version 2 and
-        # must keep loading across the bump.
-        path = tmp_path / "t.npz"
-        self._trace().save(path)
-        with np.load(path) as data:
-            columns = {name: data[name] for name in data.files}
-        for version in sorted(READABLE_TRACE_VERSIONS):
-            columns["format_version"] = np.int64(version)
-            np.savez(path, **columns)
-            assert Trace.load(path).num_events == 3
-
-    def test_current_version_is_readable(self):
-        assert TRACE_FORMAT_VERSION in READABLE_TRACE_VERSIONS
-
-    def test_legacy_monolithic_archives_replay_unchanged(
-        self, tmp_path, small_powerlaw
-    ):
-        # v1/v2 archives are monolithic ``.npz`` files (no segment
-        # index). They must not just load — they must replay to the
-        # same counters as the live trace across the v3 bump.
-        from repro.config import SimConfig
-        from repro.memsim.backends import BaselineBackend
-
-        tr = run_pagerank(small_powerlaw, num_cores=4).trace
-        cfg = SimConfig.scaled_baseline(num_cores=4)
-        want = BaselineBackend(cfg).replay(tr).stats.as_dict()
+    def test_load_rejects_monolithic_archive(self, tmp_path):
+        # The v1/v2 layout: one np.savez member per column, no
+        # segment index.
+        tr = self._trace()
         path = tmp_path / "legacy.npz"
-        tr.save(path)
-        with np.load(path) as data:
-            columns = {name: data[name] for name in data.files}
-        assert "segment_bounds" not in columns  # monolithic layout
-        for version in (1, 2):
-            assert version in READABLE_TRACE_VERSIONS
-            columns["format_version"] = np.int64(version)
-            np.savez(path, **columns)
-            loaded = Trace.load(path)
-            got = BaselineBackend(cfg).replay(loaded).stats.as_dict()
-            assert got == want
+        np.savez(path, format_version=np.int64(2), core=tr.core,
+                 addr=tr.addr, size=tr.size, access_class=tr.access_class,
+                 flags=tr.flags, vertex=tr.vertex, barriers=tr.barriers)
+        with pytest.raises(TraceError, match="segment_bounds"):
+            Trace.load(path)
 
     def test_docs_match_constant(self):
         # docs/trace-format.md states the format versions and schema

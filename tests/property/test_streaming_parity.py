@@ -17,7 +17,6 @@ from hypothesis import given, settings
 
 import hypothesis.strategies as st
 
-from repro.errors import SimulationError
 from repro.ligra.segments import SegmentedTrace
 from repro.obs import ReplaySampler
 
@@ -123,14 +122,6 @@ class TestAllBackendsStreamedParity:
 
 
 class TestStreamedInputContract:
-    def test_non_interleaved_archive_rejected(self, workload):  # noqa: F811
-        """Per-span interleaving cannot be recovered segment-locally."""
-        trace = workload[0]
-        segments = SegmentedTrace.from_trace(trace, 1000, interleave=False)
-        backend = BaselineBackend(baseline_config())
-        with pytest.raises(SimulationError, match="interleaved"):
-            backend.replay_segments(segments)
-
     def test_saved_archive_streams_identically(self, workload,  # noqa: F811
                                                tmp_path):
         """Disk roundtrip: spooled archive == in-memory segmentation."""

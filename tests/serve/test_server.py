@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.context import RunContext, RunRequest
 from repro.serve import JobManager, make_server, make_system_runner
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import MAX_BODY_BYTES, _Handler
 from repro.store import TraceStore
 
 from tests.serve.test_jobs import JUNK_FIELDS
@@ -102,14 +102,14 @@ def test_bad_specs_get_400(server):
     assert _get(server, "/v1/stats")[1]["submitted"] == submitted  # none queued
 
 
-def _raw_post_status(server, content_length):
+def _raw_post_status(server, content_length, body=b""):
     """Status code answering a POST that states ``content_length`` and
-    sends no body (0 when the server drops the connection instead)."""
+    sends ``body`` (0 when the server drops the connection instead)."""
     host, port = server.server_address[:2]
     with socket.create_connection((host, port), timeout=5) as sock:
         sock.sendall(
             "POST /v1/jobs HTTP/1.1\r\nHost: repro\r\n"
-            f"Content-Length: {content_length}\r\n\r\n".encode()
+            f"Content-Length: {content_length}\r\n\r\n".encode() + body
         )
         line = sock.makefile("rb").readline().split()
     return int(line[1]) if len(line) > 1 else 0
@@ -122,6 +122,15 @@ def _raw_post_status(server, content_length):
 def test_bad_content_length_gets_4xx(server, length, status):
     submitted = _get(server, "/v1/stats")[1]["submitted"]
     assert _raw_post_status(server, length) == status
+    assert _get(server, "/v1/stats")[1]["submitted"] == submitted
+
+
+def test_short_body_gets_408(server, monkeypatch):
+    # A body shorter than its Content-Length must not park the handler
+    # thread until the client gives up.
+    monkeypatch.setattr(_Handler, "timeout", 0.2)
+    submitted = _get(server, "/v1/stats")[1]["submitted"]
+    assert _raw_post_status(server, 100, body=b"{}") == 408
     assert _get(server, "/v1/stats")[1]["submitted"] == submitted
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from repro.config import SimConfig
 from repro.core.context import RunContext, RunRequest
 from repro.core.system import run_system
 from repro.graph.generators import rmat_graph
+from repro.ligra.segments import SegmentedTrace
 from repro.ligra.trace import AccessClass, TraceBuilder
+from repro.obs import MetricsRegistry, use_registry
 from repro.obs.manifest_diff import diff_manifests
 from repro.store import (
     DEFAULT_CAPACITY_BYTES,
@@ -118,6 +121,34 @@ class TestStoreRoundtrip:
         store.trace_path("k1").write_bytes(data[: len(data) // 2])
         assert store.load("k1") is None
         assert not store.trace_path("k1").exists()
+        assert not store.meta_path("k1").exists()
+
+    def test_damaged_segment_member_discarded(self, tmp_path):
+        # Bytes damaged in place inside one segment member: the zip
+        # directory and the index still read, only materializing the
+        # columns fails its CRC check.
+        store = TraceStore(tmp_path)
+        tr = _toy_trace(n=64)
+        store.store("k1", tr, {"num_events": tr.num_events},
+                    segment_events=16)
+        path = store.trace_path("k1")
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("seg00002.addr.npy")
+        data = bytearray(path.read_bytes())
+        start = info.header_offset
+        name_len = int.from_bytes(data[start + 26:start + 28], "little")
+        extra_len = int.from_bytes(data[start + 28:start + 30], "little")
+        end = start + 30 + name_len + extra_len + info.compress_size
+        data[end - 8:end] = bytes(b ^ 0xFF for b in data[end - 8:end])
+        path.write_bytes(bytes(data))
+        with SegmentedTrace.open(path) as segments:
+            assert segments.num_events == tr.num_events  # index intact
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert store.load("k1") is None
+        assert registry.counter("trace_store.corrupt").value == 1
+        assert registry.counter("trace_store.misses").value == 1
+        assert not path.exists()
         assert not store.meta_path("k1").exists()
 
     def test_malformed_sidecar_discarded(self, tmp_path):
