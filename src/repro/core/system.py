@@ -655,14 +655,9 @@ def _replay_bundle(
     hierarchy.cache_memo = None if store is None else store.cache_path_memo
 
     replay_start = time.perf_counter()
-    if bundle.segments is not None:
-        output = hierarchy.replay_segments(
-            bundle.segments, sampler=sampler, attribution=attribution_acc
-        )
-    else:
-        output = hierarchy.replay(
-            bundle.trace, sampler=sampler, attribution=attribution_acc
-        )
+    output = hierarchy.replay(
+        bundle.source, sampler=sampler, attribution=attribution_acc
+    )
     replay_seconds = time.perf_counter() - replay_start
     attribution_block = None
     if attribution_acc is not None:

@@ -369,18 +369,26 @@ class SegmentedTrace:
             return {name: getattr(t, name)[lo:hi] for name in _COLUMN_NAMES}
         if self._zf is None:
             raise TraceError("SegmentedTrace is closed")
-        return {
-            name: _read_member(self._zf, _segment_member(index, name))
-            for name in _COLUMN_NAMES
-        }
+        cols = {}
+        for name in _COLUMN_NAMES:
+            member = _segment_member(index, name)
+            col = _read_member(self._zf, member)
+            if col.ndim != 1 or len(col) != hi - lo:
+                raise TraceError(
+                    f"archive member {member} holds shape {col.shape};"
+                    f" segment_bounds promise {hi - lo} events"
+                )
+            cols[name] = col
+        return cols
 
     def segment(self, index: int) -> Trace:
-        """Segment ``index`` as a standalone :class:`Trace`.
+        """Segment ``index`` as a standalone lockstep :class:`Trace`.
 
-        Barriers are rebased to the segment (a global barrier ``b``
-        lands in the segment with ``lo <= b < hi``), so the
-        source-buffer invalidation walk sees each barrier exactly
-        once across the whole sequence.
+        The segment is :meth:`Trace.slice` of the stream, so barriers
+        are rebased by the one cut rule (a global barrier ``b`` lands
+        in the segment with ``lo <= b < hi``) and the source-buffer
+        invalidation walk sees each barrier exactly once across the
+        whole sequence.
         """
         if not 0 <= index < self.num_segments:
             raise TraceError(
@@ -389,18 +397,10 @@ class SegmentedTrace:
             )
         lo = int(self.segment_bounds[index])
         hi = int(self.segment_bounds[index + 1])
-        b = self.barriers
-        local = b[(b >= lo) & (b < hi)] - lo
-        cols = self._segment_columns(index)
-        seg = Trace(
-            core=cols["core"], addr=cols["addr"], size=cols["size"],
-            access_class=cols["access_class"], flags=cols["flags"],
-            vertex=cols["vertex"],
-            barriers=np.asarray(local, dtype=np.int64),
-            regions=self.regions,
-        )
-        seg._interleaved = seg
-        return seg
+        seg = Trace(**self._segment_columns(index),
+                    barriers=self.barriers - lo, regions=self.regions)
+        seg._lockstep = True
+        return seg.slice(0, hi - lo)
 
     def iter_segments(self) -> Iterator[Trace]:
         """Stream the segments in order."""
@@ -431,7 +431,7 @@ class SegmentedTrace:
                 barriers=self.barriers.copy(),
                 regions=self.regions,
             )
-        trace._interleaved = trace
+        trace._lockstep = True
         return trace
 
     # -- writes --------------------------------------------------------

@@ -191,6 +191,12 @@ class Trace:
     #: self-describing.
     regions: Tuple[Region, ...] = ()
 
+    #: Set on traces already in lockstep order (the result of
+    #: :meth:`interleaved`, its slices, and every archive read), for
+    #: which :meth:`interleaved` is the identity. A class attribute,
+    #: not a field, so it stays out of ``__eq__``/``__repr__``.
+    _lockstep = False
+
     def __len__(self) -> int:
         return len(self.addr)
 
@@ -251,6 +257,8 @@ class Trace:
         one trace through several backends (:func:`run_backends`, the
         comparison drivers) interleaves once, not per replay.
         """
+        if self._lockstep:
+            return self
         cached = getattr(self, "_interleaved", None)
         if cached is not None:
             return cached
@@ -275,11 +283,35 @@ class Trace:
             barriers=self.barriers.copy(),
             regions=self.regions,
         )
+        result._lockstep = True
         # Instance attribute, not a dataclass field: it stays out of
-        # __eq__/__repr__.
+        # __eq__/__repr__. The memo runs one way only, so no trace
+        # references itself and ``del`` frees the columns at once.
         self._interleaved = result
-        result._interleaved = result  # lockstep order is a fixed point
         return result
+
+    def slice(self, lo: int, hi: int) -> "Trace":
+        """Events ``[lo, hi)`` as a trace of column views.
+
+        Barriers are rebased to the slice, keeping those with
+        ``lo <= b < hi``, so the slices of consecutive cuts see each
+        barrier exactly once — the rule that lets a replay cut a trace
+        anywhere (segments, windows) without moving a source-buffer
+        invalidation. A slice of a lockstep trace is lockstep.
+        """
+        b = np.asarray(self.barriers, dtype=np.int64)
+        piece = Trace(
+            core=self.core[lo:hi],
+            addr=self.addr[lo:hi],
+            size=self.size[lo:hi],
+            access_class=self.access_class[lo:hi],
+            flags=self.flags[lo:hi],
+            vertex=self.vertex[lo:hi],
+            barriers=b[(b >= lo) & (b < hi)] - lo,
+            regions=self.regions,
+        )
+        piece._lockstep = self._lockstep
+        return piece
 
     def save(self, path) -> None:
         """Persist the trace as a segmented archive (format v3).

@@ -46,7 +46,6 @@ __all__ = [
     "LatencyLedger",
     "MEM_FAMILIES",
     "SERIAL_FAMILIES",
-    "add_core_sums",
     "account_latencies",
     "account_sp_plain",
     "account_sp_rmw",
@@ -124,25 +123,15 @@ class ReplayContext:
     crossbar: Crossbar
     system: CacheSystem
     ncores: int
+    #: Per-family latency accumulation (segment-order invariant).
+    ledger: LatencyLedger
     piscs: Optional[List[PiscEngine]] = None
     srcbufs: Optional[List[SourceVertexBuffer]] = None
     #: Backend-supplied scratchpad home/locality overrides (the dynamic
     #: backend homes by ``vertex % ncores`` instead of the mapping).
     sp_home: Optional[np.ndarray] = None
     sp_local: Optional[np.ndarray] = None
-    #: Per-family latency accumulation (segment-order invariant). The
-    #: driver always supplies one; ``None`` only in direct unit-test
-    #: construction, where the helpers fall back to in-place bincount.
-    ledger: Optional[LatencyLedger] = None
     extra: dict = field(default_factory=dict)
-
-
-def add_core_sums(target: List[float], cores: np.ndarray,
-                  weights: np.ndarray, ncores: int) -> None:
-    """``target[c] += sum(weights where cores == c)`` via bincount."""
-    sums = np.bincount(cores, weights=weights, minlength=ncores)
-    for c in range(ncores):
-        target[c] += float(sums[c])
 
 
 def account_latencies(ctx: ReplayContext, cores: np.ndarray,
@@ -161,18 +150,12 @@ def account_latencies(ctx: ReplayContext, cores: np.ndarray,
     stall = core_cfg.atomic_stall_cycles
     n_atomic = int(np.count_nonzero(atomic))
     mem = np.where(atomic, lat * (1.0 - ser), lat)
-    if ctx.ledger is not None:
-        ctx.ledger.add_mem(family, cores, mem)
-    else:
-        add_core_sums(stats.core_mem_latency, cores, mem, ctx.ncores)
+    ctx.ledger.add_mem(family, cores, mem)
     if n_atomic:
         stats.atomics_total += n_atomic
         stats.atomics_on_cores += n_atomic
         srl = np.where(atomic, lat * ser + stall, 0.0)
-        if ctx.ledger is not None:
-            ctx.ledger.add_serial(family, cores, srl)
-        else:
-            add_core_sums(stats.core_serial_cycles, cores, srl, ctx.ncores)
+        ctx.ledger.add_serial(family, cores, srl)
 
 
 def account_sp_plain(ctx: ReplayContext, trace: Trace,
@@ -256,10 +239,7 @@ def account_offload(ctx: ReplayContext, trace: Trace,
     counts = np.bincount(cores, minlength=ctx.ncores)
     # Exact integer counts times an integer issue cost: order-free, but
     # still routed through the ledger because flush() overwrites.
-    serial = (
-        ctx.ledger.serial["offload"] if ctx.ledger is not None
-        else stats.core_serial_cycles
-    )
+    serial = ctx.ledger.serial["offload"]
     for c in range(ctx.ncores):
         serial[c] += float(counts[c]) * issue
 

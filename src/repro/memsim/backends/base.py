@@ -12,11 +12,12 @@ pre-pass, the cache stage, and the per-core access counts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.config import SimConfig
+from repro.ligra.segments import SegmentedTrace
 from repro.ligra.trace import Trace
 from repro.memsim.accounting import (
     ReplayContext,
@@ -27,7 +28,7 @@ from repro.memsim.accounting import (
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.pisc import Microcode
 from repro.memsim.prepass import TracePrepass
-from repro.memsim.replay import ReplayOutput, run_replay, run_replay_segments
+from repro.memsim.replay import ReplayOutput, run_replay
 from repro.memsim.routes import (
     ROUTE_SP_OFFLOAD,
     ROUTE_SP_PLAIN,
@@ -103,24 +104,14 @@ class HierarchyBackend:
         """Post-accounting fixups (e.g. fold PIM occupancy)."""
 
     # -- the engine ----------------------------------------------------
-    def replay(self, trace: Trace,
+    def replay(self, source: Union[Trace, SegmentedTrace],
                sampler: Optional[ReplaySampler] = None,
                attribution=None) -> ReplayOutput:
-        """Replay ``trace``: pre-pass, route, cache stage, accounting.
+        """Replay an in-core trace or a segmented stream.
 
-        Delegates to :func:`repro.memsim.replay.run_replay`; see its
-        docstring for the windowed-sampling and attribution contracts.
+        Every piece runs the shared stages: pre-pass, route, cache
+        path, accounting. Delegates to
+        :func:`repro.memsim.replay.run_replay`; see its docstring for
+        the streaming, windowed-sampling and attribution contracts.
         """
-        return run_replay(self, trace, sampler, attribution)
-
-    def replay_segments(self, segments,
-                        sampler: Optional[ReplaySampler] = None,
-                        attribution=None) -> ReplayOutput:
-        """Replay a segmented trace stream with bounded resident memory.
-
-        ``segments`` is a :class:`repro.ligra.segments.SegmentedTrace`
-        (an interleaved archive). Counters are bit-identical to
-        :meth:`replay` over the materialized trace; see
-        :func:`repro.memsim.replay.run_replay_segments`.
-        """
-        return run_replay_segments(self, segments, sampler, attribution)
+        return run_replay(self, source, sampler, attribution)

@@ -82,10 +82,7 @@ class GraphPimBackend(HierarchyBackend):
         stats.atomics_total += n
         stats.atomics_offloaded += n
         counts = np.bincount(cores, minlength=ctx.ncores)
-        serial = (
-            ctx.ledger.serial["pim"] if ctx.ledger is not None
-            else stats.core_serial_cycles
-        )
+        serial = ctx.ledger.serial["pim"]
         for c in range(ctx.ncores):
             serial[c] += float(counts[c]) * pim.issue_cycles
         verts = np.asarray(trace.vertex[idx], dtype=np.int64)

@@ -9,7 +9,7 @@ import numpy as np
 from repro.config import SimConfig
 from repro.errors import SimulationError
 from repro.ligra.trace import Trace
-from repro.memsim.accounting import ReplayContext, add_core_sums
+from repro.memsim.accounting import ReplayContext
 from repro.memsim.backends.base import HierarchyBackend
 from repro.memsim.backends.registry import register_backend
 from repro.memsim.mapping import ScratchpadMapping
@@ -92,21 +92,13 @@ class OmegaBackend(HierarchyBackend):
     def account(self, ctx: ReplayContext, trace: Trace,
                 prepass: TracePrepass, routes: np.ndarray) -> None:
         # Source-buffer hits: 1-cycle local reads. The stateful LRU walk
-        # in srcbuf_stage decides them at route time, but they are
-        # charged here so windowed/segmented replays attribute them to
-        # the window they occur in.
+        # in srcbuf_stage decides them at route time; like every other
+        # non-cache route, they are charged here.
         idx = np.flatnonzero(routes == ROUTE_SRCBUF_HIT)
         if len(idx):
-            stats = ctx.stats
-            stats.srcbuf_hits += len(idx)
+            ctx.stats.srcbuf_hits += len(idx)
             cores = np.asarray(trace.core[idx], dtype=np.int64)
-            ones = np.ones(len(idx))
-            if ctx.ledger is not None:
-                ctx.ledger.add_mem("srcbuf", cores, ones)
-            else:
-                add_core_sums(
-                    stats.core_mem_latency, cores, ones, ctx.ncores
-                )
+            ctx.ledger.add_mem("srcbuf", cores, np.ones(len(idx)))
         super().account(ctx, trace, prepass, routes)
 
 

@@ -233,8 +233,7 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     routes = backend.route(ctx, seg, prepass)
 
     est = ReplayEstimate(events=int(prepass.num_events))
-    nonneg = routes[routes >= 0]
-    counts = np.bincount(nonneg, minlength=int(ROUTE_PIM) + 1)
+    counts = np.bincount(routes, minlength=int(ROUTE_PIM) + 1)
     est.route_counts = {
         int(code): int(c) for code, c in enumerate(counts) if c
     }

@@ -1,4 +1,4 @@
-"""Route codes, route resolution helpers, and masked-route windowing.
+"""Route codes and route resolution helpers.
 
 Every hierarchy backend reduces to a *routing policy*: one
 ``ROUTE_*`` code per trace event, assigned in a single vectorized
@@ -6,12 +6,6 @@ pass. The codes partition the trace into the stateful cache path
 (``ROUTE_CACHE``) and the batch-accounted scratchpad/buffer/PIM
 families; :mod:`repro.memsim.accounting` charges the latter with
 ``np.bincount`` folds.
-
-The windowed (telemetry-sampled) replay reuses the same route array
-per window through :class:`WindowedRoutes`: out-of-window events are
-masked with :data:`ROUTE_MASKED`, a sentinel outside every backend's
-code space, so the per-route accounting helpers see exactly the
-events of the current window without re-deriving routes.
 """
 
 from __future__ import annotations
@@ -28,14 +22,8 @@ __all__ = [
     "ROUTE_SRCBUF_HIT",
     "ROUTE_LOCKED",
     "ROUTE_PIM",
-    "ROUTE_MASKED",
-    "WindowedRoutes",
     "transfer_latency_many",
 ]
-
-#: Sentinel route value outside every backend's code space; the
-#: windowed replay masks out-of-window events with it.
-ROUTE_MASKED = np.int8(-1)
 
 # Route codes assigned by HierarchyBackend.route, one per trace event.
 ROUTE_CACHE = 0        #: L1 → L2 → DRAM (the stateful loop)
@@ -62,26 +50,3 @@ def transfer_latency_many(
     lat = np.rint(cfg.mesh_router_cycles + hops * cfg.mesh_hop_cycles)
     return lat.astype(np.int64)
 
-
-class WindowedRoutes:
-    """A masked view of a route array for windowed accounting.
-
-    Holds one reusable masked copy: :meth:`fill` exposes the
-    ``[lo, hi)`` slice of the underlying routes, :meth:`clear` re-masks
-    it. Events outside the filled window carry :data:`ROUTE_MASKED`,
-    which matches no route code, so batch accounting over the masked
-    array charges exactly the in-window events.
-    """
-
-    def __init__(self, routes: np.ndarray) -> None:
-        self.routes = routes
-        self.masked = np.full(len(routes), ROUTE_MASKED, dtype=np.int8)
-
-    def fill(self, lo: int, hi: int) -> np.ndarray:
-        """Unmask ``[lo, hi)``; returns the masked route array."""
-        self.masked[lo:hi] = self.routes[lo:hi]
-        return self.masked
-
-    def clear(self, lo: int, hi: int) -> None:
-        """Re-mask ``[lo, hi)`` after its window was accounted."""
-        self.masked[lo:hi] = ROUTE_MASKED

@@ -164,6 +164,20 @@ class TestArchiveRoundtrip:
         with pytest.raises(TraceError, match=match):
             SegmentedTrace.open(path)
 
+    @pytest.mark.parametrize("value", [
+        np.arange(5, dtype=np.int64),
+        np.zeros((41, 1), dtype=np.int64),
+    ], ids=["short", "two-d"])
+    def test_load_rejects_ragged_segment_member(self, tmp_path, value):
+        path = tmp_path / "t.npz"
+        SegmentedTrace.from_trace(build_trace(), 41).save(path)
+        rewrite_member(path, "seg00000.addr.npy", value)
+        with pytest.raises(TraceError, match=r"seg00000\.addr\.npy"):
+            Trace.load(path)
+        with SegmentedTrace.open(path) as segments:
+            with pytest.raises(TraceError, match="41 events"):
+                segments.segment(0)
+
     def test_reads_after_close_fail_cleanly(self, tmp_path):
         path = tmp_path / "t.npz"
         SegmentedTrace.from_trace(build_trace(), 41).save(path)

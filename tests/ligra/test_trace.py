@@ -1,5 +1,7 @@
 """Tests for the memory-trace model."""
 
+import gc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -17,7 +19,9 @@ from repro.ligra.trace import (
     span_lockstep_perm,
 )
 
-from tests.ligra.test_segments import rewrite_member
+from repro.ligra.segments import SegmentedTrace
+
+from tests.ligra.test_segments import build_trace, rewrite_member
 
 
 class TestAddressSpace:
@@ -253,3 +257,65 @@ class TestBarrierNormalization:
         path = tmp_path / "good.npz"
         self._trace([4, 4, 9]).save(path)
         assert Trace.load(path).barriers.tolist() == [4, 9]
+
+
+class TestSlice:
+    def test_consecutive_cuts_hold_each_barrier_once(self):
+        trace = build_trace(n=100, barrier_every=17).interleaved()
+        n = trace.num_events
+        barriers = trace.barriers.tolist()
+        assert barriers[-1] == n  # an end barrier falls in no slice
+        # 68 is a barrier on a cut: it must open the next slice.
+        assert 68 in barriers
+        cuts = [0, 1, 17, 68, 69, 200, 333, n - 1, n]
+        seen = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            piece = trace.slice(lo, hi)
+            assert piece.num_events == hi - lo
+            assert np.shares_memory(piece.addr, trace.addr)
+            assert piece._lockstep
+            assert piece.interleaved() is piece
+            seen += (piece.barriers + lo).tolist()
+        assert seen == [b for b in barriers if b < n]
+
+
+class TestLockstepTracesAreNotCycles:
+    """A lockstep trace must be freed on ``del``, without the cyclic GC."""
+
+    @pytest.fixture(autouse=True)
+    def no_gc(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_interleaved_trace(self):
+        trace = build_trace()
+        inter = trace.interleaved()
+        assert inter.interleaved() is inter
+        ref = weakref.ref(inter)
+        del trace, inter
+        assert ref() is None
+
+    @pytest.mark.parametrize("source", ["in-core", "archive"])
+    def test_segment(self, tmp_path, source):
+        segments = SegmentedTrace.from_trace(build_trace(), 41)
+        if source == "archive":
+            path = tmp_path / "t.npz"
+            segments.save(path)
+            segments = SegmentedTrace.open(path)
+        with segments:
+            seg = segments.segment(1)
+            assert seg.interleaved() is seg
+            ref = weakref.ref(seg)
+            del seg
+            assert ref() is None
+
+    def test_materialize(self, tmp_path):
+        path = tmp_path / "t.npz"
+        build_trace().save(path)
+        with SegmentedTrace.open(path) as segments:
+            trace = segments.materialize()
+            assert trace.interleaved() is trace
+            ref = weakref.ref(trace)
+            del trace
+            assert ref() is None

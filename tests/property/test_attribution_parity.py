@@ -65,8 +65,7 @@ def attributed_streamed(make_backend, trace, segment_events, spec=None,
     backend = make_backend()
     acc = fresh_acc(spec)
     sampler = ReplaySampler(sampler_window) if sampler_window else None
-    out = backend.replay_segments(segments, sampler=sampler,
-                                  attribution=acc)
+    out = backend.replay(segments, sampler=sampler, attribution=acc)
     acc.verify(out.stats, trace.num_events)
     return acc
 

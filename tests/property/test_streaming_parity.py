@@ -1,11 +1,12 @@
 """Streamed replay must be bit-identical to in-core replay.
 
-The out-of-core driver (:func:`repro.memsim.replay.run_replay_segments`)
-consumes a :class:`~repro.ligra.segments.SegmentedTrace` one bounded
-segment at a time, carrying every piece of simulator state — caches,
-directory, DRAM open rows, prefetchers, source buffers, PISCs, backend
-training state — across segment boundaries, and accumulating float
-latencies through the order-invariant
+Given a :class:`~repro.ligra.segments.SegmentedTrace`, the replay
+driver (:func:`repro.memsim.replay.run_replay`) consumes it one bounded
+segment at a time; an in-core trace runs through the same loop as a
+single segment. Every piece of simulator state (caches, directory,
+DRAM open rows, prefetchers, source buffers, PISCs, backend training
+state) carries across segment boundaries, and float latencies
+accumulate through the order-invariant
 :class:`~repro.memsim.accounting.LatencyLedger`. These tests pin the
 headline contract: for *any* trace, *any* segmentation, and *every*
 backend, the streamed counters AND the final model state equal the
@@ -45,7 +46,7 @@ def assert_streamed_parity(make_backend, trace, segment_events,
     segments = SegmentedTrace.from_trace(trace, segment_events)
     streamed = make_backend()
     s_s = ReplaySampler(sampler_window) if sampler_window else None
-    out_s = streamed.replay_segments(segments, sampler=s_s)
+    out_s = streamed.replay(segments, sampler=s_s)
     snap_i, snap_s = snapshot(out_i), snapshot(out_s)
     assert snap_i == snap_s
     # Float latency sums must be EXACT (the ledger makes streamed
@@ -121,6 +122,28 @@ class TestAllBackendsStreamedParity:
         assert cols_i == cols_s
 
 
+class TestWindowedParity:
+    """Windowing is one more cut of the trace: it moves no counter."""
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    @pytest.mark.parametrize("window", [97, 4096, "first-barrier"])
+    def test_windowed_matches_unwindowed(self, workload, name,  # noqa: F811
+                                         window):
+        trace = workload[0]
+        if window == "first-barrier":
+            # A window grid on the first barrier puts that barrier's
+            # source-buffer invalidation at position 0 of a piece.
+            barriers = trace.interleaved().barriers
+            window = int(barriers[barriers > 0][0])
+        make_backend = all_backend_factories(workload)[name]
+        plain = make_backend().replay(trace)
+        sampler = ReplaySampler(window)
+        windowed = make_backend().replay(trace, sampler=sampler)
+        assert sampler.timeline().num_windows == -(-trace.num_events
+                                                   // window)
+        assert snapshot(windowed) == snapshot(plain)
+
+
 class TestStreamedInputContract:
     def test_saved_archive_streams_identically(self, workload,  # noqa: F811
                                                tmp_path):
@@ -131,5 +154,5 @@ class TestStreamedInputContract:
         with SegmentedTrace.open(path) as segments:
             cfg = baseline_config()
             out_i = BaselineBackend(cfg).replay(trace)
-            out_s = BaselineBackend(cfg).replay_segments(segments)
+            out_s = BaselineBackend(cfg).replay(segments)
             assert snapshot(out_i) == snapshot(out_s)

@@ -22,6 +22,8 @@ from repro.store import (
     trace_key,
 )
 
+from tests.ligra.test_segments import rewrite_member
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -199,6 +201,23 @@ class TestSegmentedEntries:
             segments.materialize().addr, tr.interleaved().addr
         )
         segments.close()
+
+    def test_ragged_segment_member_discarded(self, tmp_path):
+        # The zip and the index are intact; one segment member holds 5
+        # events where segment_bounds promise 16.
+        store = TraceStore(tmp_path)
+        tr = _toy_trace(n=64)
+        store.store("k1", tr, {"num_events": tr.num_events},
+                    segment_events=16)
+        rewrite_member(store.trace_path("k1"), "seg00000.addr.npy",
+                       np.arange(5, dtype=np.int64))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            assert store.load("k1") is None
+        assert registry.counter("trace_store.corrupt").value == 1
+        assert registry.counter("trace_store.misses").value == 1
+        assert not store.trace_path("k1").exists()
+        assert not store.meta_path("k1").exists()
 
     def test_open_segments_miss_and_touch(self, tmp_path):
         store = TraceStore(tmp_path)

@@ -65,10 +65,10 @@ def counters_of(cls: type = MemStats) -> typing.List[str]:
 
 
 def declared_routes() -> typing.Dict[str, int]:
-    """Every ``ROUTE_*`` code a backend may emit (the mask is engine-owned)."""
+    """Every ``ROUTE_*`` code a backend may emit."""
     return {
         name: int(code) for name, code in vars(routes).items()
-        if name.startswith("ROUTE_") and name != "ROUTE_MASKED"
+        if name.startswith("ROUTE_")
     }
 
 
