@@ -7,8 +7,7 @@ on an RMAT-14 graph, ~3.5M events / ~73 MiB of trace columns):
 1. **Bounded residency.** A streamed ``run_system`` must hold its
    incremental peak RSS (above the graph-only baseline) at or below
    50% of the whole-trace resident size — where in-core replay pays
-   the full trace (plus its interleaved copy), streaming pays one
-   segment at a time.
+   the full trace, streaming pays one segment at a time.
 2. **Throughput.** Bounded memory may not cost the pipeline: streamed
    end-to-end events/sec must stay within 0.8x of in-core.
 

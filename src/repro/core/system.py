@@ -863,8 +863,8 @@ def estimate_system(
     ``repro sweep --estimate-prune`` to skip configurations whose
     predicted metrics fall outside the band of interest.
 
-    Always runs in-core (the estimator needs the whole interleaved
-    trace resident); out-of-core streaming does not apply here. The
+    Always runs in-core (the estimator needs the whole trace
+    resident); out-of-core streaming does not apply here. The
     arguments mean what they mean for :func:`run_system`; the request's
     output paths are not written and no ledger entry is appended.
     Returns the :class:`~repro.memsim.estimate.ReplayEstimate`.

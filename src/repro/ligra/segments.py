@@ -20,23 +20,23 @@ Three producers/consumers live here:
   archive (lazy: segments are read on demand) or by an in-core
   :class:`Trace` (for tests and for segmenting an already-materialized
   trace).
-- :class:`SpoolingTraceBuilder` — a :class:`TraceBuilder` that flushes
-  each completed barrier span (in lockstep-interleaved order) into a
-  :class:`SegmentWriter` instead of accumulating the whole trace.
+- :class:`SpoolingTraceBuilder` — a :class:`TraceBuilder` that sends
+  each closed barrier span (already in lockstep order) to a
+  :class:`SegmentWriter` instead of keeping it in memory.
 
-The interleave invariant: every archive holds its events in lockstep
-order. Interleaving is applied per barrier span and spans compose
-independently, so a spooled archive holds exactly the event order
-``Trace.interleaved()`` would produce — replaying its segments
-back-to-back is bit-identical to in-core replay of the interleaved
-trace.
+An archive holds its events in replay order, which for a generated
+trace is the lockstep order :class:`TraceBuilder` gives each barrier
+span as it closes. The in-core and the spooling builder share that
+one span flush, so a spooled archive holds exactly the events
+``TraceBuilder.build()`` returns, and replaying its segments
+back-to-back is bit-identical to replaying the in-core trace.
 """
 
 from __future__ import annotations
 
 import io
 import zipfile
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib import format as npformat
@@ -48,7 +48,6 @@ from repro.ligra.trace import (
     Region,
     Trace,
     TraceBuilder,
-    span_lockstep_perm,
 )
 
 __all__ = [
@@ -115,8 +114,9 @@ class SegmentWriter:
     segments of exactly ``segment_events`` events are written to the
     archive as soon as they fill, so at most one segment (plus the
     current input batch) is ever resident. :meth:`close` flushes the
-    final partial segment and writes the index members. Callers append
-    events in lockstep order; the index marks the archive interleaved.
+    final partial segment and writes the index members. Events are
+    stored in the order they are appended, the replay order; the index
+    carries the ``interleaved = 1`` marker the format requires.
     """
 
     def __init__(self, path,
@@ -239,7 +239,7 @@ class SegmentedTrace:
 
     Backed either by an open v3 archive (:meth:`open` — segments are
     read on demand) or by an in-core :class:`Trace`
-    (:meth:`from_trace`). Either way the events are in lockstep order.
+    (:meth:`from_trace`). Either way the events keep their order.
     Each segment comes out as a self-contained :class:`Trace` whose
     barriers are rebased to the segment and whose ``regions`` are the
     full table, so every replay stage (pre-pass, routing,
@@ -261,12 +261,11 @@ class SegmentedTrace:
     def from_trace(cls, trace: Trace,
                    segment_events: int = DEFAULT_SEGMENT_EVENTS,
                    ) -> "SegmentedTrace":
-        """Segment an in-core trace, interleaving it first."""
+        """Segment an in-core trace, keeping its event order."""
         if segment_events <= 0:
             raise TraceError(
                 f"segment_events must be > 0, got {segment_events}"
             )
-        trace = trace.interleaved()
         n = trace.num_events
         bounds = np.arange(0, n, segment_events, dtype=np.int64)
         bounds = np.append(bounds, n)
@@ -284,7 +283,7 @@ class SegmentedTrace:
         iteration moves on — that is what keeps peak RSS bounded.
         Archives are input from outside the program, so the index is
         checked here: the required members must be present, the
-        version current, the events interleaved, ``segment_bounds``
+        version current, the ``interleaved`` marker 1, ``segment_bounds``
         must start at 0 and never decrease, and ``barriers`` must
         never decrease. Any defect raises
         :class:`~repro.errors.TraceError`.
@@ -382,7 +381,7 @@ class SegmentedTrace:
         return cols
 
     def segment(self, index: int) -> Trace:
-        """Segment ``index`` as a standalone lockstep :class:`Trace`.
+        """Segment ``index`` as a standalone :class:`Trace`.
 
         The segment is :meth:`Trace.slice` of the stream, so barriers
         are rebased by the one cut rule (a global barrier ``b`` lands
@@ -399,13 +398,7 @@ class SegmentedTrace:
         hi = int(self.segment_bounds[index + 1])
         seg = Trace(**self._segment_columns(index),
                     barriers=self.barriers - lo, regions=self.regions)
-        seg._lockstep = True
         return seg.slice(0, hi - lo)
-
-    def iter_segments(self) -> Iterator[Trace]:
-        """Stream the segments in order."""
-        for index in range(self.num_segments):
-            yield self.segment(index)
 
     def materialize(self) -> Trace:
         """Concatenate every segment into one in-core :class:`Trace`."""
@@ -413,26 +406,22 @@ class SegmentedTrace:
             return self._trace
         if self.num_segments == 0:
             empty64 = np.zeros(0, dtype=np.int64)
-            trace = Trace(
+            return Trace(
                 core=np.zeros(0, dtype=np.int16), addr=empty64,
                 size=np.zeros(0, dtype=np.int16),
                 access_class=np.zeros(0, dtype=np.int8),
                 flags=np.zeros(0, dtype=np.int8), vertex=empty64,
                 barriers=self.barriers.copy(), regions=self.regions,
             )
-        else:
-            parts = [self._segment_columns(i)
-                     for i in range(self.num_segments)]
-            trace = Trace(
-                **{
-                    name: np.concatenate([p[name] for p in parts])
-                    for name in _COLUMN_NAMES
-                },
-                barriers=self.barriers.copy(),
-                regions=self.regions,
-            )
-        trace._lockstep = True
-        return trace
+        parts = [self._segment_columns(i) for i in range(self.num_segments)]
+        return Trace(
+            **{
+                name: np.concatenate([p[name] for p in parts])
+                for name in _COLUMN_NAMES
+            },
+            barriers=self.barriers.copy(),
+            regions=self.regions,
+        )
 
     # -- writes --------------------------------------------------------
     def save(self, path) -> None:
@@ -468,45 +457,25 @@ class SegmentedTrace:
 class SpoolingTraceBuilder(TraceBuilder):
     """A trace builder that spools to a segmented archive as it runs.
 
-    Each completed barrier span is lockstep-interleaved (the same
-    per-span permutation :meth:`Trace.interleaved` applies) and
-    flushed to a :class:`SegmentWriter`, so resident memory is
-    bounded by the largest span plus one segment — never the whole
-    trace. :meth:`finalize` closes the archive and returns the
-    spooled :class:`SegmentedTrace`; :meth:`build` is unavailable
-    (it would defeat the point by materializing).
+    Each closed barrier span — put into lockstep order by the
+    :class:`TraceBuilder` span flush, like an in-core build — goes to
+    a :class:`SegmentWriter`, so resident memory is bounded by the
+    largest span plus one segment, never the whole trace.
+    :meth:`finalize` closes the archive and returns the spooled
+    :class:`SegmentedTrace`; :meth:`build` is unavailable (it would
+    defeat the point by materializing).
     """
 
     def __init__(self, path,
                  segment_events: int = DEFAULT_SEGMENT_EVENTS) -> None:
         super().__init__(enabled=True)
         self._writer = SegmentWriter(path, segment_events=segment_events)
-        self._flushed = 0
 
-    @property
-    def num_events(self) -> int:
-        return self._flushed + sum(len(c["addr"]) for c in self._chunks)
-
-    def _flush_span(self) -> None:
-        if not self._chunks:
-            return
-        chunks = self._chunks
-        self._chunks = []
-        cols = {
-            name: np.concatenate([c[name] for c in chunks])
-            for name in _COLUMN_NAMES
-        }
-        perm = span_lockstep_perm(cols["core"])
-        self._writer.append(
-            {name: cols[name][perm] for name in _COLUMN_NAMES}
-        )
-        self._flushed += len(perm)
-
-    def mark_barrier(self) -> None:
-        self._barriers.append(self.num_events)
-        self._flush_span()
+    def _put_span(self, cols: Dict[str, np.ndarray]) -> None:
+        self._writer.append(cols)
 
     def build(self) -> Trace:
+        """Unavailable: the trace is on disk; call :meth:`finalize`."""
         raise TraceError(
             "SpoolingTraceBuilder spools to disk; call finalize() for"
             " the SegmentedTrace instead of build()"

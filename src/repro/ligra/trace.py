@@ -41,7 +41,7 @@ __all__ = [
 
 #: On-disk trace-archive format version. Version 3 is the *segmented*
 #: archive layout (a ``segment_bounds`` index plus per-segment column
-#: blobs, events in lockstep order — see :mod:`repro.ligra.segments`),
+#: blobs, events in replay order — see :mod:`repro.ligra.segments`),
 #: the only layout this build writes or reads. Versions 1 and 2 were
 #: monolithic ``.npz`` archives; they are rejected, as is any other
 #: version.
@@ -133,11 +133,8 @@ def span_lockstep_perm(core: np.ndarray) -> np.ndarray:
     per-core order is preserved. Each event's per-core rank and its
     core id form a unique ``(rank, core)`` pair, so one stable sort
     of the fused key ``rank * core_span + (core - core_min)`` gives
-    the lockstep order. Factored out of :meth:`Trace.interleaved` so
-    the streaming spool (:mod:`repro.ligra.segments`) can apply the
-    identical reorder one span at a time — spans compose
-    independently, so per-span application reproduces the
-    whole-trace interleave exactly.
+    the lockstep order. :class:`TraceBuilder` applies it to every
+    barrier span as the span closes.
     """
     m = len(core)
     if m == 0:
@@ -159,6 +156,11 @@ def span_lockstep_perm(core: np.ndarray) -> np.ndarray:
 @dataclass
 class Trace:
     """A finalized column-wise memory trace.
+
+    The event order is the replay order: every replay walks the
+    events exactly as they stand. :class:`TraceBuilder` hands out
+    traces in lockstep order; a trace built by hand replays in the
+    order it is given.
 
     Attributes
     ----------
@@ -190,12 +192,6 @@ class Trace:
     #: through :meth:`save`/:meth:`load` so standalone archives are
     #: self-describing.
     regions: Tuple[Region, ...] = ()
-
-    #: Set on traces already in lockstep order (the result of
-    #: :meth:`interleaved`, its slices, and every archive read), for
-    #: which :meth:`interleaved` is the identity. A class attribute,
-    #: not a field, so it stays out of ``__eq__``/``__repr__``.
-    _lockstep = False
 
     def __len__(self) -> int:
         return len(self.addr)
@@ -239,57 +235,6 @@ class Trace:
         mask = self.access_class == int(AccessClass.VTXPROP)
         return self.vertex[mask]
 
-    def interleaved(self) -> "Trace":
-        """Round-robin interleave events across cores (lockstep model).
-
-        The trace builder appends each core's work in contiguous
-        blocks, but on real hardware the cores run concurrently —
-        their accesses to shared hub lines contend. This reorders each
-        barrier-delimited segment so that cores' event streams advance
-        in lockstep (event i of every core before event i+1 of any),
-        which is what exposes the coherence ping-pong of core-executed
-        atomics on the baseline CMP. Per-core event order is preserved,
-        so per-core state (L1s, stream detectors, buffers) is
-        unaffected; only shared state sees the realistic interleaving.
-
-        The permutation is deterministic and traces are treated as
-        immutable once built, so the result is memoized — replaying
-        one trace through several backends (:func:`run_backends`, the
-        comparison drivers) interleaves once, not per replay.
-        """
-        if self._lockstep:
-            return self
-        cached = getattr(self, "_interleaved", None)
-        if cached is not None:
-            return cached
-        n = len(self.addr)
-        if n == 0:
-            return self
-        perm = np.empty(n, dtype=np.int64)
-        # Sorted unique in-range barriers (as SegmentWriter.close stores
-        # them): the spans then tile [0, n), so every slot of ``perm``
-        # is written exactly once.
-        b = np.asarray(self.barriers, dtype=np.int64)
-        bounds = [0, *np.unique(b[(b > 0) & (b < n)]).tolist(), n]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            perm[lo:hi] = lo + span_lockstep_perm(self.core[lo:hi])
-        result = Trace(
-            core=self.core[perm],
-            addr=self.addr[perm],
-            size=self.size[perm],
-            access_class=self.access_class[perm],
-            flags=self.flags[perm],
-            vertex=self.vertex[perm],
-            barriers=self.barriers.copy(),
-            regions=self.regions,
-        )
-        result._lockstep = True
-        # Instance attribute, not a dataclass field: it stays out of
-        # __eq__/__repr__. The memo runs one way only, so no trace
-        # references itself and ``del`` frees the columns at once.
-        self._interleaved = result
-        return result
-
     def slice(self, lo: int, hi: int) -> "Trace":
         """Events ``[lo, hi)`` as a trace of column views.
 
@@ -297,10 +242,10 @@ class Trace:
         ``lo <= b < hi``, so the slices of consecutive cuts see each
         barrier exactly once — the rule that lets a replay cut a trace
         anywhere (segments, windows) without moving a source-buffer
-        invalidation. A slice of a lockstep trace is lockstep.
+        invalidation.
         """
         b = np.asarray(self.barriers, dtype=np.int64)
-        piece = Trace(
+        return Trace(
             core=self.core[lo:hi],
             addr=self.addr[lo:hi],
             size=self.size[lo:hi],
@@ -310,18 +255,16 @@ class Trace:
             barriers=b[(b >= lo) & (b < hi)] - lo,
             regions=self.regions,
         )
-        piece._lockstep = self._lockstep
-        return piece
 
     def save(self, path) -> None:
         """Persist the trace as a segmented archive (format v3).
 
-        The archive holds :meth:`interleaved`'s lockstep order, the
-        order every replay uses, plus :data:`TRACE_FORMAT_VERSION` and
-        the address-space region table (when :attr:`regions` is set),
-        so a loader can validate compatibility and recover the memory
-        layout without the generating engine. See
-        :mod:`repro.ligra.segments` for the layout.
+        The archive holds the events in this trace's order, plus
+        :data:`TRACE_FORMAT_VERSION` and the address-space region table
+        (when :attr:`regions` is set), so a loader can validate
+        compatibility and recover the memory layout without the
+        generating engine. See :mod:`repro.ligra.segments` for the
+        layout.
         """
         from repro.ligra.segments import SegmentedTrace
 
@@ -331,8 +274,10 @@ class Trace:
     def load(cls, path) -> "Trace":
         """Load an archive written by :meth:`save` or the trace store.
 
-        Returns the saved trace's :meth:`interleaved` form: events in
-        lockstep order, barriers sorted and de-duplicated. Use
+        Returns the saved events in the saved order, with barriers
+        sorted, de-duplicated and kept within ``[0, num_events]`` — so
+        ``load`` after ``save`` gives back any trace
+        :class:`TraceBuilder` built, column for column. Use
         ``SegmentedTrace.open`` to stream the archive one segment at a
         time instead. Raises :class:`~repro.errors.TraceError` when
         the archive is not a segmented v3 trace archive (a monolithic
@@ -357,13 +302,30 @@ def _as_full(x: Union[int, np.ndarray], n: int, dtype) -> np.ndarray:
 class TraceBuilder:
     """Accumulates event batches and finalizes them into a :class:`Trace`.
 
+    The builder is where the lockstep model of concurrent cores lives.
+    The engine appends each core's work in contiguous blocks, but on
+    real hardware the cores run concurrently and their accesses to
+    shared hub lines contend. So each barrier span, when it closes
+    (:meth:`mark_barrier`, :meth:`build`), is put into lockstep order
+    with :func:`span_lockstep_perm` — event ``i`` of every core before
+    event ``i+1`` of any — and its raw batches are dropped. That order
+    exposes the coherence ping-pong of core-executed atomics on the
+    baseline CMP; per-core order is kept, so per-core state (L1s,
+    stream detectors, buffers) is unaffected. Subclasses choose where
+    a closed span goes (:meth:`_put_span`).
+
     ``enabled=False`` turns the builder into a cheap no-op so
     algorithms can run functionally without paying trace costs.
     """
 
     enabled: bool = True
+    #: Raw batches of the open barrier span.
     _chunks: List[Dict[str, np.ndarray]] = field(default_factory=list)
+    #: Closed spans, each already in lockstep order.
+    _spans: List[Dict[str, np.ndarray]] = field(default_factory=list)
     _barriers: List[int] = field(default_factory=list)
+    #: Events in closed spans.
+    _flushed: int = 0
 
     def append(
         self,
@@ -404,17 +366,43 @@ class TraceBuilder:
     @property
     def num_events(self) -> int:
         """Number of events appended so far."""
-        return sum(len(c["addr"]) for c in self._chunks)
+        return self._flushed + sum(len(c["addr"]) for c in self._chunks)
 
     def mark_barrier(self) -> None:
         """Record an iteration boundary at the current event position."""
         if self.enabled:
             self._barriers.append(self.num_events)
+            self._flush_span()
+
+    def _flush_span(self) -> None:
+        """Close the open span: lockstep it, drop its raw batches."""
+        if not self._chunks:
+            return
+        chunks, self._chunks = self._chunks, []
+        cols = {
+            name: np.concatenate([c[name] for c in chunks])
+            for name in chunks[0]
+        }
+        perm = span_lockstep_perm(cols["core"])
+        self._flushed += len(perm)
+        self._put_span({name: col[perm] for name, col in cols.items()})
+
+    def _put_span(self, cols: Dict[str, np.ndarray]) -> None:
+        """Keep one closed span (in lockstep order) until :meth:`build`."""
+        self._spans.append(cols)
 
     def build(self) -> Trace:
-        """Finalize into a single columnar :class:`Trace`."""
+        """Finalize into a single columnar :class:`Trace`, in lockstep order.
+
+        Afterwards the builder holds no event column and starts over
+        empty, so the returned trace is the only copy.
+        """
+        self._flush_span()
+        spans, self._spans = self._spans, []
         barriers = np.asarray(sorted(set(self._barriers)), dtype=np.int64)
-        if not self._chunks:
+        self._barriers = []
+        self._flushed = 0
+        if not spans:
             empty64 = np.zeros(0, dtype=np.int64)
             return Trace(
                 core=np.zeros(0, dtype=np.int16),
@@ -426,11 +414,9 @@ class TraceBuilder:
                 barriers=barriers,
             )
         return Trace(
-            core=np.concatenate([c["core"] for c in self._chunks]),
-            addr=np.concatenate([c["addr"] for c in self._chunks]),
-            size=np.concatenate([c["size"] for c in self._chunks]),
-            access_class=np.concatenate([c["access_class"] for c in self._chunks]),
-            flags=np.concatenate([c["flags"] for c in self._chunks]),
-            vertex=np.concatenate([c["vertex"] for c in self._chunks]),
+            **{
+                name: np.concatenate([s[name] for s in spans])
+                for name in spans[0]
+            },
             barriers=barriers,
         )

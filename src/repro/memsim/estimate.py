@@ -228,9 +228,8 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     )
     backend.prepare(ctx)
 
-    seg = trace.interleaved()
-    prepass = precompute(seg, config, mapping=backend.prepass_mapping())
-    routes = backend.route(ctx, seg, prepass)
+    prepass = precompute(trace, config, mapping=backend.prepass_mapping())
+    routes = backend.route(ctx, trace, prepass)
 
     est = ReplayEstimate(events=int(prepass.num_events))
     counts = np.bincount(routes, minlength=int(ROUTE_PIM) + 1)
@@ -251,7 +250,7 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
 
     lines = prepass.lines[cache_idx]
     l1_hit = predict_slot_hits(
-        _slot_column(seg.core[cache_idx], lines, config.l1.num_sets, ncores),
+        _slot_column(trace.core[cache_idx], lines, config.l1.num_sets, ncores),
         lines, config.l1.ways,
     )
     est.l1_hits = int(np.count_nonzero(l1_hit))

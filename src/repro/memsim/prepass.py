@@ -82,7 +82,7 @@ def classify_regions(
 class TracePrepass:
     """Per-event arrays derived from a trace before the stateful loop.
 
-    All arrays are indexed by event position in the (interleaved)
+    All arrays are indexed by event position in the (replay-order)
     trace. ``hot``/``home``/``local`` are only populated when a
     scratchpad mapping is supplied (all-False / -1 otherwise).
     """

@@ -83,9 +83,10 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
 
     A :class:`~repro.ligra.segments.SegmentedTrace` is consumed one
     segment at a time, so resident memory is bounded by the segment
-    size, not the trace size; every archive holds its events in
-    lockstep order, and an in-core trace is replayed as the single
-    segment of its :meth:`~repro.ligra.trace.Trace.interleaved` form.
+    size, not the trace size; an in-core trace is replayed as a single
+    segment. Either way the events replay in the order they stand,
+    which for a generated trace is the lockstep order
+    :class:`~repro.ligra.trace.TraceBuilder` gives it.
 
     ``sampler`` (a :class:`repro.obs.ReplaySampler`) cuts the replay at
     every N events of the global stream and snapshots the cumulative

@@ -19,7 +19,7 @@ content-addressed key:
 
 Each entry is two files in the store root:
 
-- ``<key>.npz`` — a *segmented, interleaved* trace archive
+- ``<key>.npz`` — a *segmented* trace archive in replay order
   (:class:`~repro.ligra.segments.SegmentedTrace`): warm hits can be
   streamed into the replay one bounded segment at a time
   (:meth:`TraceStore.open_segments`) without ever rehydrating the
@@ -331,8 +331,8 @@ class TraceStore:
               segment_events: Optional[int] = None) -> None:
         """Insert (or overwrite) one entry atomically, then evict LRU.
 
-        The archive is written segmented and interleaved
-        (``segment_events`` per segment, default
+        The archive is written segmented, in the trace's (replay)
+        order (``segment_events`` per segment, default
         :data:`~repro.ligra.segments.DEFAULT_SEGMENT_EVENTS`) so a
         later warm hit can stream it without rehydration.
         """
@@ -364,7 +364,7 @@ class TraceStore:
 
         The cold streaming path: a
         :class:`~repro.ligra.segments.SpoolingTraceBuilder` already
-        wrote the interleaved archive to ``archive_path``; renaming it
+        wrote the lockstep-ordered archive to ``archive_path``; renaming it
         into place makes it this key's entry without the trace ever
         being resident. ``meta`` must carry ``num_events`` (readers
         validate against it).

@@ -69,20 +69,20 @@ class TestFromTrace:
     def test_segments_cover_the_interleaved_trace(self):
         trace = build_trace()
         seg = SegmentedTrace.from_trace(trace, 37)
-        inter = trace.interleaved()
         assert seg.num_events == trace.num_events
         lo = 0
-        for part in seg.iter_segments():
+        for k in range(seg.num_segments):
+            part = seg.segment(k)
             hi = lo + part.num_events
-            np.testing.assert_array_equal(part.addr, inter.addr[lo:hi])
-            np.testing.assert_array_equal(part.core, inter.core[lo:hi])
+            np.testing.assert_array_equal(part.addr, trace.addr[lo:hi])
+            np.testing.assert_array_equal(part.core, trace.core[lo:hi])
             lo = hi
         assert lo == trace.num_events
 
     def test_materialize_equals_interleaved(self):
         trace = build_trace()
         seg = SegmentedTrace.from_trace(trace, 37)
-        assert_traces_equal(seg.materialize(), trace.interleaved())
+        assert_traces_equal(seg.materialize(), trace)
 
     @pytest.mark.parametrize("step", [1, 3, 1000])
     def test_every_step_partitions_exactly(self, step):
@@ -97,13 +97,13 @@ class TestFromTrace:
         trace = build_trace(barrier_every=10)
         seg = SegmentedTrace.from_trace(trace, 33)
         seen = []
-        for k, part in enumerate(seg.iter_segments()):
+        for k in range(seg.num_segments):
+            part = seg.segment(k)
             lo = int(seg.segment_bounds[k])
             hi = int(seg.segment_bounds[k + 1])
             assert ((part.barriers >= 0) & (part.barriers < hi - lo)).all()
             seen.extend(int(b) + lo for b in part.barriers)
-        inter = trace.interleaved()
-        assert seen == [b for b in inter.barriers.tolist() if b < len(inter)]
+        assert seen == [b for b in trace.barriers.tolist() if b < len(trace)]
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(TraceError, match="segment_events"):
@@ -122,15 +122,14 @@ class TestArchiveRoundtrip:
         SegmentedTrace.from_trace(trace, 41).save(path)
         with SegmentedTrace.open(path) as loaded:
             assert loaded.num_events == trace.num_events
-            assert_traces_equal(loaded.materialize(), trace.interleaved())
+            assert_traces_equal(loaded.materialize(), trace)
 
     def test_nbytes_matches_trace_semantics(self, tmp_path):
         trace = build_trace()
         path = tmp_path / "t.npz"
         SegmentedTrace.from_trace(trace, 41).save(path)
-        inter = trace.interleaved()
         with SegmentedTrace.open(path) as loaded:
-            assert loaded.nbytes == inter.nbytes
+            assert loaded.nbytes == trace.nbytes
 
     def test_open_rejects_future_version(self, tmp_path):
         path = tmp_path / "t.npz"
@@ -248,10 +247,67 @@ class TestSpoolingBuilder:
     def test_spooled_archive_equals_interleaved_build(self, tmp_path):
         spooler, direct = self._run_both(tmp_path)
         segments = spooler.finalize()
-        assert_traces_equal(
-            segments.materialize(), direct.build().interleaved()
-        )
+        assert_traces_equal(segments.materialize(), direct.build())
         segments.close()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_spooled_archive_equals_build_property(self, tmp_path, seed):
+        """Spooling is the in-core build, column for column.
+
+        Random runs cover uneven and empty spans, duplicate barriers,
+        barriers at 0 and at the end, absent cores, up to 16 cores,
+        single- and multi-core batches, and batches larger than a
+        segment.
+        """
+        rng = np.random.default_rng(seed)
+        ncores = int(rng.integers(1, 17))
+        step = int(rng.integers(1, 40))
+        spooler = SpoolingTraceBuilder(tmp_path / "s.npz",
+                                       segment_events=step)
+        direct = TraceBuilder()
+        builders = (spooler, direct)
+        if rng.random() < 0.5:
+            for tb in builders:
+                tb.mark_barrier()  # a barrier at 0
+        # Each span draws from a random subset of the cores.
+        active = rng.choice(ncores, int(rng.integers(1, ncores + 1)),
+                            replace=False)
+        for _ in range(int(rng.integers(0, 30))):
+            action = rng.random()
+            if action < 0.6:
+                n = int(rng.integers(1, 3 * step + 2))
+                core = (int(rng.choice(active)) if rng.random() < 0.5
+                        else rng.choice(active, n))
+                addr = rng.integers(0, 1 << 30, n)
+                vertex = rng.integers(-1, 100, n)
+                size = int(rng.choice([4, 8]))
+                klass = AccessClass(int(rng.integers(0, 3)))
+                flags = dict(write=bool(rng.random() < 0.3),
+                             atomic=bool(rng.random() < 0.2),
+                             src_read=bool(rng.random() < 0.2))
+                for tb in builders:
+                    tb.append(core, addr, size, klass, vertex=vertex,
+                              **flags)
+            else:
+                for _ in range(1 + int(action > 0.9)):  # duplicates
+                    for tb in builders:
+                        tb.mark_barrier()
+                active = rng.choice(
+                    ncores, int(rng.integers(1, ncores + 1)),
+                    replace=False)
+        if rng.random() < 0.5:
+            for tb in builders:
+                tb.mark_barrier()  # a barrier at the end
+        assert spooler.num_events == direct.num_events
+        with spooler.finalize() as segments:
+            trace = direct.build()
+            spooled = segments.materialize()
+            for name in COLUMNS:
+                assert getattr(spooled, name).dtype == \
+                    getattr(trace, name).dtype, name
+            assert_traces_equal(spooled, trace)
+            sizes = np.diff(segments.segment_bounds)
+            assert (sizes[:-1] == step).all()
 
     def test_build_is_unavailable(self, tmp_path):
         spooler = SpoolingTraceBuilder(tmp_path / "s.npz")

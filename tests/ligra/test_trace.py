@@ -65,8 +65,10 @@ class TestTraceBuilder:
         tb.append(np.array([1, 2]), np.array([200, 300]), 4, AccessClass.EDGELIST)
         tr = tb.build()
         assert tr.num_events == 4
-        assert tr.core.tolist() == [0, 0, 1, 2]
-        assert tr.vertex.tolist() == [0, 1, -1, -1]
+        # One barrier span, so build() hands it out in lockstep order.
+        assert tr.core.tolist() == [0, 1, 2, 0]
+        assert tr.addr.tolist() == [100, 200, 300, 108]
+        assert tr.vertex.tolist() == [0, -1, -1, 1]
 
     def test_flags(self):
         tb = TraceBuilder()
@@ -134,18 +136,21 @@ class TestTraceQueries:
 
 
 class TestInterleaving:
+    """``build()`` hands out every barrier span in lockstep order."""
+
     def test_round_robin_order(self):
         tb = TraceBuilder()
         tb.append(0, np.array([10, 11, 12]), 8, AccessClass.VTXPROP)
         tb.append(1, np.array([20, 21]), 8, AccessClass.VTXPROP)
-        tr = tb.build().interleaved()
+        tr = tb.build()
         assert tr.addr.tolist() == [10, 20, 11, 21, 12]
 
     def test_per_core_order_preserved(self):
         tb = TraceBuilder()
         tb.append(2, np.array([5, 6, 7]), 8, AccessClass.VTXPROP)
         tb.append(0, np.array([1, 2]), 8, AccessClass.VTXPROP)
-        tr = tb.build().interleaved()
+        tr = tb.build()
+        assert tr.addr.tolist() == [1, 5, 2, 6, 7]
         core0 = tr.addr[tr.core == 0].tolist()
         core2 = tr.addr[tr.core == 2].tolist()
         assert core0 == [1, 2]
@@ -157,22 +162,27 @@ class TestInterleaving:
         tb.append(1, np.array([3]), 8, AccessClass.VTXPROP)
         tb.mark_barrier()
         tb.append(1, np.array([4]), 8, AccessClass.VTXPROP)
-        tr = tb.build().interleaved()
-        # Events before the barrier stay before it.
-        assert sorted(tr.addr[:3].tolist()) == [1, 2, 3]
-        assert tr.addr[3] == 4
+        tb.append(0, np.array([5]), 8, AccessClass.VTXPROP)
+        tr = tb.build()
+        # Events before the barrier stay before it; each span is
+        # interleaved on its own.
+        assert tr.addr.tolist() == [1, 3, 2, 5, 4]
+        assert tr.barriers.tolist() == [3]
 
     def test_empty_trace(self):
-        tr = TraceBuilder().build()
-        assert tr.interleaved().num_events == 0
+        tb = TraceBuilder()
+        tb.mark_barrier()
+        tr = tb.build()
+        assert tr.num_events == 0
+        assert tr.barriers.tolist() == [0]
 
     def test_event_multiset_preserved(self):
         tb = TraceBuilder()
         tb.append(np.array([0, 3, 1, 3]), np.array([1, 2, 3, 4]), 8,
                   AccessClass.EDGELIST)
         tr = tb.build()
-        inter = tr.interleaved()
-        assert sorted(inter.addr.tolist()) == sorted(tr.addr.tolist())
+        assert sorted(tr.addr.tolist()) == [1, 2, 3, 4]
+        assert tr.addr.tolist() == [1, 3, 2, 4]
 
 
 def _reference_lockstep(core):
@@ -231,20 +241,6 @@ class TestBarrierNormalization:
             barriers=np.asarray(barriers, dtype=np.int64),
         )
 
-    def test_unsorted_barriers_interleave_as_sorted(self):
-        # A decreasing barrier array must still tile the trace into
-        # spans: every event appears exactly once, in sorted-barrier
-        # lockstep order.
-        inter = self._trace([9, 4]).interleaved()
-        assert sorted(inter.addr.tolist()) == list(range(12))
-        expect = self._trace([4, 9]).interleaved()
-        assert inter.addr.tolist() == expect.addr.tolist()
-
-    def test_duplicate_and_out_of_range_barriers_ignored(self):
-        inter = self._trace([9, 0, 4, 4, 12, 30]).interleaved()
-        expect = self._trace([4, 9]).interleaved()
-        assert inter.addr.tolist() == expect.addr.tolist()
-
     def test_load_rejects_decreasing_barriers(self, tmp_path):
         # save() writes sorted barriers, so tamper with the index.
         path = tmp_path / "bad.npz"
@@ -256,12 +252,15 @@ class TestBarrierNormalization:
     def test_load_accepts_sorted_barriers(self, tmp_path):
         path = tmp_path / "good.npz"
         self._trace([4, 4, 9]).save(path)
-        assert Trace.load(path).barriers.tolist() == [4, 9]
+        loaded = Trace.load(path)
+        assert loaded.barriers.tolist() == [4, 9]
+        # A hand-built trace keeps the order it was given.
+        assert loaded.addr.tolist() == list(range(12))
 
 
 class TestSlice:
     def test_consecutive_cuts_hold_each_barrier_once(self):
-        trace = build_trace(n=100, barrier_every=17).interleaved()
+        trace = build_trace(n=100, barrier_every=17)
         n = trace.num_events
         barriers = trace.barriers.tolist()
         assert barriers[-1] == n  # an end barrier falls in no slice
@@ -273,14 +272,13 @@ class TestSlice:
             piece = trace.slice(lo, hi)
             assert piece.num_events == hi - lo
             assert np.shares_memory(piece.addr, trace.addr)
-            assert piece._lockstep
-            assert piece.interleaved() is piece
             seen += (piece.barriers + lo).tolist()
         assert seen == [b for b in barriers if b < n]
 
 
 class TestLockstepTracesAreNotCycles:
-    """A lockstep trace must be freed on ``del``, without the cyclic GC."""
+    """Traces and the builder free event columns on ``del``, without
+    the cyclic GC."""
 
     @pytest.fixture(autouse=True)
     def no_gc(self):
@@ -288,13 +286,38 @@ class TestLockstepTracesAreNotCycles:
         yield
         gc.enable()
 
-    def test_interleaved_trace(self):
-        trace = build_trace()
-        inter = trace.interleaved()
-        assert inter.interleaved() is inter
-        ref = weakref.ref(inter)
-        del trace, inter
+    def test_build_keeps_no_event_columns(self):
+        tb = TraceBuilder()
+        core = np.zeros(3, dtype=np.int16)
+        addr = np.array([8, 16, 24], dtype=np.int64)
+        tb.append(core, addr, 8, AccessClass.VTXPROP)
+        tb.mark_barrier()
+        tb.append(core, addr + 64, 8, AccessClass.VTXPROP)
+        refs = [weakref.ref(core), weakref.ref(addr)]
+        del core, addr
+        trace = tb.build()
+        assert trace.addr.tolist() == [8, 16, 24, 72, 80, 88]
+        assert [r() for r in refs] == [None, None]
+        assert tb.num_events == 0
+        ref = weakref.ref(trace.addr)
+        del trace
         assert ref() is None
+
+    def test_algorithm_result_engine_keeps_no_event_columns(
+            self, small_powerlaw):
+        from repro.algorithms.pagerank import run_pagerank
+
+        result = run_pagerank(small_powerlaw, num_cores=4)
+        batch = np.arange(5, dtype=np.int64) * 64
+        result.engine.trace_builder.append(0, batch, 8, AccessClass.NGRAPH)
+        ref = weakref.ref(batch)
+        assert result.trace.addr[-5:].tolist() == batch.tolist()
+        del batch
+        assert ref() is None
+        assert result.engine.trace_builder.num_events == 0
+        trace_ref = weakref.ref(result.trace.addr)
+        result._trace = None
+        assert trace_ref() is None
 
     @pytest.mark.parametrize("source", ["in-core", "archive"])
     def test_segment(self, tmp_path, source):
@@ -305,7 +328,6 @@ class TestLockstepTracesAreNotCycles:
             segments = SegmentedTrace.open(path)
         with segments:
             seg = segments.segment(1)
-            assert seg.interleaved() is seg
             ref = weakref.ref(seg)
             del seg
             assert ref() is None
@@ -315,7 +337,6 @@ class TestLockstepTracesAreNotCycles:
         build_trace().save(path)
         with SegmentedTrace.open(path) as segments:
             trace = segments.materialize()
-            assert trace.interleaved() is trace
             ref = weakref.ref(trace)
             del trace
             assert ref() is None

@@ -42,8 +42,8 @@ class TestTraceSaveLoad:
         return tb.build()
 
     def test_roundtrip(self, tmp_path):
-        # Two cores in one barrier span: lockstep order differs from
-        # append order, and load() returns the lockstep order.
+        # load(save(t)) == t: the archive keeps the builder's order,
+        # which for two cores in one barrier span is lockstep order.
         tb = TraceBuilder()
         tb.append(0, np.array([1, 2, 3]), 8, AccessClass.VTXPROP,
                   write=True, atomic=True, vertex=np.array([0, 1, 2]))
@@ -56,17 +56,16 @@ class TestTraceSaveLoad:
             Region(name="vtxprop:rank", base=0, size=4096,
                    access_class=AccessClass.VTXPROP),
         )
+        assert tr.addr.tolist() == [1, 4, 2, 5, 3, 7, 6]
         path = tmp_path / "t.npz"
         tr.save(path)
         loaded = Trace.load(path)
-        want = tr.interleaved()
-        assert loaded.addr.tolist() == [1, 4, 2, 5, 3, 7, 6]
         for name in ("core", "addr", "size", "access_class", "flags",
                      "vertex", "barriers"):
-            got, expect = getattr(loaded, name), getattr(want, name)
+            got, expect = getattr(loaded, name), getattr(tr, name)
             assert got.dtype == expect.dtype, name
             np.testing.assert_array_equal(got, expect, err_msg=name)
-        assert loaded.regions == want.regions
+        assert loaded.regions == tr.regions
 
     def test_roundtrip_preserves_replay(self, tmp_path, small_powerlaw):
         from repro.config import SimConfig

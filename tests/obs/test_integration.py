@@ -1,6 +1,8 @@
 """End-to-end telemetry tests: one instrumented run, all three lenses."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +11,30 @@ from repro.core.context import RunContext, RunRequest
 from repro.core.system import estimate_system, run_backends, run_system
 from repro.graph.generators import rmat_graph
 from repro.obs import MetricsRegistry, SpanTracer, use_registry, use_tracer
+from repro.store import TraceStore
 
 DRIVERS = ("run_system", "run_backends", "estimate_system")
+
+OBSERVABILITY_DOC = (
+    Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+)
+
+
+def documented_span_tree():
+    """The span tree drawn in ``docs/observability.md``, as
+    ``(name, parent name)`` pairs (``None`` for the root)."""
+    doc = OBSERVABILITY_DOC.read_text()
+    block = doc.split("## Span tracing", 1)[1].split("```", 2)[1]
+    stack, edges = [], []
+    for line in block.splitlines():
+        m = re.match(r"^(?:([│ ]*)[├└]── )?([a-z_.]+)", line)
+        if not m:
+            continue  # blank, or a note continued from the line above
+        depth = 0 if m.group(1) is None else len(m.group(1)) // 4 + 1
+        del stack[depth:]
+        edges.append((m.group(2), stack[-1] if stack else None))
+        stack.append(m.group(2))
+    return edges
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +100,27 @@ class TestInstrumentedRun:
         assert sum(1 for e in spans if e["name"] == "window") == (
             doc["num_windows"]
         )
+
+    def test_documented_span_tree_matches_a_windowed_run(self, graph,
+                                                         tmp_path):
+        # A cold, stored, attributed, windowed omega run opens every
+        # span the doc draws, each under the parent the doc gives it.
+        path = tmp_path / "trace.json"
+        run_system(
+            graph,
+            RunRequest("pagerank", dataset="t", trace_path=path,
+                       obs_window=0),
+            SimConfig.scaled_omega(num_cores=4),
+            context=RunContext(store=TraceStore(tmp_path / "store"),
+                               attribution=True),
+        )
+        spans = [e for e in json.loads(path.read_text())["traceEvents"]
+                 if e["ph"] == "X"]
+        by_id = {e["id"]: e["name"] for e in spans}
+        seen = {(e["name"], by_id.get(e["args"]["parent"])) for e in spans}
+        edges = documented_span_tree()
+        assert len(edges) >= 17
+        assert [e for e in edges if e not in seen] == []
 
     @pytest.mark.parametrize("sinks", ["installed", "context"])
     @pytest.mark.parametrize("driver", DRIVERS)

@@ -133,7 +133,7 @@ class TestWindowedParity:
         if window == "first-barrier":
             # A window grid on the first barrier puts that barrier's
             # source-buffer invalidation at position 0 of a piece.
-            barriers = trace.interleaved().barriers
+            barriers = trace.barriers
             window = int(barriers[barriers > 0][0])
         make_backend = all_backend_factories(workload)[name]
         plain = make_backend().replay(trace)

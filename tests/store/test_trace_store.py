@@ -198,7 +198,7 @@ class TestSegmentedEntries:
         assert meta["key"] == "k1"
         assert segments.num_segments == 4
         np.testing.assert_array_equal(
-            segments.materialize().addr, tr.interleaved().addr
+            segments.materialize().addr, tr.addr
         )
         segments.close()
 
@@ -248,7 +248,7 @@ class TestSegmentedEntries:
         entry = store.load("k1")
         assert entry is not None
         loaded, _ = entry
-        np.testing.assert_array_equal(loaded.addr, tr.interleaved().addr)
+        np.testing.assert_array_equal(loaded.addr, tr.addr)
 
 
 class TestAdopt:
@@ -270,7 +270,7 @@ class TestAdopt:
         segments, meta = entry
         assert meta["num_events"] == tr.num_events
         np.testing.assert_array_equal(
-            segments.materialize().addr, tr.interleaved().addr
+            segments.materialize().addr, tr.addr
         )
         segments.close()
 
@@ -294,7 +294,7 @@ class TestAdopt:
         handle = SegmentedTrace.open(spool)
         store.adopt("k1", spool, {"num_events": tr.num_events})
         np.testing.assert_array_equal(
-            handle.materialize().addr, tr.interleaved().addr
+            handle.materialize().addr, tr.addr
         )
         handle.close()
 
