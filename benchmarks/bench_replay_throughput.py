@@ -1,9 +1,10 @@
 """Replay-engine throughput: events/second through the layered engine.
 
 The screened batch kernel (``CacheSystem._replay_kernel``: one
-vectorized guaranteed-hit screen, a batch-order residual loop that
-only moves cache state, and one vectorized fold of its outcome log)
-replaced the per-event cache stage. This bench measures
+vectorized guaranteed-hit screen, a batch-order L1 loop that only
+moves the L1s, the directory and the prefetcher, one vectorized L2
+stage over the loop's misses, and one vectorized fold of the outcome
+log) replaced the per-event cache stage. This bench measures
 replay throughput on the paper's headline workload (PageRank on the lj
 stand-in) for the baseline and OMEGA backends and compares against two
 references:
@@ -38,11 +39,11 @@ kernel/oracle ratios. It is reported, not gated.
 The acceptance bar is >=5x normalized on OMEGA and >=2.5x normalized
 on the baseline. The bars differ because they measure different
 things: the baseline's residual is essentially its true L1-miss set
-(~42% of cache events on this workload must walk the stateful
-L2/DRAM/coherence path one at a time), so a 5x end-to-end win is
-structurally out of reach there — see docs/performance.md for the
-arithmetic — while OMEGA's scratchpad routing shrinks the cache-routed
-set enough for the screened kernel to clear 5x.
+(~42% of cache events on this workload must walk the L1 sets, the
+directory and the prefetcher one at a time; the L2 and DRAM after
+them are vectorized), which bounds its win — see docs/performance.md
+for the arithmetic — while OMEGA's scratchpad routing shrinks the
+cache-routed set enough for the screened kernel to clear 5x.
 """
 
 import tempfile

@@ -196,6 +196,18 @@ class Trace:
     def __len__(self) -> int:
         return len(self.addr)
 
+    def __eq__(self, other) -> bool:
+        """Equal events, barriers and regions (columns compared by value,
+        not dtype)."""
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            all(np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("core", "addr", "size", "access_class",
+                             "flags", "vertex", "barriers"))
+            and tuple(self.regions) == tuple(other.regions)
+        )
+
     @property
     def num_events(self) -> int:
         """Total number of memory events."""

@@ -11,17 +11,26 @@ pre-routed event batches over it. Two execution paths produce
   iteration, the seed semantics. Selected by ``scalar_cache=True`` on
   :class:`CacheSystem` (threaded from the backend's ``scalar_cache``
   flag, which ``run_system`` copies from its run context).
-- the **batch kernel** (:meth:`CacheSystem._replay_kernel`), in three
-  steps. A vectorized screen resolves every *guaranteed hit* in one
-  numpy sweep. The residual events — those that can conflict on a
-  cache set, miss, or carry coherence side effects — serialize in
-  batch order through :meth:`CacheSystem._residual_loop`, which only
-  moves cache state (L1 and L2 sets, directory, prefetcher heads) and
-  logs each outcome (L1 misses, demand L2 hits, prefetch hits, dirty
-  victims, DRAM write-backs, coherence actions). One vectorized fold
-  (:meth:`CacheSystem._fold`) then derives every counter, the DRAM
-  row-buffer outcomes, the per-event latencies and the optional
-  :class:`CacheRecord` columns from that log.
+- the **batch kernel** (:meth:`CacheSystem._replay_kernel`), four
+  stages in a chain:
+
+  1. **screen** (:func:`screen_guaranteed_hits`): one numpy sweep
+     resolves every *guaranteed hit*;
+  2. **L1 loop** (:meth:`CacheSystem._residual_loop`): the residual
+     events — those that can conflict on an L1 set, miss, or carry
+     coherence side effects — serialize in batch order through the L1
+     sets, the directory and the prefetcher heads, and the loop logs
+     each outcome (L1 misses, dirty L1 victims, prefetch hits,
+     coherence actions);
+  3. **L2 stage** (:meth:`CacheSystem._l2_stage`): the L2 is
+     non-inclusive and nothing upstream reads it, so the logged L1
+     misses and dirty victims replay through every L2 set at once in
+     :func:`lru_stage`, an exact stack-distance LRU, which logs the
+     demand L2 hits, the victims' L2 misses and the DRAM write-backs;
+  4. **fold** (:meth:`CacheSystem._fold`): one vectorized pass derives
+     every counter, the DRAM row-buffer outcomes, the per-event
+     latencies and the optional :class:`CacheRecord` columns from the
+     log.
 
 The batch-segmentation invariant the kernel relies on
 (:func:`screen_guaranteed_hits`): an event whose nearest *same-core*
@@ -57,7 +66,7 @@ identical later stream applies it instead of replaying.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -70,6 +79,7 @@ from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import StreamDetector
 from repro.memsim.stats import MemStats
+from repro.obs import get_tracer
 
 __all__ = [
     "CachePathDelta",
@@ -77,6 +87,7 @@ __all__ = [
     "CacheSystem",
     "KernelTelemetry",
     "iter_set_bits",
+    "lru_stage",
     "screen_guaranteed_hits",
 ]
 
@@ -201,6 +212,159 @@ def screen_guaranteed_hits(
     return out
 
 
+#: Look-back distances the L2 stage tests as shifted compares over the
+#: whole stream before it walks the still-undecided accesses.
+_SHIFTS = 16
+#: Cells (rows x look-back columns) of one block of that walk, and the
+#: walk's first block width (it doubles while the cells allow).
+_WALK_CELLS = 1 << 20
+_WALK_WIDTH = 8
+
+
+def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
+              ways: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                  np.ndarray]:
+    """Replay an access stream over independent LRU sets, vectorized.
+
+    The accesses are given in time order; each line belongs to one set.
+    A set's start contents go first, as accesses in LRU order whose
+    ``writes`` are their dirty bits. Returns ``(hit, victim, dirty,
+    end)``:
+
+    - ``hit``: whether each access hits;
+    - ``victim``: for a miss into a full set, the stream index of the
+      last access to the line it evicts, else -1;
+    - ``dirty``: whether any access of the line's residency up to and
+      including this one wrote (``dirty[victim]`` is the victim's
+      dirty bit);
+    - ``end``: the stream indices of the last accesses to the resident
+      lines after the stream, grouped by ascending set, each set's in
+      LRU order.
+
+    The rule is stack distance (Mattson et al., 1970). In the stream
+    sorted by set then time, an access hits iff fewer than ``ways``
+    positions between it and its line's previous use have their line's
+    next use after it. Walking back from each access: reaching the
+    previous use first is a hit; reaching the ``ways``-th such position
+    first makes that position the LRU victim; reaching the set's start
+    first is a miss into a set that is not full. The first
+    :data:`_SHIFTS` steps are shifted compares over the whole stream;
+    the few accesses still undecided walk on in blocks until each is
+    decided, so the result is exact for any stream.
+    """
+    m = len(lines)
+    if m == 0:
+        return (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
+    so = stable_argsort(sets)
+    ss = sets[so]
+    first = np.ones(m, dtype=bool)
+    first[1:] = ss[1:] != ss[:-1]
+    seg = np.cumsum(first, dtype=np.int32) - 1
+    starts = np.flatnonzero(first).astype(np.int32)
+    pos = np.arange(m, dtype=np.int32)
+    setoff = pos - starts[seg]
+    # Next use of each position's line, or the end of its set: a
+    # position in an earlier set then never counts against a walk.
+    nxt = np.append(starts[1:], np.int32(m))[seg]
+    # Distance back to the previous use of the line (0: none).
+    pd = np.zeros(m, dtype=np.int32)
+    sl = lines[so]
+    by_line = stable_argsort(sl)
+    sl = sl[by_line]
+    same = np.flatnonzero(sl[1:] == sl[:-1])
+    cur = by_line[same + 1]
+    prv = by_line[same]
+    nxt[prv] = cur
+    pd[cur] = cur - prv
+    last = np.ones(m, dtype=bool)
+    last[prv] = False
+
+    # count: positions counted so far (at most _SHIFTS, so a byte);
+    # vic: where it reached ``ways``, the LRU victim's last use unless
+    # the previous use came first.
+    count = np.zeros(m, dtype=np.uint8)
+    vic = np.full(m, -1, dtype=np.int32)
+    inc = np.empty(m, dtype=bool)
+    full = np.empty(m, dtype=bool)
+    depth = min(_SHIFTS, int(setoff.max()))
+    for d in range(1, depth + 1):
+        i = np.greater(nxt[:m - d], pos[d:], out=inc[d:])
+        c = count[d:]
+        c += i
+        if d >= ways:
+            f = np.equal(c, ways, out=full[d:])
+            f &= i
+            at = np.flatnonzero(f)
+            vic[at + d] = at
+    # With no victim, pos - vic = pos + 1 exceeds any previous use.
+    hit_s = (pd > 0) & (pd <= depth) & (pd < pos - vic)
+    vic[hit_s] = -1
+    rest = np.flatnonzero(~hit_s & (vic < 0) & (setoff > depth)).astype(
+        np.int32)
+    rows = _WALK_CELLS // _WALK_WIDTH
+    for lo in range(0, len(rest), rows):
+        _walk(rest[lo:lo + rows], depth, count, nxt, pd, setoff, ways,
+              hit_s, vic)
+
+    # A residency is a miss and the hits after it; it is dirty from
+    # its first write on.
+    miss_l = ~hit_s[by_line]
+    w_l = writes[so][by_line]
+    cw = np.cumsum(w_l, dtype=np.int32)
+    base = (cw - w_l)[miss_l]
+    dirty_l = cw > base[np.cumsum(miss_l, dtype=np.int32) - 1]
+
+    # End contents: each set's ``ways`` latest last uses.
+    last = np.flatnonzero(last)
+    lseg = seg[last]
+    later = (np.searchsorted(lseg, lseg, side="right") - 1
+             - np.arange(len(last)))
+    end = so[last[later < ways]]
+
+    hit = np.empty(m, dtype=bool)
+    hit[so] = hit_s
+    dirty = np.empty(m, dtype=bool)
+    dirty[so[by_line]] = dirty_l
+    victim = np.full(m, -1, dtype=np.int64)
+    has = np.flatnonzero(vic >= 0)
+    victim[so[has]] = so[vic[has]]
+    return hit, victim, dirty, end
+
+
+def _walk(rows, depth, count, nxt, pd, setoff, ways, hit, vic) -> None:
+    """Walk :func:`lru_stage`'s undecided rows back past ``depth``.
+
+    Each block looks back over ``width`` more positions of every row at
+    once; decided rows drop out and the width doubles within
+    :data:`_WALK_CELLS`, so a long window costs few blocks.
+    """
+    cnt = count[rows].astype(np.int32)
+    d = depth
+    width = _WALK_WIDTH
+    while len(rows):
+        offs = np.arange(d + 1, d + width + 1, dtype=np.int32)
+        col = rows[:, None]
+        inside = offs <= setoff[rows][:, None]
+        inc = (nxt[np.maximum(col - offs, 0)] > col) & inside
+        cum = np.cumsum(inc, axis=1, dtype=np.int32)
+        cum += cnt[:, None]
+        prev = offs == pd[rows][:, None]
+        event = prev | (inc & (cum == ways)) | ~inside
+        done = event.any(axis=1)
+        at = event.argmax(axis=1)[done]
+        j = rows[done]
+        is_hit = prev[done, at]
+        hit[j] = is_hit
+        evict = ~is_hit & inside[done, at]
+        vic[j[evict]] = j[evict] - offs[at[evict]]
+        rows = rows[~done]
+        cnt = cum[~done, -1]
+        d += width
+        width = max(_WALK_WIDTH,
+                    min(2 * width, _WALK_CELLS // max(len(rows), 1)))
+
+
 class KernelTelemetry:
     """Aggregate screening counters across a system's kernel batches.
 
@@ -299,12 +463,14 @@ class CachePathDelta:
 
 
 class _ResidualLog:
-    """Per-event outcomes the residual loop logs for the fold.
+    """Per-event outcomes the L1 loop and the L2 stage log for the fold.
 
-    Every list holds batch positions (or values aligned with them) in
-    loop order. Nothing here is a counter: the loop only moves cache
-    state and appends, and :meth:`CacheSystem._fold` derives every
-    counter, latency and record column from these lists.
+    Every entry is a batch position (or a value aligned with one). The
+    L1 loop appends in batch order; the L2 stage turns the L1 misses
+    and dirty victims into arrays and sets the demand L2 hits, the
+    victims' L2 misses and the DRAM write-backs. Nothing here is a
+    counter: :meth:`CacheSystem._fold` derives every counter, latency
+    and record column from this log.
     """
 
     __slots__ = (
@@ -335,8 +501,8 @@ class _ResidualLog:
         self.wb_addr: List[int] = []
 
 
-def _int_array(values: List[int]) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
+def _int_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
 
 
 class CacheSystem:
@@ -344,9 +510,10 @@ class CacheSystem:
 
     Exposes both the scalar :meth:`access` (seed semantics, the
     reference oracle) and :meth:`replay_cache_path`, which screens the
-    batch for guaranteed hits, moves cache state through a serialized
-    loop over the residual events, and folds every counter from the
-    loop's outcome log. ``fast_path_ok`` selects the kernel; it is
+    batch for guaranteed hits, moves the L1s, the directory and the
+    prefetcher through a serialized loop over the residual events,
+    replays the L2 in one vectorized stage, and folds every counter
+    from the outcome log. ``fast_path_ok`` selects the kernel; it is
     ``False`` only when the system is built with ``scalar_cache=True``.
 
     ``memo`` (a :class:`~repro.store.ResultMemo`) lets the first kernel
@@ -497,7 +664,6 @@ class CacheSystem:
         addrs: np.ndarray,
         lines: np.ndarray,
         banks: np.ndarray,
-        bank_keys: np.ndarray,
         writes: np.ndarray,
         atomics: np.ndarray,
         mem_lat: List[float],
@@ -543,7 +709,6 @@ class CacheSystem:
             cores64, addrs,
             np.asarray(lines, dtype=np.int64),
             np.asarray(banks, dtype=np.int64),
-            np.asarray(bank_keys, dtype=np.int64),
             writes, atomics, mem_lat, serial, record,
         )
         self._apply(delta, mem_lat, serial)
@@ -643,46 +808,55 @@ class CacheSystem:
             else:
                 mem_lat[core] += latency
 
-    def _replay_kernel(self, cores, addrs, lines, banks, bank_keys, writes,
-                       atomics, mem_lat, serial,
-                       record=None) -> CachePathDelta:
-        """Screened batch kernel: screen, residual loop, fold.
+    def _replay_kernel(self, cores, addrs, lines, banks, writes, atomics,
+                       mem_lat, serial, record=None) -> CachePathDelta:
+        """Screened batch kernel: screen, L1 loop, L2 stage, fold.
 
         Guaranteed hits (:func:`screen_guaranteed_hits`) never enter
         the loop; their latency is the L1 latency and their effects
-        are provably nil. The residual events move cache state in
-        batch order (:meth:`_residual_loop`), and :meth:`_fold` turns
-        the loop's outcome log into every counter, the per-event
-        latencies and the ``record`` columns. The system's counters
-        are untouched until the caller applies the returned delta.
+        are provably nil. The residual events move the L1 sets, the
+        directory and the prefetcher in batch order
+        (:meth:`_residual_loop`), the L2 replays the loop's L1 misses
+        and dirty victims in one vectorized pass (:meth:`_l2_stage`),
+        and :meth:`_fold` turns the outcome log into every counter, the
+        per-event latencies and the ``record`` columns. The system's
+        counters are untouched until the caller applies the returned
+        delta.
         """
         n = len(cores)
-        keep = np.flatnonzero(~screen_guaranteed_hits(
-            cores, lines, writes, self.l1s[0]._num_sets
-        ))
+        tracer = get_tracer()
+        with tracer.span("screen", cat="replay"):
+            keep = np.flatnonzero(~screen_guaranteed_hits(
+                cores, lines, writes, self.l1s[0]._num_sets
+            ))
         l1_before = [sum(map(len, c._sets)) for c in self.l1s]
         l2_before = [sum(map(len, b._sets)) for b in self.l2_banks]
-        log = self._residual_loop(keep, cores, lines, banks, bank_keys,
-                                  writes)
-        counters, open_rows, lats = self._fold(
-            log, cores, addrs, banks, l1_before, l2_before, record,
-        )
-        # Latency accounting: the atomic split and the per-core sums.
-        # np.add.at accumulates element-by-element in event order, so
-        # the float association matches the scalar oracle exactly even
-        # when the batch is a window segment of a longer replay
-        # (bincount would fold a partial sum and drift by one ULP).
-        core_cfg = self.config.core
-        ser = core_cfg.atomic_serialization
-        n_atomic = int(np.count_nonzero(atomics))
-        mem_sums = np.asarray(mem_lat, dtype=np.float64)
-        np.add.at(mem_sums, cores, np.where(atomics, lats * (1.0 - ser),
-                                            lats))
-        ser_sums = np.asarray(serial, dtype=np.float64)
-        if n_atomic:
-            srl = np.where(atomics, lats * ser + core_cfg.atomic_stall_cycles,
-                           0.0)
-            np.add.at(ser_sums, cores, srl)
+        with tracer.span("l1", cat="replay"):
+            log = self._residual_loop(keep, cores, lines, writes)
+        with tracer.span("l2", cat="replay"):
+            self._l2_stage(log, lines, writes)
+        with tracer.span("fold", cat="replay"):
+            counters, open_rows, lats = self._fold(
+                log, cores, addrs, banks, l1_before, l2_before, record,
+            )
+            # Latency accounting: the atomic split and the per-core
+            # sums. np.add.at accumulates element-by-element in event
+            # order, so the float association matches the scalar oracle
+            # exactly even when the batch is a window segment of a
+            # longer replay (bincount would fold a partial sum and
+            # drift by one ULP).
+            core_cfg = self.config.core
+            ser = core_cfg.atomic_serialization
+            n_atomic = int(np.count_nonzero(atomics))
+            mem_sums = np.asarray(mem_lat, dtype=np.float64)
+            np.add.at(mem_sums, cores,
+                      np.where(atomics, lats * (1.0 - ser), lats))
+            ser_sums = np.asarray(serial, dtype=np.float64)
+            if n_atomic:
+                srl = np.where(
+                    atomics, lats * ser + core_cfg.atomic_stall_cycles, 0.0
+                )
+                np.add.at(ser_sums, cores, srl)
         counters[_STAT_FIELDS.index("atomics_total")] = n_atomic
         counters[_STAT_FIELDS.index("atomics_on_cores")] = n_atomic
         return CachePathDelta(
@@ -691,59 +865,44 @@ class CacheSystem:
             serial=ser_sums.tolist(),
         )
 
-    def _residual_loop(self, keep, cores, lines, banks, bank_keys,
-                       writes) -> _ResidualLog:
-        """Serialize the residual events through the cache state.
+    def _residual_loop(self, keep, cores, lines, writes) -> _ResidualLog:
+        """Serialize the residual events through the L1s.
 
         Mirrors :meth:`access` operation-for-operation on the state it
-        moves — L1 and L2 sets, the directory, the prefetcher heads —
+        moves — the L1 sets, the directory, the prefetcher heads —
         touching the dicts and lists directly, and appends each
-        outcome to a :class:`_ResidualLog`. No counter, latency or
-        DRAM row is computed here.
+        outcome to a :class:`_ResidualLog`. The L2 is left to
+        :meth:`_l2_stage`, and no counter, latency or DRAM row is
+        computed here.
         """
         l1_nsets = self.l1s[0]._num_sets
         l1_ways = self.l1s[0]._ways
-        l2_nsets = self.l2_banks[0]._num_sets
-        l2_ways = self.l2_banks[0]._ways
         l1_sets = [c._sets for c in self.l1s]
-        l2_sets = [b._sets for b in self.l2_banks]
         flat_l1 = [s for c in self.l1s for s in c._sets]
-        flat_l2 = [s for b in self.l2_banks for s in b._sets]
         dir_lines = self.directory._lines
         p_heads = self.prefetcher._heads
         p_next = self.prefetcher._next
         num_heads = self.prefetcher.num_heads
-        bank_mask = self.bank_mask
-        bank_bits = self.bank_bits
-        line_bits = self.line_bits
 
         # Residual columns, in batch order; set indices are
         # state-independent, so they are computed vectorized here.
         kc = cores[keep]
         kl = lines[keep]
-        kb = banks[keep]
-        kk = bank_keys[keep]
         columns = (
             kc.tolist(), kl.tolist(), writes[keep].tolist(),
-            (kc * l1_nsets + kl % l1_nsets).tolist(), kb.tolist(),
-            kk.tolist(), (kb * l2_nsets + kk % l2_nsets).tolist(),
-            keep.tolist(),
+            (kc * l1_nsets + kl % l1_nsets).tolist(), keep.tolist(),
         )
 
         log = _ResidualLog()
         miss_append = log.l1_miss.append
-        l2_hit_append = log.l2_hit.append
         pref_append = log.prefetch.append
         coh_at_append = log.coh_at.append
         coh_code_append = log.coh_code.append
         dropped_append = log.dropped.append
         victim_at_append = log.victim_at.append
         victim_line_append = log.victim_line.append
-        victim_miss_append = log.victim_miss.append
-        wb_order_append = log.wb_order.append
-        wb_addr_append = log.wb_addr.append
 
-        for core, line, write, si, bank, bank_key, l2si, ki in zip(*columns):
+        for core, line, write, si, ki in zip(*columns):
             s = flat_l1[si]
             if line in s:
                 s.move_to_end(line)
@@ -798,22 +957,6 @@ class CacheSystem:
             if dirty:
                 victim_at_append(ki)
                 victim_line_append(victim)
-                vbank = victim & bank_mask
-                vkey = victim >> bank_bits
-                s2 = l2_sets[vbank][vkey % l2_nsets]
-                if vkey in s2:
-                    s2.move_to_end(vkey)
-                    s2[vkey] = True
-                else:
-                    victim_miss_append(vbank)
-                    if len(s2) >= l2_ways:
-                        v2, d2 = s2.popitem(last=False)
-                        if d2:
-                            wb_order_append(3 * ki)
-                            wb_addr_append(
-                                ((v2 << bank_bits) | vbank) << line_bits
-                            )
-                    s2[vkey] = True
                 entry = dir_lines.get(victim)
                 if entry is not None:
                     entry[0] &= ~me
@@ -821,22 +964,6 @@ class CacheSystem:
                         entry[1] = -1
                     if entry[0] == 0:
                         del dir_lines[victim]
-
-            s2 = flat_l2[l2si]
-            if bank_key in s2:
-                l2_hit_append(ki)
-                s2.move_to_end(bank_key)
-                if write:
-                    s2[bank_key] = True
-            else:
-                if len(s2) >= l2_ways:
-                    v2, d2 = s2.popitem(last=False)
-                    if d2:
-                        wb_order_append(3 * ki + 2)
-                        wb_addr_append(
-                            ((v2 << bank_bits) | bank) << line_bits
-                        )
-                s2[bank_key] = write
             # Stream-prefetch detection (StreamDetector.observe,
             # inlined): a line matching some head + 1 counts as
             # prefetched and advances that head; otherwise it replaces
@@ -851,6 +978,87 @@ class CacheSystem:
                 heads[slot] = line
                 p_next[core] = (slot + 1) % num_heads
         return log
+
+    def _l2_stage(self, log: _ResidualLog, lines, writes) -> None:
+        """Replay the loop's L2 accesses through :func:`lru_stage`.
+
+        The L2 is non-inclusive and nothing upstream reads it, so each
+        (bank, set) is a plain LRU with dirty bits, fed by the logged
+        stream: at each position a dirty L1 victim's write-back
+        (phase 0) comes before the demand access (phase 1). Each
+        touched set's contents go first, in LRU order with their dirty
+        bits, so a batch continuing earlier state is exact. Logs the
+        demand L2 hits, the banks where a victim's write-back missed
+        and the DRAM write-backs (``3 * position`` when the victim's
+        insertion evicted, ``3 * position + 2`` when the demand fill
+        did), then writes each touched set's end contents back.
+        """
+        demand = _int_array(log.l1_miss)
+        victim_at = _int_array(log.victim_at)
+        victim_line = _int_array(log.victim_line)
+        log.l1_miss, log.victim_at, log.victim_line = (
+            demand, victim_at, victim_line)
+        if not len(demand):
+            return
+        nsets = self.l2_banks[0]._num_sets
+        bank_bits = self.bank_bits
+        bank_mask = self.bank_mask
+        flat_l2 = [s for b in self.l2_banks for s in b._sets]
+
+        def set_of(line):
+            return (line & bank_mask) * nsets + (line >> bank_bits) % nsets
+
+        # The batch's accesses in time order: a dirty victim comes just
+        # before the demand access at its position (one at most), and
+        # ``order`` is each one's ``3 * position + phase`` slot for a
+        # write-back it causes.
+        owner = np.searchsorted(demand, victim_at)
+        dpos = np.zeros(len(demand), dtype=np.int64)
+        dpos[owner] = 1
+        dpos = np.cumsum(dpos) + np.arange(len(demand))
+        vpos = dpos[owner] - 1
+        real = np.empty(len(demand) + len(victim_at), dtype=np.int64)
+        real[vpos] = victim_line
+        real[dpos] = lines[demand]
+        real_w = np.ones(len(real), dtype=bool)
+        real_w[dpos] = writes[demand]
+        order = np.empty(len(real), dtype=np.int64)
+        order[vpos] = 3 * victim_at
+        order[dpos] = 3 * demand + 2
+        real_sets = set_of(real)
+
+        # Start contents of every touched set, as leading accesses.
+        touched = np.flatnonzero(
+            np.bincount(real_sets, minlength=len(flat_l2))).tolist()
+        start, start_w = [], []
+        for t in touched:
+            bank = t // nsets
+            start += [(k << bank_bits) | bank for k in flat_l2[t]]
+            start_w += flat_l2[t].values()
+        start = _int_array(start)
+        lead = len(start)
+        stream = np.concatenate([start, real])
+        sets = np.concatenate([set_of(start), real_sets])
+        hit, victim, dirty, end = lru_stage(
+            sets, stream, np.concatenate([np.array(start_w, dtype=bool),
+                                          real_w]),
+            self.l2_banks[0]._ways,
+        )
+
+        log.l2_hit = demand[hit[lead + dpos]]
+        log.victim_miss = (victim_line & bank_mask)[~hit[lead + vpos]]
+        evicts = victim[lead:]
+        wb = np.flatnonzero(evicts >= 0)
+        wb = wb[dirty[evicts[wb]]]
+        log.wb_order = order[wb]
+        log.wb_addr = stream[evicts[wb]] << self.line_bits
+
+        for t in touched:
+            flat_l2[t].clear()
+        for t, key, d in zip(sets[end].tolist(),
+                             (stream[end] >> bank_bits).tolist(),
+                             dirty[end].tolist()):
+            flat_l2[t][key] = d
 
     def _fold(self, log: _ResidualLog, cores, addrs, banks,
               l1_before: List[int], l2_before: List[int], record=None):

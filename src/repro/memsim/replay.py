@@ -257,8 +257,7 @@ def _stages(backend, ctx, piece: Trace, attribution, tracer) -> int:
         if len(idx):
             ctx.system.replay_cache_path(
                 piece.core[idx], piece.addr[idx], prepass.lines[idx],
-                prepass.banks[idx], prepass.bank_keys[idx],
-                prepass.write[idx], prepass.atomic[idx],
+                prepass.banks[idx], prepass.write[idx], prepass.atomic[idx],
                 ctx.ledger.mem["cache"], ctx.ledger.serial["cache"],
                 record=record,
             )

@@ -59,10 +59,7 @@ def rewrite_member(path, name, array=None):
 
 
 def assert_traces_equal(a: Trace, b: Trace):
-    for name in COLUMNS:
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    np.testing.assert_array_equal(a.barriers, b.barriers)
-    assert a.regions == b.regions
+    assert a == b
 
 
 class TestFromTrace:

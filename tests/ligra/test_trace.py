@@ -135,6 +135,34 @@ class TestTraceQueries:
 
 
 
+class TestTraceEquality:
+    """``==`` compares traces by value, column by column."""
+
+    def test_separately_built_traces_are_equal(self):
+        assert build_trace() == build_trace()
+        assert not build_trace() != build_trace()
+
+    @pytest.mark.parametrize("name", ["core", "addr", "size",
+                                      "access_class", "flags", "vertex"])
+    def test_one_differing_column_is_unequal(self, name):
+        a, b = build_trace(), build_trace()
+        column = getattr(b, name).copy()
+        column[3] += 1
+        setattr(b, name, column)
+        assert a != b
+
+    def test_differing_barriers_or_regions_are_unequal(self):
+        a, b = build_trace(), build_trace()
+        b.barriers = b.barriers[:-1]
+        assert a != b
+        c = build_trace()
+        c.regions = ()
+        assert a != c
+
+    def test_a_trace_never_equals_another_type(self):
+        assert build_trace() != "trace"
+
+
 class TestInterleaving:
     """``build()`` hands out every barrier span in lockstep order."""
 

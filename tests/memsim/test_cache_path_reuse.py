@@ -202,8 +202,8 @@ def _replay(config, batch, memo=None):
     lines = addrs >> system.line_bits
     mem, serial = [0.0] * NCORES, [0.0] * NCORES
     system.replay_cache_path(
-        cores, addrs, lines, lines & system.bank_mask,
-        lines >> system.bank_bits, writes, atomics, mem, serial,
+        cores, addrs, lines, lines & system.bank_mask, writes, atomics,
+        mem, serial,
     )
     return system, (dataclasses.asdict(stats), mem, serial)
 

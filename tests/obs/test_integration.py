@@ -27,7 +27,7 @@ def documented_span_tree():
     block = doc.split("## Span tracing", 1)[1].split("```", 2)[1]
     stack, edges = [], []
     for line in block.splitlines():
-        m = re.match(r"^(?:([│ ]*)[├└]── )?([a-z_.]+)", line)
+        m = re.match(r"^(?:([│ ]*)[├└]── )?([a-z0-9_.]+)", line)
         if not m:
             continue  # blank, or a note continued from the line above
         depth = 0 if m.group(1) is None else len(m.group(1)) // 4 + 1

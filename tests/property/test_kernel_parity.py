@@ -39,6 +39,7 @@ from repro.memsim.backends import (
     LockedCacheBackend,
     OmegaBackend,
 )
+from repro.ligra.segments import SegmentedTrace
 from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.scratchpad import hot_capacity_for
 from repro.obs import ReplaySampler
@@ -214,6 +215,44 @@ class TestRandomizedTraceParity:
             lambda: BaselineBackend(cfg), events_to_trace(events),
             sampler=True,
         )
+
+
+def thrashing_config(ways):
+    """The smallest L2 a config accepts: one ``ways``-way set per bank,
+    so nearly every L1 miss evicts an L2 line, most of them dirty."""
+    cfg = baseline_config(page_policy="open")
+    l2 = dataclasses.replace(
+        cfg.l2_per_core, size_bytes=cfg.l2_per_core.line_bytes * ways,
+        ways=ways,
+    )
+    assert l2.num_sets == 1
+    return dataclasses.replace(cfg, l2_per_core=l2)
+
+
+class TestThrashingL2Parity:
+    """A one-set L2 replayed in pieces: every piece starts from the
+    previous one's L2 contents, and the open-page DRAM machine sees the
+    write-backs in order."""
+
+    @given(EVENTS, st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_windowed(self, events, ways):
+        cfg = thrashing_config(ways)
+        assert_parity(lambda: BaselineBackend(cfg), events_to_trace(events),
+                      sampler=True)
+
+    @given(EVENTS, st.sampled_from([1, 2]), st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_streamed(self, events, ways, segment_events):
+        cfg = thrashing_config(ways)
+        trace = events_to_trace(events)
+        kernel = BaselineBackend(cfg)
+        out_k = kernel.replay(SegmentedTrace.from_trace(trace,
+                                                        segment_events))
+        oracle = BaselineBackend(cfg)
+        oracle.scalar_cache = True
+        out_o = oracle.replay(trace)
+        assert snapshot(out_k) == snapshot(out_o)
 
 
 @pytest.fixture(scope="module")
