@@ -1,10 +1,9 @@
 """Replay-engine throughput: events/second through the layered engine.
 
 The screened batch kernel (``CacheSystem._replay_kernel``: one
-vectorized guaranteed-hit screen, a batch-order L1 loop that only
-moves the L1s, the directory and the prefetcher, one vectorized L2
-stage over the loop's misses, and one vectorized fold of the outcome
-log) replaced the per-event cache stage. This bench measures
+vectorized guaranteed-hit screen, exact batch stages for the L1s, the
+directory, the prefetcher and the L2, and one vectorized fold of the
+outcome log) replaced the per-event cache stage. This bench measures
 replay throughput on the paper's headline workload (PageRank on the lj
 stand-in) for the baseline and OMEGA backends and compares against two
 references:

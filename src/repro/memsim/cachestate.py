@@ -11,23 +11,34 @@ pre-routed event batches over it. Two execution paths produce
   iteration, the seed semantics. Selected by ``scalar_cache=True`` on
   :class:`CacheSystem` (threaded from the backend's ``scalar_cache``
   flag, which ``run_system`` copies from its run context).
-- the **batch kernel** (:meth:`CacheSystem._replay_kernel`), four
-  stages in a chain:
+- the **batch kernel** (:meth:`CacheSystem._replay_kernel`), a chain
+  of exact stages, each one pass over the whole batch (the array
+  functions live in :mod:`repro.memsim.stages`):
 
   1. **screen** (:func:`screen_guaranteed_hits`): one numpy sweep
      resolves every *guaranteed hit*;
-  2. **L1 loop** (:meth:`CacheSystem._residual_loop`): the residual
-     events — those that can conflict on an L1 set, miss, or carry
-     coherence side effects — serialize in batch order through the L1
-     sets, the directory and the prefetcher heads, and the loop logs
-     each outcome (L1 misses, dirty L1 victims, prefetch hits,
-     coherence actions);
-  3. **L2 stage** (:meth:`CacheSystem._l2_stage`): the L2 is
-     non-inclusive and nothing upstream reads it, so the logged L1
-     misses and dirty victims replay through every L2 set at once in
-     :func:`lru_stage`, an exact stack-distance LRU, which logs the
-     demand L2 hits, the victims' L2 misses and the DRAM write-backs;
-  4. **fold** (:meth:`CacheSystem._fold`): one vectorized pass derives
+  2. **L1** (:meth:`CacheSystem._l1_stage`): every core that holds a
+     line has its bit in the directory mask, so a write deletes the
+     line from every other L1 holding it, and each core's L1 is its own
+     accesses plus those deletions. The residual events and the
+     deletion candidates go, one stream per (core, L1 set), through
+     :func:`~repro.memsim.stages.lru_stage`, which logs the L1 misses,
+     the dirty victims and the copies a deletion dropped;
+  3. **directory** (:meth:`CacheSystem._directory_stage`): per line, the
+     L1 read misses, every residual write and the dirty victims go
+     through :func:`~repro.memsim.stages.directory_stage`, which logs
+     each coherence action's cost and the line's end entry (stale
+     sharer bits included);
+  4. **prefetcher** (:meth:`CacheSystem._prefetch_stage`): each core's
+     L1 misses walk its stream heads
+     (:func:`~repro.memsim.stages.prefetch_walk`), the one per-event
+     Python loop left;
+  5. **L2** (:meth:`CacheSystem._l2_stage`): the L2 is non-inclusive
+     and nothing upstream reads it, so the L1 misses and dirty victims
+     replay through every L2 set at once in
+     :func:`~repro.memsim.stages.lru_stage`, which logs the demand L2
+     hits, the victims' L2 misses and the DRAM write-backs;
+  6. **fold** (:meth:`CacheSystem._fold`): one vectorized pass derives
      every counter, the DRAM row-buffer outcomes, the per-event
      latencies and the optional :class:`CacheRecord` columns from the
      log.
@@ -44,7 +55,7 @@ consults the directory); writes require the immediately preceding
 same-line event to be a same-core write, so the dirty bit and the
 directory's exclusive-owner entry are already established and the
 directory transition is idempotent. Such events never enter the
-serialized loop; their latency is the L1 latency and their hit counts
+stages; their latency is the L1 latency and their hit counts
 fall out of the per-core complement (events minus misses). The fold
 writes every latency at its batch position, so the per-core
 ``np.add.at`` float fold runs in batch order exactly as the oracle's.
@@ -66,7 +77,8 @@ identical later stream applies it instead of replaying.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List, Tuple
+from collections import namedtuple
+from typing import Iterator, List
 
 import numpy as np
 
@@ -78,6 +90,16 @@ from repro.memsim.dram import DramModel
 from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import StreamDetector
+from repro.memsim.stages import (
+    OP_EVICT,
+    OP_READ,
+    OP_WRITE,
+    bits_masks,
+    directory_stage,
+    lru_stage,
+    mask_bits,
+    prefetch_walk,
+)
 from repro.memsim.stats import MemStats
 from repro.obs import get_tracer
 
@@ -161,7 +183,7 @@ def screen_guaranteed_hits(
 
     Such an event is an L1 hit costing exactly ``l1_latency`` whose
     replay changes nothing: the kernel resolves it entirely in this
-    vectorized pass and drops it from the serialized loop. Every
+    vectorized pass and drops it from the stages. Every
     condition is trace-structural — valid from an *arbitrary* start
     state, dependent only on the batch's event order — which is what
     makes screening a numpy sweep.
@@ -181,10 +203,16 @@ def screen_guaranteed_hits(
     - *write rule*: nothing at all intervenes on the line iff their
       line positions are adjacent, tightened by "both are writes".
     """
+    return _screen(cores, lines, writes, num_sets)[0]
+
+
+def _screen(cores, lines, writes, num_sets):
+    """:func:`screen_guaranteed_hits`, plus the batch's line order
+    (``stable_argsort(lines)``), which the L1 stage reuses."""
     n = len(lines)
     out = np.zeros(n, dtype=bool)
     if n < 2:
-        return out
+        return out, np.arange(n)
     cores = np.asarray(cores, dtype=np.int64)
     lines = np.asarray(lines, dtype=np.int64)
     writes = np.asarray(writes, dtype=bool)
@@ -209,160 +237,7 @@ def screen_guaranteed_hits(
         cw[pcur] == cw[pprev],
     )
     out[so[1:][ok]] = True
-    return out
-
-
-#: Look-back distances the L2 stage tests as shifted compares over the
-#: whole stream before it walks the still-undecided accesses.
-_SHIFTS = 16
-#: Cells (rows x look-back columns) of one block of that walk, and the
-#: walk's first block width (it doubles while the cells allow).
-_WALK_CELLS = 1 << 20
-_WALK_WIDTH = 8
-
-
-def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
-              ways: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray]:
-    """Replay an access stream over independent LRU sets, vectorized.
-
-    The accesses are given in time order; each line belongs to one set.
-    A set's start contents go first, as accesses in LRU order whose
-    ``writes`` are their dirty bits. Returns ``(hit, victim, dirty,
-    end)``:
-
-    - ``hit``: whether each access hits;
-    - ``victim``: for a miss into a full set, the stream index of the
-      last access to the line it evicts, else -1;
-    - ``dirty``: whether any access of the line's residency up to and
-      including this one wrote (``dirty[victim]`` is the victim's
-      dirty bit);
-    - ``end``: the stream indices of the last accesses to the resident
-      lines after the stream, grouped by ascending set, each set's in
-      LRU order.
-
-    The rule is stack distance (Mattson et al., 1970). In the stream
-    sorted by set then time, an access hits iff fewer than ``ways``
-    positions between it and its line's previous use have their line's
-    next use after it. Walking back from each access: reaching the
-    previous use first is a hit; reaching the ``ways``-th such position
-    first makes that position the LRU victim; reaching the set's start
-    first is a miss into a set that is not full. The first
-    :data:`_SHIFTS` steps are shifted compares over the whole stream;
-    the few accesses still undecided walk on in blocks until each is
-    decided, so the result is exact for any stream.
-    """
-    m = len(lines)
-    if m == 0:
-        return (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
-    so = stable_argsort(sets)
-    ss = sets[so]
-    first = np.ones(m, dtype=bool)
-    first[1:] = ss[1:] != ss[:-1]
-    seg = np.cumsum(first, dtype=np.int32) - 1
-    starts = np.flatnonzero(first).astype(np.int32)
-    pos = np.arange(m, dtype=np.int32)
-    setoff = pos - starts[seg]
-    # Next use of each position's line, or the end of its set: a
-    # position in an earlier set then never counts against a walk.
-    nxt = np.append(starts[1:], np.int32(m))[seg]
-    # Distance back to the previous use of the line (0: none).
-    pd = np.zeros(m, dtype=np.int32)
-    sl = lines[so]
-    by_line = stable_argsort(sl)
-    sl = sl[by_line]
-    same = np.flatnonzero(sl[1:] == sl[:-1])
-    cur = by_line[same + 1]
-    prv = by_line[same]
-    nxt[prv] = cur
-    pd[cur] = cur - prv
-    last = np.ones(m, dtype=bool)
-    last[prv] = False
-
-    # count: positions counted so far (at most _SHIFTS, so a byte);
-    # vic: where it reached ``ways``, the LRU victim's last use unless
-    # the previous use came first.
-    count = np.zeros(m, dtype=np.uint8)
-    vic = np.full(m, -1, dtype=np.int32)
-    inc = np.empty(m, dtype=bool)
-    full = np.empty(m, dtype=bool)
-    depth = min(_SHIFTS, int(setoff.max()))
-    for d in range(1, depth + 1):
-        i = np.greater(nxt[:m - d], pos[d:], out=inc[d:])
-        c = count[d:]
-        c += i
-        if d >= ways:
-            f = np.equal(c, ways, out=full[d:])
-            f &= i
-            at = np.flatnonzero(f)
-            vic[at + d] = at
-    # With no victim, pos - vic = pos + 1 exceeds any previous use.
-    hit_s = (pd > 0) & (pd <= depth) & (pd < pos - vic)
-    vic[hit_s] = -1
-    rest = np.flatnonzero(~hit_s & (vic < 0) & (setoff > depth)).astype(
-        np.int32)
-    rows = _WALK_CELLS // _WALK_WIDTH
-    for lo in range(0, len(rest), rows):
-        _walk(rest[lo:lo + rows], depth, count, nxt, pd, setoff, ways,
-              hit_s, vic)
-
-    # A residency is a miss and the hits after it; it is dirty from
-    # its first write on.
-    miss_l = ~hit_s[by_line]
-    w_l = writes[so][by_line]
-    cw = np.cumsum(w_l, dtype=np.int32)
-    base = (cw - w_l)[miss_l]
-    dirty_l = cw > base[np.cumsum(miss_l, dtype=np.int32) - 1]
-
-    # End contents: each set's ``ways`` latest last uses.
-    last = np.flatnonzero(last)
-    lseg = seg[last]
-    later = (np.searchsorted(lseg, lseg, side="right") - 1
-             - np.arange(len(last)))
-    end = so[last[later < ways]]
-
-    hit = np.empty(m, dtype=bool)
-    hit[so] = hit_s
-    dirty = np.empty(m, dtype=bool)
-    dirty[so[by_line]] = dirty_l
-    victim = np.full(m, -1, dtype=np.int64)
-    has = np.flatnonzero(vic >= 0)
-    victim[so[has]] = so[vic[has]]
-    return hit, victim, dirty, end
-
-
-def _walk(rows, depth, count, nxt, pd, setoff, ways, hit, vic) -> None:
-    """Walk :func:`lru_stage`'s undecided rows back past ``depth``.
-
-    Each block looks back over ``width`` more positions of every row at
-    once; decided rows drop out and the width doubles within
-    :data:`_WALK_CELLS`, so a long window costs few blocks.
-    """
-    cnt = count[rows].astype(np.int32)
-    d = depth
-    width = _WALK_WIDTH
-    while len(rows):
-        offs = np.arange(d + 1, d + width + 1, dtype=np.int32)
-        col = rows[:, None]
-        inside = offs <= setoff[rows][:, None]
-        inc = (nxt[np.maximum(col - offs, 0)] > col) & inside
-        cum = np.cumsum(inc, axis=1, dtype=np.int32)
-        cum += cnt[:, None]
-        prev = offs == pd[rows][:, None]
-        event = prev | (inc & (cum == ways)) | ~inside
-        done = event.any(axis=1)
-        at = event.argmax(axis=1)[done]
-        j = rows[done]
-        is_hit = prev[done, at]
-        hit[j] = is_hit
-        evict = ~is_hit & inside[done, at]
-        vic[j[evict]] = j[evict] - offs[at[evict]]
-        rows = rows[~done]
-        cnt = cum[~done, -1]
-        d += width
-        width = max(_WALK_WIDTH,
-                    min(2 * width, _WALK_CELLS // max(len(rows), 1)))
+    return out, lo
 
 
 class KernelTelemetry:
@@ -371,7 +246,7 @@ class KernelTelemetry:
     One instance lives on each :class:`CacheSystem` and accumulates
     over every kernel batch the system replays (all segments and
     windows of a run), so the totals answer "how much of this run's
-    cache path was resolved without the serialized loop" — the
+    cache path was resolved by the screen alone" — the
     manifest's ``replay.kernel`` block and the Perfetto counter track
     both read from here. The scalar oracle path never touches it:
     ``batches`` stays 0 and the replay block reports mode "scalar".
@@ -379,7 +254,7 @@ class KernelTelemetry:
     A batch served from the cache-path memo reports the screening
     counters of the replay it reuses, so ``screened +
     serialized_events == events`` holds either way; ``reused`` counts
-    the events whose outcome came from the memo instead of the loop.
+    the events whose outcome came from the memo instead of the stages.
     """
 
     __slots__ = ("batches", "events", "screened", "serialized_events",
@@ -463,14 +338,15 @@ class CachePathDelta:
 
 
 class _ResidualLog:
-    """Per-event outcomes the L1 loop and the L2 stage log for the fold.
+    """Per-event outcomes the stages log for the fold.
 
-    Every entry is a batch position (or a value aligned with one). The
-    L1 loop appends in batch order; the L2 stage turns the L1 misses
-    and dirty victims into arrays and sets the demand L2 hits, the
-    victims' L2 misses and the DRAM write-backs. Nothing here is a
-    counter: :meth:`CacheSystem._fold` derives every counter, latency
-    and record column from this log.
+    Every entry is a batch position (or a value aligned with one), in
+    batch order. The L1 stage sets the L1 misses, the dirty victims
+    and the dropped copies; the directory stage the coherence actions;
+    the prefetcher walk the prefetch hits; the L2 stage the demand L2
+    hits, the victims' L2 misses and the DRAM write-backs. Nothing here
+    is a counter: :meth:`CacheSystem._fold` derives every counter,
+    latency and record column from this log.
     """
 
     __slots__ = (
@@ -501,8 +377,40 @@ class _ResidualLog:
         self.wb_addr: List[int] = []
 
 
+#: What the directory stage reads from the L1 stage: per residual event
+#: its core, write flag, L1 hit and dense line id; the residual index
+#: and line id of each dirty victim; and the id -> line table.
+_L1Outcome = namedtuple(
+    "_L1Outcome",
+    ["cores", "writes", "hit", "victim_res", "victim_id", "ids", "ranks"],
+)
+
+
 def _int_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
+
+
+def _per_cut(cuts, positions, weights=None) -> np.ndarray:
+    """For each cut, how many ``positions`` (or their total ``weights``)
+    lie below it."""
+    bucket = np.searchsorted(cuts, positions, side="right")
+    counts = np.bincount(bucket, weights, minlength=len(cuts) + 1)
+    return np.cumsum(counts[:len(cuts)]).astype(np.int64)
+
+
+def _refill(flat_sets, touched, sets, keys, dirty) -> None:
+    """Clear each touched set, then refill the sets from their end
+    contents (grouped by set, each in LRU order, with dirty bits)."""
+    for t in np.asarray(touched).tolist():
+        flat_sets[t].clear()
+    if not len(sets):
+        return
+    cut = (np.flatnonzero(sets[1:] != sets[:-1]) + 1).tolist()
+    keys = keys.tolist()
+    dirty = dirty.tolist()
+    for t, a, b in zip(sets[[0, *cut]].tolist(), [0, *cut],
+                       [*cut, len(keys)]):
+        flat_sets[t].update(zip(keys[a:b], dirty[a:b]))
 
 
 class CacheSystem:
@@ -510,10 +418,9 @@ class CacheSystem:
 
     Exposes both the scalar :meth:`access` (seed semantics, the
     reference oracle) and :meth:`replay_cache_path`, which screens the
-    batch for guaranteed hits, moves the L1s, the directory and the
-    prefetcher through a serialized loop over the residual events,
-    replays the L2 in one vectorized stage, and folds every counter
-    from the outcome log. ``fast_path_ok`` selects the kernel; it is
+    batch for guaranteed hits, replays the residual events through the
+    L1s, the directory, the prefetcher and the L2 in a chain of
+    stages, and folds every counter from the outcome log. ``fast_path_ok`` selects the kernel; it is
     ``False`` only when the system is built with ``scalar_cache=True``.
 
     ``memo`` (a :class:`~repro.store.ResultMemo`) lets the first kernel
@@ -560,6 +467,12 @@ class CacheSystem:
         self.kernel_telemetry = KernelTelemetry()
         #: Consulted by the first kernel batch only.
         self.memo = memo
+        # Per-system constants of the batch path: every L1 and L2 set
+        # in (core or bank)-major order, and the counters a delta adds.
+        self._flat_l1 = [s for c in self.l1s for s in c._sets]
+        self._flat_l2 = [s for b in self.l2_banks for s in b._sets]
+        self._slots = self._counter_slots()
+        self._hops = None
 
     # ------------------------------------------------------------------
     # Scalar oracle (reference semantics + external callers)
@@ -669,7 +582,8 @@ class CacheSystem:
         mem_lat: List[float],
         serial: List[float],
         record: "CacheRecord" = None,
-    ) -> None:
+        cuts=(),
+    ) -> List[tuple]:
         """Replay every cache-routed event (arrays already subset-sliced).
 
         Per-core memory-latency and serialization sums accumulate into
@@ -678,19 +592,28 @@ class CacheSystem:
         the fixed stall). ``record`` (a :class:`CacheRecord` sized to
         the batch) additionally captures per-event outcomes for traffic
         attribution; both paths fill it.
+
+        ``cuts`` (non-decreasing event counts, none above the batch
+        length) asks for the counters part-way through, so a windowed
+        replay closes its windows from one batch: the return value
+        holds one ``(increments, mem_lat, serial)`` per cut — the
+        ``MemStats`` increments of the batch's first ``cut`` events (a
+        dict over the fields the cache path moves) and copies of the
+        per-core sums after them.
         """
+        cuts = [int(c) for c in cuts]
         if len(cores) == 0:
-            return
+            return [({f: 0 for f in _STAT_FIELDS}, list(mem_lat),
+                     list(serial)) for _ in cuts]
         cores64 = np.asarray(cores, dtype=np.int64)
         if not self.fast_path_ok:
-            self._replay_generic(
+            return self._replay_generic_cuts(
                 cores64.tolist(),
                 np.asarray(addrs, dtype=np.int64).tolist(),
                 np.asarray(writes).tolist(),
                 np.asarray(atomics).tolist(),
-                mem_lat, serial, record,
+                mem_lat, serial, record, cuts,
             )
-            return
         addrs = np.asarray(addrs, dtype=np.int64)
         writes = np.asarray(writes, dtype=bool)
         atomics = np.asarray(atomics, dtype=bool)
@@ -701,19 +624,20 @@ class CacheSystem:
                 and not any(mem_lat) and not any(serial)):
             key = self.memo_key(cores64, addrs, writes, atomics)
             delta = memo.get(key)
-            if delta is not None:
+            if delta is not None and not cuts:
                 self._apply(delta, mem_lat, serial)
                 self.kernel_telemetry.reused += delta.events
-                return
-        delta = self._replay_kernel(
+                return []
+        delta, marks = self._replay_kernel(
             cores64, addrs,
             np.asarray(lines, dtype=np.int64),
             np.asarray(banks, dtype=np.int64),
-            writes, atomics, mem_lat, serial, record,
+            writes, atomics, mem_lat, serial, record, cuts,
         )
         self._apply(delta, mem_lat, serial)
         if key is not None:
             memo.put(key, delta)
+        return marks
 
     def memo_key(self, cores: np.ndarray, addrs: np.ndarray,
                  writes: np.ndarray, atomics: np.ndarray) -> str:
@@ -757,7 +681,7 @@ class CacheSystem:
     def _apply(self, delta: CachePathDelta, mem_lat: List[float],
                serial: List[float]) -> None:
         """Add a batch's counter increments and install its end values."""
-        for (obj, name), inc in zip(self._counter_slots(), delta.counters):
+        for (obj, name), inc in zip(self._slots, delta.counters):
             if inc:
                 setattr(obj, name, getattr(obj, name) + inc)
         if delta.open_rows is not None:
@@ -766,8 +690,29 @@ class CacheSystem:
         serial[:] = delta.serial
         self.kernel_telemetry.observe(delta.events, delta.screened)
 
+    def _replay_generic_cuts(self, cores, addrs, writes, atomics, mem_lat,
+                             serial, record, cuts) -> List[tuple]:
+        """:meth:`_replay_generic` in pieces, with the counters at each
+        cut (see :meth:`replay_cache_path`)."""
+        stats = self.stats
+        start = [getattr(stats, f) for f in _STAT_FIELDS]
+        marks = []
+        lo = 0
+        for hi in [*cuts, len(cores)]:
+            self._replay_generic(cores[lo:hi], addrs[lo:hi], writes[lo:hi],
+                                 atomics[lo:hi], mem_lat, serial, record,
+                                 offset=lo)
+            if len(marks) < len(cuts):
+                marks.append((
+                    {f: getattr(stats, f) - v
+                     for f, v in zip(_STAT_FIELDS, start)},
+                    list(mem_lat), list(serial),
+                ))
+            lo = hi
+        return marks
+
     def _replay_generic(self, cores, addrs, writes, atomics,
-                        mem_lat, serial, record=None) -> None:
+                        mem_lat, serial, record=None, offset=0) -> None:
         """Scalar oracle: per-event :meth:`access` (seed semantics).
 
         With ``record`` set, per-event outcomes are recovered by
@@ -781,7 +726,7 @@ class CacheSystem:
         atomic_stall = core_cfg.atomic_stall_cycles
         atomic_ser = core_cfg.atomic_serialization
         line_bytes = self.line_bytes
-        i = -1
+        i = offset - 1
         for core, addr, write, atomic in zip(cores, addrs, writes, atomics):
             i += 1
             if record is not None:
@@ -809,178 +754,293 @@ class CacheSystem:
                 mem_lat[core] += latency
 
     def _replay_kernel(self, cores, addrs, lines, banks, writes, atomics,
-                       mem_lat, serial, record=None) -> CachePathDelta:
-        """Screened batch kernel: screen, L1 loop, L2 stage, fold.
+                       mem_lat, serial, record=None, cuts=()):
+        """Screened batch kernel: screen, L1, directory, prefetcher, L2,
+        fold.
 
         Guaranteed hits (:func:`screen_guaranteed_hits`) never enter
-        the loop; their latency is the L1 latency and their effects
-        are provably nil. The residual events move the L1 sets, the
-        directory and the prefetcher in batch order
-        (:meth:`_residual_loop`), the L2 replays the loop's L1 misses
-        and dirty victims in one vectorized pass (:meth:`_l2_stage`),
-        and :meth:`_fold` turns the outcome log into every counter, the
-        per-event latencies and the ``record`` columns. The system's
-        counters are untouched until the caller applies the returned
-        delta.
+        the stages; their latency is the L1 latency and their effects
+        are provably nil. The residual events go through the L1 sets
+        (:meth:`_l1_stage`), the directory (:meth:`_directory_stage`)
+        and the prefetcher (:meth:`_prefetch_stage`), each one pass
+        over the whole batch; the L2 replays the L1 misses and dirty
+        victims (:meth:`_l2_stage`); and :meth:`_fold` turns the
+        outcome log into every counter, the per-event latencies and the
+        ``record`` columns. Returns the batch's
+        :class:`CachePathDelta` — the system's counters are untouched
+        until the caller applies it — and the counters at each of
+        ``cuts`` (see :meth:`replay_cache_path`).
         """
         n = len(cores)
         tracer = get_tracer()
         with tracer.span("screen", cat="replay"):
-            keep = np.flatnonzero(~screen_guaranteed_hits(
-                cores, lines, writes, self.l1s[0]._num_sets
-            ))
+            screened, lo = _screen(cores, lines, writes,
+                                   self.l1s[0]._num_sets)
+            keep = np.flatnonzero(~screened)
         l1_before = [sum(map(len, c._sets)) for c in self.l1s]
         l2_before = [sum(map(len, b._sets)) for b in self.l2_banks]
-        with tracer.span("l1", cat="replay"):
-            log = self._residual_loop(keep, cores, lines, writes)
+        log = _ResidualLog()
+        if len(keep):
+            with tracer.span("l1", cat="replay"):
+                l1 = self._l1_stage(log, keep, cores, lines, writes, lo,
+                                    screened)
+            del lo, screened
+            with tracer.span("dir", cat="replay"):
+                self._directory_stage(log, keep, l1)
+            del l1
+            with tracer.span("prefetch", cat="replay"):
+                self._prefetch_stage(log, cores, lines)
         with tracer.span("l2", cat="replay"):
             self._l2_stage(log, lines, writes)
         with tracer.span("fold", cat="replay"):
-            counters, open_rows, lats = self._fold(
-                log, cores, addrs, banks, l1_before, l2_before, record,
+            counters, open_rows, lats, at_cuts = self._fold(
+                log, cores, addrs, banks, l1_before, l2_before, record, cuts,
             )
             # Latency accounting: the atomic split and the per-core
             # sums. np.add.at accumulates element-by-element in event
             # order, so the float association matches the scalar oracle
             # exactly even when the batch is a window segment of a
             # longer replay (bincount would fold a partial sum and
-            # drift by one ULP).
+            # drift by one ULP); folding it in pieces at the cuts is the
+            # same sequence.
             core_cfg = self.config.core
             ser = core_cfg.atomic_serialization
             n_atomic = int(np.count_nonzero(atomics))
+            mem_w = np.where(atomics, lats * (1.0 - ser), lats)
+            ser_w = np.where(
+                atomics, lats * ser + core_cfg.atomic_stall_cycles, 0.0
+            ) if n_atomic else None
             mem_sums = np.asarray(mem_lat, dtype=np.float64)
-            np.add.at(mem_sums, cores,
-                      np.where(atomics, lats * (1.0 - ser), lats))
             ser_sums = np.asarray(serial, dtype=np.float64)
-            if n_atomic:
-                srl = np.where(
-                    atomics, lats * ser + core_cfg.atomic_stall_cycles, 0.0
-                )
-                np.add.at(ser_sums, cores, srl)
+            marks = []
+            lo = 0
+            for hi in [*cuts, n]:
+                np.add.at(mem_sums, cores[lo:hi], mem_w[lo:hi])
+                if ser_w is not None:
+                    np.add.at(ser_sums, cores[lo:hi], ser_w[lo:hi])
+                if len(marks) < len(cuts):
+                    marks.append((mem_sums.tolist(), ser_sums.tolist()))
+                lo = hi
         counters[_STAT_FIELDS.index("atomics_total")] = n_atomic
         counters[_STAT_FIELDS.index("atomics_on_cores")] = n_atomic
+        if cuts:
+            at_cuts[:, _STAT_FIELDS.index("atomics_total")] = _per_cut(
+                cuts, np.flatnonzero(atomics))
+            at_cuts[:, _STAT_FIELDS.index("atomics_on_cores")] = \
+                at_cuts[:, _STAT_FIELDS.index("atomics_total")]
+        marks = [(dict(zip(_STAT_FIELDS, row)), m, sr)
+                 for row, (m, sr) in zip(at_cuts.tolist(), marks)]
         return CachePathDelta(
             events=n, screened=n - len(keep), counters=tuple(counters),
             open_rows=open_rows, mem_lat=mem_sums.tolist(),
             serial=ser_sums.tolist(),
-        )
+        ), marks
 
-    def _residual_loop(self, keep, cores, lines, writes) -> _ResidualLog:
-        """Serialize the residual events through the L1s.
+    def _l1_stage(self, log: _ResidualLog, keep, cores, lines, writes, lo,
+                  screened) -> "_L1Outcome":
+        """Replay the residual events through the L1 sets in one pass.
 
-        Mirrors :meth:`access` operation-for-operation on the state it
-        moves — the L1 sets, the directory, the prefetcher heads —
-        touching the dicts and lists directly, and appends each
-        outcome to a :class:`_ResidualLog`. The L2 is left to
-        :meth:`_l2_stage`, and no counter, latency or DRAM row is
-        computed here.
+        Each core's L1 is a function of the trace: its own accesses,
+        plus the deletion of a held line whenever another core writes
+        it (every holder has its bit in the directory mask). The
+        deletion candidates are trace-structural: at each write, every
+        other core that touched the line since the previous write
+        (the previous writer included), or that held it at the batch's
+        start. One stream per (core, L1 set) — the set's start contents,
+        then the core's residual accesses and the deletions, in batch
+        order — goes through :func:`lru_stage`, which logs the L1
+        misses, the dirty victims and the deletions that dropped a
+        line; each touched set's end contents are written back.
         """
-        l1_nsets = self.l1s[0]._num_sets
-        l1_ways = self.l1s[0]._ways
-        l1_sets = [c._sets for c in self.l1s]
-        flat_l1 = [s for c in self.l1s for s in c._sets]
-        dir_lines = self.directory._lines
-        p_heads = self.prefetcher._heads
-        p_next = self.prefetcher._next
-        num_heads = self.prefetcher.num_heads
-
-        # Residual columns, in batch order; set indices are
-        # state-independent, so they are computed vectorized here.
+        ncores = self.ncores
+        nsets = self.l1s[0]._num_sets
+        n = len(lines)
+        nres = len(keep)
         kc = cores[keep]
         kl = lines[keep]
-        columns = (
-            kc.tolist(), kl.tolist(), writes[keep].tolist(),
-            (kc * l1_nsets + kl % l1_nsets).tolist(), keep.tolist(),
-        )
+        kw = writes[keep]
+        # The residual events in line order (the screen's, filtered) and
+        # dense line ids over them.
+        lr = lo[~screened[lo]]
+        ridx = np.empty(n, dtype=np.int64)
+        ridx[keep] = np.arange(nres)
+        li = ridx[lr]
+        del ridx
+        sl = lines[lr]
+        newl = np.ones(nres, dtype=bool)
+        newl[1:] = sl[1:] != sl[:-1]
+        uniq = sl[newl]
+        lr_rank = np.cumsum(newl) - 1
+        kr = np.empty(nres, dtype=np.int64)
+        kr[li] = lr_rank
+        del sl, newl
 
-        log = _ResidualLog()
-        miss_append = log.l1_miss.append
-        pref_append = log.prefetch.append
-        coh_at_append = log.coh_at.append
-        coh_code_append = log.coh_code.append
-        dropped_append = log.dropped.append
-        victim_at_append = log.victim_at.append
-        victim_line_append = log.victim_line.append
+        # Start contents, in set order and LRU order, with ids for the
+        # lines the batch does not touch.
+        flat_l1 = self._flat_l1
+        st_slot = np.repeat(np.arange(len(flat_l1)),
+                            [len(s) for s in flat_l1])
+        st_c = st_slot // nsets
+        st_l = _int_array([line for s in flat_l1 for line in s])
+        st_d = [d for s in flat_l1 for d in s.values()]
+        at = np.minimum(np.searchsorted(uniq, st_l), len(uniq) - 1)
+        known = uniq[at] == st_l
+        extra = np.sort(st_l[~known])
+        extra = extra[np.r_[True, extra[1:] != extra[:-1]][:len(extra)]]
+        st_r = np.where(known, at,
+                        len(uniq) + np.searchsorted(extra, st_l))
+        ids = np.concatenate([uniq, extra])
+        nst = len(st_l)
 
-        for core, line, write, si, ki in zip(*columns):
-            s = flat_l1[si]
-            if line in s:
-                s.move_to_end(line)
-                if not write:
-                    continue
-                s[line] = True
-                missed = False
-            else:
-                missed = True
-                miss_append(ki)
-                dirty = False
-                if len(s) >= l1_ways:
-                    victim, dirty = s.popitem(last=False)
-                s[line] = write
-            me = 1 << core
-            entry = dir_lines.get(line)
-            if entry is None:
-                dir_lines[line] = [me, core if write else -1]
-            elif write:
-                mask0, owner = entry
-                entry[0] = me
-                entry[1] = core
-                others = mask0 & ~me
-                wb = owner >= 0 and owner != core
-                if others:
-                    lsi = line % l1_nsets
-                    # Single sharer: direct bit math.
-                    if others & (others - 1):
-                        targets = tuple(iter_set_bits(others))
-                    else:
-                        targets = (others.bit_length() - 1,)
-                    for c in targets:
-                        sc = l1_sets[c][lsi]
-                        if line in sc:
-                            del sc[line]
-                            dropped_append(c)
-                    coh_at_append(ki)
-                    coh_code_append(2 * len(targets) + wb)
-                elif wb:
-                    coh_at_append(ki)
-                    coh_code_append(1)
-            else:
-                mask0, owner = entry
-                if owner >= 0 and owner != core:
-                    entry[1] = -1
-                    coh_at_append(ki)
-                    coh_code_append(1)
-                entry[0] = mask0 | me
-            if not missed:
-                continue
+        # Deletion candidates, in line order (start holders first): each
+        # event names the next write to its line by its rank ``target``.
+        so = np.argsort(st_r, kind="stable")
+        ins = np.searchsorted(lr_rank, st_r[so])
+        m_r = np.insert(lr_rank, ins, st_r[so])
+        m_c = np.insert(kc[li], ins, st_c[so])
+        m_w = np.insert(kw[li], ins, False)
+        m_t = np.insert(li, ins, -1)
+        wres = np.flatnonzero(kw)
+        nw = len(wres)
+        wpos = np.flatnonzero(m_w)
+        target = np.cumsum(m_w)
+        ok = np.flatnonzero(target < nw)
+        ok = ok[m_r[wpos[target[ok]]] == m_r[ok]]
+        # Candidate matrix rows are writes in batch order.
+        wrank = np.cumsum(kw) - 1
+        row = wrank[m_t[wpos]]
+        cand = np.zeros(nw * ncores, dtype=bool)
+        cand[row[target[ok]] * ncores + m_c[ok]] = True
+        cand[np.arange(nw) * ncores + kc[wres]] = False
+        del m_r, m_c, m_w, m_t, target, ok, row
+        flat = np.flatnonzero(cand)
+        del cand
+        dres = wres[flat // ncores]
+        dcore = flat % ncores
 
-            if dirty:
-                victim_at_append(ki)
-                victim_line_append(victim)
-                entry = dir_lines.get(victim)
-                if entry is not None:
-                    entry[0] &= ~me
-                    if entry[1] == core:
-                        entry[1] = -1
-                    if entry[0] == 0:
-                        del dir_lines[victim]
-            # Stream-prefetch detection (StreamDetector.observe,
-            # inlined): a line matching some head + 1 counts as
-            # prefetched and advances that head; otherwise it replaces
-            # a round-robin victim head.
-            heads = p_heads[core]
-            prev = line - 1
-            if prev in heads:
-                heads[heads.index(prev)] = line
-                pref_append(ki)
-            else:
-                slot = p_next[core]
-                heads[slot] = line
-                p_next[core] = (slot + 1) % num_heads
-        return log
+        # The op stream: start contents, then accesses and deletions in
+        # batch order (a deletion right after its write).
+        nd = len(dres)
+        acc = np.arange(nst, nst + nres, dtype=np.int64)
+        acc[1:] += np.cumsum(np.bincount(dres, minlength=nres)[:-1])
+        dpos = nst + dres + 1 + np.arange(nd)
+        m = nst + nres + nd
+        slot = np.empty(m, dtype=np.int64)
+        key = np.empty(m, dtype=np.int64)
+        wr = np.zeros(m, dtype=bool)
+        dl = np.zeros(m, dtype=bool)
+        slot[:nst] = st_slot
+        key[:nst] = st_r
+        wr[:nst] = st_d
+        slot[acc] = kc * nsets + kl % nsets
+        key[acc] = kr
+        wr[acc] = kw
+        slot[dpos] = dcore * nsets + kl[dres] % nsets
+        key[dpos] = kr[dres]
+        dl[dpos] = True
+        hit, victim, dirty, end = lru_stage(
+            slot, key, wr, self.l1s[0]._ways, dl)
+
+        acc_hit = hit[acc]
+        miss = np.flatnonzero(~acc_hit)
+        v = victim[acc[miss]]
+        dv = np.flatnonzero(v >= 0)
+        dv = dv[dirty[v[dv]]]
+        log.l1_miss = keep[miss]
+        log.victim_at = keep[miss[dv]]
+        log.victim_line = ids[key[v[dv]]]
+        log.dropped = dcore[hit[dpos]]
+
+        _refill(flat_l1, np.flatnonzero(
+            np.bincount(slot, minlength=len(flat_l1))),
+            slot[end], ids[key[end]], dirty[end])
+        return _L1Outcome(kc, kw, acc_hit, miss[dv], key[v[dv]], ids, kr)
+
+    def _directory_stage(self, log: _ResidualLog, keep,
+                         l1: "_L1Outcome") -> None:
+        """Replay the directory per line from the L1 outcome stream.
+
+        The directory sees three kinds of op, in batch order: L1 read
+        misses, every residual write (hit or miss), and dirty L1
+        victims right after the access that evicted them. A clean
+        eviction never reaches it, so a reader's bit stays (stale)
+        until the next write. :func:`directory_stage` derives each
+        cost ``2 * invalidations + writeback`` and each touched line's
+        end entry; entries whose mask ends empty are deleted.
+        """
+        is_op = l1.writes | ~l1.hit
+        sel = np.flatnonzero(is_op)
+        ev_res = l1.victim_res
+        nsel = len(sel)
+        ne = len(ev_res)
+        if not nsel:
+            return
+        # Each victim's eviction goes right after the miss that evicted
+        # it: ``after`` ops of the stream precede it.
+        after = np.cumsum(is_op)[ev_res]
+        rw_at = np.arange(nsel) + np.cumsum(
+            np.bincount(after, minlength=nsel + 1))[:nsel]
+        e_at = after + np.arange(ne)
+        m = nsel + ne
+        op_id = np.empty(m, dtype=np.int64)
+        op_core = np.empty(m, dtype=np.int64)
+        kind = np.empty(m, dtype=np.int8)
+        op_id[rw_at] = l1.ranks[sel]
+        op_core[rw_at] = l1.cores[sel]
+        kind[rw_at] = np.where(l1.writes[sel], OP_WRITE, OP_READ)
+        op_id[e_at] = l1.victim_id
+        op_core[e_at] = l1.cores[ev_res]
+        kind[e_at] = OP_EVICT
+        used = np.bincount(op_id, minlength=len(l1.ids))
+        touched = np.flatnonzero(used)
+        dense = np.cumsum(used > 0) - 1
+        lines_l = l1.ids[touched].tolist()
+        nl = len(lines_l)
+        dir_lines = self.directory._lines
+        got = list(map(dir_lines.get, lines_l))
+        have = [i for i, e in enumerate(got) if e is not None]
+        carried = np.zeros((nl, self.ncores), dtype=bool)
+        owners0 = np.full(nl, -1, dtype=np.int64)
+        if have:
+            carried[have] = mask_bits([got[i][0] for i in have],
+                                      self.ncores)
+            owners0[have] = [got[i][1] for i in have]
+        codes, end, owners = directory_stage(
+            dense[op_id], op_core, kind, carried, owners0)
+        code = codes[rw_at]
+        nz = np.flatnonzero(code)
+        log.coh_at = keep[sel[nz]]
+        log.coh_code = code[nz]
+
+        # Write back the changed entries (an entry's mask is never 0):
+        # update carried ones in place, make new ones, delete emptied.
+        known = carried.any(axis=1)
+        live = end.any(axis=1)
+        changed = (end != carried).any(axis=1) | (owners != owners0)
+        lines_a = l1.ids[touched]
+        for i in np.flatnonzero(known & ~live).tolist():
+            del dir_lines[lines_l[i]]
+        upd = np.flatnonzero(known & live & changed)
+        for entry, mask, owner in zip([got[i] for i in upd.tolist()],
+                                      bits_masks(end[upd]),
+                                      owners[upd].tolist()):
+            entry[0] = mask
+            entry[1] = owner
+        new = np.flatnonzero(~known & live)
+        dir_lines.update(zip(lines_a[new].tolist(), [
+            [mask, owner] for mask, owner in zip(bits_masks(end[new]),
+                                                 owners[new].tolist())]))
+
+    def _prefetch_stage(self, log: _ResidualLog, cores, lines) -> None:
+        """Walk each core's L1 misses through its stream-prefetch heads
+        (:func:`prefetch_walk`) and log the prefetch hits."""
+        miss = log.l1_miss
+        hit = prefetch_walk(self.prefetcher._heads, self.prefetcher._next,
+                            cores[miss], lines[miss])
+        log.prefetch = miss[hit]
 
     def _l2_stage(self, log: _ResidualLog, lines, writes) -> None:
-        """Replay the loop's L2 accesses through :func:`lru_stage`.
+        """Replay the L2 accesses of the L1 outcome through :func:`lru_stage`.
 
         The L2 is non-inclusive and nothing upstream reads it, so each
         (bank, set) is a plain LRU with dirty bits, fed by the logged
@@ -1003,7 +1063,7 @@ class CacheSystem:
         nsets = self.l2_banks[0]._num_sets
         bank_bits = self.bank_bits
         bank_mask = self.bank_mask
-        flat_l2 = [s for b in self.l2_banks for s in b._sets]
+        flat_l2 = self._flat_l2
 
         def set_of(line):
             return (line & bank_mask) * nsets + (line >> bank_bits) % nsets
@@ -1053,21 +1113,21 @@ class CacheSystem:
         log.wb_order = order[wb]
         log.wb_addr = stream[evicts[wb]] << self.line_bits
 
-        for t in touched:
-            flat_l2[t].clear()
-        for t, key, d in zip(sets[end].tolist(),
-                             (stream[end] >> bank_bits).tolist(),
-                             dirty[end].tolist()):
-            flat_l2[t][key] = d
+        _refill(flat_l2, touched, sets[end], stream[end] >> bank_bits,
+                dirty[end])
 
     def _fold(self, log: _ResidualLog, cores, addrs, banks,
-              l1_before: List[int], l2_before: List[int], record=None):
+              l1_before: List[int], l2_before: List[int], record=None,
+              cuts=()):
         """Derive a batch's counters, latencies and record from its log.
 
-        Returns ``(counters, open_rows, lats)``: a list aligned with
-        :meth:`_counter_slots` (the atomic counters are left 0 for the
-        caller), DRAM's open rows after the batch (``None`` under the
-        closed page policy) and the per-event latency array.
+        Returns ``(counters, open_rows, lats, at_cuts)``: a list aligned
+        with :meth:`_counter_slots` (the atomic counters are left 0 for
+        the caller), DRAM's open rows after the batch (``None`` under
+        the closed page policy), the per-event latency array, and the
+        ``MemStats`` increments of the first ``cut`` events for each of
+        ``cuts`` (one row per cut, columns in ``_STAT_FIELDS`` order,
+        the atomic ones left 0).
 
         Evictions come from occupancy: a miss inserts one line, an
         eviction or a removing invalidation takes one out, so per
@@ -1151,12 +1211,13 @@ class CacheSystem:
             if xcfg.topology == "crossbar":
                 hop = np.where(remote, self.remote_lat, 0)
             else:
-                table = np.array([
-                    [self.crossbar.transfer_latency(c, b)
-                     for b in range(ncores)]
-                    for c in range(ncores)
-                ])
-                hop = np.where(remote, table[mc, mb], 0)
+                if self._hops is None:
+                    self._hops = np.array([
+                        [self.crossbar.transfer_latency(c, b)
+                         for b in range(ncores)]
+                        for c in range(ncores)
+                    ])
+                hop = np.where(remote, self._hops[mc, mb], 0)
             lats[miss] += hop + self.l2_lat
         dram_lat, row_hits, row_misses, open_rows = self._dram_rows(
             l2_miss, addrs[l2_miss], wb_order, wb_addr
@@ -1175,6 +1236,27 @@ class CacheSystem:
             phase = wb_order % 3
             for p in (0, 2):
                 record.writebacks[wb_order[phase == p] // 3] += 1
+
+        at_cuts = np.zeros((len(cuts), len(_STAT_FIELDS)), dtype=np.int64)
+        if cuts:
+            col = {f: i for i, f in enumerate(_STAT_FIELDS)}
+            misses = _per_cut(cuts, miss)
+            at_cuts[:, col["l1_hits"]] = np.asarray(cuts) - misses
+            at_cuts[:, col["l1_misses"]] = misses
+            at_cuts[:, col["l2_hits"]] = _per_cut(cuts, l2_hit)
+            dram_reads = _per_cut(cuts, l2_miss)
+            at_cuts[:, col["l2_misses"]] = dram_reads
+            at_cuts[:, col["prefetch_hits"]] = _per_cut(cuts, pref)
+            packets = (_per_cut(cuts, miss[remote])
+                       + _per_cut(cuts, coh_at[coh_wb == 1])
+                       + _per_cut(cuts, victim_at[victim_bank != victim_core]))
+            at_cuts[:, col["onchip_line_bytes"]] = packets * lb_h
+            invals = _per_cut(cuts, coh_at, inval)
+            at_cuts[:, col["onchip_word_bytes"]] = invals * header
+            at_cuts[:, col["coherence_invalidations"]] = invals
+            at_cuts[:, col["dram_read_bytes"]] = dram_reads * line_bytes
+            at_cuts[:, col["dram_write_bytes"]] = (
+                _per_cut(cuts, wb_order // 3) * line_bytes)
 
         n_l2_miss = len(l2_miss)
         n_wb = len(wb_order)
@@ -1195,7 +1277,7 @@ class CacheSystem:
             n_l2_miss, n_l2_miss * line_bytes, n_wb, n_wb * line_bytes,
             row_hits, row_misses,
         ]
-        return counters, open_rows, lats
+        return counters, open_rows, lats, at_cuts
 
     def _dram_rows(self, reads: np.ndarray, read_addrs: np.ndarray,
                    wb_order: np.ndarray, wb_addr: np.ndarray):

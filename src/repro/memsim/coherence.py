@@ -9,10 +9,14 @@ them holds it modified. The replay charges the classic MESI costs:
   each), which is the coherence ping-pong that makes core-side atomics
   on shared vertex data expensive on the baseline CMP.
 
-State is a dict line → (sharer bitmask, owner). Lines evicted from an
-L1 are lazily removed on the next directory action, which slightly
-overestimates sharing — a conservative choice that favors the
-*baseline* (OMEGA's scratchpad traffic never touches the directory).
+State is a dict line → (sharer bitmask, owner). Only a *dirty* L1
+eviction reaches the directory (:meth:`Directory.on_eviction`), and a
+read never clears a bit, so a sharer whose copy was evicted clean keeps
+its (stale) bit until the next write to the line, which counts it as an
+invalidation. That slightly overestimates sharing — a conservative
+choice that favors the *baseline* (OMEGA's scratchpad traffic never
+touches the directory) — and the batch kernel's directory stage
+reproduces it exactly.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """The replay driver: pre-pass, route, cache stage, accounting.
 
 This is the engine's control flow, shared by every backend. A replay
-walks the trace as a sequence of *pieces* and runs every piece through
-the same stages (:func:`_stages`): classify it in the vectorized
-pre-pass, ask the backend for one route code per event, then execute —
-cache-routed events run through the stateful
-:class:`~repro.memsim.cachestate.CacheSystem` kernel, everything else
-is batch-accounted by the backend.
+walks the trace as a sequence of *pieces*: each piece is classified in
+the vectorized pre-pass, the backend gives one route code per event,
+and everything not cache-routed is batch-accounted by the backend
+(:func:`_route_and_account`); the cache-routed events of a segment then
+run through the stateful :class:`~repro.memsim.cachestate.CacheSystem`
+kernel together (:func:`_cache_path`).
 
 A piece is one segment of a
 :class:`~repro.ligra.segments.SegmentedTrace` (an in-core trace is a
@@ -20,10 +20,19 @@ prefetchers, source buffers, PISCs, the backend's training state in
 latencies accumulate through the
 :class:`~repro.memsim.accounting.LatencyLedger`, so every cut produces
 counters bit-identical to one whole-trace replay.
+
+The cache path runs once per segment, after the segment's pieces have
+been pre-passed, routed and accounted: nothing those stages do reads
+cache state, and they only add integer counters. A window that closes
+inside the segment keeps a snapshot of the counters at its end, and the
+cache batch reports its own counters at that window's cut
+(:meth:`~repro.memsim.cachestate.CacheSystem.replay_cache_path`), so
+windows cost no extra cache batches.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import time
 from dataclasses import dataclass
@@ -163,25 +172,49 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
                 counts += np.bincount(
                     np.asarray(seg.core, dtype=np.int64), minlength=ncores
                 )
+                pieces = []
+                # Windows closing in this segment: (start, end, counters
+                # and ledger at the end without the segment's cache path,
+                # cache events before the end, wall so far).
+                closes = []
                 lo = offset
                 while lo < end:
                     hi = min(end, (lo // step + 1) * step)
                     wall_start = time.perf_counter()
                     with windows.span("window", cat="replay",
                                       start_event=lo, end_event=hi):
-                        cache_events += _stages(
+                        pieces.append(_route_and_account(
                             backend, ctx, seg.slice(lo - offset, hi - offset),
                             attribution, tracer,
-                        )
+                        ))
                     win_wall += time.perf_counter() - wall_start
                     if window and (hi % window == 0 or hi == total):
-                        ledger.flush(stats)
-                        sampler.record(
-                            ((hi - 1) // window) * window, hi, stats,
-                            win_wall,
-                        )
+                        closes.append((
+                            ((hi - 1) // window) * window, hi,
+                            copy.deepcopy(stats), copy.deepcopy(ledger),
+                            sum(len(p[0][0]) for p in pieces), win_wall,
+                        ))
                         win_wall = 0.0
                     lo = hi
+                wall_start = time.perf_counter()
+                n, marks = _cache_path(ctx, pieces, attribution, tracer,
+                                       [c[4] for c in closes])
+                cache_wall = time.perf_counter() - wall_start
+                cache_events += n
+                # Each window's share of the batch's wall time goes with
+                # its cache events; the rest rides on the open window.
+                done = 0
+                for (start, hi, snap, snap_ledger, cut, wall), mark in zip(
+                        closes, marks):
+                    inc, snap_ledger.mem["cache"], \
+                        snap_ledger.serial["cache"] = mark
+                    for name, value in inc.items():
+                        setattr(snap, name, getattr(snap, name) + value)
+                    snap_ledger.flush(snap)
+                    share = cache_wall * (cut - done) / n if n else 0.0
+                    sampler.record(start, hi, snap, wall + share)
+                    done = cut
+                win_wall += cache_wall * (n - done) / n if n else 0.0
 
         metrics.counter("replay.events").inc(total)
         metrics.counter("replay.cache_events").inc(cache_events)
@@ -230,13 +263,14 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
         )
 
 
-def _stages(backend, ctx, piece: Trace, attribution, tracer) -> int:
-    """Run one piece through every replay stage; return its cache events.
+def _route_and_account(backend, ctx, piece: Trace, attribution, tracer):
+    """Pre-pass, route and account one piece; return its cache events.
 
-    Pre-pass, route, the attribution route fold, the cache path and the
-    batch accounting, in that order. With ``attribution`` the kernel
-    records each cache event's outcome, and the record folds into the
-    per-class totals.
+    Returns the cache-routed events' columns (core, address, line, bank,
+    write, atomic) and, with ``attribution``, their access classes, for
+    the segment's cache batch (:func:`_cache_path`). The route fold of
+    the attribution runs here, after ``route()``, which is where dynamic
+    backends publish their per-piece locality override.
     """
     with tracer.span("prepass", cat="replay"):
         prepass = precompute(
@@ -245,26 +279,41 @@ def _stages(backend, ctx, piece: Trace, attribution, tracer) -> int:
     with tracer.span("route", cat="replay"):
         routes = backend.route(ctx, piece, prepass)
     idx = np.flatnonzero(routes == ROUTE_CACHE)
-    record = None
+    classes = None
     if attribution is not None:
-        # The locality mask is read *after* route(), which is where
-        # dynamic backends publish their per-piece override.
         classes = attribution.classify(piece)
         local = ctx.sp_local if ctx.sp_local is not None else prepass.local
         attribution.fold_routes(classes, routes, prepass.atomic, local)
-        record = CacheRecord(len(idx))
-    with tracer.span("cache_path", cat="replay", events=len(idx)):
-        if len(idx):
-            ctx.system.replay_cache_path(
-                piece.core[idx], piece.addr[idx], prepass.lines[idx],
-                prepass.banks[idx], prepass.write[idx], prepass.atomic[idx],
-                ctx.ledger.mem["cache"], ctx.ledger.serial["cache"],
-                record=record,
-            )
-            if record is not None:
-                attribution.fold_cache(
-                    classes[idx], prepass.atomic[idx], record
-                )
+        classes = classes[idx]
     with tracer.span("account", cat="replay"):
         backend.account(ctx, piece, prepass, routes)
-    return len(idx)
+    columns = (piece.core[idx], piece.addr[idx], prepass.lines[idx],
+               prepass.banks[idx], prepass.write[idx], prepass.atomic[idx])
+    return columns, classes
+
+
+def _cache_path(ctx, pieces, attribution, tracer, cuts):
+    """Run one segment's cache-routed events through the cache path.
+
+    Returns the number of events and the counters at each of ``cuts``
+    (see :meth:`~repro.memsim.cachestate.CacheSystem.replay_cache_path`).
+    With ``attribution`` the batch records each event's outcome, and the
+    record folds into the per-class totals.
+    """
+    if len(pieces) == 1:
+        columns = pieces[0][0]
+        classes = pieces[0][1]
+    else:
+        columns = [np.concatenate(c) for c in zip(*(p[0] for p in pieces))]
+        classes = (np.concatenate([p[1] for p in pieces])
+                   if attribution is not None else None)
+    n = len(columns[0])
+    record = CacheRecord(n) if attribution is not None else None
+    with tracer.span("cache_path", cat="replay", events=n):
+        marks = ctx.system.replay_cache_path(
+            *columns, ctx.ledger.mem["cache"], ctx.ledger.serial["cache"],
+            record=record, cuts=cuts,
+        )
+        if record is not None and n:
+            attribution.fold_cache(classes, columns[5], record)
+    return n, marks

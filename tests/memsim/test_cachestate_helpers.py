@@ -153,7 +153,7 @@ class TestScreenGuaranteedHits:
     def test_write_after_interleaved_read_not_screened(self):
         # Same-core W,R,W: the read screens, but the second write's
         # slot predecessor is that read, so the write rule fails and
-        # the write replays through the serialized loop (where it is
+        # the write replays through the kernel's stages (where it is
         # an ordinary L1 write hit).
         assert screen(
             [0, 0, 0], [10, 10, 10], [True, False, True]

@@ -387,3 +387,76 @@ class TestSourceBufferAndUpdateRoutes:
         assert_parity(
             lambda: OmegaBackend(ocfg, mapping, microcode), trace
         )
+
+
+def thrashing_l1_config(ways, num_cores=NCORES):
+    """A one-set L1 of ``ways`` ways: every line competes for it, so
+    nearly every write misses, evicts dirty and invalidates."""
+    cfg = baseline_config(page_policy="open")
+    cfg = dataclasses.replace(
+        cfg, core=dataclasses.replace(cfg.core, num_cores=num_cores))
+    l1 = dataclasses.replace(cfg.l1, size_bytes=cfg.l1.line_bytes * ways,
+                             ways=ways)
+    assert l1.num_sets == 1
+    return dataclasses.replace(cfg, l1=l1)
+
+
+@st.composite
+def coherence_storms(draw, num_cores=NCORES):
+    """Write-heavy events from every core on a few lines, with
+    sequential line runs mixed in so the prefetch heads advance."""
+    runs = draw(st.lists(
+        st.tuples(
+            st.integers(0, num_cores - 1),
+            st.integers(0, 5),
+            st.integers(1, 6),
+            st.sampled_from([FLAG_WRITE, FLAG_WRITE | FLAG_ATOMIC, 0,
+                             FLAG_WRITE]),
+        ),
+        min_size=1, max_size=120,
+    ))
+    events = []
+    for core, base, length, flags in runs:
+        events += [(core, base + i, 0, flags) for i in range(length)]
+    return events
+
+
+def assert_streamed_parity(cfg, events, segment_events):
+    trace = events_to_trace(events)
+    kernel = BaselineBackend(cfg)
+    out_k = kernel.replay(SegmentedTrace.from_trace(trace, segment_events))
+    oracle = BaselineBackend(cfg)
+    oracle.scalar_cache = True
+    out_o = oracle.replay(trace)
+    assert snapshot(out_k) == snapshot(out_o)
+
+
+class TestCoherenceThrashingParity:
+    """A one-set L1 under write ping-pong, replayed in pieces: every
+    piece starts from the previous one's L1 sets, directory entries
+    (stale bits included) and prefetch heads."""
+
+    @given(coherence_storms(), st.sampled_from([1, 2]),
+           st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_streamed(self, events, ways, segment_events):
+        assert_streamed_parity(thrashing_l1_config(ways), events,
+                               segment_events)
+
+    @pytest.mark.parametrize("num_cores", [64, 128])
+    def test_wide_sharer_masks(self, num_cores):
+        # Every core reads a few shared lines, then writes them in turn:
+        # one write invalidates up to num_cores - 1 sharers.
+        rng = np.random.default_rng(num_cores)
+        events = [(c, line, 0, 0) for line in range(3)
+                  for c in range(num_cores)]
+        events += [(int(c), int(line), 0, FLAG_WRITE)
+                   for c, line in zip(rng.integers(0, num_cores, 200),
+                                      rng.integers(0, 3, 200))]
+        events += [(c, 3 + i, 0, 0) for c in range(0, num_cores, 7)
+                   for i in range(4)]
+        cfg = thrashing_l1_config(2, num_cores=num_cores)
+        for segment_events in (1, 17, len(events)):
+            assert_streamed_parity(cfg, events, segment_events)
+        out = BaselineBackend(cfg).replay(events_to_trace(events))
+        assert out.stats.coherence_invalidations >= num_cores - 1
