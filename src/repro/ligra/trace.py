@@ -36,7 +36,7 @@ __all__ = [
     "WORD_BYTES",
     "CACHE_LINE_BYTES",
     "TRACE_FORMAT_VERSION",
-    "span_lockstep_perm",
+    "span_lockstep_positions",
 ]
 
 #: On-disk trace-archive format version. Version 3 is the *segmented*
@@ -126,31 +126,54 @@ class AddressSpace:
         return AccessClass.NGRAPH
 
 
-def span_lockstep_perm(core: np.ndarray) -> np.ndarray:
-    """Permutation putting one barrier span into lockstep core order.
+def span_lockstep_positions(core: np.ndarray) -> np.ndarray:
+    """Where each event of one barrier span goes in lockstep order.
 
-    Event ``i`` of every core precedes event ``i+1`` of any core;
-    per-core order is preserved. Each event's per-core rank and its
-    core id form a unique ``(rank, core)`` pair, so one stable sort
-    of the fused key ``rank * core_span + (core - core_min)`` gives
-    the lockstep order. :class:`TraceBuilder` applies it to every
-    barrier span as the span closes.
+    Lockstep order puts event ``r`` of every core before event
+    ``r+1`` of any core, lower core ids first within a rank, and keeps
+    per-core order. So event ``r`` of core ``c`` lands at
+    ``offset[r]`` — the span's events of every rank below ``r`` —
+    plus the number of lower cores that still have a rank-``r``
+    event. The ranks come by counting along the runs of equal core
+    ids in ``core``: a run's first rank is the length of that core's
+    earlier runs. No event is sorted; only the runs are grouped by
+    core. Returns ``pos`` with ``out[pos[i]] = event i``.
+    :class:`TraceBuilder` scatters every barrier span this way as the
+    span closes.
     """
     m = len(core)
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(core, kind="stable")
-    sorted_c = core[order].astype(np.int64)
-    starts = np.flatnonzero(np.r_[True, sorted_c[1:] != sorted_c[:-1]])
-    sizes = np.diff(np.r_[starts, m])
-    core_min = sorted_c[0]
-    core_span = sorted_c[-1] - core_min + 1
-    key = np.empty(m, dtype=np.int64)
-    key[order] = (
-        (np.arange(m) - np.repeat(starts, sizes)) * core_span
-        + (sorted_c - core_min)
-    )
-    return np.argsort(key, kind="stable")
+    run_starts = np.flatnonzero(np.r_[True, core[1:] != core[:-1]])
+    run_lens = np.diff(np.r_[run_starts, m])
+    by_core = np.argsort(core[run_starts], kind="stable")
+    # In (core, rank) order, a run's first event follows every event
+    # of the lower cores and of its core's earlier runs.
+    sorted_lens = run_lens[by_core]
+    before = np.cumsum(sorted_lens) - sorted_lens
+    sorted_cores = core[run_starts][by_core]
+    core_firsts = np.flatnonzero(
+        np.r_[True, sorted_cores[1:] != sorted_cores[:-1]])
+    per_core = np.diff(np.r_[before[core_firsts], m])
+    longest = int(per_core.max())
+    # alive[r]: cores with more than r events. place[r] starts at
+    # offset[r] and steps past each core that takes a rank-r place,
+    # lower core ids first.
+    alive = len(per_core) - np.cumsum(
+        np.bincount(per_core, minlength=longest + 1)[:longest])
+    place = np.r_[0, np.cumsum(alive)[:-1]]
+    # Destinations in (core, rank) order.
+    table = np.empty(m, dtype=np.int64)
+    first = 0
+    for count in per_core.tolist():
+        table[first:first + count] = place[:count]
+        place[:count] += 1
+        first += count
+    shift = np.empty(len(run_starts), dtype=np.int64)
+    shift[by_core] = before
+    index = np.repeat(shift - run_starts, run_lens)
+    index += np.arange(m)
+    return table[index]
 
 
 @dataclass
@@ -318,13 +341,13 @@ class TraceBuilder:
     The engine appends each core's work in contiguous blocks, but on
     real hardware the cores run concurrently and their accesses to
     shared hub lines contend. So each barrier span, when it closes
-    (:meth:`mark_barrier`, :meth:`build`), is put into lockstep order
-    with :func:`span_lockstep_perm` — event ``i`` of every core before
-    event ``i+1`` of any — and its raw batches are dropped. That order
-    exposes the coherence ping-pong of core-executed atomics on the
-    baseline CMP; per-core order is kept, so per-core state (L1s,
-    stream detectors, buffers) is unaffected. Subclasses choose where
-    a closed span goes (:meth:`_put_span`).
+    (:meth:`mark_barrier`, :meth:`build`), is scattered into lockstep
+    order at :func:`span_lockstep_positions` — event ``i`` of every
+    core before event ``i+1`` of any — and its raw batches are
+    dropped. That order exposes the coherence ping-pong of
+    core-executed atomics on the baseline CMP; per-core order is kept,
+    so per-core state (L1s, stream detectors, buffers) is unaffected.
+    Subclasses choose where a closed span goes (:meth:`_put_span`).
 
     ``enabled=False`` turns the builder into a cheap no-op so
     algorithms can run functionally without paying trace costs.
@@ -387,17 +410,22 @@ class TraceBuilder:
             self._flush_span()
 
     def _flush_span(self) -> None:
-        """Close the open span: lockstep it, drop its raw batches."""
+        """Close the open span: scatter its batches into lockstep order."""
         if not self._chunks:
             return
         chunks, self._chunks = self._chunks, []
-        cols = {
-            name: np.concatenate([c[name] for c in chunks])
-            for name in chunks[0]
-        }
-        perm = span_lockstep_perm(cols["core"])
-        self._flushed += len(perm)
-        self._put_span({name: col[perm] for name, col in cols.items()})
+        pos = span_lockstep_positions(
+            np.concatenate([c["core"] for c in chunks]))
+        span = {name: np.empty(len(pos), dtype=col.dtype)
+                for name, col in chunks[0].items()}
+        lo = 0
+        for chunk in chunks:
+            where = pos[lo:lo + len(chunk["addr"])]
+            for name, col in chunk.items():
+                span[name][where] = col
+            lo += len(where)
+        self._flushed += len(pos)
+        self._put_span(span)
 
     def _put_span(self, cols: Dict[str, np.ndarray]) -> None:
         """Keep one closed span (in lockstep order) until :meth:`build`."""

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.config import SimConfig
 from repro.errors import SimulationError
+from repro.intsort import stable_argsort
 from repro.ligra.trace import Trace
 from repro.memsim.accounting import ReplayContext
 from repro.memsim.backends.base import HierarchyBackend
@@ -16,7 +17,104 @@ from repro.memsim.pisc import Microcode, PiscEngine
 from repro.memsim.prepass import TracePrepass
 from repro.memsim.routes import ROUTE_SP_OFFLOAD, ROUTE_SP_PLAIN
 
-__all__ = ["DynamicScratchpadBackend"]
+__all__ = ["DynamicScratchpadBackend", "FrequencyTrainer"]
+
+
+def _group_ranks(keys: np.ndarray) -> tuple:
+    """Stable grouping of ``keys``: (order, group starts, rank of each
+    element among the earlier elements with its key)."""
+    order = stable_argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(
+        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    sizes = np.diff(np.r_[starts, len(keys)])
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.arange(len(keys)) - np.repeat(starts, sizes)
+    return order, starts, ranks
+
+
+class FrequencyTrainer:
+    """The dynamic pads' frequency trainer as a rank over running counts.
+
+    The trainer it models walks every access: the vertex's running
+    count goes up by one, and the vertex stays in (or enters) its
+    hash set when it is already resident, the set has a free slot, or
+    the set's smallest resident count is below the new count (that
+    entry is evicted). Once a set is full, no non-resident count
+    exceeds a resident count, so residency is a top-``slots`` rank by
+    count, and which of several tied vertices holds a slot never
+    changes a later outcome. Hence: an access whose vertex had count
+    ``c`` just before it leaves the vertex resident iff fewer than
+    ``slots`` *other* vertices of its set have a running count above
+    ``c`` at that moment. Those are the set's vertices whose count
+    carried into the piece is above ``c``, plus the earlier accesses
+    of the piece in the set that lift their vertex to ``c + 1`` — the
+    access's rank in that group.
+
+    The carried state is the per-vertex count array and, per set, the
+    top-``slots`` (vertex, count) table, which bounds the carried term
+    exactly. The table is updated from the vertices a piece touched
+    only, so short pieces (windows, small segments) never rescan every
+    vertex.
+    """
+
+    def __init__(self, num_sets: int, slots: int) -> None:
+        self.num_sets = num_sets
+        self.slots = slots
+        #: Running access count per vertex id.
+        self.counts = np.zeros(0, dtype=np.int64)
+        #: Per set, the vertices with the ``slots`` highest counts,
+        #: highest first (-1 for an unused entry), and their counts (0
+        #: there).
+        self._top = np.full((num_sets, slots), -1, dtype=np.int64)
+        self._top_counts = np.zeros((num_sets, slots), dtype=np.int64)
+
+    def train(self, verts: np.ndarray) -> np.ndarray:
+        """Train on one piece and return its residency flags.
+
+        ``verts`` holds the piece's vertex ids (>= 0) in access order;
+        flag ``i`` says whether access ``i`` leaves its vertex resident.
+        """
+        n = len(verts)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        order, starts, seen = _group_ranks(verts)
+        touched = verts[order[starts]]
+        if touched[-1] >= len(self.counts):
+            grown = np.zeros(max(int(touched[-1]) + 1, 2 * len(self.counts)),
+                             dtype=np.int64)
+            grown[:len(self.counts)] = self.counts
+            self.counts = grown
+        prior = self.counts[verts] + seen
+        sets = verts % self.num_sets
+        _, _, lifted = _group_ranks(sets * (int(prior.max()) + 1) + prior)
+        # Fewer than slots - lifted carried counts above prior, i.e. the
+        # set's (slots - lifted)-th largest carried count is <= prior
+        # (each table row is sorted by count, descending).
+        room = self.slots - 1 - lifted
+        resident = room >= 0
+        resident &= self._top_counts.ravel()[
+            sets * self.slots + np.maximum(room, 0)] <= prior
+        self.counts[touched] += np.diff(np.r_[starts, n])
+        self._retop(touched)
+        return resident
+
+    def _retop(self, touched: np.ndarray) -> None:
+        """Rebuild the top tables of the sets ``touched`` falls in."""
+        touched_sets = np.unique(touched % self.num_sets)
+        old = self._top[touched_sets].ravel()
+        cand = np.union1d(old[old >= 0], touched)
+        cand_sets = cand % self.num_sets
+        cand_counts = self.counts[cand]
+        order = np.lexsort((-cand_counts, cand_sets))
+        cand_sets = cand_sets[order]
+        _, _, rank = _group_ranks(cand_sets)
+        keep = rank < self.slots
+        rows, cols = cand_sets[keep], rank[keep]
+        self._top[touched_sets] = -1
+        self._top_counts[touched_sets] = 0
+        self._top[rows, cols] = cand[order][keep]
+        self._top_counts[rows, cols] = cand_counts[order][keep]
 
 
 @register_backend("dynamic")
@@ -65,54 +163,29 @@ class DynamicScratchpadBackend(HierarchyBackend):
         if self._use_pisc:
             for p in ctx.piscs:
                 p.load_microcode(self.microcode)
-        # The frequency trainer's state lives on the context so it
-        # carries across trace segments: counts learned in segment k
-        # keep deciding victims in segment k+1, exactly as they would
-        # in one whole-trace pass.
+        # The frequency trainer lives on the context so it carries
+        # across trace segments: counts learned in segment k keep
+        # deciding residency in segment k+1, exactly as they would in
+        # one whole-trace pass.
         num_sets = (
             max(1, self.capacity_vertices // self.slots_per_set)
             if self.capacity_vertices > 0
             else 0
         )
-        sets: List[dict] = [dict() for _ in range(num_sets)]
-        ctx.extra["dyn_sets"] = sets
-        ctx.extra["dyn_freq"] = {}
+        ctx.extra["dyn_trainer"] = FrequencyTrainer(num_sets,
+                                                    self.slots_per_set)
 
     def route(self, ctx: ReplayContext, trace: Trace,
               prepass: TracePrepass) -> np.ndarray:
         n = prepass.num_events
         routes = np.zeros(n, dtype=np.int8)
-        sets = ctx.extra["dyn_sets"]
-        num_sets = len(sets)
-        if num_sets == 0 or n == 0:
+        trainer: FrequencyTrainer = ctx.extra["dyn_trainer"]
+        if trainer.num_sets == 0 or n == 0:
             return routes
         verts_all = np.asarray(trace.vertex, dtype=np.int64)
-        cand = prepass.vtxprop & (verts_all >= 0)
-        idx = np.flatnonzero(cand)
-        # Frequency training is inherently sequential (the running
-        # counts decide victims), but only the vtxProp subset walks it.
-        verts = verts_all[idx].tolist()
-        slots = self.slots_per_set
-        freq: dict = ctx.extra["dyn_freq"]
-        resident_flags = [False] * len(verts)
-        for j, vertex in enumerate(verts):
-            count = freq.get(vertex, 0) + 1
-            freq[vertex] = count
-            entry_set = sets[vertex % num_sets]
-            if vertex in entry_set:
-                entry_set[vertex] = count
-                resident_flags[j] = True
-            elif len(entry_set) < slots:
-                entry_set[vertex] = count
-                resident_flags[j] = True
-            else:
-                victim = min(entry_set, key=entry_set.get)
-                if entry_set[victim] < count:
-                    del entry_set[victim]
-                    entry_set[vertex] = count
-                    resident_flags[j] = True
+        idx = np.flatnonzero(prepass.vtxprop & (verts_all >= 0))
         resident = np.zeros(n, dtype=bool)
-        resident[idx] = resident_flags
+        resident[idx] = trainer.train(verts_all[idx])
         # Dynamic pads hash by vertex id, not by the static chunked map.
         ctx.sp_home = np.where(verts_all >= 0, verts_all % ctx.ncores, 0)
         ctx.sp_local = ctx.sp_home == np.asarray(trace.core, dtype=np.int64)

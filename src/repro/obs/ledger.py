@@ -46,23 +46,35 @@ LEDGER_SCHEMA = "omega-repro/run-ledger/v1"
 ENV_LEDGER = "REPRO_LEDGER"
 
 
-def git_rev() -> Optional[str]:
-    """Best-effort git revision of the working tree, or ``None``.
-
-    Never raises: a missing git binary, a non-repo working directory,
-    or a timeout all degrade to ``None`` — provenance is optional.
-    """
+def _git(*args: str) -> Optional[str]:
+    """Stripped stdout of one git command, or ``None`` on any failure."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5,
+            ["git", *args], capture_output=True, text=True, timeout=5,
         )
     except (OSError, subprocess.SubprocessError):
         return None
     if out.returncode != 0:
         return None
-    rev = out.stdout.strip()
-    return rev or None
+    return out.stdout.strip()
+
+
+def git_rev() -> Optional[str]:
+    """Best-effort git revision of the working tree, or ``None``.
+
+    A tree whose tracked files differ from ``HEAD`` (staged or not)
+    reads ``<sha>+dirty``: what it measures is not the commit's code.
+    Untracked files do not count. Never raises: a missing git binary,
+    a non-repo working directory, or a timeout all degrade to ``None``
+    — provenance is optional. When only the status query fails, the
+    bare hash is returned.
+    """
+    rev = _git("rev-parse", "HEAD")
+    if not rev:
+        return None
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        return rev + "+dirty"
+    return rev
 
 
 def make_entry(manifest: Dict, kind: str = "run",
@@ -166,7 +178,9 @@ def format_history(entries: List[Dict]) -> str:
             "%Y-%m-%d %H:%M:%S", time.localtime(e.get("timestamp", 0))
         )
         cycles = timing.get("total_cycles")
-        rev = key.get("git") or "-"
+        rev = str(key.get("git") or "-")
+        # A dirty tree's entry keeps a "+" after the short hash.
+        rev = rev[:8] + ("+" if rev.endswith("+dirty") else "")
         trace = key.get("trace") or "-"
         lines.append(
             f"{when:19} {e.get('kind', '?'):5}"
@@ -174,6 +188,6 @@ def format_history(entries: List[Dict]) -> str:
             f" {str(manifest.get('algorithm', '?')):10}"
             f" {str(manifest.get('backend', '?')):9}"
             f" {(f'{cycles:.6g}' if cycles is not None else '-'):>14}"
-            f" {str(rev)[:8]:9} {str(trace)[:16]}"
+            f" {rev:9} {str(trace)[:16]}"
         )
     return "\n".join(lines) + "\n"

@@ -3,9 +3,12 @@
 import gc
 import weakref
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.ligra.trace import (
@@ -16,10 +19,11 @@ from repro.ligra.trace import (
     FLAG_WRITE,
     Trace,
     TraceBuilder,
-    span_lockstep_perm,
+    span_lockstep_positions,
 )
 
-from repro.ligra.segments import SegmentedTrace
+from repro.ligra.framework import LigraEngine
+from repro.ligra.segments import SegmentedTrace, SpoolingTraceBuilder
 
 from tests.ligra.test_segments import build_trace, rewrite_member
 
@@ -227,6 +231,14 @@ def _reference_lockstep(core):
     return out
 
 
+def _lockstep_order(core):
+    """The gather order :func:`span_lockstep_positions` implies."""
+    pos = span_lockstep_positions(core)
+    order = np.empty_like(pos)
+    order[pos] = np.arange(len(pos))
+    return order.tolist()
+
+
 class TestSpanLockstepPerm:
     @pytest.mark.parametrize("seed", range(30))
     def test_skewed_spans_with_absent_cores(self, seed):
@@ -238,19 +250,125 @@ class TestSpanLockstepPerm:
         lo = int(rng.integers(0, 4))
         core = (lo + rng.choice(ncores, int(rng.integers(1, 300)), p=share)
                 ).astype(np.int16)
-        assert span_lockstep_perm(core).tolist() == _reference_lockstep(core)
+        assert _lockstep_order(core) == _reference_lockstep(core)
 
     def test_min_core_above_zero_with_gaps(self):
         core = np.array([5, 5, 9, 5, 12, 12, 9, 5], dtype=np.int16)
-        assert span_lockstep_perm(core).tolist() == _reference_lockstep(core)
-        assert span_lockstep_perm(core).tolist() == [0, 2, 4, 1, 6, 5, 3, 7]
+        assert _lockstep_order(core) == _reference_lockstep(core)
+        assert _lockstep_order(core) == [0, 2, 4, 1, 6, 5, 3, 7]
 
     def test_single_core_is_identity(self):
         core = np.full(7, 3, dtype=np.int16)
-        assert span_lockstep_perm(core).tolist() == list(range(7))
+        assert _lockstep_order(core) == list(range(7))
 
     def test_empty_span(self):
-        assert span_lockstep_perm(np.zeros(0, dtype=np.int16)).tolist() == []
+        assert _lockstep_order(np.zeros(0, dtype=np.int16)) == []
+
+
+def _schedule(num_cores, chunk_size):
+    """The engine's core-assignment methods, on a stand-in engine (they
+    read only ``num_cores`` and ``chunk_size``)."""
+    return SimpleNamespace(num_cores=num_cores, chunk_size=chunk_size)
+
+
+@st.composite
+def framework_spans(draw):
+    """A barrier span as the engine emits it: a list of batches, each
+    a core column from ``cores_for_edges`` or ``cores_for_positions``
+    (block or chunked schedule), shifted so the lowest core id can be
+    above 0, with some cores dropped, and optionally one extra core
+    that issues a single event."""
+    num_cores = draw(st.integers(1, 128))
+    chunk_size = draw(st.sampled_from([None, 1, 3, 8]))
+    engine = _schedule(num_cores, chunk_size)
+    low = draw(st.integers(0, 3))
+    absent = draw(st.sets(st.integers(0, num_cores - 1),
+                          max_size=num_cores - 1))
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 400))
+        if draw(st.booleans()):
+            cores = LigraEngine.cores_for_edges(engine, n)
+        else:
+            total = draw(st.integers(max(n, 1), 2 * max(n, 1)))
+            positions = np.sort(np.random.default_rng(n).choice(
+                total, n, replace=False))
+            cores = LigraEngine.cores_for_positions(engine, positions, total)
+        cores = cores[~np.isin(cores, list(absent))] + low
+        batches.append(cores.astype(np.int16))
+    if draw(st.booleans()):
+        # A long, unbalanced tail: one more core with a single event.
+        batches.append(np.array([low + num_cores], dtype=np.int16))
+    return batches
+
+
+def _gathered_span(chunks):
+    """The lockstep span by concatenation and the reference gather."""
+    cols = {name: np.concatenate([c[name] for c in chunks])
+            for name in chunks[0]}
+    order = _reference_lockstep(cols["core"])
+    return {name: col[order] for name, col in cols.items()}
+
+
+class TestLockstepPlacementProperties:
+    """Counting placement == per-core queues popped round-robin."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(framework_spans())
+    def test_framework_spans(self, batches):
+        core = np.concatenate(batches)
+        assert _lockstep_order(core) == _reference_lockstep(core)
+
+    def test_unbalanced_tail(self):
+        core = np.r_[np.repeat(np.arange(1, 5), [9, 7, 12, 8]), 5, 3, 3]
+        core = core.astype(np.int16)
+        assert _lockstep_order(core) == _reference_lockstep(core)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(framework_spans(), min_size=1, max_size=3),
+           st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_builders_equal_concatenate_and_gather(self, tmp_path_factory,
+                                                   spans, step, seed):
+        """``build()`` and the spooled segments hold, column for
+        column, what concatenating each span and gathering it by the
+        reference order gives."""
+        rng = np.random.default_rng(seed)
+        spool = tmp_path_factory.mktemp("spool") / "s.npz"
+        spooler = SpoolingTraceBuilder(spool, segment_events=step)
+        direct = TraceBuilder()
+        expected = []
+        for batches in spans:
+            raw = []
+            for core in batches:
+                n = len(core)
+                kwargs = dict(
+                    core=core, addr=rng.integers(0, 1 << 30, n),
+                    size=rng.choice([4, 8], n).astype(np.int16),
+                    access_class=AccessClass(int(rng.integers(0, 3))),
+                    write=bool(rng.integers(2)), atomic=bool(rng.integers(2)),
+                    vertex=rng.integers(-1, 1000, n))
+                for tb in (spooler, direct):
+                    tb.append(**kwargs)
+                if n:
+                    raw.append(direct._chunks[-1])
+            if raw:
+                expected.append(_gathered_span(raw))
+            for tb in (spooler, direct):
+                tb.mark_barrier()
+        built = direct.build()
+        with spooler.finalize() as segtrace:
+            segments = [segtrace.segment(i)
+                        for i in range(segtrace.num_segments)]
+        for name in ("core", "addr", "size", "access_class", "flags",
+                     "vertex"):
+            want = (np.concatenate([span[name] for span in expected])
+                    if expected else np.zeros(0))
+            assert np.array_equal(getattr(built, name), want), name
+            spooled = (np.concatenate([getattr(s, name) for s in segments])
+                       if segments else np.zeros(0))
+            assert np.array_equal(spooled, want), name
+            assert all(getattr(s, name).dtype == getattr(built, name).dtype
+                       for s in segments)
 
 
 class TestBarrierNormalization:
