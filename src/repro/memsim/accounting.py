@@ -182,7 +182,7 @@ def account_sp_plain(ctx: ReplayContext, trace: Trace,
         lat[remote] += transfer_latency_many(
             ctx.crossbar, cores[remote], home[idx][remote]
         )
-        rbytes = int(prepass.nbytes[idx][remote].sum())
+        rbytes = int(prepass.nbytes[idx][remote].sum(dtype=np.int64))
         ctx.crossbar.word_packets += n_remote
         ctx.crossbar.word_bytes += rbytes + n_remote * header
         stats.onchip_word_bytes += rbytes + n_remote * header
@@ -212,7 +212,7 @@ def account_sp_rmw(ctx: ReplayContext, trace: Trace,
         lat[remote] += 2.0 * transfer_latency_many(
             ctx.crossbar, cores[remote], home[idx][remote]
         )
-        rbytes = int(prepass.nbytes[idx][remote].sum())
+        rbytes = int(prepass.nbytes[idx][remote].sum(dtype=np.int64))
         ctx.crossbar.word_packets += 2 * n_remote
         ctx.crossbar.word_bytes += 2 * (rbytes + n_remote * header)
         stats.onchip_word_bytes += 2 * (rbytes + n_remote * header)
@@ -275,7 +275,7 @@ def account_offload(ctx: ReplayContext, trace: Trace,
     stats.sp_remote_accesses += n_remote
     if n_remote:
         header = config.interconnect.header_bytes
-        rbytes = int(prepass.nbytes[idx][~local].sum())
+        rbytes = int(prepass.nbytes[idx][~local].sum(dtype=np.int64))
         ctx.crossbar.word_packets += n_remote
         ctx.crossbar.word_bytes += rbytes + n_remote * header
         stats.onchip_word_bytes += rbytes + n_remote * header

@@ -630,8 +630,7 @@ class CacheSystem:
                 return []
         delta, marks = self._replay_kernel(
             cores64, addrs,
-            np.asarray(lines, dtype=np.int64),
-            np.asarray(banks, dtype=np.int64),
+            np.asarray(lines, dtype=np.int64), np.asarray(banks),
             writes, atomics, mem_lat, serial, record, cuts,
         )
         self._apply(delta, mem_lat, serial)

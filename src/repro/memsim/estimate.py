@@ -46,6 +46,7 @@ from repro.ligra.trace import Trace
 from repro.memsim.accounting import LatencyLedger, ReplayContext
 from repro.memsim.cachestate import CacheSystem
 from repro.memsim.dram import DramModel
+from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.prepass import precompute
 from repro.memsim.routes import (
@@ -165,8 +166,8 @@ def predict_slot_hits(
     "one of the previous ``ways`` positions holds the same ``(slot,
     key)``". That is one radix slot sort plus ``ways`` shifted
     compares; slot and key are compared separately, so any key width
-    works; keys are gathered min-offset, in int32 unless their span
-    needs int64.
+    works; keys are offset by their minimum straight into int32 (no
+    int64 temporary) unless their span needs int64, then gathered.
 
     The gap counts slot *accesses*, not distinct lines, so repeated
     touches of one hot line inflate the gap and the model errs toward
@@ -183,7 +184,9 @@ def predict_slot_hits(
     ss = slots[so]
     kmin = int(keys.min())
     kdt = np.int32 if int(keys.max()) - kmin <= np.iinfo(np.int32).max else np.int64
-    ks = (keys - kmin).astype(kdt, copy=False)[so]
+    ks = np.empty(n, dtype=kdt)
+    np.subtract(keys, kmin, out=ks, casting="unsafe")
+    ks = ks[so]
     hit = np.zeros(n, dtype=bool)
     same = np.empty(n, dtype=bool)
     for d in range(1, min(ways, n - 1) + 1):
@@ -243,24 +246,38 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     est.locked_events = int(counts[ROUTE_LOCKED])
     est.pim_events = int(counts[ROUTE_PIM])
 
-    cache_idx = np.flatnonzero(routes == ROUTE_CACHE)
-    est.cache_events = int(len(cache_idx))
+    est.cache_events = int(counts[ROUTE_CACHE])
     if not est.cache_events:
         return est
 
-    lines = prepass.lines[cache_idx]
+    # Select cache-routed events with a bool mask (no index array), and
+    # read the prepass and trace columns in place when nothing else is
+    # routed — the cache-only backends' common case.
+    everything = est.cache_events == est.events
+    cache = None if everything else routes == ROUTE_CACHE
+    lines = prepass.lines if everything else prepass.lines[cache]
+    cores = trace.core if everything else trace.core[cache]
     l1_hit = predict_slot_hits(
-        _slot_column(trace.core[cache_idx], lines, config.l1.num_sets, ncores),
+        _slot_column(cores, lines, config.l1.num_sets, ncores),
         lines, config.l1.ways,
     )
+    del lines, cores
     est.l1_hits = int(np.count_nonzero(l1_hit))
     est.l1_misses = est.cache_events - est.l1_hits
 
-    miss_idx = cache_idx[~l1_hit]
-    bank_keys = prepass.bank_keys[miss_idx]
+    # The L1 misses as a mask over every event: only they get bank keys.
+    if everything:
+        miss = ~l1_hit
+    else:
+        miss = cache
+        miss[cache] = ~l1_hit
+    del l1_hit
+    geometry = BankGeometry(num_banks=ncores,
+                            line_bytes=config.l1.line_bytes)
+    bank_keys = geometry.bank_keys_of(prepass.lines[miss])
     l2 = config.l2_per_core
     l2_hit = predict_slot_hits(
-        _slot_column(prepass.banks[miss_idx], bank_keys, l2.num_sets, ncores),
+        _slot_column(prepass.banks[miss], bank_keys, l2.num_sets, ncores),
         bank_keys, l2.ways,
     )
     est.l2_hits = int(np.count_nonzero(l2_hit))
@@ -268,6 +285,6 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
 
     line_bytes = config.l1.line_bytes
     est.dram_read_bytes = est.l2_misses * line_bytes
-    l2_miss_writes = np.count_nonzero(prepass.write[miss_idx] & ~l2_hit)
+    l2_miss_writes = np.count_nonzero(prepass.write[miss] & ~l2_hit)
     est.dram_write_bytes = int(l2_miss_writes) * line_bytes
     return est

@@ -7,7 +7,7 @@ over all events at once — everything a replay needs that does not
 depend on cache or directory state:
 
 - flag decoding (write / atomic / source-read / update masks),
-- cache-line ids, home banks and bank-local keys
+- cache-line ids and home banks
   (:class:`~repro.memsim.geometry.BankGeometry`),
 - region/access-class lookup (the vectorized twin of
   :meth:`repro.ligra.trace.AddressSpace.classify`),
@@ -50,6 +50,7 @@ from repro.memsim.mapping import ScratchpadMapping
 __all__ = [
     "TracePrepass",
     "precompute",
+    "core_id_dtype",
     "classify_regions",
     "StreamDetector",
 ]
@@ -83,8 +84,11 @@ class TracePrepass:
     """Per-event arrays derived from a trace before the stateful loop.
 
     All arrays are indexed by event position in the (replay-order)
-    trace. ``hot``/``home``/``local`` are only populated when a
-    scratchpad mapping is supplied (all-False / -1 otherwise).
+    trace. Each column is only as wide as its range: ``banks`` and
+    ``home`` hold core ids in :func:`core_id_dtype`, ``nbytes`` is
+    int8. ``hot``/``home``/``local`` are only populated when a
+    scratchpad mapping is supplied; otherwise they are read-only
+    broadcasts of False / -1 / False that cost no per-event memory.
     """
 
     #: Decoded flag masks.
@@ -95,7 +99,6 @@ class TracePrepass:
     #: Cache-line geometry per event.
     lines: np.ndarray
     banks: np.ndarray
-    bank_keys: np.ndarray
     #: Scratchpad-word access size (bytes, clamped to the 8 B port).
     nbytes: np.ndarray
     #: vtxProp events (the monitor unit's class check).
@@ -111,6 +114,11 @@ class TracePrepass:
         return len(self.lines)
 
 
+def core_id_dtype(num_cores: int) -> np.dtype:
+    """Narrowest signed integer dtype holding every core id and -1."""
+    return np.min_scalar_type(-num_cores)
+
+
 def precompute(
     trace: Trace,
     config: SimConfig,
@@ -119,33 +127,34 @@ def precompute(
     """Run the batch classification stage over ``trace``.
 
     ``mapping`` enables the hot/home/local columns for scratchpad
-    backends; cache-only backends pass ``None`` and get inert columns.
+    backends; cache-only backends pass ``None`` and get inert,
+    read-only constant columns.
     """
     geometry = BankGeometry(
         num_banks=config.core.num_cores,
         line_bytes=config.l1.line_bytes,
     )
+    core_dt = core_id_dtype(config.core.num_cores)
     flags = trace.flags
     lines = geometry.lines_of(trace.addr)
     n = len(lines)
     vtxprop = trace.access_class == np.int8(int(AccessClass.VTXPROP))
     if mapping is not None and mapping.hot_capacity > 0:
         hot = vtxprop & mapping.is_hot_many(trace.vertex)
-        home = mapping.home_many(trace.vertex)
+        home = mapping.home_many(trace.vertex).astype(
+            core_id_dtype(mapping.num_cores))
         local = home == trace.core
     else:
-        hot = np.zeros(n, dtype=bool)
-        home = np.full(n, -1, dtype=np.int64)
-        local = np.zeros(n, dtype=bool)
+        hot = local = np.broadcast_to(np.False_, (n,))
+        home = np.broadcast_to(np.array(-1, dtype=core_dt), (n,))
     return TracePrepass(
         write=(flags & FLAG_WRITE) != 0,
         atomic=(flags & FLAG_ATOMIC) != 0,
         src_read=(flags & FLAG_SRC_READ) != 0,
         update=(flags & FLAG_UPDATE) != 0,
         lines=lines,
-        banks=geometry.banks_of(lines),
-        bank_keys=geometry.bank_keys_of(lines),
-        nbytes=np.minimum(trace.size, SP_WORD_BYTES).astype(np.int64),
+        banks=geometry.banks_of(lines).astype(core_dt),
+        nbytes=np.minimum(trace.size, SP_WORD_BYTES).astype(np.int8),
         vtxprop=vtxprop,
         hot=hot,
         home=home,

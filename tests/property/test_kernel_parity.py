@@ -266,15 +266,15 @@ def workload():
     return result.trace, ranges, bpv, graph.num_vertices
 
 
-def all_backend_factories(workload):
+def all_backend_factories(workload, num_cores=NCORES):
     trace, ranges, bpv, nverts = workload
-    bcfg = SimConfig.scaled_baseline(num_cores=NCORES)
-    ocfg = SimConfig.scaled_omega(num_cores=NCORES)
-    lcfg = SimConfig.scaled_omega(num_cores=NCORES, use_pisc=False,
+    bcfg = SimConfig.scaled_baseline(num_cores=num_cores)
+    ocfg = SimConfig.scaled_omega(num_cores=num_cores)
+    lcfg = SimConfig.scaled_omega(num_cores=num_cores, use_pisc=False,
                                   use_source_buffer=False)
     microcode = microcode_for_algorithm("pagerank")
     hot = hot_capacity_for(ocfg.scratchpad_total_bytes, bpv, nverts)
-    mapping = ScratchpadMapping(NCORES, hot, chunk_size=32)
+    mapping = ScratchpadMapping(num_cores, hot, chunk_size=32)
     return {
         "baseline": lambda: BaselineBackend(bcfg, dram_random_ranges=ranges),
         "omega": lambda: OmegaBackend(ocfg, mapping, microcode,

@@ -9,6 +9,7 @@ round-robin scheme.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from repro.ligra.trace import (
     FLAG_SRC_READ,
     FLAG_UPDATE,
     FLAG_WRITE,
+    Trace,
     TraceBuilder,
 )
 from repro.memsim.geometry import BankGeometry
@@ -27,6 +29,7 @@ from repro.memsim.mapping import ScratchpadMapping
 from repro.memsim.prepass import (
     StreamDetector,
     classify_regions,
+    core_id_dtype,
     precompute,
 )
 
@@ -109,7 +112,7 @@ class TestPrecompute:
             line = geo.line_of(int(trace.addr[i]))
             assert pre.lines[i] == line
             assert pre.banks[i] == geo.bank_of(line)
-            assert pre.bank_keys[i] == geo.bank_key_of(line)
+            assert geo.bank_keys_of(pre.lines)[i] == geo.bank_key_of(line)
             assert pre.nbytes[i] == min(int(trace.size[i]), 8)
             vertex = int(trace.vertex[i])
             is_vtx = (
@@ -131,6 +134,47 @@ class TestPrecompute:
         assert not pre.hot.any()
         assert (pre.home == -1).all()
         assert not pre.local.any()
+        for col in (pre.hot, pre.home, pre.local):
+            assert len(col) == trace.num_events
+            assert not col.flags.writeable
+
+
+class TestColumnWidths:
+    """Each prepass column is only as wide as its range."""
+
+    @pytest.mark.parametrize("num_cores,dtype", [
+        (16, np.int8), (128, np.int8), (256, np.int16),
+    ])
+    def test_core_id_columns(self, num_cores, dtype):
+        config = SimConfig.scaled_omega(num_cores=num_cores)
+        line_bytes = config.l1.line_bytes
+        # Every core id appears as a core, a home bank and a pad home,
+        # so a column too narrow for the top id would wrap.
+        n = 4 * num_cores
+        ids = np.arange(n) % num_cores
+        trace = Trace(
+            core=ids.astype(np.int16),
+            addr=np.arange(n, dtype=np.int64) * line_bytes,
+            size=np.full(n, 16, dtype=np.int16),
+            access_class=np.full(n, int(AccessClass.VTXPROP),
+                                 dtype=np.int8),
+            flags=np.zeros(n, dtype=np.int8),
+            vertex=np.arange(n, dtype=np.int64)[::-1].copy(),
+        )
+        mapping = ScratchpadMapping(num_cores, hot_capacity=n,
+                                    chunk_size=1)
+        assert core_id_dtype(num_cores) == dtype
+        pre = precompute(trace, config, mapping=mapping)
+        for col in (pre.banks, pre.home):
+            assert col.dtype == dtype
+            assert int(col.max()) == num_cores - 1
+        assert (pre.banks == ids).all()
+        assert (pre.home == mapping.home_many(trace.vertex)).all()
+        assert pre.nbytes.dtype == np.int8
+        assert (pre.nbytes == 8).all()
+        inert = precompute(trace, config, mapping=None)
+        assert inert.home.dtype == dtype
+        assert (inert.banks == ids).all()
 
 
 class _NaiveStreamDetector:

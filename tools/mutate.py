@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Standing mutation gate for the cache path, the prepass and the estimator.
+
+Each mutant is a (file, old, new) edit that breaks one rule the exact
+stages or the estimator depend on. For every mutant the gate copies
+the working tree (without ``.git``) into a temporary directory,
+applies the edit there (the checkout is never touched), and runs the
+gate's test files with ``pytest -x``. A mutant must make them fail; one
+that survives is a missing test, so the gate exits 1 and names it.
+Before the mutants, the unmutated copy must pass, so a kill always
+means the edit was caught, not that the tree was already broken.
+
+    python tools/mutate.py    # every mutant, 5-45 s each
+
+``old`` must occur exactly once in its file; an edit that no longer
+applies is an error, not a pass. Never drop a mutant that survives:
+add the test that kills it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The kernel-parity job's file set plus the estimator and prepass tests.
+TESTS = (
+    "tests/property/test_kernel_parity.py",
+    "tests/property/test_l2_stage.py",
+    "tests/property/test_l1_dir_stages.py",
+    "tests/property/test_attribution_parity.py",
+    "tests/property/test_estimate.py",
+    "tests/property/test_intsort.py",
+    "tests/memsim/test_cachestate_helpers.py",
+    "tests/memsim/test_kernel_block.py",
+    "tests/memsim/test_cache_path_reuse.py",
+    "tests/memsim/test_dynamic_scratchpad.py",
+    "tests/property/test_dynamic_trainer.py",
+    "tests/ligra/test_trace.py",
+    "tests/test_counter_grid.py",
+    "tests/property/test_estimate_equivalence.py",
+    "tests/property/test_prepass_properties.py",
+    "tests/memsim/test_memory_budget.py",
+)
+
+STAGES = "src/repro/memsim/stages.py"
+CACHESTATE = "src/repro/memsim/cachestate.py"
+ESTIMATE = "src/repro/memsim/estimate.py"
+PREPASS = "src/repro/memsim/prepass.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+
+
+MUTANTS = (
+    Mutant(
+        "prefetch-last-matching-head", STAGES,
+        "                h[index(p)] = x\n",
+        "                h[len(h) - 1 - h[::-1].index(p)] = x\n",
+    ),
+    Mutant(
+        "directory-drops-carried-stale-bits", STAGES,
+        "    end |= stale & keep_stale[:, None]\n",
+        "",
+    ),
+    Mutant(
+        "writeback-ignores-carried-interval", STAGES,
+        "prev_owner = np.where(wfirst, owners0[L[wi]], own_g[pg])",
+        "prev_owner = np.where(wfirst, -1, own_g[pg])",
+    ),
+    Mutant(
+        "screen-write-after-same-core-read", CACHESTATE,
+        "        sw[:-1] & (pcur == pprev + 1),\n",
+        "        pcur == pprev + 1,\n",
+    ),
+    Mutant(
+        "dram-ignores-carried-open-row", CACHESTATE,
+        "prev[first] = np.array(open_rows, dtype=np.int64)[sch[first]]",
+        "prev[first] = -1",
+    ),
+    Mutant(
+        "l1-no-deletions-for-start-holders", CACHESTATE,
+        "        ok = ok[m_r[wpos[target[ok]]] == m_r[ok]]\n",
+        "        ok = ok[(m_r[wpos[target[ok]]] == m_r[ok]) & (m_t[ok] >= 0)]\n",
+    ),
+    Mutant(
+        "lru-walk-off-by-one", STAGES,
+        "offs = np.arange(d + 1, d + width + 1, dtype=np.int32)",
+        "offs = np.arange(d + 2, d + width + 2, dtype=np.int32)",
+    ),
+    Mutant(
+        "hybrid-ignores-random-ranges", CACHESTATE,
+        "            for lo, hi in self.dram._random_ranges:\n"
+        "                machine &=",
+        "            for lo, hi in ():\n"
+        "                machine &=",
+    ),
+    Mutant(
+        "estimate-bank-keys-wrong-shift", ESTIMATE,
+        "bank_keys = geometry.bank_keys_of(prepass.lines[miss])",
+        "bank_keys = prepass.lines[miss] >> (geometry.bank_bits - 1)",
+    ),
+    Mutant(
+        "estimate-all-cache-reads-banks", ESTIMATE,
+        "cores = trace.core if everything else trace.core[cache]",
+        "cores = prepass.banks if everything else trace.core[cache]",
+    ),
+    Mutant(
+        "prepass-banks-int8-above-128-cores", PREPASS,
+        "banks=geometry.banks_of(lines).astype(core_dt),",
+        "banks=geometry.banks_of(lines).astype(np.int8),",
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    """The working tree, as it is, minus git metadata and run outputs."""
+    ignore = shutil.ignore_patterns(
+        ".git", "__pycache__", "*.pyc", ".hypothesis", ".pytest_cache",
+        ".benchmarks", ".perfbench-work", "*-artifacts", ".trace_cache",
+    )
+    shutil.copytree(ROOT, dest, dirs_exist_ok=True, ignore=ignore)
+
+
+def _apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(
+            f"mutant {mutant.name}: its old text occurs {count} times in"
+            f" {mutant.path}; update the mutant to the current code"
+        )
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _run_tests(tree: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-p", "no:cacheprovider",
+           *TESTS]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _check(mutant) -> bool:
+    """Whether the test set fails with ``mutant`` applied (None: clean)."""
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if mutant is not None:
+            _apply(tree, mutant)
+        return _run_tests(tree) != 0
+
+
+def main() -> int:
+    start = time.perf_counter()
+    if _check(None):
+        print("the unmutated tree fails the gate's tests; fix it first")
+        return 1
+    print(f"clean tree passes ({time.perf_counter() - start:.1f} s)")
+    survivors = []
+    for m in MUTANTS:
+        start = time.perf_counter()
+        killed = _check(m)
+        verdict = "killed" if killed else "SURVIVED"
+        print(f"{verdict:8s} {m.name}  ({time.perf_counter() - start:.1f} s)")
+        if not killed:
+            survivors.append(m.name)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
