@@ -92,9 +92,10 @@ class SimReport:
     @property
     def dram_bandwidth_gbps(self) -> float:
         """Achieved DRAM bandwidth (the Fig 16 metric)."""
-        return self.replay.dram.utilization_gbps(
-            self.timing.total_cycles, self.config.core.freq_ghz
-        )
+        if self.timing.total_cycles <= 0:
+            return 0.0
+        seconds = self.timing.seconds(self.config.core.freq_ghz)
+        return self.stats.dram_bytes / seconds / 1e9
 
     def summary(self) -> Dict[str, float]:
         """Headline numbers for table printers."""

@@ -34,7 +34,7 @@ from repro.memsim.backends import (
 from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
 from repro.memsim.mapping import ScratchpadMapping
-from repro.memsim.pisc import MicroOp, Microcode, PiscEngine
+from repro.memsim.pisc import MicroOp, Microcode
 from repro.memsim.prepass import StreamDetector, TracePrepass, precompute
 from repro.memsim.replay import ReplayOutput
 from repro.memsim.scratchpad import (
@@ -74,7 +74,6 @@ __all__ = [
     "ScratchpadMapping",
     "MicroOp",
     "Microcode",
-    "PiscEngine",
     "MonitorRegister",
     "ScratchpadController",
     "hot_capacity_for",

@@ -30,12 +30,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.config import SimConfig
-from repro.errors import SimulationError
 from repro.ligra.trace import Trace
 from repro.memsim.cachestate import CacheSystem
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
-from repro.memsim.pisc import Microcode, PiscEngine
+from repro.memsim.pisc import Microcode
 from repro.memsim.prepass import TracePrepass
 from repro.memsim.routes import transfer_latency_many
 from repro.memsim.srcbuffer import SourceVertexBuffer
@@ -125,7 +124,6 @@ class ReplayContext:
     ncores: int
     #: Per-family latency accumulation (segment-order invariant).
     ledger: LatencyLedger
-    piscs: Optional[List[PiscEngine]] = None
     srcbufs: Optional[List[SourceVertexBuffer]] = None
     #: Backend-supplied scratchpad home/locality overrides (the dynamic
     #: backend homes by ``vertex % ncores`` instead of the mapping).
@@ -183,8 +181,6 @@ def account_sp_plain(ctx: ReplayContext, trace: Trace,
             ctx.crossbar, cores[remote], home[idx][remote]
         )
         rbytes = int(prepass.nbytes[idx][remote].sum(dtype=np.int64))
-        ctx.crossbar.word_packets += n_remote
-        ctx.crossbar.word_bytes += rbytes + n_remote * header
         stats.onchip_word_bytes += rbytes + n_remote * header
     account_latencies(ctx, cores, lat, prepass.atomic[idx],
                       family="sp_plain")
@@ -213,8 +209,6 @@ def account_sp_rmw(ctx: ReplayContext, trace: Trace,
             ctx.crossbar, cores[remote], home[idx][remote]
         )
         rbytes = int(prepass.nbytes[idx][remote].sum(dtype=np.int64))
-        ctx.crossbar.word_packets += 2 * n_remote
-        ctx.crossbar.word_bytes += 2 * (rbytes + n_remote * header)
         stats.onchip_word_bytes += 2 * (rbytes + n_remote * header)
     account_latencies(ctx, cores, lat, np.ones(n, dtype=bool),
                       family="sp_rmw")
@@ -243,31 +237,12 @@ def account_offload(ctx: ReplayContext, trace: Trace,
     for c in range(ctx.ncores):
         serial[c] += float(counts[c]) * issue
 
-    homes = np.asarray(home[idx], dtype=np.int64)
-    verts = np.asarray(trace.vertex[idx], dtype=np.int64)
-    cycles = microcode.cycles
+    # Each op occupies its home pad's PISC for the microcode's cycles.
+    ops = np.bincount(np.asarray(home[idx], dtype=np.int64),
+                      minlength=ctx.ncores)
     occupancy = stats.pisc_occupancy
-    piscs = ctx.piscs
-    if piscs is None:
-        raise SimulationError(
-            "account_offload called without PISC engines; the backend's"
-            " prepare() must populate ctx.piscs before routing offloads"
-        )
     for p in range(ctx.ncores):
-        vs = verts[homes == p]
-        cnt = len(vs)
-        if not cnt:
-            continue
-        pisc = piscs[p]
-        pisc.ops_executed += cnt
-        pisc.busy_cycles += cnt * cycles
-        # Same-vertex back-to-back ops serialize on the pad controller.
-        conflicts = int(np.count_nonzero(vs[1:] == vs[:-1]))
-        if vs[0] == pisc._last_vertex:
-            conflicts += 1
-        pisc.conflict_cycles += conflicts * cycles
-        pisc._last_vertex = int(vs[-1])
-        occupancy[p] += cnt * cycles
+        occupancy[p] += int(ops[p]) * microcode.cycles
 
     local = local_mask[idx]
     n_remote = int(np.count_nonzero(~local))
@@ -276,6 +251,4 @@ def account_offload(ctx: ReplayContext, trace: Trace,
     if n_remote:
         header = config.interconnect.header_bytes
         rbytes = int(prepass.nbytes[idx][~local].sum(dtype=np.int64))
-        ctx.crossbar.word_packets += n_remote
-        ctx.crossbar.word_bytes += rbytes + n_remote * header
         stats.onchip_word_bytes += rbytes + n_remote * header

@@ -1,8 +1,8 @@
 """The backend protocol: a memory hierarchy as a routing policy.
 
 Subclasses validate their configuration in ``__init__``, spin up any
-private structures in :meth:`HierarchyBackend.prepare` (PISCs, source
-buffers), assign one ``ROUTE_*`` code per event in
+private structures in :meth:`HierarchyBackend.prepare` (source
+buffers, training state), assign one ``ROUTE_*`` code per event in
 :meth:`HierarchyBackend.route`, and charge everything that is not the
 stateful cache path in :meth:`HierarchyBackend.account` (vectorized).
 The template :meth:`HierarchyBackend.replay` delegates to the shared
@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.config import SimConfig
+from repro.errors import ConfigError
 from repro.ligra.segments import SegmentedTrace
 from repro.ligra.trace import Trace
 from repro.memsim.accounting import (
@@ -67,6 +68,16 @@ class HierarchyBackend:
         self.config = config
         self.dram_random_ranges = ()
         self.microcode: Optional[Microcode] = None
+
+    def _check_mapping(self, mapping: ScratchpadMapping) -> None:
+        """Reject a mapping spread over a different number of pads than
+        the config has cores (its ops would home on missing pads)."""
+        if mapping.num_cores != self.config.core.num_cores:
+            raise ConfigError(
+                f"backend {self.name!r}: the scratchpad mapping spans"
+                f" {mapping.num_cores} pads but the config has"
+                f" {self.config.core.num_cores} cores"
+            )
 
     # -- hooks ---------------------------------------------------------
     def prepass_mapping(self) -> Optional[ScratchpadMapping]:

@@ -13,7 +13,7 @@ from repro.ligra.trace import Trace
 from repro.memsim.accounting import ReplayContext
 from repro.memsim.backends.base import HierarchyBackend
 from repro.memsim.backends.registry import register_backend
-from repro.memsim.pisc import Microcode, PiscEngine
+from repro.memsim.pisc import Microcode
 from repro.memsim.prepass import TracePrepass
 from repro.memsim.routes import ROUTE_SP_OFFLOAD, ROUTE_SP_PLAIN
 
@@ -159,10 +159,6 @@ class DynamicScratchpadBackend(HierarchyBackend):
         return self.config.use_pisc and self.microcode is not None
 
     def prepare(self, ctx: ReplayContext) -> None:
-        ctx.piscs = [PiscEngine(p) for p in range(ctx.ncores)]
-        if self._use_pisc:
-            for p in ctx.piscs:
-                p.load_microcode(self.microcode)
         # The frequency trainer lives on the context so it carries
         # across trace segments: counts learned in segment k keep
         # deciding residency in segment k+1, exactly as they would in

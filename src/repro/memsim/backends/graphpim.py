@@ -96,9 +96,6 @@ class GraphPimBackend(HierarchyBackend):
         half = pim.bytes_per_op // 2
         stats.dram_read_bytes += n * half
         stats.dram_write_bytes += n * half
-        ctx.dram.read_bytes += n * half
-        ctx.dram.write_bytes += n * half
-        ctx.dram.read_accesses += n
 
     def finalize(self, ctx: ReplayContext) -> None:
         # Report PIM occupancy through the same channel the core model

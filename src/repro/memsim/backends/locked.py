@@ -36,6 +36,7 @@ class LockedCacheBackend(HierarchyBackend):
                 f"backend {self.name!r} has no PISCs; pass use_pisc=False"
             )
         super().__init__(config)
+        self._check_mapping(mapping)
         self.mapping = mapping
 
     def prepass_mapping(self) -> Optional[ScratchpadMapping]:
@@ -66,8 +67,6 @@ class LockedCacheBackend(HierarchyBackend):
             line_bytes = config.l1.line_bytes
             header = config.interconnect.header_bytes
             lat[remote] += ctx.crossbar.transfer_latency()
-            ctx.crossbar.line_packets += n_remote
-            ctx.crossbar.line_bytes += n_remote * (line_bytes + header)
             stats.onchip_line_bytes += n_remote * (line_bytes + header)
         account_latencies(ctx, cores, lat, prepass.atomic[idx],
                           family="locked")

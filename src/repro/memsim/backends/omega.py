@@ -13,7 +13,7 @@ from repro.memsim.accounting import ReplayContext
 from repro.memsim.backends.base import HierarchyBackend
 from repro.memsim.backends.registry import register_backend
 from repro.memsim.mapping import ScratchpadMapping
-from repro.memsim.pisc import Microcode, PiscEngine
+from repro.memsim.pisc import Microcode
 from repro.memsim.prepass import TracePrepass
 from repro.memsim.routes import (
     ROUTE_SP_OFFLOAD,
@@ -43,6 +43,7 @@ class OmegaBackend(HierarchyBackend):
                 " use_scratchpad=True"
             )
         super().__init__(config)
+        self._check_mapping(mapping)
         self.mapping = mapping
         self.microcode = microcode
         self.dram_random_ranges = tuple(dram_random_ranges)
@@ -55,10 +56,6 @@ class OmegaBackend(HierarchyBackend):
         return self.config.use_pisc and self.microcode is not None
 
     def prepare(self, ctx: ReplayContext) -> None:
-        ctx.piscs = [PiscEngine(p) for p in range(ctx.ncores)]
-        if self._use_pisc:
-            for p in ctx.piscs:
-                p.load_microcode(self.microcode)
         if self.config.use_source_buffer:
             ctx.srcbufs = [
                 SourceVertexBuffer(self.config.source_buffer_entries)

@@ -36,10 +36,6 @@ class Cache:
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self._num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
 
     def line_of(self, addr: int) -> int:
         """Line address (byte address with offset bits cleared)."""
@@ -53,29 +49,17 @@ class Cache:
         """
         s = self._sets[line % self._num_sets]
         if line in s:
-            self.hits += 1
             s.move_to_end(line)
             if write:
                 s[line] = True
             return True, None
-        self.misses += 1
         victim_dirty: Optional[int] = None
         if len(s) >= self._ways:
             victim_line, was_dirty = s.popitem(last=False)
-            self.evictions += 1
             if was_dirty:
-                self.dirty_evictions += 1
                 victim_dirty = victim_line
         s[line] = write
         return False, victim_dirty
-
-    def access(self, addr: int, write: bool = False) -> AccessResult:
-        """Access a byte address (convenience wrapper over lines)."""
-        return self.access_line(self.line_of(addr), write)
-
-    def contains_line(self, line: int) -> bool:
-        """Presence check without touching LRU state."""
-        return line in self._sets[line % self._num_sets]
 
     def invalidate_line(self, line: int) -> bool:
         """Drop a line (coherence invalidation); returns whether present."""
@@ -85,27 +69,8 @@ class Cache:
             return True
         return False
 
-    def flush(self) -> int:
-        """Empty the cache, returning the number of dirty lines dropped."""
-        dirty = 0
-        for s in self._sets:
-            dirty += sum(1 for d in s.values() if d)
-            s.clear()
-        return dirty
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit rate over all accesses so far."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def occupancy(self) -> int:
-        """Number of resident lines."""
-        return sum(len(s) for s in self._sets)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Cache({self.name}, {self.config.size_bytes}B,"
-            f" {self._ways}-way, hit_rate={self.hit_rate:.2%})"
+            f" {self._ways}-way)"
         )

@@ -2,8 +2,11 @@
 
 :class:`CacheSystem` owns everything a cache-routed event can touch —
 per-core L1s, the banked L2, the MESI directory, the stream
-prefetcher, DRAM row state, interconnect accounting — and replays
-pre-routed event batches over it. Two execution paths produce
+prefetcher, DRAM row state — and replays pre-routed event batches over
+it, charging every counter to the run's
+:class:`~repro.memsim.stats.MemStats` (the models keep state only;
+DRAM's row-buffer hits and misses are the one counter pair outside
+it). Two execution paths produce
 *bit-identical* results:
 
 - the **scalar oracle** (:meth:`CacheSystem.access`, driven by
@@ -22,8 +25,8 @@ pre-routed event batches over it. Two execution paths produce
      line from every other L1 holding it, and each core's L1 is its own
      accesses plus those deletions. The residual events and the
      deletion candidates go, one stream per (core, L1 set), through
-     :func:`~repro.memsim.stages.lru_stage`, which logs the L1 misses,
-     the dirty victims and the copies a deletion dropped;
+     :func:`~repro.memsim.stages.lru_stage`, which logs the L1 misses
+     and the dirty victims;
   3. **directory** (:meth:`CacheSystem._directory_stage`): per line, the
      L1 read misses, every residual write and the dirty victims go
      through :func:`~repro.memsim.stages.directory_stage`, which logs
@@ -37,7 +40,7 @@ pre-routed event batches over it. Two execution paths produce
      and nothing upstream reads it, so the L1 misses and dirty victims
      replay through every L2 set at once in
      :func:`~repro.memsim.stages.lru_stage`, which logs the demand L2
-     hits, the victims' L2 misses and the DRAM write-backs;
+     hits and the DRAM write-backs;
   6. **fold** (:meth:`CacheSystem._fold`): one vectorized pass derives
      every counter, the DRAM row-buffer outcomes, the per-event
      latencies and the optional :class:`CacheRecord` columns from the
@@ -66,8 +69,8 @@ open/hybrid-page row-buffer machine runs in the fold over the logged
 DRAM accesses, ordered by position and phase.
 
 A kernel batch computes a :class:`CachePathDelta` — every counter
-increment, DRAM's open rows and the per-core latency sums — before
-applying it. When a batch is the whole cache path of a run from a
+increment (14 of them, whatever the core count), DRAM's open rows and
+the per-core latency sums — before applying it. When a batch is the whole cache path of a run from a
 fresh system, the delta is memoized in the run's store handle
 (:class:`repro.store.ResultMemo`) under a digest of the cache-relevant
 config and the routed columns (:meth:`CacheSystem.memo_key`), and an
@@ -298,23 +301,16 @@ _STAT_FIELDS = (
     "dram_read_bytes", "dram_write_bytes", "atomics_total",
     "atomics_on_cores",
 )
-_CACHE_FIELDS = ("hits", "misses", "evictions", "dirty_evictions")
-_DIRECTORY_FIELDS = ("invalidations", "writebacks")
-_CROSSBAR_FIELDS = (
-    "line_packets", "line_bytes", "control_packets", "control_bytes",
-)
-_DRAM_FIELDS = (
-    "read_accesses", "read_bytes", "write_accesses", "write_bytes",
-    "row_hits", "row_misses",
-)
+#: ``DramModel`` row-buffer counters the cache path increments.
+_DRAM_FIELDS = ("row_hits", "row_misses")
 
 
 class CachePathDelta:
     """What one kernel batch changes outside the cache state itself.
 
     ``counters`` holds one integer increment per
-    :meth:`CacheSystem._counter_slots` entry (``MemStats``, every L1
-    and L2, the directory, the crossbar, DRAM). ``open_rows`` is DRAM's
+    :meth:`CacheSystem._counter_slots` entry (the ``MemStats`` fields
+    the cache path moves, then DRAM's row hits and misses). ``open_rows`` is DRAM's
     open-row register file after the batch (``None`` under the closed
     page policy), and ``mem_lat``/``serial`` are the per-core latency
     sums after the batch. ``events``/``screened`` are the batch's
@@ -341,17 +337,17 @@ class _ResidualLog:
     """Per-event outcomes the stages log for the fold.
 
     Every entry is a batch position (or a value aligned with one), in
-    batch order. The L1 stage sets the L1 misses, the dirty victims
-    and the dropped copies; the directory stage the coherence actions;
-    the prefetcher walk the prefetch hits; the L2 stage the demand L2
-    hits, the victims' L2 misses and the DRAM write-backs. Nothing here
+    batch order. The L1 stage sets the L1 misses and the dirty victims;
+    the directory stage the coherence actions; the prefetcher walk the
+    prefetch hits; the L2 stage the demand L2 hits and the DRAM
+    write-backs. Nothing here
     is a counter: :meth:`CacheSystem._fold` derives every counter,
     latency and record column from this log.
     """
 
     __slots__ = (
-        "l1_miss", "l2_hit", "prefetch", "coh_at", "coh_code", "dropped",
-        "victim_at", "victim_line", "victim_miss", "wb_order", "wb_addr",
+        "l1_miss", "l2_hit", "prefetch", "coh_at", "coh_code",
+        "victim_at", "victim_line", "wb_order", "wb_addr",
     )
 
     def __init__(self) -> None:
@@ -363,13 +359,9 @@ class _ResidualLog:
         #: ``2 * invalidations + writeback``.
         self.coh_at: List[int] = []
         self.coh_code: List[int] = []
-        #: Cores whose L1 copy an invalidation actually removed.
-        self.dropped: List[int] = []
-        #: Dirty L1 victims (position, line) and the L2 banks where the
-        #: victim's write-back missed.
+        #: Dirty L1 victims: position and line.
         self.victim_at: List[int] = []
         self.victim_line: List[int] = []
-        self.victim_miss: List[int] = []
         #: DRAM write-backs: ``3 * position + phase`` (0: the L1
         #: victim's L2 insertion evicted it, 2: the demand fill did;
         #: the demand read itself is phase 1) and the written address.
@@ -442,7 +434,7 @@ class CacheSystem:
         self.l2_banks = [
             Cache(config.l2_per_core, f"l2.{b}") for b in range(ncores)
         ]
-        self.directory = Directory(ncores)
+        self.directory = Directory()
         self.ncores = ncores
         self.geometry = BankGeometry(
             num_banks=ncores, line_bytes=config.l1.line_bytes
@@ -512,7 +504,7 @@ class CacheSystem:
         bank = line & self.bank_mask
         bank_key = line >> self.bank_bits
         if bank != core:
-            latency += self.crossbar.line_transfer(self.line_bytes, core, bank)
+            latency += self.crossbar.transfer_latency(core, bank)
             stats.onchip_line_bytes += (
                 self.line_bytes + self.crossbar.config.header_bytes
             )
@@ -523,10 +515,10 @@ class CacheSystem:
         else:
             stats.l2_misses += 1
             stats.dram_read_bytes += self.line_bytes
-            latency += self.dram.read(self.line_bytes, addr)
+            latency += self.dram.access(addr)
         if l2_dirty_victim is not None:
-            victim_addr = self.geometry.victim_addr(l2_dirty_victim, bank)
-            self.dram.write(self.line_bytes, victim_addr)
+            # A posted write-back: only its row-buffer effect matters.
+            self.dram.access(self.geometry.victim_addr(l2_dirty_victim, bank))
             stats.dram_write_bytes += self.line_bytes
         # A stream prefetcher hides the fill latency of sequential line
         # runs; the traffic and cache-state changes above still stand.
@@ -541,7 +533,6 @@ class CacheSystem:
         for c in iter_set_bits(inval_mask):
             self.l1s[c].invalidate_line(line)
             stats.onchip_word_bytes += self.crossbar.config.header_bytes
-            self.crossbar.control_message()
             stats.coherence_invalidations += 1
         # The writer waits one round trip for the acks, not one per copy.
         return float(self.remote_lat)
@@ -551,21 +542,19 @@ class CacheSystem:
         self.stats.onchip_line_bytes += (
             self.line_bytes + self.crossbar.config.header_bytes
         )
-        return float(self.crossbar.line_transfer(self.line_bytes))
+        return float(self.crossbar.transfer_latency())
 
     def _writeback_to_l2(self, line: int, core: int) -> None:
         """Write a dirty L1 victim back to its L2 bank."""
         bank = line & self.bank_mask
         bank_key = line >> self.bank_bits
         if bank != core:
-            self.crossbar.line_transfer(self.line_bytes, core, bank)
             self.stats.onchip_line_bytes += (
                 self.line_bytes + self.crossbar.config.header_bytes
             )
         _, l2_dirty_victim = self.l2_banks[bank].access_line(bank_key, True)
         if l2_dirty_victim is not None:
-            victim_addr = self.geometry.victim_addr(l2_dirty_victim, bank)
-            self.dram.write(self.line_bytes, victim_addr)
+            self.dram.access(self.geometry.victim_addr(l2_dirty_victim, bank))
             self.stats.dram_write_bytes += self.line_bytes
 
     # ------------------------------------------------------------------
@@ -669,13 +658,8 @@ class CacheSystem:
     def _counter_slots(self) -> List[tuple]:
         """``(object, field)`` per counter a :class:`CachePathDelta`
         increments, in the delta's order."""
-        slots = [(self.stats, f) for f in _STAT_FIELDS]
-        for cache in (*self.l1s, *self.l2_banks):
-            slots += [(cache, f) for f in _CACHE_FIELDS]
-        slots += [(self.directory, f) for f in _DIRECTORY_FIELDS]
-        slots += [(self.crossbar, f) for f in _CROSSBAR_FIELDS]
-        slots += [(self.dram, f) for f in _DRAM_FIELDS]
-        return slots
+        return ([(self.stats, f) for f in _STAT_FIELDS]
+                + [(self.dram, f) for f in _DRAM_FIELDS])
 
     def _apply(self, delta: CachePathDelta, mem_lat: List[float],
                serial: List[float]) -> None:
@@ -776,8 +760,6 @@ class CacheSystem:
             screened, lo = _screen(cores, lines, writes,
                                    self.l1s[0]._num_sets)
             keep = np.flatnonzero(~screened)
-        l1_before = [sum(map(len, c._sets)) for c in self.l1s]
-        l2_before = [sum(map(len, b._sets)) for b in self.l2_banks]
         log = _ResidualLog()
         if len(keep):
             with tracer.span("l1", cat="replay"):
@@ -793,7 +775,7 @@ class CacheSystem:
             self._l2_stage(log, lines, writes)
         with tracer.span("fold", cat="replay"):
             counters, open_rows, lats, at_cuts = self._fold(
-                log, cores, addrs, banks, l1_before, l2_before, record, cuts,
+                log, cores, addrs, banks, record, cuts,
             )
             # Latency accounting: the atomic split and the per-core
             # sums. np.add.at accumulates element-by-element in event
@@ -848,8 +830,8 @@ class CacheSystem:
         start. One stream per (core, L1 set) — the set's start contents,
         then the core's residual accesses and the deletions, in batch
         order — goes through :func:`lru_stage`, which logs the L1
-        misses, the dirty victims and the deletions that dropped a
-        line; each touched set's end contents are written back.
+        misses and the dirty victims; each touched set's end contents
+        are written back.
         """
         ncores = self.ncores
         nsets = self.l1s[0]._num_sets
@@ -948,7 +930,6 @@ class CacheSystem:
         log.l1_miss = keep[miss]
         log.victim_at = keep[miss[dv]]
         log.victim_line = ids[key[v[dv]]]
-        log.dropped = dcore[hit[dpos]]
 
         _refill(flat_l1, np.flatnonzero(
             np.bincount(slot, minlength=len(flat_l1))),
@@ -1047,10 +1028,10 @@ class CacheSystem:
         (phase 0) comes before the demand access (phase 1). Each
         touched set's contents go first, in LRU order with their dirty
         bits, so a batch continuing earlier state is exact. Logs the
-        demand L2 hits, the banks where a victim's write-back missed
-        and the DRAM write-backs (``3 * position`` when the victim's
-        insertion evicted, ``3 * position + 2`` when the demand fill
-        did), then writes each touched set's end contents back.
+        demand L2 hits and the DRAM write-backs (``3 * position`` when
+        the victim's insertion evicted, ``3 * position + 2`` when the
+        demand fill did), then writes each touched set's end contents
+        back.
         """
         demand = _int_array(log.l1_miss)
         victim_at = _int_array(log.victim_at)
@@ -1105,7 +1086,6 @@ class CacheSystem:
         )
 
         log.l2_hit = demand[hit[lead + dpos]]
-        log.victim_miss = (victim_line & bank_mask)[~hit[lead + vpos]]
         evicts = victim[lead:]
         wb = np.flatnonzero(evicts >= 0)
         wb = wb[dirty[evicts[wb]]]
@@ -1115,8 +1095,7 @@ class CacheSystem:
         _refill(flat_l2, touched, sets[end], stream[end] >> bank_bits,
                 dirty[end])
 
-    def _fold(self, log: _ResidualLog, cores, addrs, banks,
-              l1_before: List[int], l2_before: List[int], record=None,
+    def _fold(self, log: _ResidualLog, cores, addrs, banks, record=None,
               cuts=()):
         """Derive a batch's counters, latencies and record from its log.
 
@@ -1128,22 +1107,17 @@ class CacheSystem:
         ``cuts`` (one row per cut, columns in ``_STAT_FIELDS`` order,
         the atomic ones left 0).
 
-        Evictions come from occupancy: a miss inserts one line, an
-        eviction or a removing invalidation takes one out, so per
-        cache ``evictions = before + misses - after - removed``. Every
-        dirty L2 eviction is one DRAM write-back. DRAM's row-buffer
-        machine runs here too: the demand reads and write-backs,
-        ordered by position and phase, are stable-sorted by channel,
-        and an access hits when the previous access on its channel
-        (or the carried-in open row) has the same row.
+        Every dirty L2 eviction is one DRAM write-back. DRAM's
+        row-buffer machine runs here too: the demand reads and
+        write-backs, ordered by position and phase, are stable-sorted by
+        channel, and an access hits when the previous access on its
+        channel (or the carried-in open row) has the same row.
         """
         n = len(cores)
-        ncores = self.ncores
         xcfg = self.crossbar.config
         header = xcfg.header_bytes
         lb_h = self.line_bytes + header
         line_bytes = self.line_bytes
-        bank_mask = self.bank_mask
 
         miss = _int_array(log.l1_miss)
         l2_hit = _int_array(log.l2_hit)
@@ -1153,33 +1127,14 @@ class CacheSystem:
         hit_mask = np.zeros(n, dtype=bool)
         hit_mask[l2_hit] = True
         l2_miss = miss[~hit_mask[miss]]
-
-        # L1: misses per core; hits are the complement of the events.
-        l1_misses = np.bincount(mc, minlength=ncores)
-        l1_hits = np.bincount(cores, minlength=ncores) - l1_misses
-        l1_after = np.array([sum(map(len, c._sets)) for c in self.l1s])
-        dropped = np.bincount(_int_array(log.dropped), minlength=ncores)
-        l1_evictions = np.array(l1_before) + l1_misses - l1_after - dropped
         victim_at = _int_array(log.victim_at)
-        victim_core = cores[victim_at]
-        l1_dirty = np.bincount(victim_core, minlength=ncores)
-
-        # L2: demand accesses plus dirty-L1-victim write-backs per bank.
-        victim_bank = _int_array(log.victim_line) & bank_mask
-        victim_misses = np.bincount(_int_array(log.victim_miss),
-                                    minlength=ncores)
-        demand_hits = np.bincount(banks[l2_hit], minlength=ncores)
-        l2_hits = (demand_hits + np.bincount(victim_bank, minlength=ncores)
-                   - victim_misses)
-        l2_misses = (np.bincount(mb, minlength=ncores) - demand_hits
-                     + victim_misses)
-        l2_after = np.array([sum(map(len, b._sets)) for b in self.l2_banks])
-        l2_evictions = np.array(l2_before) + l2_misses - l2_after
+        # A dirty L1 victim's write-back crosses the chip unless its
+        # bank is the evicting core's own.
+        victim_remote = (
+            (_int_array(log.victim_line) & self.bank_mask) != cores[victim_at]
+        )
         wb_order = _int_array(log.wb_order)
         wb_addr = _int_array(log.wb_addr)
-        l2_dirty = np.bincount(
-            (wb_addr >> self.line_bits) & bank_mask, minlength=ncores
-        )
 
         # Coherence: invalidation fan-out and modified-line fetches.
         coh_at = _int_array(log.coh_at)
@@ -1187,11 +1142,10 @@ class CacheSystem:
         inval = coh_code >> 1
         coh_wb = coh_code & 1
         n_inval = int(inval.sum())
-        n_coh_wb = int(coh_wb.sum())
         remote = mb != mc
         line_packets = (
-            int(np.count_nonzero(remote)) + n_coh_wb
-            + int(np.count_nonzero(victim_bank != victim_core))
+            int(np.count_nonzero(remote)) + int(coh_wb.sum())
+            + int(np.count_nonzero(victim_remote))
         )
 
         # Latencies, added in the oracle's order: L1, invalidation
@@ -1211,6 +1165,7 @@ class CacheSystem:
                 hop = np.where(remote, self.remote_lat, 0)
             else:
                 if self._hops is None:
+                    ncores = self.ncores
                     self._hops = np.array([
                         [self.crossbar.transfer_latency(c, b)
                          for b in range(ncores)]
@@ -1248,7 +1203,7 @@ class CacheSystem:
             at_cuts[:, col["prefetch_hits"]] = _per_cut(cuts, pref)
             packets = (_per_cut(cuts, miss[remote])
                        + _per_cut(cuts, coh_at[coh_wb == 1])
-                       + _per_cut(cuts, victim_at[victim_bank != victim_core]))
+                       + _per_cut(cuts, victim_at[victim_remote]))
             at_cuts[:, col["onchip_line_bytes"]] = packets * lb_h
             invals = _per_cut(cuts, coh_at, inval)
             at_cuts[:, col["onchip_word_bytes"]] = invals * header
@@ -1258,22 +1213,10 @@ class CacheSystem:
                 _per_cut(cuts, wb_order // 3) * line_bytes)
 
         n_l2_miss = len(l2_miss)
-        n_wb = len(wb_order)
         counters = [
-            int(l1_hits.sum()), len(miss), len(l2_hit), n_l2_miss,
+            n - len(miss), len(miss), len(l2_hit), n_l2_miss,
             len(pref), line_packets * lb_h, n_inval * header, n_inval,
-            n_l2_miss * line_bytes, n_wb * line_bytes, 0, 0,
-        ]
-        counters += np.stack(
-            [l1_hits, l1_misses, l1_evictions, l1_dirty], axis=1
-        ).ravel().tolist()
-        counters += np.stack(
-            [l2_hits, l2_misses, l2_evictions, l2_dirty], axis=1
-        ).ravel().tolist()
-        counters += [
-            n_inval, n_coh_wb,
-            line_packets, line_packets * lb_h, n_inval, n_inval * header,
-            n_l2_miss, n_l2_miss * line_bytes, n_wb, n_wb * line_bytes,
+            n_l2_miss * line_bytes, len(wb_order) * line_bytes, 0, 0,
             row_hits, row_misses,
         ]
         return counters, open_rows, lats, at_cuts

@@ -32,12 +32,9 @@ CoherenceOutcome = Tuple[int, bool]
 class Directory:
     """MESI-style sharer tracking for one chip's private L1s."""
 
-    def __init__(self, num_cores: int) -> None:
-        self.num_cores = num_cores
+    def __init__(self) -> None:
         # line -> [sharer_mask, owner_core_or_-1 (modified holder)]
         self._lines: Dict[int, list] = {}
-        self.invalidations = 0
-        self.writebacks = 0
 
     def on_read(self, line: int, core: int) -> CoherenceOutcome:
         """Core ``core`` reads ``line``; returns (inval_mask, writeback)."""
@@ -48,7 +45,6 @@ class Directory:
         mask, owner = entry
         writeback = owner >= 0 and owner != core
         if writeback:
-            self.writebacks += 1
             entry[1] = -1  # downgrade M -> S
         entry[0] = mask | (1 << core)
         return 0, writeback
@@ -68,10 +64,6 @@ class Directory:
         mask, owner = entry
         others = mask & ~me
         writeback = owner >= 0 and owner != core
-        if writeback:
-            self.writebacks += 1
-        if others:
-            self.invalidations += bin(others).count("1")
         entry[0] = me
         entry[1] = core
         return others, writeback
@@ -86,13 +78,3 @@ class Directory:
             entry[1] = -1
         if entry[0] == 0:
             del self._lines[line]
-
-    def sharers(self, line: int) -> int:
-        """Number of cores currently holding ``line``."""
-        entry = self._lines.get(line)
-        return bin(entry[0]).count("1") if entry else 0
-
-    def is_modified(self, line: int) -> bool:
-        """Whether some core holds ``line`` in modified state."""
-        entry = self._lines.get(line)
-        return entry is not None and entry[1] >= 0

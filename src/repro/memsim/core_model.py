@@ -84,10 +84,20 @@ def compute_timing(output: ReplayOutput, config: SimConfig) -> TimingResult:
         / ncores
         * core_cfg.imbalance_factor
     )
+    # A crossbar switches ``num_cores`` simultaneous bus-width transfers
+    # per cycle in the best case; a mesh has one link per tile edge,
+    # giving roughly twice the bisection constraint — modeled here with
+    # the same aggregate bound for simplicity.
+    dram_peak = config.dram.total_bytes_per_cycle
+    link_peak = config.interconnect.bus_bytes * ncores
     bounds = {
         "cores": balanced,
-        "dram_bandwidth": output.dram.min_cycles_for_bandwidth(),
-        "crossbar": output.crossbar.min_cycles_for_bandwidth(),
+        "dram_bandwidth": (
+            stats.dram_bytes / dram_peak if dram_peak > 0 else 0.0
+        ),
+        "crossbar": (
+            stats.onchip_traffic_bytes / link_peak if link_peak > 0 else 0.0
+        ),
         "pisc": float(max(stats.pisc_occupancy) if stats.pisc_occupancy else 0),
     }
     bottleneck = max(bounds, key=bounds.get)

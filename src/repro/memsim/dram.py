@@ -1,4 +1,4 @@
-"""DRAM channel model: latency, bandwidth, and page policies.
+"""DRAM channel model: latency and page policies.
 
 The paper's detailed setup is 4x DDR3-1600 at 12 GB/s per channel
 (Table III); its high-level model charges 100 cycles per access
@@ -8,9 +8,10 @@ edgeList, closed-page for the spatially-random vtxProp — which the
 ``"open"`` and ``"hybrid"`` policies implement via per-channel
 row-buffer tracking.
 
-Every access contributes its latency to the issuing core, and total
-byte counts bound the run's minimum duration through the channels'
-aggregate bandwidth (the Fig 16 utilization metric).
+Every demand access contributes its latency to the issuing core. The
+bytes moved are counted in :class:`~repro.memsim.stats.MemStats`
+(``dram_read_bytes``/``dram_write_bytes``), from which the timing model
+derives the channels' bandwidth bound (the Fig 16 utilization metric).
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ __all__ = ["DramModel"]
 
 
 class DramModel:
-    """Aggregate DRAM accounting for one simulated run."""
+    """Row-buffer state of one simulated run's DRAM channels.
+
+    ``row_hits``/``row_misses`` count the open-row outcomes under the
+    open and hybrid policies (the Section IX page-policy study reads
+    them); the closed policy keeps no row state.
+    """
 
     def __init__(self, config: DramConfig) -> None:
         self.config = config
-        self.read_accesses = 0
-        self.write_accesses = 0
-        self.read_bytes = 0
-        self.write_bytes = 0
         self.row_hits = 0
         self.row_misses = 0
         self._open_rows: List[int] = [-1] * config.channels
@@ -42,7 +44,13 @@ class DramModel:
         should serve close-page (the vtxProp regions)."""
         self._random_ranges = [(int(a), int(b)) for a, b in ranges]
 
-    def _access_latency(self, addr: Optional[int]) -> int:
+    def access(self, addr: Optional[int] = None) -> int:
+        """One line access at ``addr``; returns its latency.
+
+        A demand read's latency is charged to the issuing core;
+        write-backs are posted (off the critical path), so for them
+        only the row-buffer state change matters.
+        """
         policy = self.config.page_policy
         if policy == "closed" or addr is None:
             return self.config.latency_cycles
@@ -59,41 +67,8 @@ class DramModel:
         self._open_rows[channel] = row
         return self.config.row_miss_cycles
 
-    def read(self, nbytes: int, addr: Optional[int] = None) -> int:
-        """Record a read of ``nbytes`` at ``addr``; returns latency."""
-        self.read_accesses += 1
-        self.read_bytes += nbytes
-        return self._access_latency(addr)
-
-    def write(self, nbytes: int, addr: Optional[int] = None) -> int:
-        """Record a write-back of ``nbytes``; returns the access latency.
-
-        Write-backs are posted (off the critical path), so the latency
-        returned is charged to occupancy, not to the issuing core.
-        """
-        self.write_accesses += 1
-        self.write_bytes += nbytes
-        return self._access_latency(addr)
-
-    @property
-    def total_bytes(self) -> int:
-        """All bytes moved to or from DRAM."""
-        return self.read_bytes + self.write_bytes
-
     @property
     def row_hit_rate(self) -> float:
         """Row-buffer hit rate (only meaningful for open/hybrid)."""
         total = self.row_hits + self.row_misses
         return self.row_hits / total if total else 0.0
-
-    def min_cycles_for_bandwidth(self) -> float:
-        """Lower bound on run duration imposed by channel bandwidth."""
-        peak = self.config.total_bytes_per_cycle
-        return self.total_bytes / peak if peak > 0 else 0.0
-
-    def utilization_gbps(self, total_cycles: float, freq_ghz: float) -> float:
-        """Achieved DRAM bandwidth in GB/s over a run of ``total_cycles``."""
-        if total_cycles <= 0:
-            return 0.0
-        seconds = total_cycles / (freq_ghz * 1e9)
-        return self.total_bytes / seconds / 1e9

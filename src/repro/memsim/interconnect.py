@@ -1,14 +1,16 @@
-"""On-chip interconnect: latency and traffic-volume accounting.
+"""On-chip interconnect: the transfer latency model.
 
 The paper's network is a 16x crossbar with a 128-bit bus and a
 measured average remote-hop latency of 17 cycles; a 2D-mesh topology
 is also provided for core-count scaling studies (per-hop Manhattan
-latency). Two packet classes matter for the Fig 17 traffic analysis:
+latency).
 
-- **line packets** (64 B + header) — every baseline L1<->L2 transfer;
-- **word packets** (1-8 B + header) — OMEGA's scratchpad reads/writes
-  and PISC offload commands, "closely resembling the control messages
-  of conventional coherence protocols".
+The Fig 17 traffic volume is not counted here: the accounting stages
+charge it to :class:`~repro.memsim.stats.MemStats` in two packet
+classes — ``onchip_line_bytes`` (64 B + header, every L1<->L2 line
+transfer) and ``onchip_word_bytes`` (payload + header: OMEGA's
+scratchpad words and PISC offload commands, plus header-only coherence
+control messages).
 """
 
 from __future__ import annotations
@@ -22,29 +24,19 @@ __all__ = ["Crossbar"]
 
 
 class Crossbar:
-    """Traffic and latency accounting for one chip's interconnect.
+    """Transfer latency of one chip's interconnect.
 
     Named for the paper's Table III topology; also models a 2D mesh
-    when the config selects it. Transfer methods accept optional
-    ``src``/``dst`` tile ids — the crossbar's latency is uniform, the
-    mesh's is Manhattan-distance based (falling back to the average
-    hop count when endpoints are unknown).
+    when the config selects it. :meth:`transfer_latency` accepts
+    optional ``src``/``dst`` tile ids — the crossbar's latency is
+    uniform, the mesh's is Manhattan-distance based (falling back to
+    the average hop count when endpoints are unknown).
     """
 
     def __init__(self, config: InterconnectConfig, num_cores: int) -> None:
         self.config = config
-        self.num_cores = num_cores
-        self.line_packets = 0
-        self.word_packets = 0
-        self.control_packets = 0
-        self.line_bytes = 0
-        self.word_bytes = 0
-        self.control_bytes = 0
         self._mesh_side = max(1, int(round(math.sqrt(num_cores))))
 
-    # ------------------------------------------------------------------
-    # Latency model
-    # ------------------------------------------------------------------
     def hops(self, src: int, dst: int) -> int:
         """Manhattan hop count between two tiles on the mesh."""
         side = self._mesh_side
@@ -75,48 +67,3 @@ class Crossbar:
                 + hop_count * self.config.mesh_hop_cycles
             )
         )
-
-    # ------------------------------------------------------------------
-    # Packet accounting
-    # ------------------------------------------------------------------
-    def line_transfer(
-        self, line_bytes: int, src: Optional[int] = None,
-        dst: Optional[int] = None,
-    ) -> int:
-        """A cache-line transfer between a core and an L2 bank."""
-        self.line_packets += 1
-        self.line_bytes += line_bytes + self.config.header_bytes
-        return self.transfer_latency(src, dst)
-
-    def word_transfer(
-        self, nbytes: int, src: Optional[int] = None,
-        dst: Optional[int] = None,
-    ) -> int:
-        """A word-granularity scratchpad transfer (OMEGA custom packet)."""
-        self.word_packets += 1
-        self.word_bytes += min(nbytes, 8) + self.config.header_bytes
-        return self.transfer_latency(src, dst)
-
-    def control_message(
-        self, src: Optional[int] = None, dst: Optional[int] = None
-    ) -> int:
-        """A coherence control message (invalidate / ack)."""
-        self.control_packets += 1
-        self.control_bytes += self.config.header_bytes
-        return self.transfer_latency(src, dst)
-
-    @property
-    def total_bytes(self) -> int:
-        """All bytes crossing the interconnect (the Fig 17 metric)."""
-        return self.line_bytes + self.word_bytes + self.control_bytes
-
-    def min_cycles_for_bandwidth(self) -> float:
-        """Duration lower bound from interconnect throughput.
-
-        A crossbar switches ``num_cores`` simultaneous bus-width
-        transfers per cycle in the best case; a mesh has one link per
-        tile edge, giving roughly twice the bisection constraint —
-        modeled here with the same aggregate bound for simplicity.
-        """
-        peak = self.config.bus_bytes * self.num_cores
-        return self.total_bytes / peak if peak > 0 else 0.0

@@ -1,4 +1,4 @@
-"""PISC (Processing-In-SCratchpad) engine model (Section V-B, Fig 9).
+"""PISC (Processing-In-SCratchpad) microcode (Section V-B, Fig 9).
 
 Each scratchpad is paired with a PISC: a microcoded ALU that executes
 the algorithm's atomic update in-situ. The engine holds
@@ -12,22 +12,26 @@ the algorithm's atomic update in-situ. The engine holds
   scratchpad line, run the ALU, write back, and update the active
   list.
 
-The timing model charges each offloaded op the microcode's total
-cycle count as *occupancy* on that pad — offloads are fire-and-forget
-for the issuing core, so a pad can become the bottleneck only when
-its op stream exceeds the run length (tracked by the core model).
+This module models the microcode: a :class:`Microcode` is what an
+OMEGA-style backend loads, and its :attr:`Microcode.cycles` is what
+:func:`~repro.memsim.accounting.account_offload` charges each offloaded
+op as *occupancy* on its home pad (``MemStats.pisc_occupancy``).
+Offloads are fire-and-forget for the issuing core, so a pad becomes
+the bottleneck only when its op stream exceeds the run length (the
+timing model's ``pisc`` bound). The controller's same-vertex blocking
+is not charged.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import OffloadError
 from repro.ligra.atomics import AtomicOp
 
-__all__ = ["MicroOp", "Microcode", "PiscEngine", "MICRO_OP_CYCLES"]
+__all__ = ["MicroOp", "Microcode", "MICRO_OP_CYCLES"]
 
 
 class MicroOp(enum.Enum):
@@ -87,51 +91,3 @@ class Microcode:
     def cycles(self) -> int:
         """Total sequencer cycles per offloaded operation."""
         return sum(MICRO_OP_CYCLES[op] for op in self.ops)
-
-
-class PiscEngine:
-    """One pad's PISC: executes offloaded atomic updates.
-
-    Tracks occupancy (busy cycles) and operation counts; the in-flight
-    blocking rule ("the scratchpad controller blocks all requests
-    issued to the same vertex" while an atomic is in progress) is
-    modeled as a serialization charge when consecutive ops hit the
-    same vertex.
-    """
-
-    def __init__(self, pad_id: int) -> None:
-        self.pad_id = pad_id
-        self._microcode: Optional[Microcode] = None
-        self.ops_executed = 0
-        self.busy_cycles = 0
-        self.conflict_cycles = 0
-        self._last_vertex = -1
-
-    def load_microcode(self, microcode: Microcode) -> None:
-        """Write the microcode registers (application-start config)."""
-        self._microcode = microcode
-
-    @property
-    def microcode(self) -> Optional[Microcode]:
-        """Currently loaded microcode."""
-        return self._microcode
-
-    def execute(self, vertex: int) -> int:
-        """Execute one offloaded atomic on ``vertex``; returns cycles.
-
-        Back-to-back operations on the same vertex serialize (the
-        controller's same-vertex blocking); distinct vertices pipeline
-        freely through the pad.
-        """
-        if self._microcode is None:
-            raise OffloadError(
-                f"PISC {self.pad_id} has no microcode loaded; run the"
-                " offload compiler's configuration step first"
-            )
-        cycles = self._microcode.cycles
-        self.ops_executed += 1
-        self.busy_cycles += cycles
-        if vertex == self._last_vertex:
-            self.conflict_cycles += cycles
-        self._last_vertex = vertex
-        return cycles

@@ -16,15 +16,19 @@ depend on cache or directory state:
 - word-granularity access sizes (clamped to the 8-byte scratchpad
   port).
 
-Only cache, directory, DRAM-row and buffer state updates remain in
-the per-event loop (:mod:`repro.memsim.replay`).
+Everything stateful happens after it: cache, directory, prefetcher
+and DRAM-row state in the cache path
+(:meth:`~repro.memsim.cachestate.CacheSystem.replay_cache_path`, a
+chain of exact batch stages), the source buffers' LRU in the OMEGA
+backend's route stage.
 
-Stream-prefetch detection is also provided here. The detector itself
-is inherently sequential (each observation rotates per-core stream
+The stream prefetcher's state lives here too. The detector is
+inherently sequential (each observation rotates per-core stream
 heads), so :class:`StreamDetector` offers the exact per-event
-``observe`` the scalar oracle drives on L1 misses (the batch kernel
-inlines the same logic), plus a ``flags`` form that feeds a whole
-(core, line) sequence through ``observe`` — a convenience for tests.
+``observe`` the scalar oracle drives on L1 misses, plus a ``flags``
+form that feeds a whole (core, line) sequence through ``observe`` — a
+convenience for tests. The batch kernel walks the same heads in
+:func:`~repro.memsim.stages.prefetch_walk`.
 """
 
 from __future__ import annotations

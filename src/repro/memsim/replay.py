@@ -14,7 +14,7 @@ single segment), cut again at every boundary of the global window grid
 when a telemetry sampler (:class:`~repro.obs.timeline.ReplaySampler`)
 is set. Out-of-core streaming and windowed sampling are therefore just
 more cuts: all simulator state (caches, directory, DRAM open rows,
-prefetchers, source buffers, PISCs, the backend's training state in
+prefetchers, source buffers, the backend's training state in
 ``ctx.extra``) is carried across piece boundaries on the shared
 :class:`~repro.memsim.accounting.ReplayContext`, and per-core float
 latencies accumulate through the
@@ -47,7 +47,6 @@ from repro.memsim.cachestate import CacheRecord, CacheSystem
 from repro.memsim.coherence import Directory
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
-from repro.memsim.pisc import PiscEngine
 from repro.memsim.prepass import precompute
 from repro.memsim.routes import ROUTE_CACHE
 from repro.memsim.srcbuffer import SourceVertexBuffer
@@ -66,12 +65,10 @@ class ReplayOutput:
 
     stats: MemStats
     dram: DramModel
-    crossbar: Crossbar
     l1s: List[Cache]
     l2_banks: List[Cache]
     directory: Directory
     srcbufs: Optional[List[SourceVertexBuffer]] = None
-    piscs: Optional[List[PiscEngine]] = None
     #: Number of segments the driver consumed (1 for in-core replay).
     num_segments: int = 1
     #: The per-class attribution accumulator the replay folded into
@@ -251,12 +248,10 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
         return ReplayOutput(
             stats=stats,
             dram=dram,
-            crossbar=crossbar,
             l1s=system.l1s,
             l2_banks=system.l2_banks,
             directory=system.directory,
             srcbufs=ctx.srcbufs,
-            piscs=ctx.piscs,
             num_segments=max(num_segments, 1),
             attribution=attribution,
             kernel=kernel_block,

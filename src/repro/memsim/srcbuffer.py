@@ -26,17 +26,12 @@ class SourceVertexBuffer:
             raise ConfigError(f"buffer needs >= 1 entry, got {num_entries}")
         self.num_entries = num_entries
         self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
 
     def lookup(self, key: int) -> bool:
         """Check for ``key``; on miss, allocate it (read-allocate)."""
         if key in self._entries:
-            self.hits += 1
             self._entries.move_to_end(key)
             return True
-        self.misses += 1
         if len(self._entries) >= self.num_entries:
             self._entries.popitem(last=False)
         self._entries[key] = None
@@ -44,14 +39,7 @@ class SourceVertexBuffer:
 
     def invalidate_all(self) -> None:
         """End-of-iteration wholesale invalidation."""
-        self.invalidations += 1
         self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit rate over all lookups."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self._entries)

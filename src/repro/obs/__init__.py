@@ -3,8 +3,8 @@
 Three complementary lenses on a run, all disabled (and near-free) by
 default:
 
-- **Metrics** (:mod:`repro.obs.metrics`): counters/gauges/histograms
-  behind a global registry whose default is a shared no-op.
+- **Metrics** (:mod:`repro.obs.metrics`): counters behind a global
+  registry whose default is a shared no-op.
 - **Span tracing** (:mod:`repro.obs.tracer`): nested, timed phases
   (graph build → trace generation → replay → per-edgeMap sweeps)
   exported as Chrome trace-event JSON for Perfetto/``chrome://tracing``.
@@ -47,8 +47,6 @@ from repro.obs.manifest_diff import (
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
     get_registry,
@@ -93,8 +91,6 @@ __all__ = [
     "load_manifest",
     "NULL_REGISTRY",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "get_registry",

@@ -1,19 +1,16 @@
-"""Metrics primitives: counters, gauges, histograms, and the registry.
+"""Metrics primitives: counters and the registry.
 
-The instrumentation contract mirrors what production metric libraries
-(prometheus_client, OpenTelemetry) expose, shrunk to the three
-instrument kinds the simulator needs and kept dependency-free:
+The instrumentation contract mirrors the counter of production metric
+libraries (prometheus_client, OpenTelemetry), kept dependency-free: a
+:class:`Counter` is a monotonically increasing event tally, the one
+instrument kind the simulator writes.
 
-- :class:`Counter` — monotonically increasing event tally,
-- :class:`Gauge` — last-written value (phase sizes, rates),
-- :class:`Histogram` — raw observations with percentile summaries.
-
-Instruments are owned by a :class:`MetricsRegistry`. The process-wide
-default registry is a :class:`NullRegistry` whose instruments are
-shared no-op singletons, so instrumented code pays one dict lookup and
+Counters are owned by a :class:`MetricsRegistry`. The process-wide
+default registry is a :class:`NullRegistry` whose counters are one
+shared no-op singleton, so instrumented code pays one dict lookup and
 one no-op call when metrics are disabled — hot loops should hoist the
-instrument lookup out of the loop, at which point the disabled cost is
-a single C-level method call per update.
+counter lookup out of the loop, at which point the disabled cost is a
+single C-level method call per update.
 
 Enable collection either globally (:func:`set_registry`) or for a
 scope (:func:`use_registry`)::
@@ -31,14 +28,12 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.errors import ObsError
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -49,7 +44,7 @@ __all__ = [
     "summarize",
 ]
 
-#: Percentiles reported by histogram/series summaries (manifest block).
+#: Percentiles reported by series summaries (manifest block).
 SUMMARY_PERCENTILES = (5, 25, 50, 75, 95)
 
 
@@ -106,154 +101,57 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A last-value-wins measurement."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current value."""
-        self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        """Adjust the current value by ``delta`` (may be negative)."""
-        self.value += float(delta)
-
-
-class Histogram:
-    """Raw-sample histogram with percentile summaries.
-
-    Keeps every observation (the simulator's series are short —
-    per-window or per-phase, not per-event), which keeps the summary
-    exact instead of bucketed.
-    """
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        """Number of observations recorded."""
-        return len(self.values)
-
-    def summary(self) -> Dict[str, float]:
-        """Percentile/mean summary of the observations."""
-        return summarize(self.values)
-
-
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
+class _NullCounter:
+    """The shared do-nothing counter."""
 
     __slots__ = ()
     name = "null"
     value = 0
-    values: List[float] = []
-    count = 0
 
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
 
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
+_NULL_COUNTER = _NullCounter()
 
 
 class MetricsRegistry:
-    """Namespace of instruments, created on first use.
+    """Namespace of counters, created on first use.
 
-    Instrument names are free-form dotted paths
+    Counter names are free-form dotted paths
     (``"replay.events_routed"``); asking for the same name twice
-    returns the same instrument, and asking for a name already held by
-    a different instrument kind raises ``ValueError``.
+    returns the same counter.
     """
 
     enabled = True
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, object] = {}
-
-    def _get(self, name: str, cls):
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = cls(name)
-            self._instruments[name] = inst
-        elif not isinstance(inst, cls):
-            raise ObsError(
-                f"metric {name!r} already registered as"
-                f" {type(inst).__name__}, not {cls.__name__}"
-            )
-        return inst
+        self._counters: Dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter ``name``."""
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        """Get or create the histogram ``name``."""
-        return self._get(name, Histogram)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def snapshot(self) -> Dict[str, Dict]:
-        """All instruments, grouped by kind, as plain JSON-able data."""
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Dict[str, float]] = {}
-        for name in sorted(self._instruments):
-            inst = self._instruments[name]
-            if isinstance(inst, Counter):
-                counters[name] = inst.value
-            elif isinstance(inst, Gauge):
-                gauges[name] = inst.value
-            else:
-                histograms[name] = inst.summary()  # type: ignore[union-attr]
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
+        """Every counter's value, as plain JSON-able data."""
+        return {"counters": {
+            name: self._counters[name].value for name in sorted(self._counters)
+        }}
 
 
 class NullRegistry(MetricsRegistry):
-    """The disabled default: every instrument is a shared no-op."""
+    """The disabled default: every counter is a shared no-op."""
 
     enabled = False
 
     def counter(self, name: str) -> Counter:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(self, name: str) -> Histogram:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
+        return _NULL_COUNTER  # type: ignore[return-value]
 
     def snapshot(self) -> Dict[str, Dict]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}}
 
 
 #: The process-wide disabled registry (the default).

@@ -62,12 +62,8 @@ def _observed(report):
     return {
         "manifest": manifest,
         "kernel": kernel,
-        "caches": [
-            (c.hits, c.misses, c.evictions, c.dirty_evictions)
-            for c in (*out.l1s, *out.l2_banks)
-        ],
-        "directory": (out.directory.invalidations, out.directory.writebacks),
-        "open_rows": list(out.dram._open_rows),
+        "dram": (out.dram.row_hits, out.dram.row_misses,
+                 list(out.dram._open_rows)),
     }
 
 
@@ -222,6 +218,31 @@ def test_identical_batch_hits_the_memo():
     assert memo.hits == 1
     assert system.kernel_telemetry.reused == len(_batch()[0])
     assert got == expected
+
+
+@pytest.mark.parametrize("ncores", [4, 16, 128])
+def test_delta_holds_fourteen_counters_at_any_core_count(ncores):
+    # The MemStats fields the cache path moves and DRAM's row counters:
+    # nothing per core or per bank.
+    config = dataclasses.replace(
+        SimConfig.scaled_baseline(num_cores=ncores), dram=_open_page().dram
+    )
+    memo = ResultMemo(8)
+    system = CacheSystem(
+        config, MemStats(num_cores=ncores), DramModel(config.dram),
+        Crossbar(config.interconnect, ncores), memo=memo,
+    )
+    cores, addrs, writes, atomics = _batch()
+    lines = addrs >> system.line_bits
+    system.replay_cache_path(
+        cores, addrs, lines, lines & system.bank_mask, writes, atomics,
+        [0.0] * ncores, [0.0] * ncores,
+    )
+    delta = memo.get(system.memo_key(cores, addrs, writes, atomics))
+    assert len(delta.counters) == 14
+    assert delta.counters[-2:] == (system.dram.row_hits,
+                                   system.dram.row_misses)
+    assert delta.counters[-2] > 0
 
 
 @pytest.mark.parametrize("column", ["cores", "addrs", "writes", "atomics"])

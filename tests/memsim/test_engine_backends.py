@@ -1,5 +1,6 @@
 """The pluggable backend registry and the unified run_system driver."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from repro.config import SimConfig
 from repro.core.context import RunRequest
 from repro.core.system import run_system
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.graph.generators import rmat_graph
 from repro.memsim.backends import (
     BACKENDS,
@@ -22,6 +23,7 @@ from repro.memsim.backends import (
     get_backend,
     register_backend,
 )
+from repro.memsim.mapping import ScratchpadMapping
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,19 @@ class TestRegistry:
     def test_wrong_config_error_names_backend(self, name, make):
         with pytest.raises(SimulationError, match=f"backend '{name}'"):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda cfg, m: OmegaBackend(cfg, m),
+        lambda cfg, m: LockedCacheBackend(
+            dataclasses.replace(cfg, use_pisc=False), m),
+    ], ids=["omega", "locked"])
+    def test_mapping_core_count_must_match_config(self, make):
+        # A 32-pad mapping on a 16-core chip would home half the ops on
+        # pads the replay never charges.
+        cfg = SimConfig.scaled_omega(num_cores=16)
+        with pytest.raises(ConfigError, match="32 pads .* 16 cores"):
+            make(cfg, ScratchpadMapping(32, 4096, chunk_size=32))
+        make(cfg, ScratchpadMapping(16, 4096, chunk_size=32))
 
     def test_register_backend_extension(self, graph):
         @register_backend("test-null")
@@ -203,12 +218,8 @@ class TestScalarFastEquivalence:
         for fast_cache, slow_cache in zip(
             fast.l1s + fast.l2_banks, slow.l1s + slow.l2_banks
         ):
-            assert fast_cache.hits == slow_cache.hits
-            assert fast_cache.misses == slow_cache.misses
-            assert fast_cache.evictions == slow_cache.evictions
-            assert fast_cache.dirty_evictions == slow_cache.dirty_evictions
-        assert fast.directory.invalidations == slow.directory.invalidations
-        assert fast.directory.writebacks == slow.directory.writebacks
+            assert fast_cache._sets == slow_cache._sets
+        assert fast.directory._lines == slow.directory._lines
 
 
 class TestManifest:

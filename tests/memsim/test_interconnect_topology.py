@@ -60,11 +60,31 @@ class TestMeshTopology:
         assert big.average_hops() > small.average_hops()
 
     def test_traffic_accounting_identical_across_topologies(self):
-        xb = Crossbar(InterconnectConfig(), 16)
-        mesh = self._mesh(16)
-        xb.line_transfer(64, 0, 1)
-        mesh.line_transfer(64, 0, 1)
-        assert xb.total_bytes == mesh.total_bytes
+        import dataclasses
+
+        import numpy as np
+
+        from repro.config import SimConfig
+        from repro.ligra.trace import FLAG_WRITE, AccessClass, Trace
+        from repro.memsim.backends import BaselineBackend
+
+        n = 64
+        trace = Trace(
+            core=np.arange(n, dtype=np.int16) % 16,
+            addr=np.arange(n, dtype=np.int64) % 8 * 64,
+            size=np.full(n, 8, dtype=np.int16),
+            access_class=np.full(n, int(AccessClass.NGRAPH), dtype=np.int8),
+            flags=np.where(np.arange(n) % 3 == 0, FLAG_WRITE, 0).astype(
+                np.int8),
+            vertex=np.full(n, -1, dtype=np.int64),
+        )
+        xb = SimConfig.scaled_baseline(num_cores=16)
+        mesh = dataclasses.replace(xb, interconnect=self._mesh(16).config)
+        stats = [BaselineBackend(cfg).replay(trace).stats
+                 for cfg in (xb, mesh)]
+        assert stats[0].onchip_line_bytes > 0
+        assert stats[0].onchip_word_bytes > 0
+        assert stats[0].onchip_traffic_bytes == stats[1].onchip_traffic_bytes
 
     def test_bad_topology_rejected(self):
         with pytest.raises(ConfigError, match="topology"):

@@ -13,7 +13,6 @@ from repro.memsim.core_model import compute_timing
 from repro.memsim.dram import DramModel
 from repro.memsim.energy import EnergyModel
 from repro.memsim.replay import ReplayOutput
-from repro.memsim.interconnect import Crossbar
 from repro.memsim.stats import MemStats
 
 
@@ -21,7 +20,6 @@ def make_output(cfg, stats):
     return ReplayOutput(
         stats=stats,
         dram=DramModel(cfg.dram),
-        crossbar=Crossbar(cfg.interconnect, cfg.core.num_cores),
         l1s=[],
         l2_banks=[],
         directory=None,
@@ -56,10 +54,8 @@ class TestCoreModel:
 
     def test_dram_bandwidth_bound(self):
         cfg = SimConfig.scaled_baseline(num_cores=4)
-        stats = MemStats(num_cores=4)
-        out = make_output(cfg, stats)
-        out.dram.read(10**7)
-        timing = compute_timing(out, cfg)
+        stats = MemStats(num_cores=4, dram_read_bytes=10**7)
+        timing = compute_timing(make_output(cfg, stats), cfg)
         assert timing.bottleneck == "dram_bandwidth"
 
     def test_pisc_bound(self):

@@ -83,7 +83,7 @@ class TestTimeline:
 
     def test_json_roundtrip(self, tmp_path):
         tl = self._make()
-        tl.metrics = {"counters": {"x": 1}, "gauges": {}, "histograms": {}}
+        tl.metrics = {"counters": {"x": 1}}
         path = tmp_path / "tl.json"
         tl.save(path)
         doc = json.loads(path.read_text())

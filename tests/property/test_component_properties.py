@@ -25,17 +25,17 @@ class TestSourceBufferProperties:
     @settings(max_examples=60, deadline=None)
     def test_hits_plus_misses(self, keys):
         buf = SourceVertexBuffer(8)
-        for key in keys:
-            buf.lookup(key)
-        assert buf.hits + buf.misses == len(keys)
+        misses = sum(not buf.lookup(key) for key in keys)
+        # Each key's first lookup misses, and only a miss allocates.
+        assert len(set(keys)) <= misses <= len(keys)
+        assert len(buf) <= misses
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=100))
     @settings(max_examples=40, deadline=None)
     def test_oversized_buffer_only_cold_misses(self, keys):
         buf = SourceVertexBuffer(64)
-        for key in keys:
-            buf.lookup(key)
-        assert buf.misses == len(set(keys))
+        misses = sum(not buf.lookup(key) for key in keys)
+        assert misses == len(set(keys))
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=100))
     @settings(max_examples=40, deadline=None)
@@ -60,7 +60,7 @@ class TestDirectoryProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_writer_becomes_sole_sharer(self, ops):
-        d = Directory(8)
+        d = Directory()
         owners = {}
         for core, line, write in ops:
             if write:
@@ -87,11 +87,11 @@ class TestDirectoryProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_sharer_count_bounded_by_cores(self, reads):
-        d = Directory(4)
+        d = Directory()
         for core, line in reads:
             d.on_read(line, core)
         for line in set(line for _, line in reads):
-            assert 0 <= d.sharers(line) <= 4
+            assert 0 < d._lines[line][0] < 1 << 4
 
 
 class TestVertexSubsetProperties:

@@ -57,31 +57,12 @@ def snapshot(out):
     """
     return {
         "stats": dataclasses.asdict(out.stats),
-        "l1": [
-            (c.hits, c.misses, c.evictions, c.dirty_evictions,
-             [list(s.items()) for s in c._sets])
-            for c in out.l1s
-        ],
-        "l2": [
-            (c.hits, c.misses, c.evictions, c.dirty_evictions,
-             [list(s.items()) for s in c._sets])
-            for c in out.l2_banks
-        ],
-        "directory": (
-            out.directory.invalidations,
-            out.directory.writebacks,
-            dict(out.directory._lines),
-        ),
+        "l1": [[list(s.items()) for s in c._sets] for c in out.l1s],
+        "l2": [[list(s.items()) for s in c._sets] for c in out.l2_banks],
+        "directory": dict(out.directory._lines),
         "dram": (
-            out.dram.read_accesses, out.dram.write_accesses,
-            out.dram.read_bytes, out.dram.write_bytes,
             out.dram.row_hits, out.dram.row_misses,
             list(out.dram._open_rows),
-        ),
-        "crossbar": (
-            out.crossbar.line_packets, out.crossbar.word_packets,
-            out.crossbar.control_packets, out.crossbar.line_bytes,
-            out.crossbar.word_bytes, out.crossbar.control_bytes,
         ),
     }
 

@@ -137,7 +137,7 @@ def test_lru_deletion_frees_a_way_for_a_long_window():
 # Directory
 # --------------------------------------------------------------------
 def directory_reference(entries, ops, ncores):
-    d = Directory(ncores)
+    d = Directory()
     d._lines = {k: list(v) for k, v in entries.items()}
     codes = []
     for line, core, kind in ops:

@@ -193,6 +193,26 @@ def test_every_counter_is_written(grid):
         "counters no grid cell ever writes"
 
 
+# -- timing bounds -------------------------------------------------------
+def bound_drift(report) -> typing.List[str]:
+    """Bandwidth bounds that differ from the stats-derived limits."""
+    config, stats = report.config, report.stats
+    links = config.interconnect.bus_bytes * config.core.num_cores
+    want = {
+        "dram_bandwidth": stats.dram_bytes / config.dram.total_bytes_per_cycle,
+        "crossbar": stats.onchip_traffic_bytes / links,
+    }
+    got = report.timing.bounds
+    return [f"{name}: {got[name]!r} != {value!r}"
+            for name, value in want.items() if got[name] != value]
+
+
+def test_bandwidth_bounds_derive_from_stats(grid):
+    reports, _ = grid
+    for label, report in reports.items():
+        assert bound_drift(report) == [], label
+
+
 def test_snapshot_and_attribution_fields_are_counters():
     assert ghost_fields() == []
 

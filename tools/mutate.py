@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Standing mutation gate for the cache path, the prepass and the estimator.
+"""Standing mutation gate for the cache path, the prepass, the estimator
+and the timing bounds.
 
 Each mutant is a (file, old, new) edit that breaks one rule the exact
-stages or the estimator depend on. For every mutant the gate copies
-the working tree (without ``.git``) into a temporary directory,
-applies the edit there (the checkout is never touched), and runs the
-gate's test files with ``pytest -x``. A mutant must make them fail; one
+stages, the estimator or the timing bounds depend on. For every mutant
+the gate copies the working tree (without ``.git``) into a temporary
+directory, applies the edit there (the checkout is never touched), and
+runs the gate's test files with ``pytest -x``. A mutant must make them fail; one
 that survives is a missing test, so the gate exits 1 and names it.
 Before the mutants, the unmutated copy must pass, so a kill always
 means the edit was caught, not that the tree was already broken.
@@ -30,7 +31,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The kernel-parity job's file set plus the estimator and prepass tests.
+#: The kernel-parity job's file set: the cache path, the estimator, the
+#: prepass, and the runtime contracts (timing bounds included).
 TESTS = (
     "tests/property/test_kernel_parity.py",
     "tests/property/test_l2_stage.py",
@@ -48,12 +50,14 @@ TESTS = (
     "tests/property/test_estimate_equivalence.py",
     "tests/property/test_prepass_properties.py",
     "tests/memsim/test_memory_budget.py",
+    "tests/test_contracts.py",
 )
 
 STAGES = "src/repro/memsim/stages.py"
 CACHESTATE = "src/repro/memsim/cachestate.py"
 ESTIMATE = "src/repro/memsim/estimate.py"
 PREPASS = "src/repro/memsim/prepass.py"
+CORE_MODEL = "src/repro/memsim/core_model.py"
 
 
 class Mutant(NamedTuple):
@@ -120,6 +124,11 @@ MUTANTS = (
         "prepass-banks-int8-above-128-cores", PREPASS,
         "banks=geometry.banks_of(lines).astype(core_dt),",
         "banks=geometry.banks_of(lines).astype(np.int8),",
+    ),
+    Mutant(
+        "crossbar-bound-ignores-word-bytes", CORE_MODEL,
+        "stats.onchip_traffic_bytes / link_peak",
+        "stats.onchip_line_bytes / link_peak",
     ),
 )
 
