@@ -44,8 +44,14 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     k -= width(lo % (1 << (8 * k.itemsize)))
     order = np.argsort(k.astype(np.uint16, copy=False), kind="stable")
     for p in range(1, passes):
-        digit = (k[order] >> width(16 * p)).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
+        digit = k[order]
+        digit >>= width(16 * p)
+        digit = digit.astype(np.uint16)
+        if p == passes - 1:
+            del k
+        step = np.argsort(digit, kind="stable")
+        del digit
+        order = order[step]
     return order
 
 

@@ -161,33 +161,56 @@ class SegmentWriter:
             self._drain(final=False)
 
     def _drain(self, final: bool) -> None:
+        """Write every full segment the pending batches hold (and, when
+        ``final``, the partial tail).
+
+        A segment inside one batch is written from a view of it; only a
+        segment that straddles batches is concatenated, from its own
+        pieces. The remainder is copied, so the drained batches can be
+        freed.
+        """
         if self._pending_n == 0:
             return
-        cols = {
-            name: np.concatenate([b[name] for b in self._pending])
-            for name in _COLUMN_NAMES
-        }
+        pending = self._pending
         n = self._pending_n
         self._pending = []
         self._pending_n = 0
         step = self.segment_events
+        batch = 0
+        at = 0
         lo = 0
-        while n - lo >= step:
-            self._write_segment(
-                {name: cols[name][lo:lo + step] for name in _COLUMN_NAMES}
-            )
-            lo += step
-        if lo < n:
-            if final:
-                self._write_segment(
-                    {name: cols[name][lo:] for name in _COLUMN_NAMES}
-                )
+        while n - lo >= step or (final and lo < n):
+            size = min(step, n - lo)
+            pieces = []
+            need = size
+            while need:
+                b = pending[batch]
+                take = min(need, len(b["addr"]) - at)
+                pieces.append((b, at, at + take))
+                at += take
+                need -= take
+                if at == len(b["addr"]):
+                    pending[batch] = None
+                    batch += 1
+                    at = 0
+            if len(pieces) == 1:
+                b, x, y = pieces[0]
+                cols = {name: b[name][x:y] for name in _COLUMN_NAMES}
             else:
-                # Copy the remainder so the drained batches can be freed.
-                self._pending = [
-                    {name: cols[name][lo:].copy() for name in _COLUMN_NAMES}
-                ]
-                self._pending_n = n - lo
+                cols = {name: np.concatenate([b[name][x:y]
+                                              for b, x, y in pieces])
+                        for name in _COLUMN_NAMES}
+            del pieces
+            self._write_segment(cols)
+            del cols
+            lo += size
+        if lo < n:
+            rest = pending[batch:]
+            if at:
+                rest[0] = {name: rest[0][name][at:].copy()
+                           for name in _COLUMN_NAMES}
+            self._pending = rest
+            self._pending_n = n - lo
 
     def _write_segment(self, cols: Dict[str, np.ndarray]) -> None:
         index = len(self._counts)

@@ -137,13 +137,17 @@ def span_lockstep_positions(core: np.ndarray) -> np.ndarray:
     event. The ranks come by counting along the runs of equal core
     ids in ``core``: a run's first rank is the length of that core's
     earlier runs. No event is sorted; only the runs are grouped by
-    core. Returns ``pos`` with ``out[pos[i]] = event i``.
+    core. Returns ``pos`` (int32: a span is far below 2**31 events)
+    with ``out[pos[i]] = event i``.
     :class:`TraceBuilder` scatters every barrier span this way as the
     span closes.
     """
     m = len(core)
+    if m > np.iinfo(np.int32).max:
+        raise TraceError(f"a barrier span holds at most 2**31 - 1 events,"
+                         f" got {m}")
     if m == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int32)
     run_starts = np.flatnonzero(np.r_[True, core[1:] != core[:-1]])
     run_lens = np.diff(np.r_[run_starts, m])
     by_core = np.argsort(core[run_starts], kind="stable")
@@ -161,18 +165,22 @@ def span_lockstep_positions(core: np.ndarray) -> np.ndarray:
     # lower core ids first.
     alive = len(per_core) - np.cumsum(
         np.bincount(per_core, minlength=longest + 1)[:longest])
-    place = np.r_[0, np.cumsum(alive)[:-1]]
+    place = np.r_[0, np.cumsum(alive)[:-1]].astype(np.int32)
     # Destinations in (core, rank) order.
-    table = np.empty(m, dtype=np.int64)
+    table = np.empty(m, dtype=np.int32)
     first = 0
     for count in per_core.tolist():
         table[first:first + count] = place[:count]
         place[:count] += 1
         first += count
-    shift = np.empty(len(run_starts), dtype=np.int64)
+    # Event i of a run sits at its run's (core, rank) start plus its
+    # offset in the run: a run of +1 steps from each run's start.
+    shift = np.empty(len(run_starts), dtype=np.intp)
     shift[by_core] = before
-    index = np.repeat(shift - run_starts, run_lens)
-    index += np.arange(m)
+    index = np.ones(m, dtype=np.intp)
+    index[run_starts] = shift
+    index[run_starts[1:]] -= shift[:-1] + run_lens[:-1] - 1
+    np.cumsum(index, out=index)
     return table[index]
 
 
@@ -410,21 +418,30 @@ class TraceBuilder:
             self._flush_span()
 
     def _flush_span(self) -> None:
-        """Close the open span: scatter its batches into lockstep order."""
+        """Close the open span: scatter its batches into lockstep order.
+
+        One column at a time: each raw column is dropped as soon as it
+        is scattered, so the span and its raw batches together never
+        hold much more than one copy of the events.
+        """
         if not self._chunks:
             return
         chunks, self._chunks = self._chunks, []
+        # One intp copy of the positions serves all six scatters (an
+        # int32 index would be widened again for each).
         pos = span_lockstep_positions(
-            np.concatenate([c["core"] for c in chunks]))
-        span = {name: np.empty(len(pos), dtype=col.dtype)
-                for name, col in chunks[0].items()}
-        lo = 0
-        for chunk in chunks:
-            where = pos[lo:lo + len(chunk["addr"])]
-            for name, col in chunk.items():
-                span[name][where] = col
-            lo += len(where)
-        self._flushed += len(pos)
+            np.concatenate([c["core"] for c in chunks])).astype(np.intp)
+        span = {}
+        for name in list(chunks[0]):
+            col = span[name] = np.empty(len(pos),
+                                        dtype=chunks[0][name].dtype)
+            lo = 0
+            for chunk in chunks:
+                raw = chunk.pop(name)
+                col[pos[lo:lo + len(raw)]] = raw
+                lo += len(raw)
+        del chunks, pos
+        self._flushed += len(span["addr"])
         self._put_span(span)
 
     def _put_span(self, cols: Dict[str, np.ndarray]) -> None:

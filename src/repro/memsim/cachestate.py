@@ -86,14 +86,16 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.config import SimConfig
+from repro.errors import SimulationError
 from repro.intsort import stable_argsort
 from repro.memsim.cache import Cache
 from repro.memsim.coherence import Directory
 from repro.memsim.dram import DramModel
 from repro.memsim.geometry import BankGeometry
 from repro.memsim.interconnect import Crossbar
-from repro.memsim.prepass import StreamDetector
+from repro.memsim.prepass import StreamDetector, core_id_dtype
 from repro.memsim.stages import (
+    MAX_STREAM,
     OP_EVICT,
     OP_READ,
     OP_WRITE,
@@ -210,37 +212,59 @@ def screen_guaranteed_hits(
 
 
 def _screen(cores, lines, writes, num_sets):
-    """:func:`screen_guaranteed_hits`, plus the batch's line order
-    (``stable_argsort(lines)``), which the L1 stage reuses."""
+    """:func:`screen_guaranteed_hits`, plus what the L1 stage reuses:
+    the batch's line order (``stable_argsort(lines)``, int32), each
+    event's dense line rank (int32) and the distinct lines, ascending
+    (rank ``r`` is ``uniq[r]``)."""
     n = len(lines)
-    out = np.zeros(n, dtype=bool)
-    if n < 2:
-        return out, np.arange(n)
-    cores = np.asarray(cores, dtype=np.int64)
     lines = np.asarray(lines, dtype=np.int64)
+    if n < 2:
+        return (np.zeros(n, dtype=bool), np.arange(n, dtype=np.int32),
+                np.zeros(n, dtype=np.int32), lines.copy())
     writes = np.asarray(writes, dtype=bool)
-    slot = cores * num_sets + lines % num_sets
+    slot = np.asarray(cores).astype(np.int32)
+    slot *= num_sets
+    slot += lines % num_sets
+    # Slot-major order, and which events follow one of their own slot
+    # (compared before the line sort, so the slots are freed first).
     so = stable_argsort(slot)
-    lo = stable_argsort(lines)
-    # Line-major pass: per-event line position and running write count.
+    ss = slot[so]
+    del slot
+    base = ss[1:] == ss[:-1]
+    del ss
+    so = so.astype(np.int32)
+    lo = stable_argsort(lines).astype(np.int32)
+    # Line-major pass: per-event line position, running write count
+    # and dense line rank.
     cw = np.cumsum(writes[lo], dtype=np.int32)
     linepos = np.empty(n, dtype=np.int32)
     linepos[lo] = np.arange(n, dtype=np.int32)
+    sl = lines[lo]
+    newl = np.empty(n, dtype=bool)
+    newl[0] = True
+    np.not_equal(sl[1:], sl[:-1], out=newl[1:])
+    uniq = sl[newl]
+    del sl
+    rank = np.empty(n, dtype=np.int32)
+    rank[lo] = np.cumsum(newl, dtype=np.int32) - 1
+    del newl
     # Slot-major pass: test each event against its slot predecessor.
-    ss = slot[so]
-    sl = lines[so]
+    sl = rank[so]
+    base &= sl[1:] == sl[:-1]
+    del sl
     sw = writes[so]
     p = linepos[so]
+    del linepos
     pprev = p[:-1]
     pcur = p[1:]
-    base = (ss[1:] == ss[:-1]) & (sl[1:] == sl[:-1])
     ok = base & np.where(
         sw[1:],
         sw[:-1] & (pcur == pprev + 1),
         cw[pcur] == cw[pprev],
     )
+    out = np.zeros(n, dtype=bool)
     out[so[1:][ok]] = True
-    return out, lo
+    return out, lo, rank, uniq
 
 
 class KernelTelemetry:
@@ -382,6 +406,11 @@ def _int_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def _positions(values) -> np.ndarray:
+    """A logged column of batch positions (or small codes), int32."""
+    return np.asarray(values, dtype=np.int32)
+
+
 def _per_cut(cuts, positions, weights=None) -> np.ndarray:
     """For each cut, how many ``positions`` (or their total ``weights``)
     lie below it."""
@@ -465,6 +494,8 @@ class CacheSystem:
         self._flat_l2 = [s for b in self.l2_banks for s in b._sets]
         self._slots = self._counter_slots()
         self._hops = None
+        #: The kernel's core-id width (see :func:`core_id_dtype`).
+        self.core_dtype = core_id_dtype(ncores)
 
     # ------------------------------------------------------------------
     # Scalar oracle (reference semantics + external callers)
@@ -594,10 +625,13 @@ class CacheSystem:
         if len(cores) == 0:
             return [({f: 0 for f in _STAT_FIELDS}, list(mem_lat),
                      list(serial)) for _ in cuts]
-        cores64 = np.asarray(cores, dtype=np.int64)
+        if self.fast_path_ok and len(cores) > MAX_STREAM:
+            raise SimulationError(
+                f"a kernel batch holds at most {MAX_STREAM} events,"
+                f" got {len(cores)}")
         if not self.fast_path_ok:
             return self._replay_generic_cuts(
-                cores64.tolist(),
+                np.asarray(cores, dtype=np.int64).tolist(),
                 np.asarray(addrs, dtype=np.int64).tolist(),
                 np.asarray(writes).tolist(),
                 np.asarray(atomics).tolist(),
@@ -611,14 +645,14 @@ class CacheSystem:
         if (memo is not None and record is None
                 and self.kernel_telemetry.batches == 0
                 and not any(mem_lat) and not any(serial)):
-            key = self.memo_key(cores64, addrs, writes, atomics)
+            key = self.memo_key(cores, addrs, writes, atomics)
             delta = memo.get(key)
             if delta is not None and not cuts:
                 self._apply(delta, mem_lat, serial)
                 self.kernel_telemetry.reused += delta.events
                 return []
         delta, marks = self._replay_kernel(
-            cores64, addrs,
+            np.asarray(cores).astype(self.core_dtype, copy=False), addrs,
             np.asarray(lines, dtype=np.int64), np.asarray(banks),
             writes, atomics, mem_lat, serial, record, cuts,
         )
@@ -753,30 +787,40 @@ class CacheSystem:
         :class:`CachePathDelta` — the system's counters are untouched
         until the caller applies it — and the counters at each of
         ``cuts`` (see :meth:`replay_cache_path`).
+
+        Each stage keeps only what a later stage reads, at its narrowest
+        width (int32 positions, ranks, slots and keys; core ids in
+        :attr:`core_dtype`), and drops it after its last reader, so a
+        batch peaks at a small multiple of its own columns.
         """
         n = len(cores)
         tracer = get_tracer()
         with tracer.span("screen", cat="replay"):
-            screened, lo = _screen(cores, lines, writes,
-                                   self.l1s[0]._num_sets)
-            keep = np.flatnonzero(~screened)
+            screened, lo, rank, uniq = _screen(cores, lines, writes,
+                                               self.l1s[0]._num_sets)
+            keep = np.flatnonzero(~screened).astype(np.int32)
         log = _ResidualLog()
         if len(keep):
             with tracer.span("l1", cat="replay"):
-                l1 = self._l1_stage(log, keep, cores, lines, writes, lo,
-                                    screened)
-            del lo, screened
+                l1 = self._l1_stage(log, keep, cores, writes, lo, rank,
+                                    uniq, screened)
+            del lo, rank, uniq, screened
             with tracer.span("dir", cat="replay"):
                 self._directory_stage(log, keep, l1)
             del l1
             with tracer.span("prefetch", cat="replay"):
                 self._prefetch_stage(log, cores, lines)
+        else:
+            del lo, rank, uniq, screened
+        n_screened = n - len(keep)
+        del keep
         with tracer.span("l2", cat="replay"):
             self._l2_stage(log, lines, writes)
         with tracer.span("fold", cat="replay"):
             counters, open_rows, lats, at_cuts = self._fold(
                 log, cores, addrs, banks, record, cuts,
             )
+            del log
             # Latency accounting: the atomic split and the per-core
             # sums. np.add.at accumulates element-by-element in event
             # order, so the float association matches the scalar oracle
@@ -787,16 +831,18 @@ class CacheSystem:
             core_cfg = self.config.core
             ser = core_cfg.atomic_serialization
             n_atomic = int(np.count_nonzero(atomics))
-            mem_w = np.where(atomics, lats * (1.0 - ser), lats)
-            ser_w = np.where(
-                atomics, lats * ser + core_cfg.atomic_stall_cycles, 0.0
-            ) if n_atomic else None
+            ser_w = None
+            if n_atomic:
+                ser_w = lats * ser
+                ser_w += core_cfg.atomic_stall_cycles
+                ser_w[~atomics] = 0.0
+                np.multiply(lats, 1.0 - ser, out=lats, where=atomics)
             mem_sums = np.asarray(mem_lat, dtype=np.float64)
             ser_sums = np.asarray(serial, dtype=np.float64)
             marks = []
             lo = 0
             for hi in [*cuts, n]:
-                np.add.at(mem_sums, cores[lo:hi], mem_w[lo:hi])
+                np.add.at(mem_sums, cores[lo:hi], lats[lo:hi])
                 if ser_w is not None:
                     np.add.at(ser_sums, cores[lo:hi], ser_w[lo:hi])
                 if len(marks) < len(cuts):
@@ -812,13 +858,13 @@ class CacheSystem:
         marks = [(dict(zip(_STAT_FIELDS, row)), m, sr)
                  for row, (m, sr) in zip(at_cuts.tolist(), marks)]
         return CachePathDelta(
-            events=n, screened=n - len(keep), counters=tuple(counters),
+            events=n, screened=n_screened, counters=tuple(counters),
             open_rows=open_rows, mem_lat=mem_sums.tolist(),
             serial=ser_sums.tolist(),
         ), marks
 
-    def _l1_stage(self, log: _ResidualLog, keep, cores, lines, writes, lo,
-                  screened) -> "_L1Outcome":
+    def _l1_stage(self, log: _ResidualLog, keep, cores, writes, lo, rank,
+                  uniq, screened) -> "_L1Outcome":
         """Replay the residual events through the L1 sets in one pass.
 
         Each core's L1 is a function of the trace: its own accesses,
@@ -832,109 +878,136 @@ class CacheSystem:
         order — goes through :func:`lru_stage`, which logs the L1
         misses and the dirty victims; each touched set's end contents
         are written back.
+
+        ``lo``, ``rank`` and ``uniq`` are the screen's line order,
+        dense line ranks and distinct lines. Every line of the batch
+        has a residual event (its first one), so the ranks are dense
+        over the residual events too.
         """
         ncores = self.ncores
         nsets = self.l1s[0]._num_sets
-        n = len(lines)
         nres = len(keep)
         kc = cores[keep]
-        kl = lines[keep]
         kw = writes[keep]
-        # The residual events in line order (the screen's, filtered) and
-        # dense line ids over them.
+        kr = rank[keep]
+        # The residual events in line order (the screen's, filtered),
+        # as residual indices, and their ranks.
         lr = lo[~screened[lo]]
-        ridx = np.empty(n, dtype=np.int64)
-        ridx[keep] = np.arange(nres)
+        ridx = np.cumsum(~screened, dtype=np.int32)
+        ridx -= 1
         li = ridx[lr]
-        del ridx
-        sl = lines[lr]
-        newl = np.ones(nres, dtype=bool)
-        newl[1:] = sl[1:] != sl[:-1]
-        uniq = sl[newl]
-        lr_rank = np.cumsum(newl) - 1
-        kr = np.empty(nres, dtype=np.int64)
-        kr[li] = lr_rank
-        del sl, newl
+        del ridx, lr
+        lr_rank = kr[li]
 
-        # Start contents, in set order and LRU order, with ids for the
+        # Start contents, in set order and LRU order, with ranks for the
         # lines the batch does not touch.
         flat_l1 = self._flat_l1
-        st_slot = np.repeat(np.arange(len(flat_l1)),
+        st_slot = np.repeat(np.arange(len(flat_l1), dtype=np.int32),
                             [len(s) for s in flat_l1])
         st_c = st_slot // nsets
         st_l = _int_array([line for s in flat_l1 for line in s])
         st_d = [d for s in flat_l1 for d in s.values()]
         at = np.minimum(np.searchsorted(uniq, st_l), len(uniq) - 1)
         known = uniq[at] == st_l
-        extra = np.sort(st_l[~known])
-        extra = extra[np.r_[True, extra[1:] != extra[:-1]][:len(extra)]]
-        st_r = np.where(known, at,
-                        len(uniq) + np.searchsorted(extra, st_l))
+        extra = np.unique(st_l[~known])
+        st_r = np.where(known, at, len(uniq) + np.searchsorted(extra, st_l)
+                        ).astype(np.int32)
         ids = np.concatenate([uniq, extra])
         nst = len(st_l)
+        del st_l, at, known, extra
 
         # Deletion candidates, in line order (start holders first): each
         # event names the next write to its line by its rank ``target``.
         so = np.argsort(st_r, kind="stable")
         ins = np.searchsorted(lr_rank, st_r[so])
         m_r = np.insert(lr_rank, ins, st_r[so])
+        del lr_rank
         m_c = np.insert(kc[li], ins, st_c[so])
         m_w = np.insert(kw[li], ins, False)
         m_t = np.insert(li, ins, -1)
-        wres = np.flatnonzero(kw)
+        del li, ins, so, st_c
+        wres = np.flatnonzero(kw).astype(np.int32)
         nw = len(wres)
         wpos = np.flatnonzero(m_w)
-        target = np.cumsum(m_w)
-        ok = np.flatnonzero(target < nw)
-        ok = ok[m_r[wpos[target[ok]]] == m_r[ok]]
+        target = np.cumsum(m_w, dtype=np.int32)
+        del m_w
+        ok = target < nw
+        np.minimum(target, max(nw - 1, 0), out=target)
+        if nw:
+            ok &= m_r[wpos][target] == m_r
+        del m_r
         # Candidate matrix rows are writes in batch order.
-        wrank = np.cumsum(kw) - 1
-        row = wrank[m_t[wpos]]
+        row = np.cumsum(kw, dtype=np.int32)[m_t[wpos]]
+        row -= 1
+        del m_t, wpos
         cand = np.zeros(nw * ncores, dtype=bool)
-        cand[row[target[ok]] * ncores + m_c[ok]] = True
+        cell = row[target[ok]].astype(np.intp)
+        cell *= ncores
+        cell += m_c[ok]
+        cand[cell] = True
+        del cell, row, target, ok, m_c
         cand[np.arange(nw) * ncores + kc[wres]] = False
-        del m_r, m_c, m_w, m_t, target, ok, row
         flat = np.flatnonzero(cand)
         del cand
         dres = wres[flat // ncores]
-        dcore = flat % ncores
+        dcore = (flat % ncores).astype(np.int32)
+        del flat, wres
 
         # The op stream: start contents, then accesses and deletions in
-        # batch order (a deletion right after its write).
+        # batch order (a deletion right after its write). Line ``r``
+        # maps to set ``lset[r]`` of each core's L1.
+        lset = (ids % nsets).astype(np.int32)
         nd = len(dres)
-        acc = np.arange(nst, nst + nres, dtype=np.int64)
-        acc[1:] += np.cumsum(np.bincount(dres, minlength=nres)[:-1])
-        dpos = nst + dres + 1 + np.arange(nd)
+        dpos = np.arange(nst + 1, nst + 1 + nd, dtype=np.int32)
+        dpos += dres
         m = nst + nres + nd
-        slot = np.empty(m, dtype=np.int64)
-        key = np.empty(m, dtype=np.int64)
-        wr = np.zeros(m, dtype=bool)
         dl = np.zeros(m, dtype=bool)
+        dl[dpos] = True
+        dl[:nst] = True
+        acc = np.flatnonzero(~dl).astype(np.int32)
+        dl[:nst] = False
+        slot = np.empty(m, dtype=np.int32)
+        key = np.empty(m, dtype=np.int32)
+        wr = np.zeros(m, dtype=bool)
         slot[:nst] = st_slot
         key[:nst] = st_r
         wr[:nst] = st_d
-        slot[acc] = kc * nsets + kl % nsets
+        del st_slot, st_r, st_d
+        kslot = kc.astype(np.int32)
+        kslot *= nsets
+        kslot += lset[kr]
+        slot[acc] = kslot
+        del kslot
         key[acc] = kr
         wr[acc] = kw
-        slot[dpos] = dcore * nsets + kl[dres] % nsets
-        key[dpos] = kr[dres]
-        dl[dpos] = True
+        dkey = kr[dres]
+        dcore *= nsets
+        dcore += lset[dkey]
+        slot[dpos] = dcore
+        key[dpos] = dkey
+        del dres, dcore, dkey, dpos, lset
         hit, victim, dirty, end = lru_stage(
             slot, key, wr, self.l1s[0]._ways, dl)
+        del wr, dl
 
         acc_hit = hit[acc]
-        miss = np.flatnonzero(~acc_hit)
+        del hit
+        miss = np.flatnonzero(~acc_hit).astype(np.int32)
         v = victim[acc[miss]]
+        del acc, victim
         dv = np.flatnonzero(v >= 0)
         dv = dv[dirty[v[dv]]]
+        victim_id = key[v[dv]]
+        victim_res = miss[dv]
+        del v, dv
         log.l1_miss = keep[miss]
-        log.victim_at = keep[miss[dv]]
-        log.victim_line = ids[key[v[dv]]]
+        log.victim_at = keep[victim_res]
+        log.victim_line = ids[victim_id]
+        del miss
 
-        _refill(flat_l1, np.flatnonzero(
-            np.bincount(slot, minlength=len(flat_l1))),
-            slot[end], ids[key[end]], dirty[end])
-        return _L1Outcome(kc, kw, acc_hit, miss[dv], key[v[dv]], ids, kr)
+        touched = np.flatnonzero(np.bincount(slot, minlength=len(flat_l1)))
+        _refill(flat_l1, touched, slot[end], ids[key[end]], dirty[end])
+        return _L1Outcome(kc, kw, acc_hit, victim_res, victim_id, ids, kr)
 
     def _directory_stage(self, log: _ResidualLog, keep,
                          l1: "_L1Outcome") -> None:
@@ -949,7 +1022,7 @@ class CacheSystem:
         end entry; entries whose mask ends empty are deleted.
         """
         is_op = l1.writes | ~l1.hit
-        sel = np.flatnonzero(is_op)
+        sel = np.flatnonzero(is_op).astype(np.int32)
         ev_res = l1.victim_res
         nsel = len(sel)
         ne = len(ev_res)
@@ -957,13 +1030,16 @@ class CacheSystem:
             return
         # Each victim's eviction goes right after the miss that evicted
         # it: ``after`` ops of the stream precede it.
-        after = np.cumsum(is_op)[ev_res]
-        rw_at = np.arange(nsel) + np.cumsum(
-            np.bincount(after, minlength=nsel + 1))[:nsel]
-        e_at = after + np.arange(ne)
+        e_at = np.cumsum(is_op, dtype=np.int32)[ev_res]
+        del is_op
+        e_at += np.arange(ne, dtype=np.int32)
         m = nsel + ne
-        op_id = np.empty(m, dtype=np.int64)
-        op_core = np.empty(m, dtype=np.int64)
+        is_rw = np.ones(m, dtype=bool)
+        is_rw[e_at] = False
+        rw_at = np.flatnonzero(is_rw).astype(np.int32)
+        del is_rw
+        op_id = np.empty(m, dtype=np.int32)
+        op_core = np.empty(m, dtype=l1.cores.dtype)
         kind = np.empty(m, dtype=np.int8)
         op_id[rw_at] = l1.ranks[sel]
         op_core[rw_at] = l1.cores[sel]
@@ -971,33 +1047,41 @@ class CacheSystem:
         op_id[e_at] = l1.victim_id
         op_core[e_at] = l1.cores[ev_res]
         kind[e_at] = OP_EVICT
+        del e_at
         used = np.bincount(op_id, minlength=len(l1.ids))
         touched = np.flatnonzero(used)
-        dense = np.cumsum(used > 0) - 1
-        lines_l = l1.ids[touched].tolist()
+        dense = np.cumsum(used > 0, dtype=np.int32)
+        dense -= 1
+        del used
+        op_id = dense[op_id]
+        del dense
+        lines_a = l1.ids[touched]
+        lines_l = lines_a.tolist()
         nl = len(lines_l)
         dir_lines = self.directory._lines
         got = list(map(dir_lines.get, lines_l))
         have = [i for i, e in enumerate(got) if e is not None]
         carried = np.zeros((nl, self.ncores), dtype=bool)
-        owners0 = np.full(nl, -1, dtype=np.int64)
+        owners0 = np.full(nl, -1, dtype=self.core_dtype)
         if have:
             carried[have] = mask_bits([got[i][0] for i in have],
                                       self.ncores)
             owners0[have] = [got[i][1] for i in have]
         codes, end, owners = directory_stage(
-            dense[op_id], op_core, kind, carried, owners0)
+            op_id, op_core, kind, carried, owners0)
+        del op_id, op_core, kind
         code = codes[rw_at]
+        del codes, rw_at
         nz = np.flatnonzero(code)
         log.coh_at = keep[sel[nz]]
         log.coh_code = code[nz]
+        del code, sel, nz
 
         # Write back the changed entries (an entry's mask is never 0):
         # update carried ones in place, make new ones, delete emptied.
         known = carried.any(axis=1)
         live = end.any(axis=1)
         changed = (end != carried).any(axis=1) | (owners != owners0)
-        lines_a = l1.ids[touched]
         for i in np.flatnonzero(known & ~live).tolist():
             del dir_lines[lines_l[i]]
         upd = np.flatnonzero(known & live & changed)
@@ -1033,8 +1117,8 @@ class CacheSystem:
         demand fill did), then writes each touched set's end contents
         back.
         """
-        demand = _int_array(log.l1_miss)
-        victim_at = _int_array(log.victim_at)
+        demand = np.asarray(log.l1_miss, dtype=np.int32)
+        victim_at = np.asarray(log.victim_at, dtype=np.int32)
         victim_line = _int_array(log.victim_line)
         log.l1_miss, log.victim_at, log.victim_line = (
             demand, victim_at, victim_line)
@@ -1046,28 +1130,26 @@ class CacheSystem:
         flat_l2 = self._flat_l2
 
         def set_of(line):
-            return (line & bank_mask) * nsets + (line >> bank_bits) % nsets
+            s = (line & bank_mask).astype(np.int32)
+            s *= nsets
+            s += (line >> bank_bits) % nsets
+            return s
 
         # The batch's accesses in time order: a dirty victim comes just
-        # before the demand access at its position (one at most), and
-        # ``order`` is each one's ``3 * position + phase`` slot for a
-        # write-back it causes.
+        # before the demand access at its position (one at most).
         owner = np.searchsorted(demand, victim_at)
-        dpos = np.zeros(len(demand), dtype=np.int64)
+        dpos = np.zeros(len(demand), dtype=np.int32)
         dpos[owner] = 1
-        dpos = np.cumsum(dpos) + np.arange(len(demand))
-        vpos = dpos[owner] - 1
-        real = np.empty(len(demand) + len(victim_at), dtype=np.int64)
-        real[vpos] = victim_line
-        real[dpos] = lines[demand]
-        real_w = np.ones(len(real), dtype=bool)
-        real_w[dpos] = writes[demand]
-        order = np.empty(len(real), dtype=np.int64)
-        order[vpos] = 3 * victim_at
-        order[dpos] = 3 * demand + 2
-        real_sets = set_of(real)
+        dpos = np.cumsum(dpos, dtype=np.int32)
+        dpos += np.arange(len(demand), dtype=np.int32)
+        vpos = dpos[owner]
+        vpos -= 1
+        del owner
 
         # Start contents of every touched set, as leading accesses.
+        real_sets = np.empty(len(demand) + len(victim_at), dtype=np.int32)
+        real_sets[vpos] = set_of(victim_line)
+        real_sets[dpos] = set_of(lines[demand])
         touched = np.flatnonzero(
             np.bincount(real_sets, minlength=len(flat_l2))).tolist()
         start, start_w = [], []
@@ -1077,20 +1159,32 @@ class CacheSystem:
             start_w += flat_l2[t].values()
         start = _int_array(start)
         lead = len(start)
-        stream = np.concatenate([start, real])
         sets = np.concatenate([set_of(start), real_sets])
+        del real_sets
+        stream = np.empty(len(sets), dtype=np.int64)
+        stream[:lead] = start
+        stream[lead + vpos] = victim_line
+        stream[lead + dpos] = lines[demand]
+        stream_w = np.ones(len(sets), dtype=bool)
+        stream_w[:lead] = start_w
+        stream_w[lead + dpos] = writes[demand]
+        del start, start_w
         hit, victim, dirty, end = lru_stage(
-            sets, stream, np.concatenate([np.array(start_w, dtype=bool),
-                                          real_w]),
-            self.l2_banks[0]._ways,
-        )
+            sets, stream, stream_w, self.l2_banks[0]._ways)
+        del stream_w
 
         log.l2_hit = demand[hit[lead + dpos]]
+        del hit
+        # A write-back at stream index ``j``: the victim slot just
+        # before demand ``i``'s access (phase 0) or the access itself
+        # (phase 2), where ``i`` is the first demand at or after ``j``.
         evicts = victim[lead:]
         wb = np.flatnonzero(evicts >= 0)
         wb = wb[dirty[evicts[wb]]]
-        log.wb_order = order[wb]
+        i = np.searchsorted(dpos, wb)
+        log.wb_order = 3 * demand[i].astype(np.int64) + 2 * (dpos[i] == wb)
         log.wb_addr = stream[evicts[wb]] << self.line_bits
+        del victim, evicts, wb, i, dpos, vpos
 
         _refill(flat_l2, touched, sets[end], stream[end] >> bank_bits,
                 dirty[end])
@@ -1119,15 +1213,16 @@ class CacheSystem:
         lb_h = self.line_bytes + header
         line_bytes = self.line_bytes
 
-        miss = _int_array(log.l1_miss)
-        l2_hit = _int_array(log.l2_hit)
-        pref = _int_array(log.prefetch)
+        miss = _positions(log.l1_miss)
+        l2_hit = _positions(log.l2_hit)
+        pref = _positions(log.prefetch)
         mc = cores[miss]
         mb = banks[miss]
         hit_mask = np.zeros(n, dtype=bool)
         hit_mask[l2_hit] = True
         l2_miss = miss[~hit_mask[miss]]
-        victim_at = _int_array(log.victim_at)
+        del hit_mask
+        victim_at = _positions(log.victim_at)
         # A dirty L1 victim's write-back crosses the chip unless its
         # bank is the evicting core's own.
         victim_remote = (
@@ -1137,8 +1232,8 @@ class CacheSystem:
         wb_addr = _int_array(log.wb_addr)
 
         # Coherence: invalidation fan-out and modified-line fetches.
-        coh_at = _int_array(log.coh_at)
-        coh_code = _int_array(log.coh_code)
+        coh_at = _positions(log.coh_at)
+        coh_code = _positions(log.coh_code)
         inval = coh_code >> 1
         coh_wb = coh_code & 1
         n_inval = int(inval.sum())
@@ -1172,7 +1267,10 @@ class CacheSystem:
                         for c in range(ncores)
                     ])
                 hop = np.where(remote, self._hops[mc, mb], 0)
-            lats[miss] += hop + self.l2_lat
+            hop += self.l2_lat
+            lats[miss] += hop
+            del hop
+        del mc, mb
         dram_lat, row_hits, row_misses, open_rows = self._dram_rows(
             l2_miss, addrs[l2_miss], wb_order, wb_addr
         )
@@ -1237,22 +1335,34 @@ class CacheSystem:
         if dcfg.page_policy == "closed":
             return dcfg.latency_cycles, 0, 0, None
         open_rows = list(self.dram._open_rows)
-        order = np.concatenate([3 * reads + 1, wb_order])
-        addr = np.concatenate([read_addrs, wb_addr])
-        seq = np.argsort(order, kind="stable")
-        addr = addr[seq]
-        is_read = seq < len(reads)
-        lat = np.full(len(addr), dcfg.latency_cycles)
+        # Both streams are ascending in ``3 * position + phase`` and
+        # never tie (a read is phase 1), so each access's place in the
+        # merged order is its index plus the other stream's keys below.
+        key = 3 * reads.astype(np.int64) + 1
+        at_r = np.searchsorted(wb_order, key)
+        at_r += np.arange(len(reads))
+        at_w = np.searchsorted(key, wb_order)
+        at_w += np.arange(len(wb_order))
+        del key
+        addr = np.empty(len(reads) + len(wb_order), dtype=np.int64)
+        addr[at_r] = read_addrs
+        addr[at_w] = wb_addr
+        del at_w
         machine = np.ones(len(addr), dtype=bool)
         if dcfg.page_policy == "hybrid":
             for lo, hi in self.dram._random_ranges:
                 machine &= ~((addr >= lo) & (addr < hi))
         idx = np.flatnonzero(machine)
-        ch = (addr[idx] // 64) % dcfg.channels
-        row = addr[idx] // dcfg.row_bytes
+        del machine
+        addr = addr[idx]
+        ch = ((addr // 64) % dcfg.channels).astype(np.int32)
+        row = addr // dcfg.row_bytes
+        del addr
         by_ch = stable_argsort(ch)
         sch = ch[by_ch]
+        del ch
         srow = row[by_ch]
+        del row
         first = np.ones(len(sch), dtype=bool)
         first[1:] = sch[1:] != sch[:-1]
         prev = np.empty_like(srow)
@@ -1260,12 +1370,14 @@ class CacheSystem:
         prev[first] = np.array(open_rows, dtype=np.int64)[sch[first]]
         hit = np.empty(len(idx), dtype=bool)
         hit[by_ch] = srow == prev
+        del prev, by_ch
         last = np.ones(len(sch), dtype=bool)
         last[:-1] = first[1:]
         for c, r in zip(sch[last].tolist(), srow[last].tolist()):
             open_rows[c] = r
+        del sch, srow, first, last
+        lat = np.full(len(reads) + len(wb_order), dcfg.latency_cycles)
         lat[idx] = np.where(hit, dcfg.row_hit_cycles, dcfg.row_miss_cycles)
-        read_lat = np.empty(len(reads), dtype=lat.dtype)
-        read_lat[seq[is_read]] = lat[is_read]
+        read_lat = lat[at_r]
         n_hit = int(np.count_nonzero(hit))
         return read_lat, n_hit, len(idx) - n_hit, open_rows

@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import SimulationError
 from repro.intsort import stable_argsort
 
 __all__ = [
@@ -38,6 +39,9 @@ _WALK_WIDTH = 8
 
 #: Directory op kinds: an L1 read miss, a write, a dirty L1 eviction.
 OP_READ, OP_WRITE, OP_EVICT = 0, 1, 2
+
+#: Stream positions, ranks and keys are int32, so a stream stays below.
+MAX_STREAM = np.iinfo(np.int32).max
 
 
 def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
@@ -63,6 +67,9 @@ def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
       lines after the stream, grouped by ascending set, each set's in
       LRU order.
 
+    Stream indices (``victim``, ``end``) are int32: a stream is far
+    below 2**31 ops.
+
     The rule, per residency (an access ``r`` of line X): ``r`` is
     evicted at the first later op ``u`` of its set, before X's next op,
     where ``count_r(u)`` reaches ``ways``. ``count_r`` rises by one at
@@ -76,24 +83,35 @@ def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
     undecided walk on in blocks until each is decided, so the result is
     exact for any stream. Without deletions this is stack distance
     (Mattson et al., 1970) read forwards.
+
+    Every per-op column is int32, int8 or bool, and each is freed when
+    its last reader is done: the stage peaks at about 35 bytes per op
+    above its inputs.
     """
     m = len(lines)
+    if m > MAX_STREAM:
+        raise SimulationError(
+            f"lru_stage takes at most {MAX_STREAM} ops, got {m}")
     if m == 0:
-        return (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
+        return (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int32),
+                np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int32))
     so = stable_argsort(sets)
     ss = sets[so]
     cut = np.flatnonzero(ss[1:] != ss[:-1]) + 1
     del ss
-    # Next op of each position's line, or the end of its set.
-    pos = np.arange(m, dtype=np.int32)
-    nxt = np.append(cut, m).astype(np.int32)[
-        np.searchsorted(cut, pos, side="right")]
     sl = lines[so]
-    by_line = stable_argsort(sl)
+    so = so.astype(np.int32)
+    # The ops of one line in one set are adjacent in the line order of
+    # the set order, in time order.
+    by_line = stable_argsort(sl).astype(np.int32)
     lb = sl[by_line]
+    del sl
     link = lb[1:] == lb[:-1]
-    del lb, sl
+    del lb
+    # Next op of each position's line, or the end of its set.
+    ends = np.append(cut, m).astype(np.int32)
+    nxt = np.repeat(ends, np.diff(ends, prepend=0))
+    del ends
     # Equal lines in two sets are adjacent in the line order too: a link
     # is within one set iff it stays before that set's end.
     cur = by_line[1:]
@@ -103,30 +121,35 @@ def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
     prv = prv[link]
     del link
     nxt[prv] = cur
-    prev = np.full(m, -1, dtype=np.intp)
+    prev = np.full(m, -1, dtype=np.int32)
     prev[cur] = prv
-    last = np.ones(m, dtype=bool)
-    last[prv] = False
+    del cur, prv
 
-    # count_r rises at an access u with after[u] < r (its line's previous
-    # op is before r, or is a deletion: -1) and falls at a deletion u
-    # with before[u] > r (its line's previous op is an access after r).
-    after = prev.astype(np.int32)
-    before = None
+    # count_r rises at an access u whose line's previous op is before r
+    # or is a deletion, and falls at a deletion u whose line's previous
+    # op is an access after r. As distances back from u: it rises iff
+    # rise[u] > u - r and falls iff fall[u] < u - r.
+    pos = np.arange(m, dtype=np.int32)
+    fall = None
     isdel = None
     if deletes is not None and deletes.any():
         isdel = np.asarray(deletes, dtype=bool)[so]
         pdel = isdel[prev]
         pdel &= prev >= 0
-        np.copyto(after, -1, where=pdel)
-        np.copyto(after, m, where=isdel)
-        before = np.full(m, -1, dtype=np.int32)
-        np.copyto(before, prev, where=isdel & ~pdel, casting="unsafe")
+        fall = pos + 1
+        np.subtract(pos, prev, out=fall, where=isdel & ~pdel)
+        rise = pos + 1
+        np.subtract(pos, prev, out=rise, where=~pdel)
         del pdel
-    del cur, prv
-    span = nxt - pos
+        rise[isdel] = 0
+    else:
+        rise = pos - prev
+    span = nxt
+    del nxt
+    span -= pos
+    del pos
     if isdel is not None:
-        np.copyto(span, 0, where=isdel)
+        span[isdel] = 0
 
     count = np.zeros(m, dtype=np.int8)
     # Distance to the op that evicts each residency (0: none yet).
@@ -137,14 +160,13 @@ def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
     depth = max(0, min(_SHIFTS, int(span.max()) - 1))
     for d in range(1, depth + 1):
         k = m - d
-        r = pos[:k]
         a = np.greater(span[:k], d, out=act[:k])
-        i = np.less(after[d:], r, out=inc[:k])
+        i = np.greater(rise[d:], d, out=inc[:k])
         i &= a
         c = count[:k]
         c += i
-        if before is not None:
-            g = np.greater(before[d:], r, out=dec[:k])
+        if fall is not None:
+            g = np.less(fall[d:], d, out=dec[:k])
             g &= a
             c -= g
         if d >= ways:
@@ -153,26 +175,31 @@ def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
             np.copyto(evd[:k], d, where=f)
             np.copyto(span[:k], 0, where=f)
     del inc, dec, act
-    ev = np.where(evd > 0, pos + evd, -1)
+    ev = np.arange(m, dtype=np.int32)
+    ev += evd
+    ev[evd == 0] = -1
     del evd
     rest = np.flatnonzero(span > depth).astype(np.int32)
     rows = _WALK_CELLS // _WALK_WIDTH
     for lo in range(0, len(rest), rows):
-        _walk(rest[lo:lo + rows], depth, count, span, after, before, ways,
-              ev)
-    del count, span, after, before
+        _walk(rest[lo:lo + rows], depth, count, span, rise, fall, ways, ev)
+    del count, span, rise, fall, rest
 
     # A residency ends at its line's next op unless it was evicted;
     # ``acc``: the line's previous op is an access.
     kept = ev < 0
+    vic = np.full(m, -1, dtype=np.int32)
+    gone = np.flatnonzero(~kept)
+    vic[ev[gone]] = gone
+    del ev, gone
     acc = prev >= 0
     if isdel is not None:
         acc &= ~isdel[prev]
     hit_s = kept[prev]
     hit_s &= acc
-    vic = np.full(m, -1, dtype=np.intp)
-    gone = np.flatnonzero(~kept)
-    vic[ev[gone]] = gone
+    last = np.ones(m, dtype=bool)
+    last[prev[prev >= 0]] = False
+    del prev
 
     # A residency is a miss and the ops after it up to its end; it is
     # dirty from its first write on. A deletion continues the
@@ -182,28 +209,41 @@ def lru_stage(sets: np.ndarray, lines: np.ndarray, writes: np.ndarray,
     if isdel is not None:
         start &= ~(isdel & acc)
         w &= ~isdel
+    del acc
     start_l = start[by_line]
+    del start
     w_l = w[by_line]
+    del w
     cw = np.cumsum(w_l, dtype=np.int32)
-    base = (cw - w_l)[start_l]
-    dirty_l = cw > base[np.cumsum(start_l, dtype=np.int32) - 1]
+    base = cw[start_l]
+    base -= w_l[start_l]
+    del w_l
+    group = np.cumsum(start_l, dtype=np.int32)
+    del start_l
+    group -= 1
+    dirty_l = cw > base[group]
+    del cw, base, group
 
     resident = last & kept
+    del last, kept
     if isdel is not None:
         resident &= ~isdel
     end = so[np.flatnonzero(resident)]
+    del resident
 
     hit = np.empty(m, dtype=bool)
     hit[so] = hit_s
+    del hit_s
     dirty = np.empty(m, dtype=bool)
     dirty[so[by_line]] = dirty_l
-    victim = np.full(m, -1, dtype=np.int64)
+    del by_line, dirty_l
+    victim = np.full(m, -1, dtype=np.int32)
     has = np.flatnonzero(vic >= 0)
     victim[so[has]] = so[vic[has]]
     return hit, victim, dirty, end
 
 
-def _walk(rows, depth, count, span, after, before, ways, ev) -> None:
+def _walk(rows, depth, count, span, rise, fall, ways, ev) -> None:
     """Walk :func:`lru_stage`'s undecided residencies on past ``depth``.
 
     Each block looks ahead over ``width`` more positions of every row
@@ -213,17 +253,18 @@ def _walk(rows, depth, count, span, after, before, ways, ev) -> None:
     cnt = count[rows].astype(np.int32)
     d = depth
     width = _WALK_WIDTH
-    top = len(after) - 1
+    top = len(rise) - 1
     while len(rows):
         offs = np.arange(d + 1, d + width + 1, dtype=np.int32)
-        col = rows[:, None]
         inside = offs < span[rows][:, None]
-        u = np.minimum(col + offs, top)
-        inc = (after[u] < col) & inside
+        u = np.minimum(rows[:, None] + offs, top)
+        inc = (rise[u] > offs) & inside
         delta = inc.astype(np.int32)
-        if before is not None:
-            delta -= (before[u] > col) & inside
+        if fall is not None:
+            delta -= (fall[u] < offs) & inside
+        del u
         cum = np.cumsum(delta, axis=1, dtype=np.int32)
+        del delta
         cum += cnt[:, None]
         evict = inc & (cum == ways)
         event = evict | ~inside
@@ -300,16 +341,18 @@ def directory_stage(lines: np.ndarray, cores: np.ndarray,
     """
     m = len(lines)
     nl, ncores = carried.shape
-    lo = stable_argsort(lines)
-    L = lines[lo].astype(np.int32)
-    C = cores[lo].astype(np.int32)
+    lo = stable_argsort(lines).astype(np.int32)
+    L = lines[lo].astype(np.int32, copy=False)
+    C = cores[lo]
     K = kinds[lo]
     is_w = K == OP_WRITE
     first = np.ones(m, dtype=bool)
     first[1:] = L[1:] != L[:-1]
     opens = is_w | first
-    g = np.cumsum(opens, dtype=np.int32) - 1
-    gstart = np.flatnonzero(opens)
+    g = np.cumsum(opens, dtype=np.int32)
+    g -= 1
+    gstart = np.flatnonzero(opens).astype(np.int32)
+    del opens
     ng = len(gstart)
     # An interval opened by a line's first op that is not a write is
     # the carried one; otherwise the writer owns it.
@@ -320,11 +363,14 @@ def directory_stage(lines: np.ndarray, cores: np.ndarray,
                          | ((K == OP_EVICT) & (C == own)))
     del own
     kp = np.flatnonzero(kill)
+    del kill
     killed_g = np.zeros(ng, dtype=bool)
     killed_g[g[kp]] = True
     firstk = kp[np.append(True, g[kp[1:]] != g[kp[:-1]])] if len(kp) \
         else kp
+    del kp
     wb_r = firstk[K[firstk] == OP_READ]
+    del firstk
     # The interval a write closes: the one before it on its line, or
     # the line's carried entry when the write is the line's first op.
     wi = np.flatnonzero(is_w)
@@ -334,21 +380,27 @@ def directory_stage(lines: np.ndarray, cores: np.ndarray,
     prev_owner = np.where(wfirst, owners0[L[wi]], own_g[pg])
     prev_alive = (prev_owner >= 0) & ~(killed_g[pg] & ~wfirst)
     wb_w = prev_alive & (prev_owner != C[wi])
+    del prev_owner, prev_alive
 
     # Each core's last op per interval: the line order sorted stably by
-    # core is (core, line, time), so a core's next op on the line is
-    # the next position there.
+    # core is (core, line, time), so a core's next op in the interval
+    # is the next position there.
     lc = stable_argsort(C)
-    Lc = L[lc]
     Cc = C[lc]
+    same = Cc[1:] == Cc[:-1]
+    del Cc
     gc = g[lc]
-    same = (Lc[1:] == Lc[:-1]) & (Cc[1:] == Cc[:-1])
+    same &= gc[1:] == gc[:-1]
+    del gc
     last_c = np.ones(m, dtype=bool)
-    last_c[:-1] = ~same | (gc[1:] != gc[:-1])
+    np.logical_not(same, out=last_c[:-1])
+    del same
     last = np.empty(m, dtype=bool)
     last[lc] = last_c
-    del lc, Lc, Cc, gc, same, last_c
-    sets = last & (K != OP_EVICT)
+    del lc, last_c
+    sets = last
+    sets &= K != OP_EVICT
+    del last, K
 
     # Bits at each interval's end, counted for the write that opens the
     # next one: the set last ops of the other cores...
@@ -356,32 +408,42 @@ def directory_stage(lines: np.ndarray, cores: np.ndarray,
     after = gstart[1:]
     cont = is_w[after] & ~first[after]
     nxt_writer[:-1][cont] = C[after[cont]]
-    cnt = np.bincount(g[sets & (C != nxt_writer[g])], minlength=ng)
+    del after, cont, is_w
+    counted = sets & (C != nxt_writer[g])
+    cnt = np.bincount(g[counted], minlength=ng)
+    del counted, nxt_writer
     inv = np.where(wfirst, 0, cnt[pg])
+    del cnt
     # ...and, when the interval is the carried one, the carried bits of
     # the cores with no op there.
     seen = np.zeros((nl, ncores), dtype=bool)
     in_c = carried_g[g]
     seen[L[in_c], C[in_c]] = True
+    del in_c
     stale = carried & ~seen
+    del seen
     closes = wfirst.copy()
     closes[~wfirst] = carried_g[pg[~wfirst]]
     ci = np.flatnonzero(closes)
     rows = stale[L[wi[ci]]]
     rows[np.arange(len(ci)), C[wi[ci]]] = False
     inv[ci] += rows.sum(axis=1)
+    del rows, ci, closes
 
-    codes = np.zeros(m, dtype=np.int64)
+    codes = np.zeros(m, dtype=np.int32)
     codes[lo[wi]] = 2 * inv + wb_w
     codes[lo[wb_r]] = 1
+    del lo, wi, wb_r, inv, wb_w
 
     # End state: each line's last interval.
     line_first = np.flatnonzero(first)
+    del first
     lids = L[line_first]
     last_g = g[np.append(line_first[1:], m) - 1]
     in_last = np.zeros(ng, dtype=bool)
     in_last[last_g] = True
     tail = sets & in_last[g]
+    del sets, g
     end = np.zeros((nl, ncores), dtype=bool)
     end[L[tail], C[tail]] = True
     keep_stale = np.zeros(nl, dtype=bool)
@@ -410,7 +472,6 @@ def prefetch_walk(heads: List[List[int]], nexts: List[int],
     oc = cores[order]
     bounds = np.concatenate(
         [[0], np.flatnonzero(oc[1:] != oc[:-1]) + 1, [n]]).tolist()
-    ol = lines[order].tolist()
     num = len(heads[0])
     hits = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -419,7 +480,8 @@ def prefetch_walk(heads: List[List[int]], nexts: List[int],
         nx = nexts[core]
         index = h.index
         i = lo
-        for x in ol[lo:hi]:
+        # One core's lines at a time as Python ints.
+        for x in lines[order[lo:hi]].tolist():
             p = x - 1
             if p in h:
                 h[index(p)] = x

@@ -240,6 +240,12 @@ def _lockstep_order(core):
 
 
 class TestSpanLockstepPerm:
+    def test_refuses_spans_past_int32(self):
+        # Positions are int32; a zero-stride view stands in for the span.
+        core = np.broadcast_to(np.int16(0), (np.iinfo(np.int32).max + 1,))
+        with pytest.raises(TraceError, match="at most"):
+            span_lockstep_positions(core)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_skewed_spans_with_absent_cores(self, seed):
         rng = np.random.default_rng(seed)

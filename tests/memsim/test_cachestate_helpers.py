@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.config import SimConfig
+from repro.errors import SimulationError
 from repro.intsort import stable_argsort
-from repro.memsim.cachestate import iter_set_bits, screen_guaranteed_hits
+from repro.memsim.cachestate import (
+    CacheSystem,
+    iter_set_bits,
+    lru_stage,
+    screen_guaranteed_hits,
+)
+from repro.memsim.dram import DramModel
+from repro.memsim.interconnect import Crossbar
+from repro.memsim.stages import MAX_STREAM
+from repro.memsim.stats import MemStats
 
 
 class TestIterSetBits:
@@ -205,3 +216,26 @@ class TestLineArgsort:
             lines = lines.astype(np.int64)
             expect = np.argsort(lines, kind="stable")
             assert stable_argsort(lines).tolist() == expect.tolist()
+
+
+class TestInt32Widths:
+    """Positions, ranks and keys are int32: longer streams are refused
+    before anything is allocated (zero-stride views stand in for them)."""
+
+    def test_lru_stage_refuses_longer_streams(self):
+        m = MAX_STREAM + 1
+        ops = np.broadcast_to(np.int32(0), (m,))
+        with pytest.raises(SimulationError, match="at most"):
+            lru_stage(ops, ops, np.broadcast_to(False, (m,)), 4)
+
+    def test_kernel_refuses_longer_batches(self):
+        config = SimConfig.scaled_baseline(num_cores=4)
+        system = CacheSystem(config, MemStats(num_cores=4),
+                             DramModel(config.dram),
+                             Crossbar(config.interconnect, 4))
+        m = MAX_STREAM + 1
+        ints = np.broadcast_to(np.int64(0), (m,))
+        flags = np.broadcast_to(False, (m,))
+        with pytest.raises(SimulationError, match="at most"):
+            system.replay_cache_path(ints, ints, ints, ints, flags, flags,
+                                     [0.0] * 4, [0.0] * 4)

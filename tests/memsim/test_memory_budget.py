@@ -1,17 +1,27 @@
-"""Memory budgets of the prepass and the estimator, in bytes per event.
+"""Memory budgets of the prepass, the estimator, the cache kernel and
+the span flush, in bytes per event (or per op).
 
-``estimate-cold``'s peak RSS is set inside the estimator, so its
-footprint is a budget, not an accident. Both numbers are measured
+``estimate-cold``'s peak RSS is set inside the estimator and
+``stream-attributed``'s inside the cache kernel and the span flush, so
+their footprints are budgets, not accidents. Every number is measured
 with ``tracemalloc`` (numpy reports its buffers to it), which counts
 exact allocation sizes and does not depend on the allocator's
 history, so the readings are deterministic:
 
 - the bytes per event :func:`precompute` keeps alive;
 - the bytes per event :func:`estimate_replay` peaks above the trace
-  it is given (its own prepass, routes and both cache levels).
+  it is given (its own prepass, routes and both cache levels);
+- the bytes per cache-routed event
+  :meth:`CacheSystem.replay_cache_path` peaks above its inputs, on one
+  in-core batch (the whole cache path of the trace);
+- the bytes per op :func:`lru_stage` peaks above its inputs, on a
+  fixed stream of 400,000 ops with deletions (the L1 stage's shape);
+- the bytes per span event :class:`SpoolingTraceBuilder` peaks above
+  its raw batches while it closes one barrier span of 800,000 events
+  (lockstep scatter, segment cuts and archive writes).
 
-The fixed trace is PageRank on the wiki stand-in at full scale
-(286,976 events, 16 cores, scaled configs). Readings on it:
+The fixed trace of the first three is PageRank on the wiki stand-in at
+full scale (286,976 events, 16 cores, scaled configs). Readings:
 
 ==========  =========================  =========================
 backend     precompute kept (B/event)  estimate peak (B/event)
@@ -20,28 +30,48 @@ baseline    47.0 with int64 columns    89.2 with index gathers
             15.0 narrowed              37.2 mask-selected
 omega       47.0 with int64 columns    82.7 with index gathers
             18.0 narrowed              46.3 mask-selected
+                                       42.0 int32 line offsets
 ==========  =========================  =========================
 
-Each bound sits between the two readings, nearer the narrowed one.
+=============================  ===============  ===============
+working set                    int64 stages     narrowed stages
+=============================  ===============  ===============
+kernel, baseline (B/event)     114.9            45.2
+kernel, omega (B/event)        78.5             33.5
+``lru_stage`` (B/op)           103.8            36.6
+span flush (B/span event)      52.7             18.8
+=============================  ===============  ===============
+
+Each bound sits between the two readings of its row, nearer the
+narrowed one.
 """
 
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import load_dataset
 from repro.algorithms.registry import run_algorithm
+from repro.ligra.segments import SpoolingTraceBuilder
+from repro.ligra.trace import AccessClass
+from repro.memsim.cachestate import CacheSystem, lru_stage
 from repro.memsim.estimate import estimate_replay
 from repro.memsim.prepass import precompute
 
 from ..property.test_kernel_parity import all_backend_factories
 
-#: backend -> (precompute kept, estimate peak) bounds in bytes per event.
+#: backend -> (precompute kept, estimate peak, kernel peak) bounds in
+#: bytes per event.
 BUDGETS = {
-    "baseline": (20.0, 45.0),
-    "omega": (22.0, 55.0),
+    "baseline": (20.0, 45.0, 60.0),
+    "omega": (22.0, 44.0, 50.0),
 }
+#: :func:`lru_stage`'s peak, bytes per op.
+LRU_BUDGET = 40.0
+#: The span flush's peak, bytes per span event.
+FLUSH_BUDGET = 22.0
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +122,57 @@ class TestMemoryBudget:
         _, peak = _traced(lambda: estimate_replay(backend, trace))
         per_event = peak / trace.num_events
         assert per_event <= BUDGETS[name][1], per_event
+
+    def test_kernel_peak_above_inputs(self, workload, name, monkeypatch):
+        trace, factories = workload
+        batches = []
+        replay_cache_path = CacheSystem.replay_cache_path
+
+        def measured(self, cores, *args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            marks = replay_cache_path(self, cores, *args, **kwargs)
+            batches.append((tracemalloc.get_traced_memory()[1] - base,
+                            len(cores)))
+            return marks
+
+        monkeypatch.setattr(CacheSystem, "replay_cache_path", measured)
+        _traced(lambda: factories[name]().replay(trace))
+        (peak, events), = batches
+        per_event = peak / events
+        assert per_event <= BUDGETS[name][2], per_event
+
+
+def test_lru_stage_peak_per_op():
+    rng = np.random.default_rng(7)
+    m = 400_000
+    sets = rng.integers(0, 1024, m).astype(np.int32)
+    lines = (rng.integers(0, 96, m) * 1024 + sets).astype(np.int32)
+    writes = rng.random(m) < 0.3
+    deletes = rng.random(m) < 0.1
+    _, peak = _traced(lambda: lru_stage(sets, lines, writes, 4, deletes))
+    per_op = peak / m
+    assert per_op <= LRU_BUDGET, per_op
+
+
+def test_span_flush_peak_per_event(tmp_path):
+    rng = np.random.default_rng(3)
+    builder = SpoolingTraceBuilder(tmp_path / "spool.npz",
+                                   segment_events=1 << 16)
+    # Trace the raw batches too, so freeing them counts.
+    tracemalloc.start()
+    try:
+        events = 0
+        for _ in range(50):
+            for core in range(16):
+                n = int(rng.integers(500, 1500))
+                builder.append(core, rng.integers(0, 1 << 30, n) * 8, 8,
+                               AccessClass.VTXPROP, write=bool(core & 1),
+                               vertex=rng.integers(0, 1 << 20, n))
+                events += n
+        _, peak = _traced(builder.mark_barrier)
+    finally:
+        tracemalloc.stop()
+    builder.finalize()
+    per_event = peak / events
+    assert per_event <= FLUSH_BUDGET, per_event

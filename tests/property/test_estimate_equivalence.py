@@ -10,8 +10,10 @@ the cache-routed events, a gather of every column through it, and a
 full-length bank-key column.
 
 Cases: all five backends on two small dataset stand-ins, a trace with
-no cache-routed event, and 128 and 256 cores (the prepass keeps core
-ids in int8 up to 128 cores and wider above).
+no cache-routed event, 128 and 256 cores (the prepass keeps core ids
+in int8 up to 128 cores and wider above), and cache-routed lines
+spanning more than int32 (the estimator gathers int32 line offsets
+only when their span fits).
 """
 
 import dataclasses
@@ -190,6 +192,30 @@ class TestEstimateEquivalence:
         est = assert_same_estimate(factories[name], trace)
         assert est.cache_events == 0
         assert est.l1_hits == est.l2_hits == est.dram_read_bytes == 0
+
+    def test_cache_lines_spanning_more_than_int32(self):
+        """Mixed routes, with two cache-routed lines 2**32 apart: the
+        estimator's int32 line offsets would make them one line."""
+        num_cores = 16
+        rng = np.random.default_rng(9)
+        hot = rng.integers(0, 64, 200)
+        far = np.int64(1) << 38
+        far_addrs = 0x2000_0000 + (np.arange(200) % 2) * far
+        trace = Trace(
+            core=np.zeros(400, dtype=np.int16),
+            addr=np.concatenate([0x100000 + hot * 8, far_addrs]),
+            size=np.full(400, 8, dtype=np.int16),
+            access_class=np.repeat(
+                np.array([AccessClass.VTXPROP, AccessClass.NGRAPH],
+                         dtype=np.int8), 200),
+            flags=np.repeat(np.array([FLAG_ATOMIC, 0], dtype=np.int8),
+                            200),
+            vertex=np.concatenate([hot, np.full(200, -1)]),
+        )
+        factories = all_backend_factories((trace, [], 8, 64), num_cores)
+        est = assert_same_estimate(factories["omega"], trace)
+        assert 0 < est.cache_events < est.events
+        assert est.l1_misses >= 2
 
     def test_empty_trace(self):
         empty = np.zeros(0, dtype=np.int64)

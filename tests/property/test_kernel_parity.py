@@ -441,3 +441,19 @@ class TestCoherenceThrashingParity:
             assert_streamed_parity(cfg, events, segment_events)
         out = BaselineBackend(cfg).replay(events_to_trace(events))
         assert out.stats.coherence_invalidations >= num_cores - 1
+
+
+class TestWideBatchParity:
+    """One batch with more distinct lines than int16 can number: the
+    screen's line ranks and the L1 stage's op keys must not wrap."""
+
+    def test_more_than_int16_distinct_lines(self):
+        rng = np.random.default_rng(15)
+        n = 100_000
+        lines = rng.integers(0, 60_000, n)
+        assert len(np.unique(lines)) > 1 << 15
+        flags = rng.choice([0, FLAG_WRITE, FLAG_WRITE | FLAG_ATOMIC], n,
+                           p=[0.6, 0.3, 0.1])
+        trace = make_trace(rng.integers(0, NCORES, n),
+                           0x1000_0000 + lines * 64, flags)
+        assert_parity(lambda: BaselineBackend(baseline_config()), trace)

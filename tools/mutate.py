@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Standing mutation gate for the cache path, the prepass, the estimator
-and the timing bounds.
+"""Standing mutation gate for the cache path, the prepass, the estimator,
+the timing bounds and the memory budgets.
 
 Each mutant is a (file, old, new) edit that breaks one rule the exact
-stages, the estimator or the timing bounds depend on. For every mutant
+stages, the estimator, the timing bounds or a memory budget depend on
+(a column kept wider or longer than it needs to be is a budget break). For every mutant
 the gate copies the working tree (without ``.git``) into a temporary
 directory, applies the edit there (the checkout is never touched), and
 runs the gate's test files with ``pytest -x``. A mutant must make them fail; one
@@ -32,7 +33,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 #: The kernel-parity job's file set: the cache path, the estimator, the
-#: prepass, and the runtime contracts (timing bounds included).
+#: prepass, the memory budgets, and the runtime contracts (timing bounds
+#: included).
 TESTS = (
     "tests/property/test_kernel_parity.py",
     "tests/property/test_l2_stage.py",
@@ -58,6 +60,7 @@ CACHESTATE = "src/repro/memsim/cachestate.py"
 ESTIMATE = "src/repro/memsim/estimate.py"
 PREPASS = "src/repro/memsim/prepass.py"
 CORE_MODEL = "src/repro/memsim/core_model.py"
+TRACE = "src/repro/ligra/trace.py"
 
 
 class Mutant(NamedTuple):
@@ -95,8 +98,8 @@ MUTANTS = (
     ),
     Mutant(
         "l1-no-deletions-for-start-holders", CACHESTATE,
-        "        ok = ok[m_r[wpos[target[ok]]] == m_r[ok]]\n",
-        "        ok = ok[(m_r[wpos[target[ok]]] == m_r[ok]) & (m_t[ok] >= 0)]\n",
+        "            ok &= m_r[wpos][target] == m_r\n",
+        "            ok &= (m_r[wpos][target] == m_r) & (m_t >= 0)\n",
     ),
     Mutant(
         "lru-walk-off-by-one", STAGES,
@@ -124,6 +127,31 @@ MUTANTS = (
         "prepass-banks-int8-above-128-cores", PREPASS,
         "banks=geometry.banks_of(lines).astype(core_dt),",
         "banks=geometry.banks_of(lines).astype(np.int8),",
+    ),
+    Mutant(
+        "estimate-line-offsets-wrap", ESTIMATE,
+        "    if int(lines.max()) - lo > np.iinfo(np.int32).max:\n",
+        "    if False:\n",
+    ),
+    Mutant(
+        "lru-order-stays-intp", STAGES,
+        "    so = so.astype(np.int32)\n",
+        "",
+    ),
+    Mutant(
+        "lru-keeps-shift-columns", STAGES,
+        "    del count, span, rise, fall, rest\n",
+        "",
+    ),
+    Mutant(
+        "lockstep-table-int64", TRACE,
+        "    table = np.empty(m, dtype=np.int32)\n",
+        "    table = np.empty(m, dtype=np.int64)\n",
+    ),
+    Mutant(
+        "span-flush-keeps-raw-batches", TRACE,
+        "                raw = chunk.pop(name)\n",
+        "                raw = chunk[name]\n",
     ),
     Mutant(
         "crossbar-bound-ignores-word-bytes", CORE_MODEL,
