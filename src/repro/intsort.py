@@ -4,8 +4,9 @@ CSR builds, batch screening and the reuse-gap estimator sort integer
 keys whose span is far below their dtype's, and frontiers deduplicate
 vertex ids from a known ``[0, n)``. :func:`stable_argsort` (LSD radix
 over 16-bit digits) and :func:`unique_ids` (bool mask) return exactly
-what ``np.argsort(kind="stable")`` and ``np.unique`` would. A leaf
-module: it imports only numpy and :mod:`repro.errors`.
+what ``np.argsort(kind="stable")`` and ``np.unique`` would;
+:func:`fit_int32` is the width rule of the trace's address-like
+columns. A leaf module: it imports only numpy and :mod:`repro.errors`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,24 @@ import numpy as np
 
 from repro.errors import TraceError
 
-__all__ = ["stable_argsort", "unique_ids"]
+__all__ = ["fit_int32", "stable_argsort", "unique_ids"]
+
+_INT32 = np.iinfo(np.int32)
+
+
+def fit_int32(values) -> np.ndarray:
+    """``values`` as int32 when every value fits, and as int64 when not.
+
+    The one width rule of a trace's ``addr`` and ``vertex`` columns and
+    the prepass ``lines``: twitter's addresses stay below 2**29, but
+    nothing bounds an address space, so a wide range keeps int64 and
+    no cast ever wraps.
+    """
+    col = np.asarray(values)
+    if len(col) and (int(col.min()) < _INT32.min
+                     or int(col.max()) > _INT32.max):
+        return col.astype(np.int64, copy=False)
+    return col.astype(np.int32, copy=False)
 
 
 def stable_argsort(keys: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Segmented trace archives: streaming writes, bounded-memory reads.
 
-Format version 3 is the one trace archive layout: the event columns
+Format version 4 is the one trace archive layout: the event columns
 are split into fixed-size segments, each stored as its own
 uncompressed ``.npy`` member of a zip archive, next to a small index
 (``segment_bounds``, ``barriers``, the region table, and an
-``interleaved`` marker that is always 1). Because the members are
+``interleaved`` marker that is always 1). Each segment's ``addr`` and
+``vertex`` members are int32 when the segment's values fit and int64
+otherwise, so an archive's bytes depend on its values alone, however
+it was written. Because the members are
 plain ``.npy`` blobs in a plain zip, ``np.load`` can still open the
 archive and read the index, while :class:`SegmentedTrace` streams one
 segment at a time — resident memory is bounded by one segment, not
@@ -42,7 +45,9 @@ import numpy as np
 from numpy.lib import format as npformat
 
 from repro.errors import TraceError
+from repro.intsort import fit_int32
 from repro.ligra.trace import (
+    EVENT_COLUMNS,
     TRACE_FORMAT_VERSION,
     AccessClass,
     Region,
@@ -58,22 +63,16 @@ __all__ = [
     "SpoolingTraceBuilder",
 ]
 
-#: Default segment granularity (events). 2^18 events is ~5.5 MiB of
-#: columns — small enough to bound RSS, large enough to keep the
-#: vectorized replay stages efficient.
+#: Default segment granularity (events). 2^18 events is ~3.5 MiB of
+#: columns at 14 B per event (int32 ``addr`` and ``vertex``) — small
+#: enough to bound RSS, large enough to keep the vectorized replay
+#: stages efficient.
 DEFAULT_SEGMENT_EVENTS = 262144
 
-#: Per-event columns, in archive order, with their canonical dtypes.
-EVENT_COLUMNS: Tuple[Tuple[str, type], ...] = (
-    ("core", np.int16),
-    ("addr", np.int64),
-    ("size", np.int16),
-    ("access_class", np.int8),
-    ("flags", np.int8),
-    ("vertex", np.int64),
-)
-
 _COLUMN_NAMES = tuple(name for name, _ in EVENT_COLUMNS)
+#: Columns only as wide as their range (:func:`fit_int32`); the others
+#: always have their :data:`EVENT_COLUMNS` dtype.
+_RANGED = frozenset({"addr", "vertex"})
 
 #: Index members every archive carries (the region table is optional).
 _INDEX_MEMBERS = frozenset({
@@ -107,6 +106,15 @@ def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
                                allow_pickle=False)
 
 
+def _member_dtype(zf: zipfile.ZipFile, name: str) -> np.dtype:
+    """The dtype in a ``.npy`` member's header, without its data."""
+    with zf.open(name) as fp:
+        major, _ = npformat.read_magic(fp)
+        read = (npformat.read_array_header_1_0 if major == 1
+                else npformat.read_array_header_2_0)
+        return read(fp)[2]
+
+
 class SegmentWriter:
     """Incremental segmented-archive writer with bounded buffering.
 
@@ -116,7 +124,9 @@ class SegmentWriter:
     current input batch) is ever resident. :meth:`close` flushes the
     final partial segment and writes the index members. Events are
     stored in the order they are appended, the replay order; the index
-    carries the ``interleaved = 1`` marker the format requires.
+    carries the ``interleaved = 1`` marker the format requires. Each
+    segment's ``addr`` and ``vertex`` are written int32 when their
+    values fit, int64 otherwise, whatever width they arrive in.
     """
 
     def __init__(self, path,
@@ -147,7 +157,8 @@ class SegmentWriter:
         if n == 0:
             return
         batch = {
-            name: np.asarray(columns[name], dtype=dtype)
+            name: np.asarray(columns[name],
+                             dtype=None if name in _RANGED else dtype)
             for name, dtype in EVENT_COLUMNS
         }
         for name in _COLUMN_NAMES:
@@ -215,7 +226,8 @@ class SegmentWriter:
     def _write_segment(self, cols: Dict[str, np.ndarray]) -> None:
         index = len(self._counts)
         for name in _COLUMN_NAMES:
-            _write_member(self._zf, _segment_member(index, name), cols[name])
+            col = fit_int32(cols[name]) if name in _RANGED else cols[name]
+            _write_member(self._zf, _segment_member(index, name), col)
         self._counts.append(len(cols["addr"]))
 
     def close(self, barriers: Sequence[int] = (),
@@ -260,7 +272,7 @@ class SegmentWriter:
 class SegmentedTrace:
     """A trace exposed as an ordered sequence of segment traces.
 
-    Backed either by an open v3 archive (:meth:`open` — segments are
+    Backed either by an open v4 archive (:meth:`open` — segments are
     read on demand) or by an in-core :class:`Trace`
     (:meth:`from_trace`). Either way the events keep their order.
     Each segment comes out as a self-contained :class:`Trace` whose
@@ -278,6 +290,9 @@ class SegmentedTrace:
         self.regions = regions
         self._trace = trace
         self._zf = zf
+        #: column -> its members' dtypes, in segment order (read from
+        #: the member headers on first use).
+        self._dtypes: Dict[str, List[np.dtype]] = {}
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -300,7 +315,7 @@ class SegmentedTrace:
 
     @classmethod
     def open(cls, path) -> "SegmentedTrace":
-        """Open a v3 segmented archive for streaming reads.
+        """Open a v4 segmented archive for streaming reads.
 
         Each segment is read into a fresh buffer that is dropped when
         iteration moves on — that is what keeps peak RSS bounded.
@@ -375,33 +390,52 @@ class SegmentedTrace:
 
     @property
     def nbytes(self) -> int:
-        """Column footprint, matching :attr:`Trace.nbytes` semantics."""
-        per_event = sum(np.dtype(d).itemsize for _, d in EVENT_COLUMNS)
-        return int(self.num_events * per_event + self.barriers.nbytes)
+        """Bytes of the stored event columns plus the barriers.
+
+        Each segment counts at its own widths, so this equals
+        :attr:`Trace.nbytes` of the trace whenever every segment has
+        the same widths.
+        """
+        if self._trace is not None:
+            return self._trace.nbytes
+        sizes = np.diff(self.segment_bounds)
+        return int(sum(
+            int(sizes @ [d.itemsize for d in self._column_dtypes(name)])
+            for name in _COLUMN_NAMES) + self.barriers.nbytes)
 
     def __len__(self) -> int:
         return self.num_events
 
     # -- reads ---------------------------------------------------------
-    def _segment_columns(self, index: int) -> Dict[str, np.ndarray]:
+    def _column_dtypes(self, name: str) -> List[np.dtype]:
+        """Each archive segment member's dtype for column ``name``."""
+        if self._zf is None:
+            raise TraceError("SegmentedTrace is closed")
+        if name not in self._dtypes:
+            self._dtypes[name] = [
+                _member_dtype(self._zf, _segment_member(index, name))
+                for index in range(self.num_segments)]
+        return self._dtypes[name]
+
+    def _segment_column(self, index: int, name: str) -> np.ndarray:
         lo = int(self.segment_bounds[index])
         hi = int(self.segment_bounds[index + 1])
         if self._trace is not None:
-            t = self._trace
-            return {name: getattr(t, name)[lo:hi] for name in _COLUMN_NAMES}
+            return getattr(self._trace, name)[lo:hi]
         if self._zf is None:
             raise TraceError("SegmentedTrace is closed")
-        cols = {}
-        for name in _COLUMN_NAMES:
-            member = _segment_member(index, name)
-            col = _read_member(self._zf, member)
-            if col.ndim != 1 or len(col) != hi - lo:
-                raise TraceError(
-                    f"archive member {member} holds shape {col.shape};"
-                    f" segment_bounds promise {hi - lo} events"
-                )
-            cols[name] = col
-        return cols
+        member = _segment_member(index, name)
+        col = _read_member(self._zf, member)
+        if col.ndim != 1 or len(col) != hi - lo:
+            raise TraceError(
+                f"archive member {member} holds shape {col.shape};"
+                f" segment_bounds promise {hi - lo} events"
+            )
+        return col
+
+    def _segment_columns(self, index: int) -> Dict[str, np.ndarray]:
+        return {name: self._segment_column(index, name)
+                for name in _COLUMN_NAMES}
 
     def segment(self, index: int) -> Trace:
         """Segment ``index`` as a standalone :class:`Trace`.
@@ -424,31 +458,31 @@ class SegmentedTrace:
         return seg.slice(0, hi - lo)
 
     def materialize(self) -> Trace:
-        """Concatenate every segment into one in-core :class:`Trace`."""
+        """Read every segment into one in-core :class:`Trace`.
+
+        One column at a time, each as wide as its widest segment: the
+        column is filled segment by segment and each segment's column
+        is dropped once copied, so the read holds the trace plus one
+        segment column.
+        """
         if self._trace is not None:
             return self._trace
-        if self.num_segments == 0:
-            empty64 = np.zeros(0, dtype=np.int64)
-            return Trace(
-                core=np.zeros(0, dtype=np.int16), addr=empty64,
-                size=np.zeros(0, dtype=np.int16),
-                access_class=np.zeros(0, dtype=np.int8),
-                flags=np.zeros(0, dtype=np.int8), vertex=empty64,
-                barriers=self.barriers.copy(), regions=self.regions,
-            )
-        parts = [self._segment_columns(i) for i in range(self.num_segments)]
-        return Trace(
-            **{
-                name: np.concatenate([p[name] for p in parts])
-                for name in _COLUMN_NAMES
-            },
-            barriers=self.barriers.copy(),
-            regions=self.regions,
-        )
+        cols = {}
+        for name, dtype in EVENT_COLUMNS:
+            dtypes = self._column_dtypes(name)
+            if dtypes:
+                dtype = np.result_type(*set(dtypes))
+            col = cols[name] = np.empty(self.num_events, dtype=dtype)
+            for index in range(self.num_segments):
+                lo = int(self.segment_bounds[index])
+                hi = int(self.segment_bounds[index + 1])
+                col[lo:hi] = self._segment_column(index, name)
+        return Trace(**cols, barriers=self.barriers.copy(),
+                     regions=self.regions)
 
     # -- writes --------------------------------------------------------
     def save(self, path) -> None:
-        """Write a v3 archive with this trace's exact segmentation."""
+        """Write a v4 archive with this trace's exact segmentation."""
         step = max(
             int(np.diff(self.segment_bounds).max()) if self.num_segments
             else 1, 1,

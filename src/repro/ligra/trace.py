@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import TraceError
+from repro.intsort import fit_int32
 
 __all__ = [
     "AccessClass",
@@ -36,16 +37,32 @@ __all__ = [
     "WORD_BYTES",
     "CACHE_LINE_BYTES",
     "TRACE_FORMAT_VERSION",
+    "EVENT_COLUMNS",
     "span_lockstep_positions",
 ]
 
-#: On-disk trace-archive format version. Version 3 is the *segmented*
+#: On-disk trace-archive format version. Version 4 is the *segmented*
 #: archive layout (a ``segment_bounds`` index plus per-segment column
-#: blobs, events in replay order — see :mod:`repro.ligra.segments`),
-#: the only layout this build writes or reads. Versions 1 and 2 were
-#: monolithic ``.npz`` archives; they are rejected, as is any other
-#: version.
-TRACE_FORMAT_VERSION = 3
+#: blobs, events in replay order — see :mod:`repro.ligra.segments`)
+#: with each segment's ``addr`` and ``vertex`` only as wide as their
+#: range, the only layout this build writes or reads. Version 3 was
+#: the same layout with those columns always int64; versions 1 and 2
+#: were monolithic ``.npz`` archives. They are rejected, as is any
+#: other version.
+TRACE_FORMAT_VERSION = 4
+
+#: Per-event columns, in archive order, with their narrowest dtypes.
+#: ``addr`` and ``vertex`` are int32 whenever every value fits and
+#: int64 otherwise (:func:`~repro.intsort.fit_int32`), batch by batch in
+#: :class:`TraceBuilder` and segment by segment in an archive.
+EVENT_COLUMNS: Tuple[Tuple[str, type], ...] = (
+    ("core", np.int16),
+    ("addr", np.int32),
+    ("size", np.int16),
+    ("access_class", np.int8),
+    ("flags", np.int8),
+    ("vertex", np.int32),
+)
 
 #: Machine word size (the paper's max vtxProp entry is 8 bytes).
 WORD_BYTES = 8
@@ -198,7 +215,8 @@ class Trace:
     core:
         Issuing core id per event.
     addr:
-        Virtual byte address per event.
+        Virtual byte address per event (int32 when the range allows,
+        see :data:`EVENT_COLUMNS`).
     size:
         Access size in bytes.
     access_class:
@@ -206,7 +224,8 @@ class Trace:
     flags:
         Bitwise OR of ``FLAG_WRITE``, ``FLAG_ATOMIC``, ``FLAG_SRC_READ``.
     vertex:
-        Vertex id for vtxProp events, -1 otherwise.
+        Vertex id for vtxProp events, -1 otherwise (int32 when the
+        range allows).
     """
 
     core: np.ndarray
@@ -300,7 +319,7 @@ class Trace:
         )
 
     def save(self, path) -> None:
-        """Persist the trace as a segmented archive (format v3).
+        """Persist the trace as a segmented archive (format v4).
 
         The archive holds the events in this trace's order, plus
         :data:`TRACE_FORMAT_VERSION` and the address-space region table
@@ -320,10 +339,11 @@ class Trace:
         Returns the saved events in the saved order, with barriers
         sorted, de-duplicated and kept within ``[0, num_events]`` — so
         ``load`` after ``save`` gives back any trace
-        :class:`TraceBuilder` built, column for column. Use
+        :class:`TraceBuilder` built, column for column (``addr`` and
+        ``vertex`` come back int32 when their values fit). Use
         ``SegmentedTrace.open`` to stream the archive one segment at a
         time instead. Raises :class:`~repro.errors.TraceError` when
-        the archive is not a segmented v3 trace archive (a monolithic
+        the archive is not a segmented v4 trace archive (a monolithic
         ``.npz`` included) or its index is malformed.
         """
         from repro.ligra.segments import SegmentedTrace
@@ -332,10 +352,12 @@ class Trace:
             return segtrace.materialize()
 
 
-def _as_full(x: Union[int, np.ndarray], n: int, dtype) -> np.ndarray:
+def _as_full(x: Union[int, np.ndarray], n: int, dtype=None) -> np.ndarray:
+    """``x`` as an ``n``-event column of ``dtype``; without a ``dtype``,
+    only as wide as its range (:func:`fit_int32`)."""
     if np.isscalar(x):
-        return np.full(n, x, dtype=dtype)
-    arr = np.asarray(x, dtype=dtype)
+        return np.full(n, x, dtype=dtype or fit_int32([x]).dtype)
+    arr = fit_int32(x) if dtype is None else np.asarray(x, dtype=dtype)
     if len(arr) != n:
         raise TraceError(f"batch column length {len(arr)} != {n}")
     return arr
@@ -382,10 +404,14 @@ class TraceBuilder:
         update: bool = False,
         vertex: Union[int, np.ndarray] = -1,
     ) -> None:
-        """Append a homogeneous batch of events (vectorized)."""
+        """Append a homogeneous batch of events (vectorized).
+
+        ``addr`` and ``vertex`` are kept int32 when the batch's values
+        fit, int64 otherwise (:func:`fit_int32`).
+        """
         if not self.enabled:
             return
-        addr = np.asarray(addr, dtype=np.int64)
+        addr = fit_int32(addr)
         n = len(addr)
         if n == 0:
             return
@@ -402,7 +428,7 @@ class TraceBuilder:
                 "size": _as_full(size, n, np.int16),
                 "access_class": np.full(n, int(access_class), dtype=np.int8),
                 "flags": np.full(n, flags, dtype=np.int8),
-                "vertex": _as_full(vertex, n, np.int64),
+                "vertex": _as_full(vertex, n),
             }
         )
 
@@ -422,7 +448,8 @@ class TraceBuilder:
 
         One column at a time: each raw column is dropped as soon as it
         is scattered, so the span and its raw batches together never
-        hold much more than one copy of the events.
+        hold much more than one copy of the events. A column is as wide
+        as its widest batch, so no value is cast down.
         """
         if not self._chunks:
             return
@@ -433,8 +460,8 @@ class TraceBuilder:
             np.concatenate([c["core"] for c in chunks])).astype(np.intp)
         span = {}
         for name in list(chunks[0]):
-            col = span[name] = np.empty(len(pos),
-                                        dtype=chunks[0][name].dtype)
+            col = span[name] = np.empty(len(pos), dtype=np.result_type(
+                *{chunk[name].dtype for chunk in chunks}))
             lo = 0
             for chunk in chunks:
                 raw = chunk.pop(name)
@@ -451,6 +478,9 @@ class TraceBuilder:
     def build(self) -> Trace:
         """Finalize into a single columnar :class:`Trace`, in lockstep order.
 
+        One column at a time, each as wide as its widest span: the
+        column is filled span by span and each span's column is dropped
+        once copied, so the build holds the trace plus one column.
         Afterwards the builder holds no event column and starts over
         empty, so the returned trace is the only copy.
         """
@@ -458,22 +488,15 @@ class TraceBuilder:
         spans, self._spans = self._spans, []
         barriers = np.asarray(sorted(set(self._barriers)), dtype=np.int64)
         self._barriers = []
-        self._flushed = 0
-        if not spans:
-            empty64 = np.zeros(0, dtype=np.int64)
-            return Trace(
-                core=np.zeros(0, dtype=np.int16),
-                addr=empty64,
-                size=np.zeros(0, dtype=np.int16),
-                access_class=np.zeros(0, dtype=np.int8),
-                flags=np.zeros(0, dtype=np.int8),
-                vertex=empty64,
-                barriers=barriers,
-            )
-        return Trace(
-            **{
-                name: np.concatenate([s[name] for s in spans])
-                for name in spans[0]
-            },
-            barriers=barriers,
-        )
+        n, self._flushed = self._flushed, 0
+        cols = {}
+        for name, dtype in EVENT_COLUMNS:
+            if spans:
+                dtype = np.result_type(*{s[name].dtype for s in spans})
+            col = cols[name] = np.empty(n, dtype=dtype)
+            lo = 0
+            for span in spans:
+                part = span.pop(name)
+                col[lo:lo + len(part)] = part
+                lo += len(part)
+        return Trace(**cols, barriers=barriers)

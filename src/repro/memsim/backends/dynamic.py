@@ -178,13 +178,15 @@ class DynamicScratchpadBackend(HierarchyBackend):
         trainer: FrequencyTrainer = ctx.extra["dyn_trainer"]
         if trainer.num_sets == 0 or n == 0:
             return routes
-        verts_all = np.asarray(trace.vertex, dtype=np.int64)
-        idx = np.flatnonzero(prepass.vtxprop & (verts_all >= 0))
+        verts = trace.vertex
+        idx = np.flatnonzero(prepass.vtxprop & (verts >= 0))
         resident = np.zeros(n, dtype=bool)
-        resident[idx] = trainer.train(verts_all[idx])
+        # The trainer's count keys need int64; only the trained subset
+        # is widened.
+        resident[idx] = trainer.train(verts[idx].astype(np.int64))
         # Dynamic pads hash by vertex id, not by the static chunked map.
-        ctx.sp_home = np.where(verts_all >= 0, verts_all % ctx.ncores, 0)
-        ctx.sp_local = ctx.sp_home == np.asarray(trace.core, dtype=np.int64)
+        ctx.sp_home = np.where(verts >= 0, verts % ctx.ncores, 0)
+        ctx.sp_local = ctx.sp_home == trace.core
         if self._use_pisc:
             off = resident & prepass.atomic
             routes[off] = ROUTE_SP_OFFLOAD

@@ -85,7 +85,7 @@ class GraphPimBackend(HierarchyBackend):
         serial = ctx.ledger.serial["pim"]
         for c in range(ctx.ncores):
             serial[c] += float(counts[c]) * pim.issue_cycles
-        verts = np.asarray(trace.vertex[idx], dtype=np.int64)
+        verts = trace.vertex[idx]
         units = np.where(verts >= 0, verts % pim.units, 0)
         busy = np.bincount(units, minlength=pim.units) * pim.op_cycles
         pim_busy = ctx.extra["pim_busy"]

@@ -112,8 +112,8 @@ def srcbuf_stage(ctx: ReplayContext, trace: Trace,
     n = trace.num_events
     barriers = sorted({int(b) for b in trace.barriers.tolist() if 0 <= b < n})
     positions = cand_idx.tolist()
-    cores = np.asarray(trace.core[cand_idx], dtype=np.int64).tolist()
-    addrs = np.asarray(trace.addr[cand_idx], dtype=np.int64).tolist()
+    cores = trace.core[cand_idx].tolist()
+    addrs = trace.addr[cand_idx].tolist()
     hits: List[int] = []
     bi = 0
     nb = len(barriers)

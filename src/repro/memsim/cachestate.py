@@ -217,7 +217,7 @@ def _screen(cores, lines, writes, num_sets):
     event's dense line rank (int32) and the distinct lines, ascending
     (rank ``r`` is ``uniq[r]``)."""
     n = len(lines)
-    lines = np.asarray(lines, dtype=np.int64)
+    lines = np.asarray(lines)
     if n < 2:
         return (np.zeros(n, dtype=bool), np.arange(n, dtype=np.int32),
                 np.zeros(n, dtype=np.int32), lines.copy())
@@ -631,13 +631,11 @@ class CacheSystem:
                 f" got {len(cores)}")
         if not self.fast_path_ok:
             return self._replay_generic_cuts(
-                np.asarray(cores, dtype=np.int64).tolist(),
-                np.asarray(addrs, dtype=np.int64).tolist(),
-                np.asarray(writes).tolist(),
-                np.asarray(atomics).tolist(),
+                np.asarray(cores).tolist(), np.asarray(addrs).tolist(),
+                np.asarray(writes).tolist(), np.asarray(atomics).tolist(),
                 mem_lat, serial, record, cuts,
             )
-        addrs = np.asarray(addrs, dtype=np.int64)
+        addrs = np.asarray(addrs)
         writes = np.asarray(writes, dtype=bool)
         atomics = np.asarray(atomics, dtype=bool)
         memo = self.memo
@@ -653,7 +651,7 @@ class CacheSystem:
                 return []
         delta, marks = self._replay_kernel(
             np.asarray(cores).astype(self.core_dtype, copy=False), addrs,
-            np.asarray(lines, dtype=np.int64), np.asarray(banks),
+            np.asarray(lines), np.asarray(banks),
             writes, atomics, mem_lat, serial, record, cuts,
         )
         self._apply(delta, mem_lat, serial)
@@ -668,8 +666,9 @@ class CacheSystem:
         Covers everything the cache path's outcome depends on: the
         cache-relevant config (L1, L2, DRAM, interconnect, core count,
         the atomic latency split, the hybrid policy's random ranges)
-        and the routed core/addr/write/atomic columns. Lines, banks
-        and bank keys derive from the address and the geometry.
+        and the routed core/addr/write/atomic columns, each as its
+        dtype plus its raw bytes (no widened copy). Lines, banks and
+        bank keys derive from the address and the geometry.
         """
         config = self.config
         dcfg = config.dram
@@ -683,8 +682,10 @@ class CacheSystem:
             config.core.atomic_stall_cycles, ranges,
             self.prefetcher.num_heads,
         )).encode())
-        h.update(np.ascontiguousarray(cores, dtype=np.int64))
-        h.update(np.ascontiguousarray(addrs, dtype=np.int64))
+        for col in (cores, addrs):
+            col = np.ascontiguousarray(col)
+            h.update(col.dtype.str.encode())
+            h.update(col)
         h.update(np.packbits(writes))
         h.update(np.packbits(atomics))
         return h.hexdigest()
@@ -791,7 +792,11 @@ class CacheSystem:
         Each stage keeps only what a later stage reads, at its narrowest
         width (int32 positions, ranks, slots and keys; core ids in
         :attr:`core_dtype`), and drops it after its last reader, so a
-        batch peaks at a small multiple of its own columns.
+        batch peaks at a small multiple of its own columns. ``addrs``
+        and ``lines`` are read in their own dtype: no stage does int64
+        arithmetic on them, and the two that mix them with wider values
+        (the L2 stream with its carried lines, the DRAM rows with the
+        write-back addresses) write them into int64 columns.
         """
         n = len(cores)
         tracer = get_tracer()

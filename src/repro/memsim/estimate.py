@@ -198,35 +198,14 @@ def predict_slot_hits(
     return out
 
 
-def _slot_column(owner, keys, nsets: int, nowners: int,
-                 base: int = 0) -> np.ndarray:
-    """``owner * nsets + (keys + base) % nsets``, in int16 whenever
-    every slot fits (``keys`` may be offsets from ``base``)."""
+def _slot_column(owner, keys, nsets: int, nowners: int) -> np.ndarray:
+    """``owner * nsets + keys % nsets``, in int16 whenever every slot
+    fits."""
     dt = np.int16 if nowners * nsets <= np.iinfo(np.int16).max else np.int32
     col = owner.astype(dt)
     col *= nsets
-    sets = keys % nsets
-    if base % nsets:
-        sets += base % nsets
-        sets %= nsets
-    col += sets.astype(dt, copy=False)
+    col += (keys % nsets).astype(dt, copy=False)
     return col
-
-
-def _cache_lines(lines: np.ndarray, cache) -> tuple:
-    """The cache-routed events' lines as ``(offsets, base)``.
-
-    Offsets from the smallest line are int32 whenever the span allows
-    (:func:`predict_slot_hits` offsets its keys anyway), written
-    straight into a narrow column before the gather, so no int64 copy
-    of the routed subset is made.
-    """
-    lo = int(lines.min())
-    if int(lines.max()) - lo > np.iinfo(np.int32).max:
-        return lines[cache], 0
-    off = np.empty(len(lines), dtype=np.int32)
-    np.subtract(lines, lo, out=off, casting="unsafe")
-    return off[cache], lo
 
 
 def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
@@ -277,14 +256,11 @@ def estimate_replay(backend, trace: Trace) -> ReplayEstimate:
     # routed — the cache-only backends' common case.
     everything = est.cache_events == est.events
     cache = None if everything else routes == ROUTE_CACHE
-    if everything:
-        lines, base = prepass.lines, 0
-    else:
-        lines, base = _cache_lines(prepass.lines, cache)
+    lines = prepass.lines if everything else prepass.lines[cache]
     core_dt = core_id_dtype(ncores)
     cores = trace.core if everything else trace.core[cache].astype(core_dt)
     l1_hit = predict_slot_hits(
-        _slot_column(cores, lines, config.l1.num_sets, ncores, base),
+        _slot_column(cores, lines, config.l1.num_sets, ncores),
         lines, config.l1.ways,
     )
     del lines, cores

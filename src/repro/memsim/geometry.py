@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.intsort import fit_int32
 
 __all__ = ["BankGeometry"]
 
@@ -99,13 +100,16 @@ class BankGeometry:
     # Vectorized forms (the pre-pass)
     # ------------------------------------------------------------------
     def lines_of(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`line_of`."""
-        return np.asarray(addrs, dtype=np.int64) >> self.line_bits
+        """Vectorized :meth:`line_of`, int32 whenever every line fits.
+
+        Int64 when one does not (:func:`~repro.intsort.fit_int32`).
+        """
+        return fit_int32(np.asarray(addrs) >> self.line_bits)
 
     def banks_of(self, lines: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bank_of`."""
-        return np.asarray(lines, dtype=np.int64) & self.bank_mask
+        """Vectorized :meth:`bank_of`, in the lines' dtype."""
+        return np.asarray(lines) & self.bank_mask
 
     def bank_keys_of(self, lines: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bank_key_of`."""
-        return np.asarray(lines, dtype=np.int64) >> self.bank_bits
+        """Vectorized :meth:`bank_key_of`, in the lines' dtype."""
+        return np.asarray(lines) >> self.bank_bits

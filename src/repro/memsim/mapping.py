@@ -74,8 +74,14 @@ class ScratchpadMapping:
         return (vertex // self.chunk_size) % self.num_cores
 
     def home_many(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`home`."""
-        return (np.asarray(vertices, dtype=np.int64) // self.chunk_size) % self.num_cores
+        """Vectorized :meth:`home`, in the vertices' dtype.
+
+        Int64 only when the chunk size itself does not fit that dtype.
+        """
+        v = np.asarray(vertices)
+        if self.chunk_size > np.iinfo(v.dtype).max:
+            v = v.astype(np.int64)
+        return (v // self.chunk_size) % self.num_cores
 
     def line(self, vertex: int) -> int:
         """Line index of ``vertex`` within its pad (the index unit)."""

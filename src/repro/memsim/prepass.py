@@ -72,7 +72,7 @@ def classify_regions(
     each address gets the access class of the *first* region (in
     allocation order) containing it, or ``NGRAPH`` when unmapped.
     """
-    addrs = np.asarray(addrs, dtype=np.int64)
+    addrs = np.asarray(addrs)
     out = np.full(len(addrs), int(AccessClass.NGRAPH), dtype=np.int8)
     # Later assignments overwrite earlier ones, so walking the regions
     # in reverse makes the first allocated region win ties, matching

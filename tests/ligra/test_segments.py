@@ -1,4 +1,4 @@
-"""Tests for the v3 segmented trace archive and the spooling builder."""
+"""Tests for the v4 segmented trace archive and the spooling builder."""
 
 import io
 import zipfile
@@ -14,11 +14,20 @@ from repro.ligra.segments import (
     SpoolingTraceBuilder,
 )
 from repro.ligra.trace import (
+    FLAG_ATOMIC,
+    FLAG_WRITE,
     TRACE_FORMAT_VERSION,
     AccessClass,
     Region,
     Trace,
     TraceBuilder,
+)
+
+from ..property.test_estimate_equivalence import assert_same_estimate
+from ..property.test_kernel_parity import (
+    all_backend_factories,
+    assert_parity,
+    snapshot,
 )
 
 COLUMNS = ("core", "addr", "size", "access_class", "flags", "vertex")
@@ -331,3 +340,148 @@ class TestSpoolingBuilder:
 
     def test_default_segment_size_is_sane(self):
         assert DEFAULT_SEGMENT_EVENTS > 0
+
+
+def wide_trace(n=600, seed=11):
+    """A hand-built trace whose addresses reach past 2**31 and 2**37.
+
+    A third of the events are hot vtxProp accesses at small addresses;
+    a third touch two lines 2**32 apart (``far``), which share every
+    cache set and alias under any 32-bit cut of a line or address;
+    the rest are scattered over ``[2**31, 2**40)``, so lines pass
+    2**31 too.
+    """
+    rng = np.random.default_rng(seed)
+    far = np.int64(1) << 38
+    kind = rng.integers(0, 3, n)
+    verts = rng.integers(0, 64, n)
+    addr = np.select(
+        [kind == 0, kind == 1],
+        [0x100000 + verts * 8,
+         0x2000_0000 + rng.integers(0, 2, n) * far
+         + rng.integers(0, 4, n) * 64],
+        (np.int64(1) << 31) + rng.integers(0, 1 << 34, n) * 64,
+    )
+    hot = kind == 0
+    return Trace(
+        core=rng.integers(0, 4, n).astype(np.int16),
+        addr=addr,
+        size=np.full(n, 8, dtype=np.int16),
+        access_class=np.where(hot, int(AccessClass.VTXPROP),
+                              int(AccessClass.NGRAPH)).astype(np.int8),
+        flags=np.where(hot, FLAG_ATOMIC, (rng.random(n) < 0.3)
+                       * FLAG_WRITE).astype(np.int8),
+        vertex=np.where(hot, verts, -1),
+        barriers=np.array([150, 420], dtype=np.int64),
+    )
+
+
+def generated_wide_trace(builder, spans=4, seed=12):
+    """Drive ``builder`` through a narrow span, then spans whose first
+    batch fits int32 and whose later batches do not; returns the
+    appended (core, addr, vertex) events."""
+    rng = np.random.default_rng(seed)
+    events = []
+    for span in range(spans):
+        for core in range(4):
+            n = int(rng.integers(20, 60))
+            top = 1 << 20 if core == 0 or span == 0 else 1 << 40
+            addr = rng.integers(0, top, n) // 8 * 8
+            if core == 0 and span % 2:
+                addr += 1 << 30  # narrow, but above every other span's
+            verts = rng.integers(0, 64, n)
+            klass = AccessClass.VTXPROP if core % 2 else AccessClass.NGRAPH
+            builder.append(core, addr, 8, klass, write=core == 3,
+                           atomic=core == 1,
+                           vertex=verts if core % 2 else -1)
+            events += zip([core] * n, addr.tolist(),
+                          verts.tolist() if core % 2 else [-1] * n)
+        builder.mark_barrier()
+    return events
+
+
+def _members(path):
+    """Member name -> array of a saved archive."""
+    with zipfile.ZipFile(path) as zf:
+        return {name: np.load(io.BytesIO(zf.read(name)))
+                for name in zf.namelist()}
+
+
+def assert_wide_contracts(trace, tmp_path):
+    """load(save(t)) == t, kernel == scalar oracle, estimator == its
+    gather oracle and streamed == in-core, on every backend."""
+    path = tmp_path / "wide.npz"
+    SegmentedTrace.from_trace(trace, 97).save(path)
+    assert Trace.load(path) == trace
+    factories = all_backend_factories((trace, [], 8, 64))
+    for name, factory in sorted(factories.items()):
+        out, _ = assert_parity(factory, trace)
+        assert_same_estimate(factory, trace)
+        with SegmentedTrace.open(path) as segments:
+            assert segments.num_segments > 1
+            streamed = factory().replay(segments)
+        assert snapshot(streamed) == snapshot(out), name
+
+
+class TestWideRange:
+    """Columns past int32 keep int64, from the builder to the archive,
+    and every replay contract holds on them."""
+
+    def test_hand_built_trace_keeps_every_contract(self, tmp_path):
+        trace = wide_trace()
+        assert int(trace.addr.max()) >= 1 << 37
+        assert_wide_contracts(trace, tmp_path)
+
+    def test_generated_span_widens_after_a_narrow_batch(self, tmp_path):
+        direct = TraceBuilder()
+        events = generated_wide_trace(direct)
+        trace = direct.build()
+        assert trace.addr.dtype == np.int64
+        assert trace.vertex.dtype == np.int32
+        got = sorted(zip(trace.core.tolist(), trace.addr.tolist(),
+                         trace.vertex.tolist()))
+        assert got == sorted(events)
+        assert_wide_contracts(trace, tmp_path)
+
+    def test_spooled_and_in_core_archives_are_byte_identical(self,
+                                                             tmp_path):
+        """Each segment takes the width its own values need, however it
+        was written, so one set of events gives one archive."""
+        spooler = SpoolingTraceBuilder(tmp_path / "spool.npz",
+                                       segment_events=64)
+        generated_wide_trace(spooler)
+        spooler.finalize().close()
+        direct = TraceBuilder()
+        generated_wide_trace(direct)
+        SegmentedTrace.from_trace(direct.build(), 64).save(
+            tmp_path / "core.npz")
+        spooled = (tmp_path / "spool.npz").read_bytes()
+        assert spooled == (tmp_path / "core.npz").read_bytes()
+        members = _members(tmp_path / "spool.npz")
+        widths = {members[f"seg{k:05d}.addr.npy"].dtype
+                  for k in range(len(members["segment_bounds.npy"]) - 1)}
+        assert widths == {np.dtype(np.int32), np.dtype(np.int64)}
+
+    def test_nbytes_counts_each_segment_at_its_width(self, tmp_path):
+        path = tmp_path / "s.npz"
+        spooler = SpoolingTraceBuilder(path, segment_events=64)
+        generated_wide_trace(spooler)
+        with spooler.finalize() as segments:
+            stored = sum(a.nbytes for name, a in _members(path).items()
+                         if name.startswith("seg0"))
+            assert segments.nbytes == stored + segments.barriers.nbytes
+            assert segments.nbytes < segments.materialize().nbytes
+
+    def test_wide_vertex_ids_round_trip(self, tmp_path):
+        tb = TraceBuilder()
+        tb.append(0, [64, 128], 8, AccessClass.VTXPROP, vertex=[3, 5])
+        tb.append(1, [64, 128], 8, AccessClass.VTXPROP,
+                  vertex=[1 << 33, -1])
+        trace = tb.build()
+        assert trace.vertex.dtype == np.int64
+        assert trace.addr.dtype == np.int32
+        path = tmp_path / "v.npz"
+        trace.save(path)
+        loaded = Trace.load(path)
+        assert loaded == trace
+        assert sorted(loaded.vertex.tolist()) == [-1, 3, 5, 1 << 33]

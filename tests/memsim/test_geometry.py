@@ -84,7 +84,17 @@ class TestVectorizedMath:
             assert banks[i] == geo.bank_of(line)
             assert keys[i] == geo.bank_key_of(line)
 
-    def test_vector_dtype_is_int64(self):
+    def test_vector_dtype_fits_the_range(self):
+        """Lines are int32 whenever they fit and int64 when one does
+        not; banks and bank keys keep the lines' dtype."""
         geo = BankGeometry(num_banks=4, line_bytes=64)
         lines = geo.lines_of(np.array([0, 64, 128]))
-        assert lines.dtype == np.int64
+        assert lines.dtype == np.int32
+        assert geo.banks_of(lines).dtype == np.int32
+        assert geo.bank_keys_of(lines).dtype == np.int32
+        top = np.iinfo(np.int32).max
+        wide = geo.lines_of(np.array([0, top << 6, (top + 1) << 6]))
+        assert wide.dtype == np.int64
+        assert wide.tolist() == [0, top, top + 1]
+        assert geo.bank_keys_of(wide).tolist() == [0, top >> 2,
+                                                   (top + 1) >> 2]

@@ -1,5 +1,6 @@
-"""Memory budgets of the prepass, the estimator, the cache kernel and
-the span flush, in bytes per event (or per op).
+"""Memory budgets of the prepass, the estimator, the cache kernel, the
+span flush, the trace build and the archive read, in bytes per event
+(or per op).
 
 ``estimate-cold``'s peak RSS is set inside the estimator and
 ``stream-attributed``'s inside the cache kernel and the span flush, so
@@ -18,7 +19,11 @@ history, so the readings are deterministic:
   fixed stream of 400,000 ops with deletions (the L1 stage's shape);
 - the bytes per span event :class:`SpoolingTraceBuilder` peaks above
   its raw batches while it closes one barrier span of 800,000 events
-  (lockstep scatter, segment cuts and archive writes).
+  (lockstep scatter, segment cuts and archive writes);
+- the bytes per event :meth:`TraceBuilder.build` peaks above its 50
+  closed spans (~800,000 events, 14 B each), and
+  :meth:`SegmentedTrace.materialize` (``Trace.load``) peaks while it
+  reads them back from 13 segments, the trace it returns included.
 
 The fixed trace of the first three is PageRank on the wiki stand-in at
 full scale (286,976 events, 16 cores, scaled configs). Readings:
@@ -28,9 +33,11 @@ backend     precompute kept (B/event)  estimate peak (B/event)
 ==========  =========================  =========================
 baseline    47.0 with int64 columns    89.2 with index gathers
             15.0 narrowed              37.2 mask-selected
+            11.0 int32 lines           33.2 int32 lines
 omega       47.0 with int64 columns    82.7 with index gathers
             18.0 narrowed              46.3 mask-selected
                                        42.0 int32 line offsets
+            14.0 int32 lines           38.0 int32 lines
 ==========  =========================  =========================
 
 =============================  ===============  ===============
@@ -42,8 +49,17 @@ kernel, omega (B/event)        78.5             33.5
 span flush (B/span event)      52.7             18.8
 =============================  ===============  ===============
 
+==============================  =======  ============  ================
+working set (B/event)           int64    narrow,       narrow,
+                                columns  concatenated  column by column
+==============================  =======  ============  ================
+build, above its closed spans   22.0     14.0          4.0
+materialize                     44.2     28.2          15.1
+==============================  =======  ============  ================
+
 Each bound sits between the two readings of its row, nearer the
-narrowed one.
+narrowed one (the prepass and estimator bounds between the narrowed
+and the int32-lines readings).
 """
 
 import gc
@@ -54,8 +70,8 @@ import pytest
 
 from repro import load_dataset
 from repro.algorithms.registry import run_algorithm
-from repro.ligra.segments import SpoolingTraceBuilder
-from repro.ligra.trace import AccessClass
+from repro.ligra.segments import SegmentedTrace, SpoolingTraceBuilder
+from repro.ligra.trace import AccessClass, Trace, TraceBuilder
 from repro.memsim.cachestate import CacheSystem, lru_stage
 from repro.memsim.estimate import estimate_replay
 from repro.memsim.prepass import precompute
@@ -65,13 +81,19 @@ from ..property.test_kernel_parity import all_backend_factories
 #: backend -> (precompute kept, estimate peak, kernel peak) bounds in
 #: bytes per event.
 BUDGETS = {
-    "baseline": (20.0, 45.0, 60.0),
-    "omega": (22.0, 44.0, 50.0),
+    "baseline": (13.0, 35.0, 60.0),
+    "omega": (16.0, 40.0, 50.0),
 }
 #: :func:`lru_stage`'s peak, bytes per op.
 LRU_BUDGET = 40.0
 #: The span flush's peak, bytes per span event.
 FLUSH_BUDGET = 22.0
+#: :meth:`TraceBuilder.build`'s peak above its closed spans, bytes per
+#: event.
+BUILD_BUDGET = 6.0
+#: :meth:`SegmentedTrace.materialize`'s peak (the trace it returns
+#: included), bytes per event.
+MATERIALIZE_BUDGET = 18.0
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +198,42 @@ def test_span_flush_peak_per_event(tmp_path):
     builder.finalize()
     per_event = peak / events
     assert per_event <= FLUSH_BUDGET, per_event
+
+
+def _closed_spans(builder):
+    """Append 50 barrier spans of 16 cores' narrow batches (~800k
+    events) and close each; returns the event count."""
+    rng = np.random.default_rng(3)
+    events = 0
+    for _ in range(50):
+        for core in range(16):
+            n = int(rng.integers(500, 1500))
+            builder.append(core, rng.integers(0, 1 << 27, n) * 8, 8,
+                           AccessClass.VTXPROP, write=bool(core & 1),
+                           vertex=rng.integers(0, 1 << 20, n))
+            events += n
+        builder.mark_barrier()
+    return events
+
+
+def test_build_peak_per_event():
+    builder = TraceBuilder()
+    # Trace the spans too, so freeing them counts.
+    tracemalloc.start()
+    try:
+        events = _closed_spans(builder)
+        _, peak = _traced(builder.build)
+    finally:
+        tracemalloc.stop()
+    per_event = peak / events
+    assert per_event <= BUILD_BUDGET, per_event
+
+
+def test_materialize_peak_per_event(tmp_path):
+    builder = TraceBuilder()
+    events = _closed_spans(builder)
+    path = tmp_path / "t.npz"
+    SegmentedTrace.from_trace(builder.build(), 1 << 16).save(path)
+    _, peak = _traced(lambda: Trace.load(path))
+    per_event = peak / events
+    assert per_event <= MATERIALIZE_BUDGET, per_event

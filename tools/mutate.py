@@ -33,8 +33,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 #: The kernel-parity job's file set: the cache path, the estimator, the
-#: prepass, the memory budgets, and the runtime contracts (timing bounds
-#: included).
+#: prepass, the trace and its archive (narrow and wide columns), the
+#: memory budgets, and the runtime contracts (timing bounds included).
 TESTS = (
     "tests/property/test_kernel_parity.py",
     "tests/property/test_l2_stage.py",
@@ -48,6 +48,7 @@ TESTS = (
     "tests/memsim/test_dynamic_scratchpad.py",
     "tests/property/test_dynamic_trainer.py",
     "tests/ligra/test_trace.py",
+    "tests/ligra/test_segments.py",
     "tests/test_counter_grid.py",
     "tests/property/test_estimate_equivalence.py",
     "tests/property/test_prepass_properties.py",
@@ -61,6 +62,8 @@ ESTIMATE = "src/repro/memsim/estimate.py"
 PREPASS = "src/repro/memsim/prepass.py"
 CORE_MODEL = "src/repro/memsim/core_model.py"
 TRACE = "src/repro/ligra/trace.py"
+INTSORT = "src/repro/intsort.py"
+GEOMETRY = "src/repro/memsim/geometry.py"
 
 
 class Mutant(NamedTuple):
@@ -130,8 +133,9 @@ MUTANTS = (
     ),
     Mutant(
         "estimate-line-offsets-wrap", ESTIMATE,
-        "    if int(lines.max()) - lo > np.iinfo(np.int32).max:\n",
-        "    if False:\n",
+        "kdt = np.int32 if int(keys.max()) - kmin <= np.iinfo(np.int32).max"
+        " else np.int64",
+        "kdt = np.int32",
     ),
     Mutant(
         "lru-order-stays-intp", STAGES,
@@ -152,6 +156,24 @@ MUTANTS = (
         "span-flush-keeps-raw-batches", TRACE,
         "                raw = chunk.pop(name)\n",
         "                raw = chunk[name]\n",
+    ),
+    Mutant(
+        "trace-narrow-ignores-range", INTSORT,
+        "    if len(col) and (int(col.min()) < _INT32.min\n"
+        "                     or int(col.max()) > _INT32.max):\n"
+        "        return col.astype(np.int64, copy=False)\n",
+        "",
+    ),
+    Mutant(
+        "span-flush-first-chunk-dtype", TRACE,
+        "dtype=np.result_type(\n"
+        "                *{chunk[name].dtype for chunk in chunks}))",
+        "dtype=chunks[0][name].dtype)",
+    ),
+    Mutant(
+        "lines-narrow-ignores-range", GEOMETRY,
+        "return fit_int32(np.asarray(addrs) >> self.line_bits)",
+        "return (np.asarray(addrs) >> self.line_bits).astype(np.int32)",
     ),
     Mutant(
         "crossbar-bound-ignores-word-bytes", CORE_MODEL,
