@@ -863,21 +863,25 @@ def estimate_system(
     ``repro sweep --estimate-prune`` to skip configurations whose
     predicted metrics fall outside the band of interest.
 
-    Always runs in-core (the estimator needs the whole trace
-    resident); out-of-core streaming does not apply here. The
-    arguments mean what they mean for :func:`run_system`; the request's
-    output paths are not written and no ledger entry is appended.
-    Returns the :class:`~repro.memsim.estimate.ReplayEstimate`.
+    The estimator reads its trace piece by piece, as replay does, so
+    the context's ``segment_events`` streams it exactly as it streams
+    :func:`run_system`: a cold estimate spools the trace and adopts it
+    into the store, a warm one opens the stored segments, and the
+    whole trace is never resident. The estimate is identical either
+    way. The arguments mean what they mean for :func:`run_system`; the
+    request's output paths are not written and no ledger entry is
+    appended. Returns the
+    :class:`~repro.memsim.estimate.ReplayEstimate`.
     """
     plan = _plan(graph, request, [(request.backend, config)], context)
     ((name, config, reorder),) = plan.backends
     with _installed(plan, "estimate_system"), _prepare_trace(
-        plan, reorder, config.core.num_cores, None
+        plan, reorder, config.core.num_cores, plan.context.segment_events
     ) as bundle:
         hierarchy, _ = _make_hierarchy(plan, bundle, name, config, pim)
         with plan.tracer.span("estimate", cat="run", backend=name,
                               events=bundle.num_events):
-            return estimate_replay(hierarchy, bundle.trace)
+            return estimate_replay(hierarchy, bundle.source)
 
 
 def run_backends(

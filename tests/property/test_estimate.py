@@ -179,6 +179,16 @@ class TestPredictSlotHitsReference:
             expect = _reference_slot_hits(slots, keys, ways)
             assert predict_slot_hits(slots, keys, ways).tolist() == expect
 
+    def test_int32_keys_spanning_past_int32(self):
+        # int32 keys whose span is 2**32 - 1: the offsets must be taken
+        # in int64, not in int32 and then widened.
+        lo, hi = -2**31, 2**31 - 1
+        keys = np.array([lo, hi, lo, hi, hi, 0, lo], dtype=np.int32)
+        slots = np.zeros(len(keys), dtype=np.int16)
+        for ways in range(0, 8):
+            expect = _reference_slot_hits(slots, keys, ways)
+            assert predict_slot_hits(slots, keys, ways).tolist() == expect
+
     def test_single_slot_all_same_keys(self):
         slots = np.zeros(9, dtype=np.int64)
         keys = np.full(9, 42, dtype=np.int64)
