@@ -70,18 +70,26 @@ DRAM accesses, ordered by position and phase.
 
 A kernel batch computes a :class:`CachePathDelta` — every counter
 increment (14 of them, whatever the core count), DRAM's open rows and
-the per-core latency sums — before applying it. When a batch is the whole cache path of a run from a
-fresh system, the delta is memoized in the run's store handle
-(:class:`repro.store.ResultMemo`) under a digest of the cache-relevant
-config and the routed columns (:meth:`CacheSystem.memo_key`), and an
-identical later stream applies it instead of replaying.
+the per-core latency sums — before applying it. A replay from a fresh
+system memoizes each batch's delta in the run's store handle
+(:class:`repro.store.ResultMemo`) under a chain digest
+(:meth:`CacheSystem.memo_key`): batch k's key hashes batch k-1's key
+with batch k's routed columns, and the first batch's is seeded with a
+digest of the cache-relevant config, so a key names the whole stream up
+to and including its batch. The open rows and latency sums are stored
+as totals after the batch, not increments, so the float sums stay
+exact. A hit is deferred: the batch's columns are held and nothing is
+applied. The first miss replays the held batches from the fresh state
+and then its own, and the replay makes no more lookups (it still stores
+every batch it computes); a replay that hits to the end applies the
+stored deltas in order (:meth:`CacheSystem.finish`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import namedtuple
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -281,7 +289,9 @@ class KernelTelemetry:
     A batch served from the cache-path memo reports the screening
     counters of the replay it reuses, so ``screened +
     serialized_events == events`` holds either way; ``reused`` counts
-    the events whose outcome came from the memo instead of the stages.
+    the events of batches found in the memo. A found batch is replayed
+    through the stages after all when a later batch of the same replay
+    misses, to rebuild the cache state that batch starts from.
     """
 
     __slots__ = ("batches", "events", "screened", "serialized_events",
@@ -444,11 +454,13 @@ class CacheSystem:
     stages, and folds every counter from the outcome log. ``fast_path_ok`` selects the kernel; it is
     ``False`` only when the system is built with ``scalar_cache=True``.
 
-    ``memo`` (a :class:`~repro.store.ResultMemo`) lets the first kernel
-    batch reuse the :class:`CachePathDelta` of an identical earlier
-    replay. The driver passes one only when that batch is the whole
-    cache path of the run (in-core, unsampled, unattributed); a reused
-    batch leaves the cache state itself untouched.
+    ``memo`` (a :class:`~repro.store.ResultMemo`) lets kernel batches
+    reuse the :class:`CachePathDelta` of the same batch in an earlier
+    replay of the same stream (see the module docstring); the driver
+    passes one only to an unsampled, unattributed replay, and calls
+    :meth:`finish` after its last batch. A batch with a ``record`` or
+    ``cuts`` is never looked up. A replay that hits to the end leaves
+    the cache state itself untouched.
     """
 
     def __init__(self, config: SimConfig, stats: MemStats,
@@ -486,8 +498,14 @@ class CacheSystem:
         #: Screening counters accumulated over every kernel
         #: batch this system replays (see :class:`KernelTelemetry`).
         self.kernel_telemetry = KernelTelemetry()
-        #: Consulted by the first kernel batch only.
         self.memo = memo
+        #: The chain digest of the last kernel batch (memo runs only),
+        #: whether batches are still looked up, and the batches found
+        #: in the memo whose deltas are not applied yet.
+        self._memo_key = None
+        self._lookup = True
+        self._held_batches: List[tuple] = []
+        self._held_deltas: List[CachePathDelta] = []
         # Per-system constants of the batch path: every L1 and L2 set
         # in (core or bank)-major order, and the counters a delta adds.
         self._flat_l1 = [s for c in self.l1s for s in c._sets]
@@ -640,48 +658,65 @@ class CacheSystem:
         atomics = np.asarray(atomics, dtype=bool)
         memo = self.memo
         key = None
-        if (memo is not None and record is None
-                and self.kernel_telemetry.batches == 0
-                and not any(mem_lat) and not any(serial)):
-            key = self.memo_key(cores, addrs, writes, atomics)
-            delta = memo.get(key)
-            if delta is not None and not cuts:
-                self._apply(delta, mem_lat, serial)
+        if memo is not None:
+            if self._memo_key is None and (any(mem_lat) or any(serial)):
+                # The stored latency sums are totals from zero.
+                self.memo = memo = None
+            else:
+                key = self._memo_key = self.memo_key(
+                    cores, addrs, writes, atomics, prev=self._memo_key)
+        batch = (np.asarray(cores).astype(self.core_dtype, copy=False),
+                 addrs, np.asarray(lines), np.asarray(banks), writes,
+                 atomics)
+        if key is not None and self._lookup:
+            delta = None if record is not None or cuts else memo.get(key)
+            if delta is not None:
+                self._held_batches.append(batch)
+                self._held_deltas.append(delta)
                 self.kernel_telemetry.reused += delta.events
                 return []
+            self._lookup = False
+            for held in self._held_batches:
+                self._apply(self._replay_kernel(*held, mem_lat, serial)[0],
+                            mem_lat, serial)
+            self._held_batches, self._held_deltas = [], []
         delta, marks = self._replay_kernel(
-            np.asarray(cores).astype(self.core_dtype, copy=False), addrs,
-            np.asarray(lines), np.asarray(banks),
-            writes, atomics, mem_lat, serial, record, cuts,
+            *batch, mem_lat, serial, record, cuts,
         )
         self._apply(delta, mem_lat, serial)
         if key is not None:
             memo.put(key, delta)
         return marks
 
-    def memo_key(self, cores: np.ndarray, addrs: np.ndarray,
-                 writes: np.ndarray, atomics: np.ndarray) -> str:
-        """Content digest of a batch replayed from a fresh system.
+    def finish(self, mem_lat: List[float], serial: List[float]) -> None:
+        """Apply the deltas of the batches found in the memo, in order.
 
-        Covers everything the cache path's outcome depends on: the
-        cache-relevant config (L1, L2, DRAM, interconnect, core count,
-        the atomic latency split, the hybrid policy's random ranges)
-        and the routed core/addr/write/atomic columns, each as its
-        dtype plus its raw bytes (no widened copy). Lines, banks and
-        bank keys derive from the address and the geometry.
+        The driver calls this after a replay's last batch. When every
+        batch of the replay was found, nothing was applied yet; when
+        one missed, the held batches were replayed then and nothing is
+        left to apply.
         """
-        config = self.config
-        dcfg = config.dram
-        ranges = (
-            tuple(self.dram._random_ranges)
-            if dcfg.page_policy == "hybrid" else ()
-        )
-        h = hashlib.sha256(repr((
-            config.l1, config.l2_per_core, dcfg, config.interconnect,
-            self.ncores, config.core.atomic_serialization,
-            config.core.atomic_stall_cycles, ranges,
-            self.prefetcher.num_heads,
-        )).encode())
+        for delta in self._held_deltas:
+            self._apply(delta, mem_lat, serial)
+        self._held_batches, self._held_deltas = [], []
+
+    def memo_key(self, cores: np.ndarray, addrs: np.ndarray,
+                 writes: np.ndarray, atomics: np.ndarray,
+                 prev: Optional[str] = None) -> str:
+        """Chain digest of a batch that follows the batch keyed ``prev``.
+
+        ``prev`` is the key of the batch before it in the same replay,
+        or ``None`` for a replay's first batch, which is chained onto a
+        digest of the cache-relevant config (L1, L2, DRAM,
+        interconnect, core count, the atomic latency split, the hybrid
+        policy's random ranges). The batch adds its routed
+        core/addr/write/atomic columns, each as its dtype plus its raw
+        bytes (no widened copy); lines, banks and bank keys derive from
+        the address and the geometry. So a key covers everything the
+        batch's outcome depends on: the config and every event of the
+        stream up to and including the batch.
+        """
+        h = hashlib.sha256((prev or self._config_digest()).encode())
         for col in (cores, addrs):
             col = np.ascontiguousarray(col)
             h.update(col.dtype.str.encode())
@@ -689,6 +724,21 @@ class CacheSystem:
         h.update(np.packbits(writes))
         h.update(np.packbits(atomics))
         return h.hexdigest()
+
+    def _config_digest(self) -> str:
+        """The digest a replay's first :meth:`memo_key` is chained on."""
+        config = self.config
+        dcfg = config.dram
+        ranges = (
+            tuple(self.dram._random_ranges)
+            if dcfg.page_policy == "hybrid" else ()
+        )
+        return hashlib.sha256(repr((
+            config.l1, config.l2_per_core, dcfg, config.interconnect,
+            self.ncores, config.core.atomic_serialization,
+            config.core.atomic_stall_cycles, ranges,
+            self.prefetcher.num_heads,
+        )).encode()).hexdigest()
 
     def _counter_slots(self) -> List[tuple]:
         """``(object, field)`` per counter a :class:`CachePathDelta`
@@ -1061,10 +1111,11 @@ class CacheSystem:
         op_id = dense[op_id]
         del dense
         lines_a = l1.ids[touched]
-        lines_l = lines_a.tolist()
-        nl = len(lines_l)
+        nl = len(lines_a)
         dir_lines = self.directory._lines
-        got = list(map(dir_lines.get, lines_l))
+        # Only the entries stay as Python objects through the stage:
+        # per-line ints would outweigh its columns on a short batch.
+        got = list(map(dir_lines.get, lines_a.tolist()))
         have = [i for i, e in enumerate(got) if e is not None]
         carried = np.zeros((nl, self.ncores), dtype=bool)
         owners0 = np.full(nl, -1, dtype=self.core_dtype)
@@ -1072,6 +1123,7 @@ class CacheSystem:
             carried[have] = mask_bits([got[i][0] for i in have],
                                       self.ncores)
             owners0[have] = [got[i][1] for i in have]
+        del have
         codes, end, owners = directory_stage(
             op_id, op_core, kind, carried, owners0)
         del op_id, op_core, kind
@@ -1087,8 +1139,8 @@ class CacheSystem:
         known = carried.any(axis=1)
         live = end.any(axis=1)
         changed = (end != carried).any(axis=1) | (owners != owners0)
-        for i in np.flatnonzero(known & ~live).tolist():
-            del dir_lines[lines_l[i]]
+        for line in lines_a[known & ~live].tolist():
+            del dir_lines[line]
         upd = np.flatnonzero(known & live & changed)
         for entry, mask, owner in zip([got[i] for i in upd.tolist()],
                                       bits_masks(end[upd]),

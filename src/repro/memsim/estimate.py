@@ -26,10 +26,11 @@ The trace is read the way replay streams it: a segmented trace one
 segment at a time, an in-core trace in pieces of
 :data:`~repro.ligra.segments.DEFAULT_SEGMENT_EVENTS`. The routing state
 rides on one :class:`~repro.memsim.accounting.ReplayContext`, and each
-L1 and L2 slot carries its last ``ways`` keys into the next piece.
-The rule looks back at most ``ways`` accesses in a slot, so those keys
-are all it needs: every estimate is identical however the trace is
-cut, and the working set is bounded by the piece, not the trace.
+L1 and L2 slot carries its last ``ways`` keys into the next piece in a
+per-slot table. The rule looks back at most ``ways`` accesses in a
+slot, so those keys are all it needs: every estimate is identical
+however the trace is cut, and the working set is bounded by the piece
+and the table, not the trace.
 
 The model is deliberately *approximate* where the kernel is stateful:
 the reuse gap counts slot accesses rather than distinct intervening
@@ -186,64 +187,101 @@ def predict_slot_hits(
 def _look_back(slots, keys, ways: int, carry):
     """:func:`predict_slot_hits` for one piece of a longer stream.
 
-    ``carry`` is ``None`` or the ``(slots, keys)`` the previous piece
-    handed on: each slot's last ``ways`` accesses, in slot-major
-    access order, keys in int64. Returns the piece's hits and the carry
-    for the next piece.
+    ``carry`` is ``None`` (a stream of one piece) or the per-slot table
+    of :func:`_new_carry`: each slot's last ``ways`` keys before the
+    piece, in a ring. Returns the piece's hits and the carry, updated in
+    place for the next piece.
 
     The rule only looks back, so it needs no key-major order: in
     slot-major, batch-stable order a slot's accesses are contiguous,
     and "the nearest same-key access is at most ``ways`` back" is
     "one of the previous ``ways`` positions holds the same ``(slot,
     key)``". That is one radix slot sort plus ``ways`` shifted
-    compares. Prepending the carry puts each slot's carried accesses
-    right before its new ones, and no hit looks further back than
-    ``ways`` positions, so a stream cut into pieces gets exactly the
-    hits of the whole. Slot and key are compared separately, so any
-    key width works; keys are offset by their minimum straight into
+    compares. The access at rank ``r < ways`` of its slot in the piece
+    also looks back at the slot's newest ``ways - r`` carried keys, so
+    only each slot's first ``ways`` accesses read the table and only
+    its last ``ways`` write it: a stream cut into pieces gets exactly
+    the hits of the whole, and a piece costs in proportion to the
+    piece, not to the table. Slot and key are compared separately, so
+    any key width works; keys are offset by their minimum straight into
     int32 (no int64 temporary) unless their span needs int64.
     """
     n = len(slots)
-    if ways <= 0:
-        return np.zeros(n, dtype=bool), None
-    if carry is None:
-        carry = (slots[:0], keys[:0])
-    cslots, ckeys = carry
-    nc = len(cslots)
-    total = nc + n
-    if not total:
-        return np.zeros(0, dtype=bool), carry
-    s = np.concatenate((cslots.astype(slots.dtype, copy=False), slots))
-    kmin = min(int(k.min()) for k in (ckeys, keys) if len(k))
-    kmax = max(int(k.max()) for k in (ckeys, keys) if len(k))
+    if ways <= 0 or not n:
+        return np.zeros(n, dtype=bool), carry
+    kmin, kmax = int(keys.min()), int(keys.max())
     kdt = np.int32 if kmax - kmin <= np.iinfo(np.int32).max else np.int64
-    ks = np.empty(total, dtype=kdt)
     # Offset in kdt itself: exact modulo its width, so no key wraps.
-    np.subtract(ckeys, np.int64(kmin), out=ks[:nc], dtype=kdt,
-                casting="unsafe")
-    np.subtract(keys, np.int64(kmin), out=ks[nc:], dtype=kdt,
-                casting="unsafe")
-    so = stable_argsort(s)
-    ss = s[so]
-    del s
+    ks = np.subtract(keys, np.int64(kmin), dtype=kdt, casting="unsafe")
+    so = stable_argsort(slots)
+    ss = slots[so]
     ks = ks[so]
-    hit = np.zeros(total, dtype=bool)
-    same = np.empty(total, dtype=bool)
-    for d in range(1, min(ways, total - 1) + 1):
-        m = total - d
+    hit = np.zeros(n, dtype=bool)
+    same = np.empty(n, dtype=bool)
+    for d in range(1, min(ways, n - 1) + 1):
+        m = n - d
         np.equal(ks[d:], ks[:-d], out=same[:m])
         same[:m] &= ss[d:] == ss[:-d]
         hit[d:] |= same[:m]
     del same
-    # Each slot's last ``ways`` accesses: no later position ``ways``
-    # ahead is in the same slot.
-    last = np.ones(total, dtype=bool)
-    last[:-ways] = ss[:-ways] != ss[ways:]
-    carry = (ss[last], ks[last].astype(np.int64) + kmin)
-    del ss, ks, last
-    out = np.empty(total, dtype=bool)
+    if carry is not None:
+        table, filled, head = carry
+        flat = table.reshape(-1)
+        # Each touched slot's run in ``ss`` (start, length), and one
+        # entry per access among the run's first ``ways``: the run and
+        # the rank there (the same ranks index the run's last ``ways``).
+        starts = np.flatnonzero(np.append(True, ss[1:] != ss[:-1]))
+        cnt = np.diff(np.append(starts, n))
+        touched = ss[starts].astype(np.intp)
+        take = np.minimum(cnt, ways)
+        run = np.repeat(np.arange(len(starts)), take)
+        rank = np.arange(len(run))
+        rank -= (np.cumsum(take) - take)[run]
+        # The access at rank r looks back past the piece at the slot's
+        # newest ``ways - r`` carried keys; key j back (1-based) is in
+        # ring column ``(head - j) % ways``.
+        room = np.minimum(ways - rank, filled[touched][run])
+        # Ordered by room, most first, the accesses that look j back
+        # are a prefix.
+        by = np.argsort(-room, kind="stable")
+        reach = np.cumsum(np.bincount(room, minlength=ways + 1)[::-1])[::-1]
+        at = starts[run[by]] + rank[by]
+        k_at = ks[at].astype(np.int64)
+        k_at += kmin
+        base = (touched * ways)[run[by]]
+        ring = head[touched][run[by]]
+        found = np.zeros(len(at), dtype=bool)
+        for j in range(1, ways + 1):
+            c = reach[j]
+            found[:c] |= flat[base[:c] + (ring[:c] - j) % ways] == k_at[:c]
+        hit[at] |= found
+        del room, by, reach, at, k_at, base, ring, found
+        # Then the ring takes each slot's last ``ways`` keys, oldest
+        # first, ending just behind the new head.
+        head[touched] = (head[touched] + cnt) % ways
+        filled[touched] = np.minimum(filled[touched] + cnt, ways)
+        at = (starts + cnt - take)[run] + rank
+        col = (head[touched] - take)[run] + rank
+        col %= ways
+        col += (touched * ways)[run]
+        k_at = ks[at].astype(np.int64)
+        k_at += kmin
+        flat[col] = k_at
+        del starts, cnt, touched, take, run, rank, at, col, k_at
+    del ks
+    out = np.empty(n, dtype=bool)
     out[so] = hit
-    return out[nc:], carry
+    return out, carry
+
+
+def _new_carry(num_slots: int, ways: int):
+    """An empty carry for :func:`_look_back`: per slot, a ring of
+    ``ways`` int64 keys, how many of them are set and the ring column
+    the next key goes to (both below ``ways``, so int8 when it fits)."""
+    small = np.int8 if ways <= np.iinfo(np.int8).max else np.int32
+    return (np.zeros((num_slots, max(ways, 0)), dtype=np.int64),
+            np.zeros(num_slots, dtype=small),
+            np.zeros(num_slots, dtype=small))
 
 
 def _slot_column(owner, keys, nsets: int, nowners: int) -> np.ndarray:
@@ -299,7 +337,8 @@ def estimate_replay(
     tracer = get_tracer()
     counts = np.zeros(int(ROUTE_PIM) + 1, dtype=np.int64)
     l1_hits = l2_hits = l2_miss_writes = 0
-    l1_carry = l2_carry = None
+    l1_carry = _new_carry(ncores * l1.num_sets, l1.ways)
+    l2_carry = _new_carry(ncores * l2.num_sets, l2.ways)
     for k in range(source.num_segments):
         piece = source.segment(k)
         with tracer.span("prepass", cat="estimate"):

@@ -9,11 +9,12 @@ run through the stateful :class:`~repro.memsim.cachestate.CacheSystem`
 kernel together (:func:`_cache_path`).
 
 A piece is one segment of a
-:class:`~repro.ligra.segments.SegmentedTrace` (an in-core trace is a
-single segment), cut again at every boundary of the global window grid
-when a telemetry sampler (:class:`~repro.obs.timeline.ReplaySampler`)
-is set. Out-of-core streaming and windowed sampling are therefore just
-more cuts: all simulator state (caches, directory, DRAM open rows,
+:class:`~repro.ligra.segments.SegmentedTrace` (an in-core trace is cut
+into segments of
+:data:`~repro.ligra.segments.DEFAULT_SEGMENT_EVENTS`), cut again at
+every boundary of the global window grid when a telemetry sampler
+(:class:`~repro.obs.timeline.ReplaySampler`) is set. In-core replay,
+out-of-core streaming and windowed sampling are therefore just cuts: all simulator state (caches, directory, DRAM open rows,
 prefetchers, source buffers, the backend's training state in
 ``ctx.extra``) is carried across piece boundaries on the shared
 :class:`~repro.memsim.accounting.ReplayContext`, and per-core float
@@ -23,7 +24,8 @@ counters bit-identical to one whole-trace replay.
 
 The cache path runs once per segment, after the segment's pieces have
 been pre-passed, routed and accounted: nothing those stages do reads
-cache state, and they only add integer counters. A window that closes
+cache state, and they only add integer counters. So a kernel batch is
+never larger than a segment, and neither are its temporaries. A window that closes
 inside the segment keeps a snapshot of the counters at its end, and the
 cache batch reports its own counters at that window's cut
 (:meth:`~repro.memsim.cachestate.CacheSystem.replay_cache_path`), so
@@ -69,7 +71,8 @@ class ReplayOutput:
     l2_banks: List[Cache]
     directory: Directory
     srcbufs: Optional[List[SourceVertexBuffer]] = None
-    #: Number of segments the driver consumed (1 for in-core replay).
+    #: Number of segments of the replayed source (1 for an in-core
+    #: trace, which the driver still walks in segments).
     num_segments: int = 1
     #: The per-class attribution accumulator the replay folded into
     #: (:class:`repro.obs.attribution.AttributionAccumulator`), when
@@ -88,11 +91,17 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
     """Replay ``source`` — an in-core trace or a segmented stream.
 
     A :class:`~repro.ligra.segments.SegmentedTrace` is consumed one
-    segment at a time, so resident memory is bounded by the segment
-    size, not the trace size; an in-core trace is replayed as a single
-    segment. Either way the events replay in the order they stand,
-    which for a generated trace is the lockstep order
+    segment at a time, and an in-core trace is walked in segments of
+    :data:`~repro.ligra.segments.DEFAULT_SEGMENT_EVENTS` (views of its
+    columns), so the replay's working set is bounded by the segment
+    size, not the trace size. Either way the events replay in the order
+    they stand, which for a generated trace is the lockstep order
     :class:`~repro.ligra.trace.TraceBuilder` gives it.
+
+    Without ``sampler`` and ``attribution``, the cache path consults
+    the backend's ``cache_memo`` segment by segment (see
+    :mod:`repro.memsim.cachestate`), so a stream replayed before on the
+    same store handle, or a prefix of one, is not replayed again.
 
     ``sampler`` (a :class:`repro.obs.ReplaySampler`) cuts the replay at
     every N events of the global stream and snapshots the cumulative
@@ -104,16 +113,13 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
     """
     from repro.memsim.accounting import LatencyLedger, ReplayContext
 
-    # The memo holds whole-cache-path results, so only a replay whose
-    # cache path is one batch from a fresh system (an in-core trace, no
-    # windows, no per-event record) may use it.
-    whole = (
-        isinstance(source, Trace) and sampler is None and attribution is None
-    )
-    if isinstance(source, Trace):
-        source = SegmentedTrace.from_trace(
-            source, segment_events=max(source.num_events, 1)
-        )
+    # A memo hit yields no per-event record and no counters part-way
+    # through a batch, so windowed and attributed replays never look.
+    memo = (backend.cache_memo
+            if sampler is None and attribution is None else None)
+    in_core = isinstance(source, Trace)
+    if in_core:
+        source = SegmentedTrace.from_trace(source)
     tracer = get_tracer()
     metrics = get_registry()
     total = source.num_events
@@ -128,7 +134,7 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
         system = CacheSystem(
             config, stats, dram, crossbar,
             scalar_cache=backend.scalar_cache,
-            memo=backend.cache_memo if whole else None,
+            memo=memo,
         )
         ledger = LatencyLedger(ncores)
         ctx = ReplayContext(
@@ -213,6 +219,7 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
                     done = cut
                 win_wall += cache_wall * (n - done) / n if n else 0.0
 
+        system.finish(ledger.mem["cache"], ledger.serial["cache"])
         metrics.counter("replay.events").inc(total)
         metrics.counter("replay.cache_events").inc(cache_events)
         metrics.counter("replay.offchip_routed_events").inc(
@@ -252,7 +259,7 @@ def run_replay(backend, source: Union[Trace, SegmentedTrace],
             l2_banks=system.l2_banks,
             directory=system.directory,
             srcbufs=ctx.srcbufs,
-            num_segments=max(num_segments, 1),
+            num_segments=1 if in_core else max(num_segments, 1),
             attribution=attribution,
             kernel=kernel_block,
         )

@@ -44,9 +44,10 @@ cache can only ever cost a regeneration, not correctness.
 
 Next to the files, each store handle keeps one in-memory
 :class:`ResultMemo`, :attr:`TraceStore.cache_path_memo`: the cache
-path's counter deltas keyed by the digest of the routed stream and the
-cache configuration, so every run sharing the handle replays each
-distinct cache-path stream once. It is never written to disk, so it
+path's counter deltas, one per segment, keyed by a digest chained over
+the cache configuration and the routed stream up to that segment, so
+every run sharing the handle replays each distinct cache-path stream
+once. It is never written to disk, so it
 lives exactly as long as the handle and is not shared across
 processes.
 
@@ -110,10 +111,11 @@ ENV_CACHE_CAPACITY_MB = "REPRO_CACHE_CAPACITY_MB"
 #: may belong to a live concurrent writer.
 ORPHAN_TMP_AGE_SECONDS = 3600.0
 
-#: Entries a store handle's cache-path memo keeps. One entry is a few
-#: KB of counters (not per-event data); a 25-cell, five-backend sweep
-#: of Table II cells has 20 distinct cache-path streams.
-CACHE_PATH_MEMO_ENTRIES = 256
+#: Entries a store handle's cache-path memo keeps, one per segment of
+#: a stream. One entry is a few KB of counters (not per-event data); a
+#: 25-cell, five-backend sweep of Table II cells has 20 distinct
+#: cache-path streams of 1-3 segments each.
+CACHE_PATH_MEMO_ENTRIES = 1024
 
 
 def normalize_kwargs(kwargs: Dict) -> Optional[Dict]:

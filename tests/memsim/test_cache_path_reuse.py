@@ -2,12 +2,13 @@
 
 OMEGA and the locked cache route the same not-hot events to the same
 cache configuration, and a re-swept cell routes the same stream again.
-A run whose cache path is one kernel batch looks its result up in the
-store handle's in-memory memo (:attr:`TraceStore.cache_path_memo`).
-Reuse must be invisible: counters, DRAM end state, manifests and
-attribution are bit-identical with reuse on (shared handle) and off
-(a fresh handle per run); manifests differ only in host time and
-``replay.kernel.reused``.
+An unsampled, unattributed run looks its cache path up segment by
+segment in the store handle's in-memory memo
+(:attr:`TraceStore.cache_path_memo`), under keys chained from one
+segment to the next. Reuse must be invisible: counters, DRAM end
+state, manifests and attribution are bit-identical with reuse on
+(shared handle) and off (a fresh handle per run); manifests differ only
+in host time and ``replay.kernel.reused``.
 """
 
 import dataclasses
@@ -19,7 +20,11 @@ import pytest
 from repro.config import SimConfig
 from repro.core.context import RunContext, RunRequest
 from repro.core.system import default_backend_config, run_backends, run_system
+from repro.algorithms.registry import run_algorithm
 from repro.graph.generators import rmat_graph
+from repro.ligra.segments import SegmentedTrace
+from repro.ligra.trace import Trace
+from repro.memsim.backends import BaselineBackend
 from repro.memsim.cachestate import CacheSystem
 from repro.memsim.dram import DramModel
 from repro.memsim.interconnect import Crossbar
@@ -99,7 +104,76 @@ def test_reuse_is_bit_identical(graph, tmp_path, policy, topology):
     assert (locked > 0) == (policy != "hybrid")
 
 
-def test_attribution_and_streaming_bypass_the_memo(graph, tmp_path):
+def test_streamed_run_reuses_the_memo(graph, tmp_path):
+    """A streamed run looks each segment up: locked reuses OMEGA's
+    stream segment by segment, and both match memo-off runs."""
+    request = RunRequest("pagerank", num_cores=NCORES)
+    names = ("omega", "locked")
+    reports = run_backends(
+        graph, request, names,
+        context=RunContext(store=TraceStore(tmp_path), segment_events=2000),
+    )
+    for name in names:
+        off = run_system(
+            graph, dataclasses.replace(request, backend=name),
+            context=RunContext(store=TraceStore(tmp_path),
+                               segment_events=2000),
+        )
+        assert off.num_segments > 1
+        assert off.replay.kernel["reused"] == 0
+        got, want = _observed(reports[name]), _observed(off)
+        for doc in (got, want):
+            doc["manifest"].pop("trace_cache")
+        assert got == want, name
+    kernel = reports["locked"].replay.kernel
+    assert kernel["reused"] == kernel["events"] > 0
+    assert kernel["batches"] == reports["locked"].num_segments
+
+
+def _diverging_traces(graph, at):
+    """A PageRank trace, and a copy whose events from ``at`` on run on
+    the next core over."""
+    trace = run_algorithm("pagerank", graph, num_cores=NCORES,
+                          trace=True).trace
+    core = trace.core.copy()
+    core[at:] = (core[at:] + 1) % NCORES
+    cols = {c: getattr(trace, c) for c in ("addr", "size", "access_class",
+                                           "flags", "vertex")}
+    return trace, Trace(core=core, barriers=trace.barriers,
+                        regions=trace.regions, **cols)
+
+
+def test_partial_chain_reuses_the_shared_prefix(graph):
+    """Two streams share segment 0 and then diverge: the second finds
+    segment 0, misses segment 1, replays segment 0 again to rebuild the
+    cache state, and matches a memo-off replay."""
+    seg = 2000
+    first, second = _diverging_traces(graph, seg)
+    assert first.num_events > 2 * seg
+    config = SimConfig.scaled_baseline(num_cores=NCORES)
+    memo = ResultMemo(64)
+
+    def replay(trace, memo):
+        backend = BaselineBackend(config)
+        backend.cache_memo = memo
+        return backend.replay(SegmentedTrace.from_trace(trace, seg))
+
+    replay(first, memo)
+    out = replay(second, memo)
+    off = replay(second, None)
+    # Baseline routes every event to the cache path.
+    assert out.kernel["reused"] == seg
+    assert memo.hits == 1
+    assert out.stats == off.stats
+    assert (out.dram.row_hits, out.dram.row_misses,
+            list(out.dram._open_rows)) == (off.dram.row_hits,
+                                           off.dram.row_misses,
+                                           list(off.dram._open_rows))
+    off.kernel["reused"] = seg
+    assert out.kernel == off.kernel
+
+
+def test_attribution_bypasses_the_memo(graph, tmp_path):
     store = TraceStore(tmp_path)
     request = RunRequest("pagerank", num_cores=NCORES)
     plain = run_backends(graph, request, BACKENDS,
@@ -107,7 +181,6 @@ def test_attribution_and_streaming_bypass_the_memo(graph, tmp_path):
     memo_size = len(store.cache_path_memo)
     for context in (
         RunContext(store=store, attribution=True),
-        RunContext(store=store, segment_events=2000),
         RunContext(store=store, segment_events=2000, attribution=True),
     ):
         hits = store.cache_path_memo.hits
@@ -189,19 +262,26 @@ def _batch(n=3000, seed=5):
 
 
 def _replay(config, batch, memo=None):
-    cores, addrs, writes, atomics = batch
+    return _replay_batches(config, [batch], memo)
+
+
+def _replay_batches(config, batches, memo=None):
+    """Replay ``batches`` in order on one fresh system, as one run."""
     stats = MemStats(num_cores=NCORES)
     system = CacheSystem(
         config, stats, DramModel(config.dram),
         Crossbar(config.interconnect, NCORES), memo=memo,
     )
-    lines = addrs >> system.line_bits
     mem, serial = [0.0] * NCORES, [0.0] * NCORES
-    system.replay_cache_path(
-        cores, addrs, lines, lines & system.bank_mask, writes, atomics,
-        mem, serial,
-    )
-    return system, (dataclasses.asdict(stats), mem, serial)
+    for cores, addrs, writes, atomics in batches:
+        lines = addrs >> system.line_bits
+        system.replay_cache_path(
+            cores, addrs, lines, lines & system.bank_mask, writes, atomics,
+            mem, serial,
+        )
+    system.finish(mem, serial)
+    return system, (dataclasses.asdict(stats), mem, serial,
+                    list(system.dram._open_rows))
 
 
 def _open_page():
@@ -288,6 +368,28 @@ def test_changed_config_field_misses_the_memo(field):
     system, got = _replay(config, _batch(), memo)
     assert memo.hits == 0 and system.kernel_telemetry.reused == 0
     assert got == _replay(config, _batch())[1]
+
+
+def test_batch_key_chains_on_the_stream_before_it():
+    """A batch's key covers every batch before it: the second batch of
+    one run is a miss as the first batch of another."""
+    config, memo = _open_page(), ResultMemo(8)
+    b0, b1 = _batch(seed=5), _batch(seed=6)
+    _replay_batches(config, [b0, b1], memo)
+    system, got = _replay_batches(config, [b1], memo)
+    assert memo.hits == 0 and system.kernel_telemetry.reused == 0
+    assert got == _replay_batches(config, [b1])[1]
+
+
+def test_whole_run_hit_applies_the_stored_deltas_in_order():
+    config, memo = _open_page(), ResultMemo(8)
+    batches = [_batch(seed=s) for s in (5, 6, 7)]
+    _, expected = _replay_batches(config, batches, memo)
+    system, got = _replay_batches(config, batches, memo)
+    assert memo.hits == 3
+    assert system.kernel_telemetry.reused == 3 * len(batches[0][0])
+    assert system.kernel_telemetry.batches == 3
+    assert got == expected
 
 
 def test_memo_is_count_bounded():

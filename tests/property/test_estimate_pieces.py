@@ -28,7 +28,7 @@ from repro.core.system import estimate_system, run_system
 from repro.graph.generators import rmat_graph
 from repro.ligra.segments import DEFAULT_SEGMENT_EVENTS, SegmentedTrace
 from repro.ligra.trace import FLAG_ATOMIC, AccessClass, Trace
-from repro.memsim.estimate import _look_back, estimate_replay
+from repro.memsim.estimate import _look_back, _new_carry, estimate_replay
 from repro.store import TraceStore
 
 from .test_estimate import _reference_slot_hits
@@ -107,12 +107,21 @@ def _one_core_trace(addrs):
 
 def _chained(slots, keys, ways, cuts):
     """``_look_back`` over ``slots``/``keys`` cut at ``cuts``."""
-    out, carry, lo = [], None, 0
+    out, lo = [], 0
+    carry = _new_carry(int(slots.max(initial=-1)) + 1, ways)
     for hi in list(cuts) + [len(slots)]:
         hits, carry = _look_back(slots[lo:hi], keys[lo:hi], ways, carry)
         out += hits.tolist()
         lo = hi
     return out, carry
+
+
+def _carried(carry, slot):
+    """A slot's carried keys, oldest first."""
+    table, filled, head = carry
+    ways = table.shape[1]
+    return [int(table[slot, (head[slot] - filled[slot] + i) % ways])
+            for i in range(filled[slot])]
 
 
 class TestLookBack:
@@ -131,17 +140,22 @@ class TestLookBack:
     def test_carry_holds_each_slots_last_ways_keys(self):
         slots = np.array([0, 1, 0, 0, 1, 0, 0], dtype=np.int16)
         keys = np.array([1, 9, 2, 3, 8, 4, 5], dtype=np.int32)
-        _, (cslots, ckeys) = _look_back(slots, keys, 3, None)
-        assert cslots.tolist() == [0, 0, 0, 1, 1]
-        assert ckeys.tolist() == [3, 4, 5, 9, 8]
+        _, carry = _look_back(slots, keys, 3, _new_carry(3, 3))
+        # Slot 2 is never touched.
+        assert [_carried(carry, s) for s in range(3)] == [
+            [3, 4, 5], [9, 8], []]
+        # A second piece's keys follow the carried ones.
+        _look_back(slots[:2], np.array([6, 7]), 3, carry)
+        assert [_carried(carry, s) for s in range(3)] == [
+            [4, 5, 6], [9, 8, 7], []]
 
     def test_carried_int32_keys_spanning_past_int32(self):
         """Carried keys are the keys, not their wrapped offsets."""
         lo, hi = -2**31, 2**31 - 1
         keys = np.array([lo, hi, hi, lo], dtype=np.int32)
         slots = np.zeros(4, dtype=np.int16)
-        _, (_, ckeys) = _look_back(slots[:2], keys[:2], 4, None)
-        assert ckeys.tolist() == [lo, hi]
+        _, carry = _look_back(slots[:2], keys[:2], 4, _new_carry(1, 4))
+        assert _carried(carry, 0) == [lo, hi]
         got, _ = _chained(slots, keys, 4, [2])
         assert got == [False, False, True, True]
 

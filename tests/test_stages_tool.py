@@ -47,8 +47,9 @@ class _SmallCell:
 
 
 def test_every_listed_stage_runs(stages, tmp_path):
-    seconds, table = stages.profile(_SmallCell(), 1, tmp_path, memory=True)
-    assert seconds > 0
+    seconds, table, reused = stages.profile(_SmallCell(), 1, tmp_path,
+                                            memory=True)
+    assert seconds > 0 and reused == 0
     assert stages.missing(table) == []
     for _, cat, names in stages.STAGES:
         for name in names:

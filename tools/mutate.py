@@ -129,15 +129,13 @@ MUTANTS = (
     ),
     Mutant(
         "estimate-carry-keeps-ways-minus-one", ESTIMATE,
-        "    last[:-ways] = ss[:-ways] != ss[ways:]\n",
-        "    cut = max(total - ways + 1, 0)\n"
-        "    last[:cut] = ss[:cut] != ss[ways - 1:]\n",
+        "        filled[touched] = np.minimum(filled[touched] + cnt, ways)\n",
+        "        filled[touched] = np.minimum(filled[touched] + cnt, ways - 1)\n",
     ),
     Mutant(
         "estimate-carry-dropped-between-pieces", ESTIMATE,
-        "    if carry is None:\n"
-        "        carry = (slots[:0], keys[:0])\n",
-        "    carry = (slots[:0], keys[:0])\n",
+        "        room = np.minimum(ways - rank, filled[touched][run])\n",
+        "        room = np.minimum(ways - rank, 0)\n",
     ),
     Mutant(
         "estimate-l2-carry-from-all-events", ESTIMATE,
@@ -208,6 +206,16 @@ MUTANTS = (
         "lines-narrow-ignores-range", GEOMETRY,
         "return fit_int32(np.asarray(addrs) >> self.line_bits)",
         "return (np.asarray(addrs) >> self.line_bits).astype(np.int32)",
+    ),
+    Mutant(
+        "memo-key-ignores-previous-batch", CACHESTATE,
+        "h = hashlib.sha256((prev or self._config_digest()).encode())",
+        "h = hashlib.sha256(self._config_digest().encode())",
+    ),
+    Mutant(
+        "memo-hit-applied-at-once", CACHESTATE,
+        "                self._held_deltas.append(delta)\n",
+        "                self._apply(delta, mem_lat, serial)\n",
     ),
     Mutant(
         "crossbar-bound-ignores-word-bytes", CORE_MODEL,

@@ -27,6 +27,11 @@ Every other span follows them. A listed stage that never ran prints
 ``-``; :func:`missing` names them, so a renamed span shows up as a gap
 and a renamed flush as an error. Timings under ``--memory`` include
 tracemalloc's own cost.
+
+After the table come the process's peak resident set (``ru_maxrss``,
+which is what perfbench's ``peak_rss_mb`` reads; tracemalloc peaks do
+not predict it) and the cache events the pass took from the cache-path
+memo instead of replaying them.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import resource
 import sys
 import tempfile
 import time
@@ -122,11 +128,12 @@ def _no_span(name: str):
 
 
 def profile(workload, seed: int, workdir: Path,
-            memory: bool = False) -> Tuple[float, Table]:
+            memory: bool = False) -> Tuple[float, Table, int]:
     """Set ``workload`` up under ``workdir`` and run one traced pass.
 
-    Returns the pass's wall seconds and its stage table. A cell that
-    fails raises ``RuntimeError``.
+    Returns the pass's wall seconds, its stage table and the cache
+    events its replays reused from the memo. A cell that fails raises
+    ``RuntimeError``.
     """
     setup_root, pass_root = workdir / "setup", workdir / "pass"
     setup_root.mkdir(parents=True)
@@ -156,7 +163,9 @@ def profile(workload, seed: int, workdir: Path,
         row[0] += 1
         row[1] += rec.dur_us / 1e6
         row[2] = max(row[2], rec.args.get("peak_bytes", 0))
-    return seconds, table
+    reused = sum((getattr(c, "kernel", None) or {}).get("reused", 0)
+                 for c in cells)
+    return seconds, table, reused
 
 
 def missing(table: Table) -> List[str]:
@@ -197,10 +206,15 @@ def main() -> int:
                     help="also report each stage's tracemalloc peak")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory(prefix="stages-") as tmp:
-        seconds, table = profile(WORKLOADS[args.workload](), args.seed,
-                                 Path(tmp), memory=args.memory)
+        seconds, table, reused = profile(WORKLOADS[args.workload](),
+                                         args.seed, Path(tmp),
+                                         memory=args.memory)
     print(f"{args.workload}, seed {args.seed}")
     print(render(seconds, table, args.memory))
+    # Linux reports ru_maxrss in KiB.
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"process peak RSS: {maxrss:.1f} MiB (ru_maxrss)")
+    print(f"memo-reused cache events: {reused}")
     return 0
 
 
